@@ -52,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     eigs.add_argument("--epsilon", metavar="E", default=None,
                       help="restrict to a single scale")
     eigs.add_argument("--k", type=int, default=None, metavar="K",
-                      help="override the number of eigenpairs")
+                      help="set k_eigen (eigenpairs) for the whole run")
     eigs.add_argument("--seed", type=int, default=None, metavar="S",
-                      help="override the iteration seed")
+                      help="set seed (start vector) for the whole run")
 
     for name, help_text in (
             ("gaps", "eigenvalue gap table (gaps.csv)"),

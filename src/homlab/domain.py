@@ -9,16 +9,21 @@ data and the Dirichlet wall.
 Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
+
+No eigensolve happens here.  The sign hypothesis is read off a spectrum the
+caller already has (:func:`coercivity_check`), so each operator's spectrum
+is computed once, by :mod:`homlab.spectral`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .coefficients import CoefficientModel
+from .config import MIN_CELLS_PER_PERIOD
 from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
     QUAD_XI,
@@ -35,6 +40,7 @@ from .fem import (
     recover_gradient,
 )
 from .grids import DirichletGrid, GridFunction
+from .spectral import Spectrum
 
 __all__ = [
     "EpsProblem",
@@ -44,13 +50,10 @@ __all__ = [
     "solve_homogenized",
     "solve_dirichlet_correctors",
     "coercivity_check",
+    "constant_matrix",
     "homogenized_lower_bound",
     "galerkin_energy_defect",
 ]
-
-#: Mesh-resolution rule: the domain grid must put at least this many cells
-#: across one period of the oscillation, i.e. h <= epsilon / RESOLUTION_FACTOR.
-RESOLUTION_FACTOR = 16
 
 
 def _scaled_a(model: CoefficientModel, epsilon: float):
@@ -81,11 +84,12 @@ class EpsProblem:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         if grid.periodic:
             raise ConfigurationError("EpsProblem needs a Dirichlet grid")
-        if grid.h > epsilon / RESOLUTION_FACTOR + 1e-14:
+        if grid.h > epsilon / MIN_CELLS_PER_PERIOD + 1e-14:
             raise ConfigurationError(
                 f"grid too coarse for epsilon={epsilon}: h={grid.h:.6g} exceeds "
-                f"epsilon/{RESOLUTION_FACTOR}={epsilon / RESOLUTION_FACTOR:.6g}; "
-                f"use n >= {int(np.ceil(RESOLUTION_FACTOR / epsilon))}")
+                f"epsilon/{MIN_CELLS_PER_PERIOD}="
+                f"{epsilon / MIN_CELLS_PER_PERIOD:.6g}; "
+                f"use n >= {int(np.ceil(MIN_CELLS_PER_PERIOD / epsilon))}")
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
@@ -135,13 +139,13 @@ class EpsProblem:
 
 @dataclass
 class CoercivityReport:
-    """Outcome of the pre-solve sign check on the oscillatory form.
+    """Outcome of the sign check on the oscillatory form.
 
     ``lambda_eps_1`` is the first Dirichlet eigenvalue of the full operator
-    (diffusion plus scaled potential); the form is coercive iff it is
-    positive.  ``lambda0_prime_1`` is the first eigenvalue of the
-    constant-coefficient diffusion part of the effective operator, kept for
-    context alongside the effective potential constant.
+    (diffusion plus scaled potential), read from its spectrum; the form is
+    coercive iff it is positive.  ``lambda0_prime_1`` is the first
+    eigenvalue of the constant-coefficient diffusion part of the effective
+    operator, kept for context alongside the effective potential constant.
     """
 
     epsilon: float
@@ -151,33 +155,27 @@ class CoercivityReport:
     coercive: bool
 
 
-def coercivity_check(problem: EpsProblem,
-                     eigs_fn: Callable[..., Sequence[float]],
-                     a_hat: np.ndarray,
-                     m_w_chi_w: float,
-                     seed: int = 0) -> CoercivityReport:
-    """Probe the lowest eigenvalue of the oscillatory form.
+def coercivity_check(spectrum: Spectrum, hom_prime: Spectrum,
+                     m_w_chi_w: float) -> CoercivityReport:
+    """Decide the sign hypothesis from spectra already computed.
 
-    ``eigs_fn(op, mass, k, seed=...)`` must return at least one generalized
-    eigenvalue, smallest first (the engine in :mod:`homlab.spectral` fits).
-    No exception is raised on a negative finding — the report carries it, and
-    :func:`solve_eps` decides what to do.
+    ``spectrum`` is the oscillatory operator's (tag ``eps``) and
+    ``hom_prime`` the effective diffusion's; only their first eigenvalues
+    are read.  No exception is raised on a negative finding — the report
+    carries it, and :func:`solve_eps` decides what to do.
     """
-    lam_eps = float(eigs_fn(problem.operator_interior(),
-                            problem.mass_interior(), 1, seed=seed)[0])
-    k_hom = interior_operator(
-        problem.grid, assemble_stiffness(problem.grid, _constant_matrix(a_hat)))
-    lam_hom = float(eigs_fn(k_hom, problem.mass_interior(), 1, seed=seed)[0])
+    lam_eps = float(spectrum.eigenvalues[0])
     return CoercivityReport(
-        epsilon=problem.epsilon,
+        epsilon=spectrum.epsilon,
         lambda_eps_1=lam_eps,
-        lambda0_prime_1=lam_hom,
+        lambda0_prime_1=float(hom_prime.eigenvalues[0]),
         m_w_chi_w=float(m_w_chi_w),
         coercive=lam_eps > 0.0,
     )
 
 
-def _constant_matrix(a_hat: np.ndarray):
+def constant_matrix(a_hat: np.ndarray):
+    """Coefficient field equal to the constant 2x2 matrix ``a_hat``."""
     a_hat = np.asarray(a_hat, dtype=float)
 
     def a_eval(x1, x2):
@@ -260,7 +258,7 @@ def solve_homogenized(a_hat: np.ndarray,
             "the effective operator may be singular or indefinite")
     if grid.periodic:
         raise ConfigurationError("solve_homogenized needs a Dirichlet grid")
-    k_full = assemble_stiffness(grid, _constant_matrix(a_hat))
+    k_full = assemble_stiffness(grid, constant_matrix(a_hat))
     op = interior_operator(grid, k_full)
     if m != 0.0:
         mass_int = interior_operator(grid, assemble_mass(grid))
@@ -341,7 +339,7 @@ def solve_dirichlet_correctors(problem: EpsProblem,
         x_j = coords[:, j].copy()
         rhs = -grid.restrict(k_full.dot(x_j))
         if np.linalg.norm(rhs) == 0.0:
-            inner = np.zeros(grid.ndof_interior)
+            inner = np.zeros(grid.ndof)
         else:
             inner = cg_solve(problem.diffusion_interior(), rhs,
                              tol=tol, max_iter=max_iter)

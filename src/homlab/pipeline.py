@@ -4,9 +4,11 @@ Stages run in dependency order — ``cell`` (periodic correctors and effective
 constants), ``solve`` (boundary-value solves, boundary-adapted correctors,
 corrected-difference norms), ``eigs`` (all four spectra), ``gaps``
 (eigenvalue comparisons), ``rates`` (log-log fits), ``flux`` (boundary-flux
-table), ``report`` (everything as JSON).  A stage failure aborts the run
-with that stage's exit code; the artifact being written at that moment keeps
-a ``.partial`` suffix so truncated files never masquerade as finished ones.
+table), ``report`` (everything as JSON), as :data:`STAGE_TABLE` orders
+them.  Each operator's spectrum is computed once per run and shared between
+stages.  A stage failure aborts the run with that stage's exit code; the
+artifact being written at that moment keeps a ``.partial`` suffix so
+truncated files never masquerade as finished ones.
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -42,6 +44,7 @@ from .domain import (
     DirichletCorrectors,
     EpsProblem,
     coercivity_check,
+    constant_matrix,
     galerkin_energy_defect,
     solve_dirichlet_correctors,
     solve_eps,
@@ -69,14 +72,27 @@ from .spectral import (
 
 __all__ = [
     "STAGES",
+    "STAGE_TABLE",
     "STAGE_EXIT",
     "FLUX_LOWER_FLOOR",
     "SQUARE_DOMAIN_CAVEAT",
     "Experiment",
     "run_experiment",
+    "stages_for",
 ]
 
-STAGES = ("cell", "solve", "eigs", "gaps", "rates", "flux", "report")
+#: Stage name -> (``Experiment`` method, stages it depends on), in run order.
+STAGE_TABLE = {
+    "cell": ("stage_cell", ()),
+    "solve": ("stage_solve", ("cell",)),
+    "eigs": ("stage_eigs", ("cell",)),
+    "gaps": ("stage_gaps", ("eigs",)),
+    "rates": ("stage_rates", ("solve", "gaps")),
+    "flux": ("stage_flux", ("eigs",)),
+    "report": ("stage_report", ("solve", "gaps", "rates", "flux")),
+}
+
+STAGES = tuple(STAGE_TABLE)
 
 STAGE_EXIT = {
     "config": 2,
@@ -87,16 +103,6 @@ STAGE_EXIT = {
     "rates": 14,
     "flux": 15,
     "report": 16,
-}
-
-_STAGE_DEPS = {
-    "cell": (),
-    "solve": ("cell",),
-    "eigs": ("cell",),
-    "gaps": ("eigs",),
-    "rates": ("solve", "gaps"),
-    "flux": ("eigs",),
-    "report": ("solve", "gaps", "rates", "flux"),
 }
 
 #: Lower-bound floor for flux/lambda, frozen after the first calibration run
@@ -196,15 +202,10 @@ class Experiment:
 
     def hom_stiffness_interior(self) -> SparseOperator:
         if self._hom_stiff_interior is None:
-            a_hat = self.cell_solution.a_hat
-
-            def a_eval(x1, x2):
-                out = np.empty(np.shape(x1) + (2, 2))
-                out[...] = a_hat
-                return out
-
             self._hom_stiff_interior = interior_operator(
-                self.domain_grid, assemble_stiffness(self.domain_grid, a_eval))
+                self.domain_grid, assemble_stiffness(
+                    self.domain_grid,
+                    constant_matrix(self.cell_solution.a_hat)))
         return self._hom_stiff_interior
 
     def hom_operator_interior(self) -> SparseOperator:
@@ -214,10 +215,44 @@ class Experiment:
             return k
         return SparseOperator((k.mat + m * self.mass_interior().mat).tocsr())
 
-    def _eigs_fn(self, op, mass, k, seed=0):
-        spec = eigs(op, mass, k, seed=seed, tol=self.cfg.eig_tol,
-                    sigma=eps_sigma_bound(self.model, min(self.cfg.epsilons)))
-        return spec.eigenvalues
+    def eps_problem(self, eps: float) -> EpsProblem:
+        """The solve stage's problem at ``eps`` if it ran, else a fresh one
+        (deliberately not cached, so it lives no longer than its caller)."""
+        if eps in self.per_eps:
+            return self.per_eps[eps].problem
+        return EpsProblem(self.model, eps, self.domain_grid)
+
+    def spectrum(self, tag: str,
+                 problem: Optional[EpsProblem] = None) -> Spectrum:
+        """Spectrum behind csv tag ``tag``, computed at most once per run;
+        the ``eps`` and ``eps_prime`` tags need their scale's ``problem``.
+        Unlocked: concurrent callers ask for distinct tags, after
+        ``hom_prime`` (and with it the mass matrix) exists."""
+        if tag not in self.spectra:
+            kind = tag.partition(":")[0]
+            if kind == "hom":
+                op = self.hom_operator_interior()
+                sigma = float(self.cell_solution.m_w_chi_w) - 1.0
+            elif kind == "hom_prime":
+                op, sigma = self.hom_stiffness_interior(), -1.0
+            elif kind == "eps":
+                op = problem.operator_interior()
+                sigma = eps_sigma_bound(self.model, problem.epsilon)
+            else:
+                op, sigma = problem.diffusion_interior(), -1.0
+            self.spectra[tag] = eigs(
+                op, self.mass_interior(), self.cfg.k_eigen,
+                seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
+                tag=kind, epsilon=None if problem is None else problem.epsilon)
+        return self.spectra[tag]
+
+    def run_stage(self, stage: str, dump_fields: bool = False) -> None:
+        """Run ``stage``; only cell and solve have fields to dump."""
+        method = getattr(self, STAGE_TABLE[stage][0])
+        if dump_fields and stage in ("cell", "solve"):
+            method(dump_fields=True)
+        else:
+            method()
 
     # -- stages ---------------------------------------------------------
 
@@ -269,8 +304,9 @@ class Experiment:
         cfg = self.cfg
         cs = self.cell_solution
         problem = EpsProblem(self.model, eps, self.domain_grid)
-        coercivity = coercivity_check(problem, self._eigs_fn, cs.a_hat,
-                                      cs.m_w_chi_w, seed=cfg.seed)
+        coercivity = coercivity_check(
+            self.spectrum(f"eps:{eps_label(eps)}", problem),
+            self.spectra["hom_prime"], cs.m_w_chi_w)
         u_eps = solve_eps(problem, coercivity=coercivity, tol=cfg.cg_tol)
         correctors = solve_dirichlet_correctors(problem, tol=cfg.cg_tol)
         chi_w_sampled = sample_cell_field(cs.chi_w, self.domain_grid, eps)
@@ -294,6 +330,7 @@ class Experiment:
         self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
 
+        self.spectrum("hom_prime")
         with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
             futures = {eps: pool.submit(self._solve_one_eps, eps)
                        for eps in cfg.epsilons}
@@ -312,54 +349,29 @@ class Experiment:
                 self._write_field_csv(
                     name, ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"), rows)
 
-    def _spectrum_pair_for_eps(self, eps: float, k: int, seed: int):
-        problem = (self.per_eps[eps].problem if eps in self.per_eps
-                   else EpsProblem(self.model, eps, self.domain_grid))
-        sigma = eps_sigma_bound(self.model, eps)
-        s_eps = eigs(problem.operator_interior(), self.mass_interior(), k,
-                     seed=seed, tol=self.cfg.eig_tol, sigma=sigma,
-                     tag="eps", epsilon=eps)
-        s_prime = eigs(problem.diffusion_interior(), self.mass_interior(), k,
-                       seed=seed, tol=self.cfg.eig_tol, sigma=-1.0,
-                       tag="eps_prime", epsilon=eps)
-        defect = float(np.max(rayleigh_quadrature_defect(problem, s_eps)))
-        return eps, s_eps, s_prime, defect
+    def _eps_spectra(self, eps: float) -> float:
+        """Both spectra at ``eps``; returns the Rayleigh defect of ``eps``."""
+        label = eps_label(eps)
+        problem = self.eps_problem(eps)
+        s_eps = self.spectrum(f"eps:{label}", problem)
+        self.spectrum(f"eps_prime:{label}", problem)
+        return float(np.max(rayleigh_quadrature_defect(problem, s_eps)))
 
-    def stage_eigs(self, k_override: Optional[int] = None,
-                   seed_override: Optional[int] = None) -> None:
+    def stage_eigs(self) -> None:
         cfg = self.cfg
-        k = cfg.k_eigen if k_override is None else k_override
-        seed = cfg.seed if seed_override is None else seed_override
-        self.spectra["hom_prime"] = eigs(
-            self.hom_stiffness_interior(), self.mass_interior(), k,
-            seed=seed, tol=cfg.eig_tol, sigma=-1.0, tag="hom_prime")
-        self.spectra["hom"] = eigs(
-            self.hom_operator_interior(), self.mass_interior(), k,
-            seed=seed, tol=cfg.eig_tol,
-            sigma=float(self.cell_solution.m_w_chi_w) - 1.0, tag="hom")
+        self.spectrum("hom_prime")
+        self.spectrum("hom")
 
         with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
-            futures = [pool.submit(self._spectrum_pair_for_eps, eps, k, seed)
-                       for eps in cfg.epsilons]
-            results = {r[0]: r for f in futures for r in [f.result()]}
-        for eps in cfg.epsilons:
-            _, s_eps, s_prime, defect = results[eps]
-            label = eps_label(eps)
-            self.spectra[f"eps:{label}"] = s_eps
-            self.spectra[f"eps_prime:{label}"] = s_prime
-            self.rayleigh_defects[label] = defect
+            defects = list(pool.map(self._eps_spectra, cfg.epsilons))
+        for eps, defect in zip(cfg.epsilons, defects):
+            self.rayleigh_defects[eps_label(eps)] = defect
 
-        rows = []
-        for tag in ("hom", "hom_prime"):
-            spec = self.spectra[tag]
-            for j, lam in enumerate(spec.eigenvalues, 1):
-                rows.append((tag, j, float(lam)))
-        for eps in cfg.epsilons:
-            label = eps_label(eps)
-            for tag in (f"eps:{label}", f"eps_prime:{label}"):
-                spec = self.spectra[tag]
-                for j, lam in enumerate(spec.eigenvalues, 1):
-                    rows.append((tag, j, float(lam)))
+        tags = ["hom", "hom_prime"] + [
+            f"{kind}:{eps_label(eps)}" for eps in cfg.epsilons
+            for kind in ("eps", "eps_prime")]
+        rows = [(tag, j, float(lam)) for tag in tags
+                for j, lam in enumerate(self.spectra[tag].eigenvalues, 1)]
         text = _csv(("tag", "k", "lambda"), rows)
         _write_atomic(self._outpath("spectrum_E.csv"), text)
 
@@ -392,10 +404,8 @@ class Experiment:
             })
             lam1 = float(s_eps.eigenvalues[0])
             if lam1 >= 1.0:
-                problem = (self.per_eps[eps].problem if eps in self.per_eps
-                           else EpsProblem(self.model, eps, self.domain_grid))
-                cp = cluster_projection(s_eps, lam1, f_interior,
-                                        problem.operator_interior(),
+                op = self.eps_problem(eps).operator_interior()
+                cp = cluster_projection(s_eps, lam1, f_interior, op,
                                         self.mass_interior())
                 self.clusters.append({
                     "epsilon": eps, "lambda": cp.lam,
@@ -477,11 +487,8 @@ class Experiment:
         cfg = self.cfg
         self.flux_records = []
         for eps in cfg.epsilons:
-            label = eps_label(eps)
-            problem = (self.per_eps[eps].problem if eps in self.per_eps
-                       else EpsProblem(self.model, eps, self.domain_grid))
-            self.flux_records.extend(
-                flux_table(problem, self.spectra[f"eps:{label}"]))
+            self.flux_records.extend(flux_table(
+                self.eps_problem(eps), self.spectra[f"eps:{eps_label(eps)}"]))
         rows = [(r.epsilon, r.k, r.lam, r.flux, r.ratio_upper, r.ratio_lower)
                 for r in self.flux_records]
         text = _csv(("epsilon", "k", "lambda", "flux", "ratio_upper",
@@ -629,19 +636,21 @@ def _nodal_interpolant(grid: DirichletGrid, f_eval) -> np.ndarray:
     return np.asarray(f_eval(coords[:, 0], coords[:, 1]), dtype=float)
 
 
-def _stages_for(upto: str) -> List[str]:
-    if upto not in STAGES:
-        raise ConfigurationError(f"unknown stage {upto!r}")
+def stages_for(*targets: str) -> List[str]:
+    """The ``targets`` and every stage they depend on, in run order."""
     needed = set()
 
     def add(stage):
+        if stage not in STAGE_TABLE:
+            raise ConfigurationError(f"unknown stage {stage!r}")
         if stage in needed:
             return
-        for dep in _STAGE_DEPS[stage]:
+        for dep in STAGE_TABLE[stage][1]:
             add(dep)
         needed.add(stage)
 
-    add(upto)
+    for target in targets:
+        add(target)
     return [s for s in STAGES if s in needed]
 
 
@@ -662,6 +671,8 @@ def run_experiment(config_path: Optional[str] = None,
             cfg = RunConfig(**{**cfg.__dict__, "epsilons": [epsilon]})
         if k_override is not None:
             cfg = RunConfig(**{**cfg.__dict__, "k_eigen": k_override})
+        if seed_override is not None:
+            cfg = RunConfig(**{**cfg.__dict__, "seed": seed_override})
         cfg.validate()
         os.makedirs(cfg.output_dir, exist_ok=True)
     except HomlabError as exc:
@@ -669,24 +680,10 @@ def run_experiment(config_path: Optional[str] = None,
         return STAGE_EXIT["config"]
 
     exp = Experiment(cfg, out=out)
-    for stage in _stages_for(upto):
+    for stage in stages_for(upto):
         t0 = time.perf_counter()
         try:
-            if stage == "cell":
-                exp.stage_cell(dump_fields=dump_fields and upto == "cell")
-            elif stage == "solve":
-                exp.stage_solve(dump_fields=dump_fields and upto == "solve")
-            elif stage == "eigs":
-                exp.stage_eigs(k_override=k_override,
-                               seed_override=seed_override)
-            elif stage == "gaps":
-                exp.stage_gaps()
-            elif stage == "rates":
-                exp.stage_rates()
-            elif stage == "flux":
-                exp.stage_flux()
-            elif stage == "report":
-                exp.stage_report()
+            exp.run_stage(stage, dump_fields=dump_fields and stage == upto)
         except Exception as exc:  # any failure is a stage failure
             print(f"[{stage}] {exc}", file=err)
             return STAGE_EXIT[stage]

@@ -21,23 +21,19 @@ from homlab.config import RunConfig
 from homlab.domain import EpsProblem, solve_dirichlet_correctors
 from homlab.fem import assemble_mass, assemble_stiffness, interior_operator
 from homlab.grids import DirichletGrid, PeriodicGrid
-from homlab.pipeline import Experiment, run_experiment
+from homlab.pipeline import Experiment, run_experiment, stages_for
 from homlab.analysis import rate_fit
 from homlab.spectral import eigs
 
 EPS_SWEEP = (0.25, 0.125, 0.0625)
 
 
-def _experiment(tmp_path_factory, name, upto, **overrides):
+def _experiment(tmp_path_factory, name, targets, **overrides):
     cfg = RunConfig(output_dir=str(tmp_path_factory.mktemp(name)), **overrides)
     cfg.validate()
     exp = Experiment(cfg, out=io.StringIO())
-    stages = {"cell": exp.stage_cell, "solve": exp.stage_solve,
-              "eigs": exp.stage_eigs, "gaps": exp.stage_gaps,
-              "rates": exp.stage_rates, "flux": exp.stage_flux}
-    order = ("cell", "solve", "eigs", "gaps", "rates", "flux")
-    for stage in order[:order.index(upto) + 1]:
-        stages[stage]()
+    for stage in stages_for(*targets):
+        exp.run_stage(stage)
     return exp
 
 
@@ -45,21 +41,21 @@ def _experiment(tmp_path_factory, name, upto, **overrides):
 def default_run(tmp_path_factory):
     """Full smooth-iso + sine1 + sine-sine sweep at n=256 (the default)."""
     t0 = time.perf_counter()
-    exp = _experiment(tmp_path_factory, "default", "flux")
+    exp = _experiment(tmp_path_factory, "default", ("rates", "flux"))
     return exp, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def layered_run(tmp_path_factory):
     """Layered diffusion at n=256: boundary correctors and flux rows."""
-    return _experiment(tmp_path_factory, "layered", "flux",
+    return _experiment(tmp_path_factory, "layered", ("rates", "flux"),
                        a_preset="layered", w_preset="sine1")
 
 
 @pytest.fixture(scope="session")
 def identity_spectral_run(tmp_path_factory):
     """Identity diffusion + sine1 potential, first eigenvalue per scale."""
-    return _experiment(tmp_path_factory, "idspec", "gaps",
+    return _experiment(tmp_path_factory, "idspec", ("solve", "gaps"),
                        a_preset="identity", w_preset="sine1", k_eigen=1)
 
 

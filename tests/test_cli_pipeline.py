@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import homlab.pipeline
 from homlab.cli import main
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
@@ -91,6 +92,43 @@ def test_report_carries_effective_constants(tmp_path):
     assert sol["h1_w"] < sol["h1_plain"]
     assert report["flux"]["min_ratio_lower"] >= report["flux"]["lower_floor"]
     assert report["gaps"]["first_eig"][0]["d7"] < report["gaps"]["first_eig"][0]["d8"]
+
+
+TWO_EPS = SMALL.replace("epsilons = 1/4", "epsilons = 1/2, 1/4")
+
+
+def test_report_coercivity_comes_from_the_spectra(tmp_path):
+    cfg, out = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, out=io.StringIO()) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    first = {}
+    spectrum = open(os.path.join(out, "spectrum_E.csv")).read()
+    for row in spectrum.splitlines()[1:]:
+        tag, k, lam = row.split(",")
+        if k == "1":
+            first[tag] = float(lam)
+    assert set(report["solve"]) == {"1/2", "1/4"}
+    for label, sol in report["solve"].items():
+        assert sol["lambda_eps_1"] == first[f"eps:{label}"]
+        assert sol["lambda0_prime_1"] == first["hom_prime"]
+
+
+def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
+    calls = []
+    real_eigs = homlab.pipeline.eigs
+
+    def counting_eigs(op, mass, k, **kwargs):
+        calls.append((kwargs["tag"], kwargs["epsilon"], k, kwargs["seed"]))
+        return real_eigs(op, mass, k, **kwargs)
+
+    monkeypatch.setattr(homlab.pipeline, "eigs", counting_eigs)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, seed_override=3, out=io.StringIO()) == 0
+    pencils = [(tag, eps) for tag, eps, _, _ in calls]
+    assert len(pencils) == len(set(pencils))
+    assert set(pencils) == {("hom", None), ("hom_prime", None)} | {
+        (tag, eps) for tag in ("eps", "eps_prime") for eps in (0.5, 0.25)}
+    assert {(k, seed) for _, _, k, seed in calls} == {(2, 3)}
 
 
 def test_two_runs_are_byte_identical(tmp_path):

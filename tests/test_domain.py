@@ -7,6 +7,7 @@ from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
     EpsProblem,
     coercivity_check,
+    constant_matrix,
     galerkin_energy_defect,
     homogenized_lower_bound,
     solve_dirichlet_correctors,
@@ -14,13 +15,26 @@ from homlab.domain import (
     solve_homogenized,
 )
 from homlab.errors import CoercivityError, ConfigurationError
-from homlab.fem import l2_norm
+from homlab.fem import (
+    assemble_mass,
+    assemble_stiffness,
+    interior_operator,
+    l2_norm,
+)
 from homlab.grids import DirichletGrid, GridFunction
 from homlab.spectral import eigs
 
 
-def eigs_fn(op, mass, k, seed=0):
-    return eigs(op, mass, k, seed=seed, sigma=-300.0).eigenvalues
+def eps_spectrum(p, k=1):
+    return eigs(p.operator_interior(), p.mass_interior(), k, sigma=-300.0,
+                epsilon=p.epsilon)
+
+
+def hom_prime_spectrum(grid, a_hat):
+    stiff = interior_operator(
+        grid, assemble_stiffness(grid, constant_matrix(a_hat)))
+    mass = interior_operator(grid, assemble_mass(grid))
+    return eigs(stiff, mass, 1, tag="hom_prime")
 
 
 def test_resolution_guard():
@@ -93,8 +107,10 @@ def test_coercivity_flag_goes_false_without_raising():
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
     p = EpsProblem(strong, 0.5, DirichletGrid(32))
-    report = coercivity_check(p, eigs_fn, np.eye(2), 0.0)
+    report = coercivity_check(eps_spectrum(p),
+                              hom_prime_spectrum(p.grid, np.eye(2)), 0.0)
     assert not report.coercive
+    assert report.epsilon == 0.5
     assert report.lambda_eps_1 == pytest.approx(-74.718, abs=0.5)
     with pytest.raises(CoercivityError):
         solve_eps(p, coercivity=report)
@@ -103,10 +119,13 @@ def test_coercivity_flag_goes_false_without_raising():
 def test_coercivity_report_on_sound_problem():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    report = coercivity_check(p, eigs_fn, np.eye(2) * 1.9, -0.006)
+    spectrum = eps_spectrum(p, k=3)
+    hom_prime = hom_prime_spectrum(p.grid, np.eye(2) * 1.9)
+    report = coercivity_check(spectrum, hom_prime, -0.006)
     assert report.coercive
-    assert report.lambda_eps_1 > 0
-    assert report.lambda0_prime_1 > 0
+    assert report.lambda_eps_1 == spectrum.eigenvalues[0] > 0
+    assert report.lambda0_prime_1 == hom_prime.eigenvalues[0] > 0
+    assert report.m_w_chi_w == -0.006
     u = solve_eps(p, coercivity=report)
     assert np.isfinite(u.values).all()
 
@@ -141,6 +160,20 @@ def test_layered_boundary_correctors_scale_linearly():
     assert sup[0.25] == pytest.approx(3.8937884e-2, rel=1e-5)
     assert sup[0.125] == pytest.approx(2.0158834e-2, rel=1e-5)
     assert 1.6 < sup[0.25] / sup[0.125] < 2.4
+
+
+def test_correctors_with_zero_load_skip_the_solve():
+    """A zero diffusion field makes both corrector loads exactly zero."""
+    base = make_preset("identity")
+    flat = CoefficientModel(
+        a_eval=lambda y1, y2: np.zeros(np.shape(y1) + (2, 2)),
+        w_eval=base.w_eval, f_eval=base.f_eval, kappa=base.kappa)
+    p = EpsProblem(flat, 0.25, DirichletGrid(64))
+    dc = solve_dirichlet_correctors(p)
+    assert dc.sup_deviation() == 0.0
+    coords = p.grid.node_coords()
+    for j in range(2):
+        assert np.array_equal(dc.phi[j].values, coords[:, j])
 
 
 def test_corrector_boundary_values_pin_to_coordinates():
