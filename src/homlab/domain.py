@@ -10,6 +10,11 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
 
+Every linear system here is solved directly with a sparse LU factor
+(:func:`homlab.fem.factorize`) that lives only as long as the call that
+made it; the two corrector problems share one factor of the diffusion
+matrix.
+
 No eigensolve happens here.  The sign hypothesis is read off a spectrum the
 caller already has (:func:`coercivity_check`), so each operator's spectrum
 is computed once, by :mod:`homlab.spectral`.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
-from .errors import CoercivityError, ConfigurationError, SolverError
+from .errors import CoercivityError, ConfigurationError
 from .fem import (
     QUAD_XI,
     QUAD_W,
@@ -35,7 +40,7 @@ from .fem import (
     assemble_weighted_mass,
     cell_gradients,
     cell_values,
-    cg_solve,
+    factorize,
     interior_operator,
     recover_gradient,
 )
@@ -188,16 +193,15 @@ def constant_matrix(a_hat: np.ndarray):
 
 def solve_eps(problem: EpsProblem,
               coercivity: Optional[CoercivityReport] = None,
-              allow_noncoercive: bool = False,
-              tol: float = 1e-10,
-              max_iter: Optional[int] = None) -> GridFunction:
+              allow_noncoercive: bool = False) -> GridFunction:
     """Solve the oscillatory Dirichlet problem; returns the full nodal field.
 
     Callers are expected to establish coercivity first — pass the report from
     :func:`coercivity_check`, or set ``allow_noncoercive=True`` to take
     responsibility themselves.  A report with ``coercive=False`` stops the
-    solve unless overridden; if CG later detects an indefinite operator
-    anyway, that surfaces as :class:`CoercivityError`.
+    solve with :class:`CoercivityError` unless overridden; that report is the
+    only sign gate, because the direct solve succeeds on any nonsingular
+    operator, definite or not.
     """
     if coercivity is not None and not coercivity.coercive and not allow_noncoercive:
         raise CoercivityError(
@@ -210,15 +214,7 @@ def solve_eps(problem: EpsProblem,
             "solve_eps needs a coercivity report (or allow_noncoercive=True)")
     rhs_full = assemble_load(problem.grid, problem.model.f_eval)
     rhs = problem.grid.restrict(rhs_full)
-    try:
-        inner = cg_solve(problem.operator_interior(), rhs,
-                         tol=tol, max_iter=max_iter)
-    except SolverError as err:
-        if err.breakdown:
-            raise CoercivityError(
-                f"CG found negative curvature at epsilon={problem.epsilon}; "
-                "the oscillatory form is indefinite on this grid") from err
-        raise
+    inner = factorize(problem.operator_interior()).solve(rhs)
     return GridFunction(problem.grid, problem.grid.extend(inner))
 
 
@@ -238,9 +234,7 @@ def homogenized_lower_bound(a_hat: np.ndarray) -> float:
 def solve_homogenized(a_hat: np.ndarray,
                       m_w_chi_w: float,
                       grid: DirichletGrid,
-                      f_eval: Callable[..., np.ndarray],
-                      tol: float = 1e-10,
-                      max_iter: Optional[int] = None) -> GridFunction:
+                      f_eval: Callable[..., np.ndarray]) -> GridFunction:
     """Solve the effective problem  -div(a_hat grad u) + m u = f,  u = 0 on
     the boundary, with constant ``a_hat`` and constant zeroth-order ``m``.
 
@@ -264,14 +258,7 @@ def solve_homogenized(a_hat: np.ndarray,
         mass_int = interior_operator(grid, assemble_mass(grid))
         op = SparseOperator((op.mat + m * mass_int.mat).tocsr())
     rhs = grid.restrict(assemble_load(grid, f_eval))
-    try:
-        inner = cg_solve(op, rhs, tol=tol, max_iter=max_iter)
-    except SolverError as err:
-        if err.breakdown:
-            raise CoercivityError(
-                "effective operator indefinite despite the sign hypothesis; "
-                "check a_hat and m for consistency") from err
-        raise
+    inner = factorize(op).solve(rhs)
     return GridFunction(grid, grid.extend(inner))
 
 
@@ -320,19 +307,20 @@ class DirichletCorrectors:
         return float(dets.min())
 
 
-def solve_dirichlet_correctors(problem: EpsProblem,
-                               tol: float = 1e-10,
-                               max_iter: Optional[int] = None) -> DirichletCorrectors:
+def solve_dirichlet_correctors(problem: EpsProblem) -> DirichletCorrectors:
     """Solve the two corrector problems for ``problem``'s scale and grid.
 
     The ansatz ``Phi_j = x_j + phi`` turns the boundary data into homogeneous
     Dirichlet data for ``phi`` with load ``-(K x_j)`` restricted to the
     interior; the boundary nodes of the returned field therefore carry
-    ``x_j`` exactly (bit for bit), not merely up to solver tolerance.
+    ``x_j`` exactly (bit for bit), not merely up to solver tolerance.  Both
+    problems share one factor of the diffusion matrix, made only if a load
+    is nonzero.
     """
     grid = problem.grid
     k_full = problem.stiffness_full()
     coords = grid.node_coords()
+    lu = None
     phi = []
     deviation = []
     for j in 0, 1:
@@ -341,8 +329,9 @@ def solve_dirichlet_correctors(problem: EpsProblem,
         if np.linalg.norm(rhs) == 0.0:
             inner = np.zeros(grid.ndof)
         else:
-            inner = cg_solve(problem.diffusion_interior(), rhs,
-                             tol=tol, max_iter=max_iter)
+            if lu is None:
+                lu = factorize(problem.diffusion_interior())
+            inner = lu.solve(rhs)
         dev = grid.extend(inner)
         phi.append(GridFunction(grid, x_j + dev))
         deviation.append(GridFunction(grid, dev))

@@ -68,6 +68,7 @@ from .spectral import (
     eps_sigma_bound,
     first_eigenvalue_comparison,
     rayleigh_quadrature_defect,
+    shift_spectrum,
 )
 
 __all__ = [
@@ -226,24 +227,31 @@ class Experiment:
                  problem: Optional[EpsProblem] = None) -> Spectrum:
         """Spectrum behind csv tag ``tag``, computed at most once per run;
         the ``eps`` and ``eps_prime`` tags need their scale's ``problem``.
+        ``hom`` is ``hom_prime`` moved by ``m``, since K + mM has K's
+        eigenvectors, so it costs no eigensolve of its own.
         Unlocked: concurrent callers ask for distinct tags, after
         ``hom_prime`` (and with it the mass matrix) exists."""
-        if tag not in self.spectra:
-            kind = tag.partition(":")[0]
-            if kind == "hom":
-                op = self.hom_operator_interior()
-                sigma = float(self.cell_solution.m_w_chi_w) - 1.0
-            elif kind == "hom_prime":
-                op, sigma = self.hom_stiffness_interior(), -1.0
-            elif kind == "eps":
-                op = problem.operator_interior()
-                sigma = eps_sigma_bound(self.model, problem.epsilon)
-            else:
-                op, sigma = problem.diffusion_interior(), -1.0
-            self.spectra[tag] = eigs(
-                op, self.mass_interior(), self.cfg.k_eigen,
-                seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
-                tag=kind, epsilon=None if problem is None else problem.epsilon)
+        if tag in self.spectra:
+            return self.spectra[tag]
+        kind = tag.partition(":")[0]
+        if kind == "hom":
+            self.spectra[tag] = shift_spectrum(
+                self.spectrum("hom_prime"),
+                float(self.cell_solution.m_w_chi_w),
+                self.hom_operator_interior(), self.mass_interior(),
+                tol=self.cfg.eig_tol, tag=kind)
+            return self.spectra[tag]
+        if kind == "hom_prime":
+            op, sigma = self.hom_stiffness_interior(), -1.0
+        elif kind == "eps":
+            op = problem.operator_interior()
+            sigma = eps_sigma_bound(problem)
+        else:
+            op, sigma = problem.diffusion_interior(), -1.0
+        self.spectra[tag] = eigs(
+            op, self.mass_interior(), self.cfg.k_eigen,
+            seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
+            tag=kind, epsilon=None if problem is None else problem.epsilon)
         return self.spectra[tag]
 
     def run_stage(self, stage: str, dump_fields: bool = False) -> None:
@@ -301,14 +309,13 @@ class Experiment:
         _write_atomic(self._outpath(name), "\n".join(body) + "\n")
 
     def _solve_one_eps(self, eps: float) -> _EpsArtifacts:
-        cfg = self.cfg
         cs = self.cell_solution
         problem = EpsProblem(self.model, eps, self.domain_grid)
         coercivity = coercivity_check(
             self.spectrum(f"eps:{eps_label(eps)}", problem),
             self.spectra["hom_prime"], cs.m_w_chi_w)
-        u_eps = solve_eps(problem, coercivity=coercivity, tol=cfg.cg_tol)
-        correctors = solve_dirichlet_correctors(problem, tol=cfg.cg_tol)
+        u_eps = solve_eps(problem, coercivity=coercivity)
+        correctors = solve_dirichlet_correctors(problem)
         chi_w_sampled = sample_cell_field(cs.chi_w, self.domain_grid, eps)
         expansion = build_expansion(u_eps, self.u_0, correctors,
                                     chi_w_sampled, eps)
@@ -323,7 +330,7 @@ class Experiment:
         cfg = self.cfg
         cs = self.cell_solution
         self.u_0 = solve_homogenized(cs.a_hat, cs.m_w_chi_w, self.domain_grid,
-                                     self.model.f_eval, tol=cfg.cg_tol)
+                                     self.model.f_eval)
         # ||f|| by the same quadrature that assembles everything else
         pts = self.domain_grid.quad_points(QUAD_XI)
         fq = self.model.f_eval(pts[..., 0], pts[..., 1])

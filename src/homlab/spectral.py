@@ -2,10 +2,15 @@
 
 Solves ``K v = lambda M v`` for the operators produced by
 :mod:`homlab.domain`, with a dense LAPACK path for small problems and a
-seeded shift-invert Lanczos path (ARPACK) above the cutoff.  Every returned
+seeded shift-invert Lanczos path (ARPACK) above the cutoff.  The
+shift-invert operator is one sparse LU factor of ``K - sigma M``
+(:func:`homlab.fem.factorize`, minimum-degree ordering on ``A^T + A``),
+made per call and dropped when ARPACK returns.  Every returned
 :class:`Spectrum` is re-orthonormalized in the mass inner product,
 sign-fixed, and residual-checked; failures raise :class:`SpectralError`
-rather than returning dubious pairs.
+rather than returning dubious pairs.  A spectrum shifted by a multiple of
+the mass matrix (:func:`shift_spectrum`) reuses the eigenvectors and is
+checked the same way.
 
 Spectra are tagged by which operator they belong to:
 
@@ -28,9 +33,15 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .coefficients import CoefficientModel
 from .errors import ConfigurationError, SpectralError
-from .fem import QUAD_XI, QUAD_W, SparseOperator, cell_gradients, cell_values
+from .fem import (
+    QUAD_XI,
+    QUAD_W,
+    SparseOperator,
+    cell_gradients,
+    cell_values,
+    factorize,
+)
 from .grids import GridFunction
 
 __all__ = [
@@ -38,6 +49,7 @@ __all__ = [
     "K_MAX",
     "Spectrum",
     "eigs",
+    "shift_spectrum",
     "eps_sigma_bound",
     "rayleigh_quadrature_defect",
     "minmax_probe",
@@ -137,8 +149,7 @@ def eigs(op: SparseOperator,
         v0 = rng.standard_normal(n)
         shift = -1.0 if sigma is None else float(sigma)
         try:
-            lam, vecs = scipy.sparse.linalg.eigsh(
-                op.mat, k=k, M=mass.mat, sigma=shift, which="LM", v0=v0)
+            lam, vecs = _shift_invert(op, mass, k, shift, v0)
         except Exception as err:  # ARPACK failures come in several flavors
             raise SpectralError(
                 f"shift-invert eigensolve failed at sigma={shift:.6g}: {err}"
@@ -148,7 +159,24 @@ def eigs(op: SparseOperator,
         method = "arpack"
 
     vecs = _fix_signs(_orthonormalize(vecs, mass))
+    return _checked_spectrum(op, mass, lam, vecs, tol, method, tag, epsilon)
 
+
+def _shift_invert(op: SparseOperator, mass: SparseOperator, k: int,
+                  shift: float, v0: np.ndarray):
+    """ARPACK on ``(op - shift mass)^-1 mass``; the factor dies on return."""
+    lu = factorize(op.mat - shift * mass.mat)
+    opinv = scipy.sparse.linalg.LinearOperator(op.shape, matvec=lu.solve,
+                                               dtype=float)
+    return scipy.sparse.linalg.eigsh(op.mat, k=k, M=mass.mat, sigma=shift,
+                                     which="LM", v0=v0, OPinv=opinv)
+
+
+def _checked_spectrum(op: SparseOperator, mass: SparseOperator,
+                      lam: np.ndarray, vecs: np.ndarray, tol: float,
+                      method: str, tag: str,
+                      epsilon: Optional[float]) -> Spectrum:
+    """Residual and order check every returned :class:`Spectrum` passes."""
     kv = op.dot(vecs)
     mv = mass.dot(vecs)
     res_abs = np.linalg.norm(kv - lam[None, :] * mv, axis=0)
@@ -158,7 +186,7 @@ def eigs(op: SparseOperator,
         worst = int(np.argmax(residuals))
         raise SpectralError(
             f"eigenpair {worst + 1} residual {residuals[worst]:.3e} exceeds "
-            f"tolerance {tol:.1e} ({method} path, {n} DOF)",
+            f"tolerance {tol:.1e} ({method} path, {op.shape[0]} DOF)",
             residuals=residuals)
     if np.any(np.diff(lam) < -tol * np.maximum(np.abs(lam[:-1]), 1.0)):
         raise SpectralError("eigenvalues not returned in ascending order")
@@ -166,19 +194,36 @@ def eigs(op: SparseOperator,
                     residuals=residuals, method=method, epsilon=epsilon)
 
 
-def eps_sigma_bound(model: CoefficientModel, epsilon: float,
-                    lattice_n: int = 256) -> float:
+def shift_spectrum(spectrum: Spectrum, shift: float,
+                   op: SparseOperator, mass: SparseOperator,
+                   tol: float = 1e-8, tag: str = "hom") -> Spectrum:
+    """Spectrum of ``op``, which is ``spectrum``'s operator plus
+    ``shift * mass``, without a second eigensolve.
+
+    Adding a multiple of the mass matrix moves every eigenvalue by ``shift``
+    and keeps every eigenvector, so the pairs are ``spectrum``'s with
+    ``shift`` added, checked against ``op`` as :func:`eigs` checks its own.
+    """
+    return _checked_spectrum(op, mass, spectrum.eigenvalues + shift,
+                             spectrum.eigenvectors, tol, spectrum.method,
+                             tag, spectrum.epsilon)
+
+
+def eps_sigma_bound(problem) -> float:
     """A shift strictly below the bottom of the oscillatory spectrum.
 
-    The diffusion part is nonnegative and the scaled potential term is
-    bounded below by ``(1/epsilon) min W`` (quadrature weights are
-    positive), so ``(1/epsilon) min(0, min W) - 1`` sits under every
-    eigenvalue.  ``min W`` is estimated on a fine sample lattice.
+    ``problem`` is an :class:`homlab.domain.EpsProblem`.  The diffusion part
+    is nonnegative, and the weighted mass is assembled from ``W`` at the
+    quadrature points by the same positive-weight rule as the mass, so
+    ``M_W - (min_q W_q) M`` is positive semidefinite.  Every eigenvalue is
+    therefore at least ``(1/epsilon) min(0, min_q W_q)``, and the shift sits
+    one below that.
     """
-    t = (np.arange(lattice_n) + 0.31) / lattice_n
-    x1, x2 = np.meshgrid(t, t, indexing="ij")
-    wmin = float(np.min(model.w_eval(x1, x2)))
-    return min(0.0, wmin) / epsilon - 1.0
+    eps = problem.epsilon
+    pts = problem.grid.quad_points(QUAD_XI)
+    wmin = float(np.min(problem.model.w_eval(pts[..., 0] / eps,
+                                             pts[..., 1] / eps)))
+    return min(0.0, wmin) / eps - 1.0
 
 
 def rayleigh_quadrature_defect(problem, spectrum: Spectrum) -> np.ndarray:

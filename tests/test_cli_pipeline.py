@@ -9,6 +9,7 @@ import pytest
 
 import homlab.pipeline
 from homlab.cli import main
+from homlab.config import RunConfig
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
     STAGE_EXIT,
@@ -126,9 +127,37 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
     assert run_experiment(cfg, seed_override=3, out=io.StringIO()) == 0
     pencils = [(tag, eps) for tag, eps, _, _ in calls]
     assert len(pencils) == len(set(pencils))
-    assert set(pencils) == {("hom", None), ("hom_prime", None)} | {
+    assert set(pencils) == {("hom_prime", None)} | {
         (tag, eps) for tag in ("eps", "eps_prime") for eps in (0.5, 0.25)}
     assert {(k, seed) for _, _, k, seed in calls} == {(2, 3)}
+
+
+def test_effective_spectra_match_the_closed_form(tmp_path):
+    """For diagonal a_hat the Q1 pencil is a Kronecker sum of 1D pencils:
+    lambda = a11 mu_i + a22 mu_j (+ m for hom), mu_i the 1D Q1 values."""
+    cfg = RunConfig(cell_grid_n=16, domain_grid_n=68, epsilons=[0.25],
+                    output_dir=str(tmp_path))
+    exp = Experiment(cfg, out=io.StringIO())
+    exp.run_stage("cell")
+    a_hat = exp.cell_solution.a_hat
+    m = float(exp.cell_solution.m_w_chi_w)
+    assert abs(a_hat[0, 1]) < 1e-12 and abs(a_hat[1, 0]) < 1e-12
+
+    n = cfg.domain_grid_n
+    h = 1.0 / n
+    c = np.cos(np.arange(1, n) * np.pi * h)
+    mu = (6.0 / h ** 2) * (1.0 - c) / (2.0 + c)
+    exact = np.sort((a_hat[0, 0] * mu[:, None]
+                     + a_hat[1, 1] * mu[None, :]).ravel())[:cfg.k_eigen]
+
+    hom_prime = exp.spectrum("hom_prime")
+    hom = exp.spectrum("hom")
+    assert hom_prime.method == "arpack"
+    assert np.max(np.abs(hom_prime.eigenvalues - exact) / exact) < 1e-10
+    assert np.max(np.abs(hom.eigenvalues - (exact + m))
+                  / np.abs(exact + m)) < 1e-10
+    assert np.array_equal(hom.eigenvectors, hom_prime.eigenvectors)
+    assert np.max(hom.residuals) < cfg.eig_tol
 
 
 def test_two_runs_are_byte_identical(tmp_path):

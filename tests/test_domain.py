@@ -16,8 +16,10 @@ from homlab.domain import (
 )
 from homlab.errors import CoercivityError, ConfigurationError
 from homlab.fem import (
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
+    cg_solve,
     interior_operator,
     l2_norm,
 )
@@ -76,7 +78,7 @@ def test_poisson_solve_second_order():
     errs = {}
     for n in (32, 64):
         grid = DirichletGrid(n)
-        u = solve_homogenized(np.eye(2), 0.0, grid, f, tol=1e-12)
+        u = solve_homogenized(np.eye(2), 0.0, grid, f)
         c = grid.node_coords()
         exact = np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1])
         errs[n] = l2_norm(GridFunction(grid, u.values - exact))
@@ -154,7 +156,7 @@ def test_layered_boundary_correctors_scale_linearly():
     grid = DirichletGrid(128)
     sup = {}
     for eps in (0.25, 0.125):
-        dc = solve_dirichlet_correctors(EpsProblem(model, eps, grid), tol=1e-11)
+        dc = solve_dirichlet_correctors(EpsProblem(model, eps, grid))
         sup[eps] = dc.sup_deviation()
         assert dc.min_jacobian() > 0.2  # frozen floor, measured ~0.56
     assert sup[0.25] == pytest.approx(3.8937884e-2, rel=1e-5)
@@ -184,3 +186,24 @@ def test_corrector_boundary_values_pin_to_coordinates():
     wall = ~grid.is_interior
     for j in range(2):
         assert np.array_equal(dc.phi[j].values[wall], coords[wall, j])
+
+
+def test_direct_solves_match_a_tight_cg_reference():
+    model = make_preset("smooth-iso", "sine1", "sine-sine")
+    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    grid = p.grid
+
+    def close(x, ref):
+        return np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    u = solve_eps(p, allow_noncoercive=True)
+    rhs = grid.restrict(assemble_load(grid, model.f_eval))
+    ref = cg_solve(p.operator_interior(), rhs, tol=1e-13)
+    assert close(grid.restrict(u.values), ref)
+
+    dc = solve_dirichlet_correctors(p)
+    coords = grid.node_coords()
+    for j in 0, 1:
+        load = -grid.restrict(p.stiffness_full().dot(coords[:, j]))
+        ref = cg_solve(p.diffusion_interior(), load, tol=1e-13)
+        assert close(grid.restrict(dc.deviation[j].values), ref)

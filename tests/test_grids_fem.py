@@ -13,6 +13,7 @@ from homlab.fem import (
     assemble_stiffness,
     boundary_flux,
     cg_solve,
+    factorize,
     interior_operator,
     l2_norm,
     recover_gradient,
@@ -99,6 +100,15 @@ def test_cg_breakdown_on_negative_definite_operator():
     with pytest.raises(SolverError) as exc:
         cg_solve(neg, np.ones(grid.ndof), tol=1e-10)
     assert exc.value.breakdown
+
+
+def test_factorize_rejects_exactly_singular_operator():
+    grid = DirichletGrid(8)
+    flat = interior_operator(grid, assemble_stiffness(
+        grid, lambda x1, x2: np.zeros(np.shape(x1) + (2, 2))))
+    with pytest.raises(SolverError) as exc:
+        factorize(flat)
+    assert "singular" in str(exc.value)
 
 
 def test_deflated_cg_keeps_zero_mean():

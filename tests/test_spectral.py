@@ -3,11 +3,12 @@ the comparison tables built from spectra."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from homlab.coefficients import make_preset
+from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import EpsProblem
 from homlab.errors import ConfigurationError, SpectralError
-from homlab.fem import assemble_mass, assemble_stiffness, interior_operator
+from homlab.fem import QUAD_XI, assemble_mass, assemble_stiffness, interior_operator
 from homlab.grids import DirichletGrid
 from homlab.spectral import (
     DENSE_CUTOFF,
@@ -116,21 +117,58 @@ def test_zero_potential_makes_both_operators_identical():
     assert p.operator_interior() is p.diffusion_interior()
 
 
-def test_eps_sigma_bound_arithmetic():
-    model = make_preset("identity", "sine1")
-    # lattice probe misses the exact minimum of sin by O(1/n^2)
-    assert eps_sigma_bound(model, 0.25) == pytest.approx(-5.0, abs=0.01)
-    zero = make_preset("identity", "zero")
-    assert eps_sigma_bound(zero, 0.25) == pytest.approx(-1.0, abs=1e-12)
+def test_eps_sigma_bound_is_the_quadrature_minimum():
+    for preset, eps, n in (("sine1", 0.25, 64), ("sine-mix", 0.5, 48),
+                           ("zero", 0.25, 64)):
+        p = EpsProblem(make_preset("identity", preset), eps, DirichletGrid(n))
+        pts = p.grid.quad_points(QUAD_XI)
+        w_q = p.model.w_eval(pts[..., 0] / eps, pts[..., 1] / eps)
+        assert eps_sigma_bound(p) == min(0.0, float(np.min(w_q))) / eps - 1.0
+
+
+def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
+    """W is zero except for a deep spike narrower than 1e-4 around one
+    quadrature point, which no point of a regular 256^2 sample lattice
+    offset by 0.31 spacings comes near; the shift must still undercut
+    lambda_1."""
+    grid = DirichletGrid(32)
+    eps = 0.5
+    spike = grid.quad_points(QUAD_XI)[5 * 32 + 5, 3] / eps  # in cell units
+    width = 1e-4
+
+    def w_eval(y1, y2):
+        d1 = np.abs((y1 - spike[0] + 0.5) % 1.0 - 0.5)
+        d2 = np.abs((y2 - spike[1] + 0.5) % 1.0 - 0.5)
+        return -1e5 * (np.maximum(0.0, 1.0 - d1 / width)
+                       * np.maximum(0.0, 1.0 - d2 / width))
+
+    base = make_preset("identity", "zero")
+    model = CoefficientModel(a_eval=base.a_eval, w_eval=w_eval,
+                             f_eval=base.f_eval, kappa=base.kappa)
+    p = EpsProblem(model, eps, grid)
+    lam_1 = eigs(p.operator_interior(), p.mass_interior(), 1).eigenvalues[0]
+    assert lam_1 < -1.0  # the lattice minimum, zero, would give -1
+    assert eps_sigma_bound(p) < lam_1
 
 
 def test_rayleigh_quotients_match_direct_quadrature():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
     spec = eigs(p.operator_interior(), p.mass_interior(), 3,
-                sigma=eps_sigma_bound(model, 0.25), epsilon=0.25)
+                sigma=eps_sigma_bound(p), epsilon=0.25)
     defect = rayleigh_quadrature_defect(p, spec)
     assert np.max(defect) < 1e-10
+
+
+def test_arpack_path_matches_dense_eigh_just_above_the_cutoff():
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.25, DirichletGrid(66))
+    op, mass = p.operator_interior(), p.mass_interior()
+    assert op.shape[0] == 4225 > DENSE_CUTOFF
+    spec = eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=0.25)
+    assert spec.method == "arpack"
+    ref = scipy.linalg.eigh(op.toarray(), mass.toarray(), eigvals_only=True,
+                            subset_by_index=(0, 4))
+    assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
 
 
 def test_first_eigenvalue_comparison_arithmetic():
