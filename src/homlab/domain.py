@@ -11,9 +11,12 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 samples them at ``y = x / epsilon``.
 
 Every linear system here is solved directly with a sparse LU factor
-(:func:`homlab.fem.factorize`) that lives only as long as the call that
-made it; the two corrector problems share one factor of the diffusion
-matrix.
+(:func:`homlab.fem.factorize`).  :func:`solve_homogenized` takes the
+caller's factor of the effective operator, and
+:func:`solve_dirichlet_correctors` may take one of the diffusion matrix, so
+a caller that factors an operator for its shift-invert eigensolve solves
+with the same factor.  :func:`solve_eps` makes its own; the two corrector
+problems share one factor either way.
 
 No eigensolve happens here.  The sign hypothesis is read off a spectrum the
 caller already has (:func:`coercivity_check`), so each operator's spectrum
@@ -23,7 +26,7 @@ is computed once, by :mod:`homlab.spectral`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,6 +144,38 @@ class EpsProblem:
             self._diff_int = interior_operator(self.grid, self.stiffness_full())
         return self._diff_int
 
+    # --- energy by quadrature ----------------------------------------
+
+    def quadrature_energies(self, fields: Iterable[np.ndarray]
+                            ) -> List[Tuple[float, float]]:
+        """Energy ``int A(x/eps) grad u . grad u + (1/eps) W(x/eps) u^2``
+        and mass ``int u^2`` of each full nodal field in ``fields``.
+
+        Integrates the fields directly with the assembly rule on
+        coefficients sampled once per call, one field at a time so the
+        temporaries stay one field in size.
+        """
+        grid = self.grid
+        pts = grid.quad_points(QUAD_XI)
+        a = self.model.a_eval(pts[..., 0] / self.epsilon,
+                              pts[..., 1] / self.epsilon)
+        has_w = self.model.w_preset != "zero"
+        if has_w:
+            w = self.model.w_eval(pts[..., 0] / self.epsilon,
+                                  pts[..., 1] / self.epsilon)
+        out = []
+        for u in fields:
+            grads = cell_gradients(grid, u)  # (ncells, nq, 2)
+            vals = cell_values(grid, u)  # (ncells, nq)
+            energy = grid.h ** 2 * np.einsum(
+                "q,cqi,cqij,cqj->", QUAD_W, grads, a, grads)
+            if has_w:
+                energy += (grid.h ** 2 / self.epsilon) * np.einsum(
+                    "q,cq,cq->", QUAD_W, w, vals ** 2)
+            mass = grid.h ** 2 * np.einsum("q,cq,cq->", QUAD_W, vals, vals)
+            out.append((float(energy), float(mass)))
+        return out
+
 
 @dataclass
 class CoercivityReport:
@@ -148,32 +183,28 @@ class CoercivityReport:
 
     ``lambda_eps_1`` is the first Dirichlet eigenvalue of the full operator
     (diffusion plus scaled potential), read from its spectrum; the form is
-    coercive iff it is positive.  ``lambda0_prime_1`` is the first
-    eigenvalue of the constant-coefficient diffusion part of the effective
-    operator, kept for context alongside the effective potential constant.
+    coercive iff it is positive.  The effective potential constant is kept
+    for context.
     """
 
     epsilon: float
     lambda_eps_1: float
-    lambda0_prime_1: float
     m_w_chi_w: float
     coercive: bool
 
 
-def coercivity_check(spectrum: Spectrum, hom_prime: Spectrum,
+def coercivity_check(spectrum: Spectrum,
                      m_w_chi_w: float) -> CoercivityReport:
-    """Decide the sign hypothesis from spectra already computed.
+    """Decide the sign hypothesis from the oscillatory operator's spectrum
+    (tag ``eps``), already computed; only its first eigenvalue is read.
 
-    ``spectrum`` is the oscillatory operator's (tag ``eps``) and
-    ``hom_prime`` the effective diffusion's; only their first eigenvalues
-    are read.  No exception is raised on a negative finding — the report
-    carries it, and :func:`solve_eps` decides what to do.
+    No exception is raised on a negative finding — the report carries it,
+    and :func:`solve_eps` decides what to do.
     """
     lam_eps = float(spectrum.eigenvalues[0])
     return CoercivityReport(
         epsilon=spectrum.epsilon,
         lambda_eps_1=lam_eps,
-        lambda0_prime_1=float(hom_prime.eigenvalues[0]),
         m_w_chi_w=float(m_w_chi_w),
         coercive=lam_eps > 0.0,
     )
@@ -234,14 +265,17 @@ def homogenized_lower_bound(a_hat: np.ndarray) -> float:
 def solve_homogenized(a_hat: np.ndarray,
                       m_w_chi_w: float,
                       grid: DirichletGrid,
-                      f_eval: Callable[..., np.ndarray]) -> GridFunction:
+                      f_eval: Callable[..., np.ndarray],
+                      *, lu) -> GridFunction:
     """Solve the effective problem  -div(a_hat grad u) + m u = f,  u = 0 on
     the boundary, with constant ``a_hat`` and constant zeroth-order ``m``.
 
-    The sign hypothesis is enforced up front: ``m`` must exceed the negative
-    of the first diffusion eigenvalue, for which the rigorous bound
-    ``2 pi^2 lambda_min(a_hat)`` stands in.  Violations raise
-    :class:`ConfigurationError` before any assembly.
+    ``lu`` is the caller's :func:`homlab.fem.factorize` factor of the
+    interior matrix ``K + m M`` on ``grid``, ``K`` the stiffness of
+    ``a_hat`` and ``M`` the mass.  The sign hypothesis is enforced up front:
+    ``m`` must exceed the negative of the first diffusion eigenvalue, for
+    which the rigorous bound ``2 pi^2 lambda_min(a_hat)`` stands in.
+    Violations raise :class:`ConfigurationError` before ``lu`` is used.
     """
     m = float(m_w_chi_w)
     bound = homogenized_lower_bound(a_hat)
@@ -252,14 +286,8 @@ def solve_homogenized(a_hat: np.ndarray,
             "the effective operator may be singular or indefinite")
     if grid.periodic:
         raise ConfigurationError("solve_homogenized needs a Dirichlet grid")
-    k_full = assemble_stiffness(grid, constant_matrix(a_hat))
-    op = interior_operator(grid, k_full)
-    if m != 0.0:
-        mass_int = interior_operator(grid, assemble_mass(grid))
-        op = SparseOperator((op.mat + m * mass_int.mat).tocsr())
     rhs = grid.restrict(assemble_load(grid, f_eval))
-    inner = factorize(op).solve(rhs)
-    return GridFunction(grid, grid.extend(inner))
+    return GridFunction(grid, grid.extend(lu.solve(rhs)))
 
 
 @dataclass
@@ -307,20 +335,21 @@ class DirichletCorrectors:
         return float(dets.min())
 
 
-def solve_dirichlet_correctors(problem: EpsProblem) -> DirichletCorrectors:
+def solve_dirichlet_correctors(problem: EpsProblem,
+                               lu=None) -> DirichletCorrectors:
     """Solve the two corrector problems for ``problem``'s scale and grid.
 
     The ansatz ``Phi_j = x_j + phi`` turns the boundary data into homogeneous
     Dirichlet data for ``phi`` with load ``-(K x_j)`` restricted to the
     interior; the boundary nodes of the returned field therefore carry
     ``x_j`` exactly (bit for bit), not merely up to solver tolerance.  Both
-    problems share one factor of the diffusion matrix, made only if a load
-    is nonzero.
+    problems share one factor of the diffusion matrix: ``lu`` if the caller
+    passes its factor of ``problem.diffusion_interior()``, else one made
+    here only if a load is nonzero.
     """
     grid = problem.grid
     k_full = problem.stiffness_full()
     coords = grid.node_coords()
-    lu = None
     phi = []
     deviation = []
     for j in 0, 1:
@@ -347,21 +376,8 @@ def galerkin_energy_defect(problem: EpsProblem, u: GridFunction) -> float:
     assembled matrix the gap is rounding noise; it is the cheap end-to-end
     consistency probe for the oscillatory solve path.
     """
-    grid = problem.grid
-    inner = grid.restrict(u.values)
+    inner = problem.grid.restrict(u.values)
     op_energy = float(inner @ problem.operator_interior().dot(inner))
-
-    grads = cell_gradients(grid, u.values)  # (ncells, nq, 2)
-    vals = cell_values(grid, u.values)  # (ncells, nq)
-    pts = grid.quad_points(QUAD_XI)
-    a = problem.model.a_eval(pts[..., 0] / problem.epsilon,
-                             pts[..., 1] / problem.epsilon)
-    quad = grid.h ** 2 * np.einsum("q,cqi,cqij,cqj->", QUAD_W, grads, a, grads)
-    if problem.model.w_preset != "zero":
-        w = problem.model.w_eval(pts[..., 0] / problem.epsilon,
-                                 pts[..., 1] / problem.epsilon)
-        quad += (grid.h ** 2 / problem.epsilon) * np.einsum(
-            "q,cq,cq->", QUAD_W, w, vals ** 2)
-    quad = float(quad)
+    quad = problem.quadrature_energies([u.values])[0][0]
     scale = max(abs(quad), abs(op_energy), 1e-300)
     return abs(op_energy - quad) / scale

@@ -5,10 +5,29 @@ constants), ``solve`` (boundary-value solves, boundary-adapted correctors,
 corrected-difference norms), ``eigs`` (all four spectra), ``gaps``
 (eigenvalue comparisons), ``rates`` (log-log fits), ``flux`` (boundary-flux
 table), ``report`` (everything as JSON), as :data:`STAGE_TABLE` orders
-them.  Each operator's spectrum is computed once per run and shared between
-stages.  A stage failure aborts the run with that stage's exit code; the
+them.  A stage failure aborts the run with that stage's exit code; the
 artifact being written at that moment keeps a ``.partial`` suffix so
 truncated files never masquerade as finished ones.
+
+The unit of parallel work is one Dirichlet operator.  Its task factors the
+operator once, runs the shift-invert eigensolve with that factor, does the
+operator's linear solves with the same factor (in ``solve``), and drops it:
+
+- ``hom_prime``: factor ``K + mM`` (shift ``-m``), eigensolve ``K``, then
+  ``u_0``; ``hom`` is this spectrum moved by ``m``, with no task of its own;
+- ``eps_prime:<label>``: factor ``K_eps`` (shift 0), eigensolve, then the
+  two Dirichlet correctors;
+- ``eps:<label>``: eigensolve at :func:`eps_sigma_bound` with its own
+  factor, then the coercivity report and ``u_eps`` (:func:`solve_eps`
+  factors ``L_eps`` itself).
+
+``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
+as each scale's inputs arrive, that scale's finish task (expansion,
+Jacobian, energy defect).  Each operator's spectrum is computed once per
+run: after ``solve``, ``eigs`` finds them all and only adds the Rayleigh
+defects; run without ``solve``, it submits the missing spectrum tasks to
+one pool the same way.  Operators are assembled on the main thread before
+their tasks start, and no factor outlives its task.
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -21,9 +40,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +66,7 @@ from .domain import (
     coercivity_check,
     constant_matrix,
     galerkin_energy_defect,
+    homogenized_lower_bound,
     solve_dirichlet_correctors,
     solve_eps,
     solve_homogenized,
@@ -57,6 +78,7 @@ from .fem import (
     SparseOperator,
     assemble_mass,
     assemble_stiffness,
+    factorize,
     interior_operator,
 )
 from .grids import DirichletGrid, GridFunction
@@ -145,6 +167,17 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _task_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
+    """Thread pool for one stage's tasks; if the stage fails, its queued
+    tasks are dropped instead of run."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass
 class _EpsArtifacts:
     """Everything computed for one scale."""
@@ -223,36 +256,98 @@ class Experiment:
             return self.per_eps[eps].problem
         return EpsProblem(self.model, eps, self.domain_grid)
 
-    def spectrum(self, tag: str,
-                 problem: Optional[EpsProblem] = None) -> Spectrum:
-        """Spectrum behind csv tag ``tag``, computed at most once per run;
-        the ``eps`` and ``eps_prime`` tags need their scale's ``problem``.
-        ``hom`` is ``hom_prime`` moved by ``m``, since K + mM has K's
-        eigenvectors, so it costs no eigensolve of its own.
-        Unlocked: concurrent callers ask for distinct tags, after
-        ``hom_prime`` (and with it the mass matrix) exists."""
-        if tag in self.spectra:
-            return self.spectra[tag]
-        kind = tag.partition(":")[0]
-        if kind == "hom":
-            self.spectra[tag] = shift_spectrum(
-                self.spectrum("hom_prime"),
-                float(self.cell_solution.m_w_chi_w),
-                self.hom_operator_interior(), self.mass_interior(),
-                tol=self.cfg.eig_tol, tag=kind)
-            return self.spectra[tag]
-        if kind == "hom_prime":
-            op, sigma = self.hom_stiffness_interior(), -1.0
-        elif kind == "eps":
-            op = problem.operator_interior()
-            sigma = eps_sigma_bound(problem)
-        else:
-            op, sigma = problem.diffusion_interior(), -1.0
-        self.spectra[tag] = eigs(
-            op, self.mass_interior(), self.cfg.k_eigen,
-            seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
-            tag=kind, epsilon=None if problem is None else problem.epsilon)
+    def spectrum(self, tag: str) -> Spectrum:
+        """Effective spectrum ``hom_prime`` or ``hom``, computed at most
+        once per run.  ``hom`` is ``hom_prime`` moved by ``m``, since
+        K + mM has K's eigenvectors, so it costs no eigensolve of its own."""
+        if tag not in self.spectra:
+            if tag == "hom":
+                self.spectra[tag] = shift_spectrum(
+                    self.spectrum("hom_prime"),
+                    float(self.cell_solution.m_w_chi_w),
+                    self.hom_operator_interior(), self.mass_interior(),
+                    tol=self.cfg.eig_tol, tag=tag)
+            elif tag == "hom_prime":
+                self.spectra[tag] = self._hom_prime_task(False)[0]
         return self.spectra[tag]
+
+    # -- per-operator tasks ---------------------------------------------
+    #
+    # Each returns (spectrum, what its solves produced, or None without
+    # ``solve``).  They read shared operators but write no shared state.
+
+    def _eigs(self, op: SparseOperator, tag: str, sigma: float, lu=None,
+              problem: Optional[EpsProblem] = None) -> Spectrum:
+        return eigs(op, self.mass_interior(), self.cfg.k_eigen,
+                    seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
+                    tag=tag, lu=lu,
+                    epsilon=None if problem is None else problem.epsilon)
+
+    def _hom_prime_task(self, solve: bool) -> Tuple[Spectrum, object]:
+        """The shift -m makes the factor K + mM, the effective operator
+        that u_0 solves with.  It lies below lambda_1(K) when the sign guard
+        m > -2 pi^2 lambda_min(a_hat) holds, since that bounds the continuous
+        lambda_1 and conforming Q1 eigenvalues lie above the continuous
+        ones.  Otherwise the shift is -1, and :func:`solve_homogenized`
+        refuses to solve."""
+        cs = self.cell_solution
+        m = float(cs.m_w_chi_w)
+        sigma = -m if m > -homogenized_lower_bound(cs.a_hat) else -1.0
+        stiff = self.hom_stiffness_interior()
+        lu = factorize(stiff.mat - sigma * self.mass_interior().mat)
+        spectrum = self._eigs(stiff, "hom_prime", sigma, lu)
+        if not solve:
+            return spectrum, None
+        return spectrum, solve_homogenized(cs.a_hat, m, self.domain_grid,
+                                           self.model.f_eval, lu=lu)
+
+    def _eps_task(self, problem: EpsProblem,
+                  solve: bool) -> Tuple[Spectrum, object]:
+        spectrum = self._eigs(problem.operator_interior(), "eps",
+                              eps_sigma_bound(problem), problem=problem)
+        if not solve:
+            return spectrum, None
+        coercivity = coercivity_check(spectrum, self.cell_solution.m_w_chi_w)
+        return spectrum, (coercivity, solve_eps(problem, coercivity=coercivity))
+
+    def _eps_prime_task(self, problem: EpsProblem,
+                        solve: bool) -> Tuple[Spectrum, object]:
+        """K_eps is the Dirichlet stiffness of an SPD coefficient, so it is
+        SPD and shift 0 lies below its spectrum; a singular K_eps raises
+        SolverError in the factorization."""
+        lu = factorize(problem.diffusion_interior())
+        spectrum = self._eigs(problem.diffusion_interior(), "eps_prime", 0.0,
+                              lu, problem)
+        if not solve:
+            return spectrum, None
+        return spectrum, solve_dirichlet_correctors(problem, lu=lu)
+
+    def _submit_operator_tasks(self, pool: ThreadPoolExecutor, solve: bool
+                               ) -> Tuple[Dict[float, EpsProblem],
+                                          Dict[str, Future]]:
+        """Submit ``hom_prime``'s task, then ``eps`` and ``eps_prime`` per
+        scale; without ``solve``, only those whose spectrum is missing.
+        Returns each scale's problem and the futures by tag."""
+        self.mass_interior()
+        self.hom_stiffness_interior()
+        problems: Dict[float, EpsProblem] = {}
+        futures: Dict[str, Future] = {}
+        if solve or "hom_prime" not in self.spectra:
+            futures["hom_prime"] = pool.submit(self._hom_prime_task, solve)
+        for eps in self.cfg.epsilons:
+            problem = problems[eps] = self.eps_problem(eps)
+            problem.operator_interior()  # builds K_eps too, before its tasks
+            label = eps_label(eps)
+            for tag, task in ((f"eps:{label}", self._eps_task),
+                              (f"eps_prime:{label}", self._eps_prime_task)):
+                if solve or tag not in self.spectra:
+                    futures[tag] = pool.submit(task, problem, solve)
+        return problems, futures
+
+    def _collect(self, futures: Dict[str, Future], tag: str):
+        """Wait for ``tag``'s task, keep its spectrum, return the rest."""
+        self.spectra[tag], solved = futures[tag].result()
+        return solved
 
     def run_stage(self, stage: str, dump_fields: bool = False) -> None:
         """Run ``stage``; only cell and solve have fields to dump."""
@@ -308,15 +403,12 @@ class Experiment:
             body.append(",".join(repr(float(v)) for v in row))
         _write_atomic(self._outpath(name), "\n".join(body) + "\n")
 
-    def _solve_one_eps(self, eps: float) -> _EpsArtifacts:
-        cs = self.cell_solution
-        problem = EpsProblem(self.model, eps, self.domain_grid)
-        coercivity = coercivity_check(
-            self.spectrum(f"eps:{eps_label(eps)}", problem),
-            self.spectra["hom_prime"], cs.m_w_chi_w)
-        u_eps = solve_eps(problem, coercivity=coercivity)
-        correctors = solve_dirichlet_correctors(problem)
-        chi_w_sampled = sample_cell_field(cs.chi_w, self.domain_grid, eps)
+    def _finish_eps(self, problem: EpsProblem, coercivity: CoercivityReport,
+                    u_eps: GridFunction,
+                    correctors: DirichletCorrectors) -> _EpsArtifacts:
+        eps = problem.epsilon
+        chi_w_sampled = sample_cell_field(self.cell_solution.chi_w,
+                                          self.domain_grid, eps)
         expansion = build_expansion(u_eps, self.u_0, correctors,
                                     chi_w_sampled, eps)
         return _EpsArtifacts(
@@ -328,21 +420,24 @@ class Experiment:
 
     def stage_solve(self, dump_fields: bool = False) -> None:
         cfg = self.cfg
-        cs = self.cell_solution
-        self.u_0 = solve_homogenized(cs.a_hat, cs.m_w_chi_w, self.domain_grid,
-                                     self.model.f_eval)
         # ||f|| by the same quadrature that assembles everything else
         pts = self.domain_grid.quad_points(QUAD_XI)
         fq = self.model.f_eval(pts[..., 0], pts[..., 1])
         self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
 
-        self.spectrum("hom_prime")
-        with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
-            futures = {eps: pool.submit(self._solve_one_eps, eps)
-                       for eps in cfg.epsilons}
+        with _task_pool(cfg.effective_workers()) as pool:
+            problems, futures = self._submit_operator_tasks(pool, solve=True)
+            self.u_0 = self._collect(futures, "hom_prime")
+            finish = {}
+            for eps, problem in problems.items():
+                label = eps_label(eps)
+                coercivity, u_eps = self._collect(futures, f"eps:{label}")
+                correctors = self._collect(futures, f"eps_prime:{label}")
+                finish[eps] = pool.submit(self._finish_eps, problem,
+                                          coercivity, u_eps, correctors)
             for eps in cfg.epsilons:
-                self.per_eps[eps] = futures[eps].result()
+                self.per_eps[eps] = finish[eps].result()
 
         if dump_fields:
             coords = self.domain_grid.node_coords()
@@ -356,23 +451,23 @@ class Experiment:
                 self._write_field_csv(
                     name, ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"), rows)
 
-    def _eps_spectra(self, eps: float) -> float:
-        """Both spectra at ``eps``; returns the Rayleigh defect of ``eps``."""
-        label = eps_label(eps)
-        problem = self.eps_problem(eps)
-        s_eps = self.spectrum(f"eps:{label}", problem)
-        self.spectrum(f"eps_prime:{label}", problem)
-        return float(np.max(rayleigh_quadrature_defect(problem, s_eps)))
-
     def stage_eigs(self) -> None:
         cfg = self.cfg
-        self.spectrum("hom_prime")
+        with _task_pool(cfg.effective_workers()) as pool:
+            problems, futures = self._submit_operator_tasks(pool, solve=False)
+            defects = {}
+            for eps, problem in problems.items():
+                tag = f"eps:{eps_label(eps)}"
+                if tag in futures:
+                    self._collect(futures, tag)
+                defects[eps] = pool.submit(rayleigh_quadrature_defect,
+                                           problem, self.spectra[tag])
+            for tag in futures:
+                self._collect(futures, tag)
+            for eps, defect in defects.items():
+                self.rayleigh_defects[eps_label(eps)] = float(
+                    np.max(defect.result()))
         self.spectrum("hom")
-
-        with ThreadPoolExecutor(max_workers=cfg.effective_workers()) as pool:
-            defects = list(pool.map(self._eps_spectra, cfg.epsilons))
-        for eps, defect in zip(cfg.epsilons, defects):
-            self.rayleigh_defects[eps_label(eps)] = defect
 
         tags = ["hom", "hom_prime"] + [
             f"{kind}:{eps_label(eps)}" for eps in cfg.epsilons
@@ -548,8 +643,8 @@ class Experiment:
                 self.per_eps[e].label: {
                     "coercive": self.per_eps[e].coercivity.coercive,
                     "lambda_eps_1": self.per_eps[e].coercivity.lambda_eps_1,
-                    "lambda0_prime_1":
-                        self.per_eps[e].coercivity.lambda0_prime_1,
+                    "lambda0_prime_1": float(
+                        self.spectra["hom_prime"].eigenvalues[0]),
                     "jacobian_min": self.per_eps[e].jacobian_min,
                     "galerkin_energy_defect": self.per_eps[e].energy_defect,
                     "h1_w": self.per_eps[e].expansion.h1_w,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import effective_factor
 from homlab.analysis import (
     build_expansion,
     flux_table,
@@ -62,7 +63,8 @@ def identity_pieces():
     grid = DirichletGrid(64)
     p = EpsProblem(model, 0.25, grid)
     u_eps = solve_eps(p, allow_noncoercive=True)
-    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval)
+    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
+                            lu=effective_factor(grid, np.eye(2)))
     dc = solve_dirichlet_correctors(p)
     cs = solve_cell(model, 16, with_aux=False)
     chi_w_s = sample_cell_field(cs.chi_w, grid, 0.25)
@@ -89,7 +91,8 @@ def test_expansion_rejects_nonzero_trace(identity_pieces):
 def test_expansion_rejects_grid_mismatch(identity_pieces):
     model, grid, p, u_eps, u_0, dc, chi_w_s = identity_pieces
     other = DirichletGrid(32)
-    u0_other = solve_homogenized(np.eye(2), 0.0, other, model.f_eval)
+    u0_other = solve_homogenized(np.eye(2), 0.0, other, model.f_eval,
+                                 lu=effective_factor(other, np.eye(2)))
     with pytest.raises(UsageError):
         build_expansion(u_eps, u0_other, dc, chi_w_s, 0.25)
 

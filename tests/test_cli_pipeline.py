@@ -7,9 +7,14 @@ import os
 import numpy as np
 import pytest
 
+import homlab.domain
+import homlab.fem
 import homlab.pipeline
+import homlab.spectral
 from homlab.cli import main
 from homlab.config import RunConfig
+from homlab.domain import homogenized_lower_bound
+from homlab.errors import ConfigurationError
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
     STAGE_EXIT,
@@ -132,6 +137,83 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
     assert {(k, seed) for _, _, k, seed in calls} == {(2, 3)}
 
 
+def test_one_factorization_per_operator(tmp_path, monkeypatch):
+    """One factor for hom_prime and, per scale, one each for eps_prime, the
+    eps eigensolve and solve_eps: 3 |epsilons| + 1 in a full run."""
+    made = []
+    real = homlab.fem.factorize
+
+    def counting_factorize(op):
+        made.append(op.shape)
+        return real(op)
+
+    for module in (homlab.fem, homlab.domain, homlab.spectral,
+                   homlab.pipeline):
+        monkeypatch.setattr(module, "factorize", counting_factorize)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, out=io.StringIO()) == 0
+    assert len(made) == 3 * 2 + 1
+
+
+def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
+    eig_lu, solve_lu = {}, {}
+    real_eigs = homlab.pipeline.eigs
+    real_correctors = homlab.pipeline.solve_dirichlet_correctors
+    real_homogenized = homlab.pipeline.solve_homogenized
+
+    def eigs(op, mass, k, **kwargs):
+        eig_lu[kwargs["tag"], kwargs["epsilon"]] = kwargs["lu"]
+        return real_eigs(op, mass, k, **kwargs)
+
+    def correctors(problem, lu=None):
+        solve_lu["eps_prime", problem.epsilon] = lu
+        return real_correctors(problem, lu=lu)
+
+    def homogenized(*args, lu):
+        solve_lu["hom_prime", None] = lu
+        return real_homogenized(*args, lu=lu)
+
+    monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
+    monkeypatch.setattr(homlab.pipeline, "solve_dirichlet_correctors",
+                        correctors)
+    monkeypatch.setattr(homlab.pipeline, "solve_homogenized", homogenized)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, upto="solve", out=io.StringIO()) == 0
+    assert set(solve_lu) == {("hom_prime", None), ("eps_prime", 0.5),
+                             ("eps_prime", 0.25)}
+    for key, lu in solve_lu.items():
+        assert lu is not None and eig_lu[key] is lu, key
+
+
+def test_hom_prime_shift_follows_the_sign_guard(tmp_path, monkeypatch):
+    """sigma = -m when m > -2 pi^2 lambda_min(a_hat), so the factor is
+    K + mM; otherwise sigma = -1, the spectrum is unchanged and the solve
+    stage stops at the sign hypothesis."""
+    sigmas = []
+    real_eigs = homlab.pipeline.eigs
+
+    def eigs(op, mass, k, **kwargs):
+        sigmas.append(kwargs["sigma"])
+        return real_eigs(op, mass, k, **kwargs)
+
+    monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
+    cfg = RunConfig(cell_grid_n=16, domain_grid_n=68, epsilons=[0.25],
+                    k_eigen=2, output_dir=str(tmp_path))
+    spectra = []
+    for held in (True, False):
+        exp = Experiment(cfg, out=io.StringIO())
+        exp.run_stage("cell")
+        bound = homogenized_lower_bound(exp.cell_solution.a_hat)
+        m = 3.0 if held else -bound - 1.0
+        exp.cell_solution.m_w_chi_w = m
+        spectra.append(exp.spectrum("hom_prime").eigenvalues)
+        assert sigmas[-1] == (-m if held else -1.0)
+        if not held:
+            with pytest.raises(ConfigurationError, match="sign hypothesis"):
+                exp.run_stage("solve")
+    assert np.max(np.abs(spectra[0] - spectra[1]) / spectra[0]) < 1e-10
+
+
 def test_effective_spectra_match_the_closed_form(tmp_path):
     """For diagonal a_hat the Q1 pencil is a Kronecker sum of 1D pencils:
     lambda = a11 mu_i + a22 mu_j (+ m for hom), mu_i the 1D Q1 values."""
@@ -161,8 +243,11 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
 
 
 def test_two_runs_are_byte_identical(tmp_path):
-    cfg1, out1 = write_cfg(tmp_path, "a.cfg", out="out1")
-    cfg2, out2 = write_cfg(tmp_path, "b.cfg", out="out2")
+    """Also across pool sizes: one worker against two."""
+    cfg1, out1 = write_cfg(tmp_path, "a.cfg", out="out1",
+                           body=TWO_EPS + "workers = 1\n")
+    cfg2, out2 = write_cfg(tmp_path, "b.cfg", out="out2",
+                           body=TWO_EPS + "workers = 2\n")
     assert run_experiment(cfg1, out=io.StringIO()) == 0
     assert run_experiment(cfg2, out=io.StringIO()) == 0
     for name in ("spectrum_E.csv", "gaps.csv", "rates.csv", "flux.csv",

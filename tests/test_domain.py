@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import effective_factor
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
     EpsProblem,
     coercivity_check,
-    constant_matrix,
     galerkin_energy_defect,
     homogenized_lower_bound,
     solve_dirichlet_correctors,
@@ -15,14 +15,7 @@ from homlab.domain import (
     solve_homogenized,
 )
 from homlab.errors import CoercivityError, ConfigurationError
-from homlab.fem import (
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    cg_solve,
-    interior_operator,
-    l2_norm,
-)
+from homlab.fem import assemble_load, cg_solve, l2_norm
 from homlab.grids import DirichletGrid, GridFunction
 from homlab.spectral import eigs
 
@@ -30,13 +23,6 @@ from homlab.spectral import eigs
 def eps_spectrum(p, k=1):
     return eigs(p.operator_interior(), p.mass_interior(), k, sigma=-300.0,
                 epsilon=p.epsilon)
-
-
-def hom_prime_spectrum(grid, a_hat):
-    stiff = interior_operator(
-        grid, assemble_stiffness(grid, constant_matrix(a_hat)))
-    mass = interior_operator(grid, assemble_mass(grid))
-    return eigs(stiff, mass, 1, tag="hom_prime")
 
 
 def test_resolution_guard():
@@ -78,7 +64,8 @@ def test_poisson_solve_second_order():
     errs = {}
     for n in (32, 64):
         grid = DirichletGrid(n)
-        u = solve_homogenized(np.eye(2), 0.0, grid, f)
+        u = solve_homogenized(np.eye(2), 0.0, grid, f,
+                              lu=effective_factor(grid, np.eye(2)))
         c = grid.node_coords()
         exact = np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1])
         errs[n] = l2_norm(GridFunction(grid, u.values - exact))
@@ -91,7 +78,8 @@ def test_identity_homogenized_equals_eps_solve():
     grid = DirichletGrid(64)
     p = EpsProblem(model, 0.25, grid)
     u_eps = solve_eps(p, allow_noncoercive=True)
-    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval)
+    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
+                            lu=effective_factor(grid, np.eye(2)))
     assert np.array_equal(u_eps.values, u_0.values)
 
 
@@ -109,8 +97,7 @@ def test_coercivity_flag_goes_false_without_raising():
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
     p = EpsProblem(strong, 0.5, DirichletGrid(32))
-    report = coercivity_check(eps_spectrum(p),
-                              hom_prime_spectrum(p.grid, np.eye(2)), 0.0)
+    report = coercivity_check(eps_spectrum(p), 0.0)
     assert not report.coercive
     assert report.epsilon == 0.5
     assert report.lambda_eps_1 == pytest.approx(-74.718, abs=0.5)
@@ -122,11 +109,10 @@ def test_coercivity_report_on_sound_problem():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
     spectrum = eps_spectrum(p, k=3)
-    hom_prime = hom_prime_spectrum(p.grid, np.eye(2) * 1.9)
-    report = coercivity_check(spectrum, hom_prime, -0.006)
+    report = coercivity_check(spectrum, -0.006)
     assert report.coercive
+    assert report.epsilon == 0.25
     assert report.lambda_eps_1 == spectrum.eigenvalues[0] > 0
-    assert report.lambda0_prime_1 == hom_prime.eigenvalues[0] > 0
     assert report.m_w_chi_w == -0.006
     u = solve_eps(p, coercivity=report)
     assert np.isfinite(u.values).all()
@@ -139,8 +125,10 @@ def test_homogenized_lower_bound_identity():
 def test_homogenized_sign_hypothesis_guard():
     grid = DirichletGrid(32)
     bad_m = -(2 * np.pi ** 2) - 1.0
+    # the factor the pipeline holds then: K + M, from its fallback shift -1
     with pytest.raises(ConfigurationError) as exc:
-        solve_homogenized(np.eye(2), bad_m, grid, lambda x, y: np.ones_like(x))
+        solve_homogenized(np.eye(2), bad_m, grid, lambda x, y: np.ones_like(x),
+                          lu=effective_factor(grid, np.eye(2), 1.0))
     assert "sign hypothesis" in str(exc.value)
 
 
