@@ -26,8 +26,8 @@ as each scale's inputs arrive, that scale's finish task (expansion,
 Jacobian, energy defect).  Each operator's spectrum is computed once per
 run: after ``solve``, ``eigs`` finds them all and only adds the Rayleigh
 defects; run without ``solve``, it submits the missing spectrum tasks to
-one pool the same way.  Operators are assembled on the main thread before
-their tasks start, and no factor outlives its task.
+one pool the same way.  All operators are assembled on the main thread
+before the first task starts, and no factor outlives its task.
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -327,16 +327,22 @@ class Experiment:
                                           Dict[str, Future]]:
         """Submit ``hom_prime``'s task, then ``eps`` and ``eps_prime`` per
         scale; without ``solve``, only those whose spectrum is missing.
-        Returns each scale's problem and the futures by tag."""
+        Returns each scale's problem and the futures by tag.
+
+        Every operator is assembled before the first task starts.  Assembly
+        running on this thread while the workers factor made peak RSS vary
+        from run to run (glibc's allocator keeps a different share of the
+        freed memory resident depending on how the two interleave)."""
         self.mass_interior()
         self.hom_stiffness_interior()
         problems: Dict[float, EpsProblem] = {}
+        for eps in self.cfg.epsilons:
+            problems[eps] = self.eps_problem(eps)
+            problems[eps].operator_interior()  # builds K_eps too
         futures: Dict[str, Future] = {}
         if solve or "hom_prime" not in self.spectra:
             futures["hom_prime"] = pool.submit(self._hom_prime_task, solve)
-        for eps in self.cfg.epsilons:
-            problem = problems[eps] = self.eps_problem(eps)
-            problem.operator_interior()  # builds K_eps too, before its tasks
+        for eps, problem in problems.items():
             label = eps_label(eps)
             for tag, task in ((f"eps:{label}", self._eps_task),
                               (f"eps_prime:{label}", self._eps_prime_task)):
