@@ -9,6 +9,14 @@ with zero-mean solutions, and derives the effective diffusion matrix, the
 effective potential constant, flux correctors, and the auxiliary periodic
 potentials used by the corrector expansion.  All right-hand sides are
 quadrature-sampled; compatibility (zero mean) is enforced before solving.
+
+The correctors are solved by conjugate gradients on the A-stiffness,
+preconditioned by the exact FFT solve of the Laplacian on the torus
+(``fem.torus_laplace_solver``), so the iteration count is bounded by the
+contrast of A and does not grow with the grid.  The auxiliary potentials are
+Laplace problems and take that FFT solve directly, with no iteration.
+:func:`solve_cell` assembles the A-stiffness and builds the FFT solve once
+and shares them between the layers.
 """
 
 from dataclasses import dataclass, field
@@ -30,16 +38,30 @@ def _quad_coeffs(model, grid, xi):
     return a, w
 
 
-def solve_chi(model, grid, tol=1e-10, max_iter=None):
-    """Coordinate correctors chi_1, chi_2 as zero-mean periodic GridFunctions."""
-    stiff = fem.assemble_stiffness(grid, model.a_eval)
+def _cell_operators(model, grid, stiff, lap_solve):
+    """The A-stiffness and FFT Laplace solve of ``grid``, made where not given."""
+    if stiff is None:
+        stiff = fem.assemble_stiffness(grid, model.a_eval)
+    if lap_solve is None:
+        lap_solve = fem.torus_laplace_solver(grid)
+    return stiff, lap_solve
+
+
+def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None):
+    """Coordinate correctors chi_1, chi_2 as zero-mean periodic GridFunctions.
+
+    ``stiff`` (the A-stiffness on ``grid``) and ``lap_solve`` (its
+    ``fem.torus_laplace_solver``) are made here unless the caller shares them.
+    """
+    stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
     pts = grid.quad_points(fem.QUAD_XI)
     a = model.a_eval(pts[..., 0], pts[..., 1])  # (ncells, nq, 2, 2)
     out = []
     for k in range(2):
         # weak form: (A grad chi_k, grad v) = -(A e_k, grad v)
         rhs = -fem.flux_load_from_quad_values(grid, a[..., :, k])
-        sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol, max_iter=max_iter)
+        sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol,
+                           precond=lap_solve)
         out.append(GridFunction(grid, sol))
     return out
 
@@ -58,19 +80,21 @@ def effective_matrix(model, grid, chi):
     return a_hat
 
 
-def solve_chi_w(model, grid, tol=1e-10, max_iter=None):
+def solve_chi_w(model, grid, tol=1e-10, stiff=None, lap_solve=None):
     """Potential corrector: div(A grad chi_w) = W, zero mean.
 
     Weak form: (A grad chi_w, grad v) = -(W, v).  Raises ConsistencyError when
     the quadrature mean of W exceeds 1e-10 (incompatible right-hand side).
+    ``stiff`` and ``lap_solve`` are as in :func:`solve_chi`.
     """
     wmean = abs(quadrature_mean_w(model, grid.n))
     if wmean > 1e-10:
         raise ConsistencyError(
             f"potential corrector needs a mean-zero W: |mean| = {wmean:.3e}")
-    stiff = fem.assemble_stiffness(grid, model.a_eval)
+    stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
     rhs = -fem.assemble_load(grid, model.w_eval)
-    sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol, max_iter=max_iter)
+    sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol,
+                       precond=lap_solve)
     return GridFunction(grid, sol)
 
 
@@ -207,23 +231,21 @@ class AuxPotentials:
     compat_defects: np.ndarray
 
 
-def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, tol=1e-10,
-                         compat_tol=None, max_iter=None):
+def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
+                         lap_solve=None):
     """Solve the three Laplace problems feeding the corrector expansion.
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
         lap psi2   = m_w_chi_w - W chi_w
         lap psi3   = W
 
-    Compatibility (zero quadrature mean of each right-hand side) is checked
-    before solving; the tolerance defaults to ten times the measured
-    cross-flux identity defect, floored at 1e-10.
+    Compatibility (zero quadrature mean of each right-hand side, at most
+    ``compat_tol``; :func:`solve_cell` passes ten times the cross-flux
+    identity defect, floored at 1e-10) is checked before solving.  Each
+    problem is one exact FFT solve (``lap_solve``, made here if not given).
     """
-    if compat_tol is None:
-        defect = cross_flux_identity_defect(model, grid, chi, chi_w)
-        compat_tol = max(10.0 * float(defect.max()), 1e-10)
-
-    lap = fem.assemble_stiffness(grid, lambda x, y: _identity_field(x))
+    if lap_solve is None:
+        lap_solve = fem.torus_laplace_solver(grid)
     pts = grid.quad_points(fem.QUAD_XI)
     a = model.a_eval(pts[..., 0], pts[..., 1])
     w = model.w_eval(pts[..., 0], pts[..., 1])
@@ -252,18 +274,10 @@ def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, tol=1e-10,
                 f"right-hand side for {lab} has nonzero mean {mean:.3e} "
                 f"(tolerance {compat_tol:.3e})")
         rhs = -fem.load_from_quad_values(grid, g)
-        sols.append(GridFunction(grid, fem.cg_solve(
-            lap, rhs, deflate_constants=True, tol=tol, max_iter=max_iter)))
+        sols.append(GridFunction(grid, lap_solve(rhs)))
 
     return AuxPotentials(psi1=sols[:2], psi2=sols[2], psi3=sols[3],
                          compat_defects=defects)
-
-
-def _identity_field(x):
-    out = np.zeros(np.shape(x) + (2, 2))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    return out
 
 
 @dataclass
@@ -283,12 +297,18 @@ class CellSolution:
     mean_abs: dict = field(default_factory=dict)
 
 
-def solve_cell(model, n, tol=1e-10, max_iter=None, with_aux=True):
-    """Run the full cell stage on an n-by-n periodic grid."""
+def solve_cell(model, n, tol=1e-10, with_aux=True):
+    """Run the full cell stage on an n-by-n periodic grid.
+
+    ``tol`` is the relative residual tolerance of the corrector CG solves.
+    """
     grid = PeriodicGrid(n)
-    chi = solve_chi(model, grid, tol=tol, max_iter=max_iter)
+    stiff = fem.assemble_stiffness(grid, model.a_eval)
+    lap_solve = fem.torus_laplace_solver(grid)
+    chi = solve_chi(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve)
     a_hat = effective_matrix(model, grid, chi)
-    chi_w = solve_chi_w(model, grid, tol=tol, max_iter=max_iter)
+    chi_w = solve_chi_w(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve)
+    del stiff  # freed before the finer-rule checks below allocate
     m_w = effective_potential(model, grid, chi_w)
     resid = potential_energy_identity_residual(model, grid, chi_w, m_w)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
@@ -302,8 +322,9 @@ def solve_cell(model, n, tol=1e-10, max_iter=None, with_aux=True):
         })
     sol.flux = flux_correctors(model, grid, chi, a_hat)
     if with_aux:
-        sol.aux = solve_aux_potentials(model, grid, chi, chi_w, m_w, tol=tol,
-                                       max_iter=max_iter)
+        compat_tol = max(10.0 * float(defect.max()), 1e-10)
+        sol.aux = solve_aux_potentials(model, grid, chi, chi_w, m_w,
+                                       compat_tol, lap_solve=lap_solve)
     return sol
 
 

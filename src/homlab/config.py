@@ -39,7 +39,7 @@ class RunConfig:
     domain_grid_n: int = 256
     epsilons: List[float] = field(default_factory=lambda: [0.25, 0.125, 0.0625])
     k_eigen: int = 5
-    cg_tol: float = 1e-10  # periodic cell CG only; Dirichlet solves are direct
+    cg_tol: float = 1e-10  # corrector PCG only; FFT and Dirichlet solves are direct
     eig_tol: float = 1e-8
     seed: int = 0
     output_dir: str = "out"

@@ -1,9 +1,13 @@
 """Bilinear FEM on structured grids: assembly, solvers, norms, flux.
 
-Two solvers: :func:`cg_solve` (conjugate gradients, constant-deflated on the
-torus) for the periodic cell problems, and :func:`factorize` (sparse LU with
-a fill-reducing minimum-degree ordering) for every Dirichlet system and the
-shift-invert eigensolves.
+Three solvers.  :func:`torus_laplace_solver` solves the Q1 Laplacian on the
+periodic grid exactly with a 2-D FFT: the operator is block-circulant, so the
+FFT of its stencil is its spectrum (the idea behind FFT-based homogenization,
+Moulinec & Suquet 1998).  :func:`cg_solve` (conjugate gradients,
+constant-deflated on the torus, optionally preconditioned) solves the
+variable-coefficient cell problems with that Laplace solve as preconditioner.
+:func:`factorize` (sparse LU with a fill-reducing minimum-degree ordering)
+serves every Dirichlet system and the shift-invert eigensolves.
 
 Assembly uses a fixed 2x2 Gauss rule per cell with coefficients sampled
 pointwise at the quadrature points.  On the reference square the physical
@@ -138,13 +142,17 @@ def cell_gradients(grid, nodal, xi=None):
     return np.einsum("ca,qai->cqi", nodal[grid.conn], g) / grid.h
 
 
-def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None):
-    """Conjugate gradients for SPD systems.
+def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
+             precond=None):
+    """Conjugate gradients for SPD systems, preconditioned by ``precond``.
 
-    With ``deflate_constants`` the right-hand side and all iterates are kept
-    orthogonal to the constant vector, which turns the singular periodic
-    operators into well-posed zero-mean problems.  Convergence is relative:
-    ||r|| <= tol * ||b||.  Raises SolverError on stagnation or breakdown.
+    With ``deflate_constants`` the right-hand side, all iterates and the
+    preconditioned residuals are kept orthogonal to the constant vector, which
+    turns the singular periodic operators into well-posed zero-mean problems.
+    ``precond(r)`` applies an SPD approximate inverse (None: the identity).
+    Convergence is tested on the unpreconditioned residual, with or without
+    ``precond``: ||r|| <= tol * ||b||.  Raises SolverError on stagnation or
+    breakdown.
     """
     mat = op.mat if isinstance(op, SparseOperator) else op
     b = np.array(rhs, dtype=float)
@@ -156,6 +164,12 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None):
         v -= v.mean()
         return v
 
+    def apply_precond(r):
+        if precond is None:
+            return r
+        z = precond(r)
+        return z - z.mean() if deflate_constants else z
+
     if deflate_constants:
         b = project(b)
     bnorm = np.linalg.norm(b)
@@ -164,8 +178,10 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None):
 
     x = np.zeros(n)
     r = b.copy()
-    p = r.copy()
+    z = apply_precond(r)
+    p = z.copy()
     rr = r @ r
+    rz = r @ z
     for it in range(1, max_iter + 1):
         ap = mat.dot(p)
         if deflate_constants:
@@ -177,22 +193,54 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None):
                 "(operator not positive definite on the search space)",
                 residual=float(np.sqrt(rr) / bnorm), iterations=it,
                 breakdown=True)
-        alpha = rr / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         if deflate_constants:
             r = project(r)
-        rr_new = r @ r
-        if np.sqrt(rr_new) <= tol * bnorm:
+        rr = r @ r
+        if np.sqrt(rr) <= tol * bnorm:
             if deflate_constants:
                 x = project(x)
             return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+        z = apply_precond(r)
+        rz_new = rr if precond is None else r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     raise SolverError(
         f"CG did not converge in {max_iter} iterations: "
         f"relative residual {np.sqrt(rr) / bnorm:.3e} > {tol:.1e}",
         residual=float(np.sqrt(rr) / bnorm), iterations=max_iter)
+
+
+def torus_laplace_solver(grid):
+    """Exact zero-mean solve of the Q1 Laplacian on a PeriodicGrid by FFT.
+
+    Returns ``solve(r)``, the zero-mean nodal u with ``K u = r - mean(r)``
+    for the stiffness K of the identity tensor on ``grid``.  K is a circular
+    convolution with its 3x3 stencil, which does not depend on h in 2D, so
+    the stencil comes from the assembled stiffness of a 3x3 torus and K itself
+    is never assembled.  Stencil offsets -1 and +1 coincide when n = 2, hence
+    the accumulation.  The inverse symbol is zero on the constant mode.
+    """
+    n = grid.n
+    col = assemble_stiffness(PeriodicGrid(3), lambda x1, x2: np.broadcast_to(
+        np.eye(2), np.shape(x1) + (2, 2))).mat[:, 0]
+    stencil = col.toarray().reshape(3, 3)          # [dy % 3, dx % 3]
+    kernel = np.zeros((n, n))
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            kernel[dy % n, dx % n] += stencil[dy % 3, dx % 3]
+    symbol = np.fft.rfft2(kernel).real
+    symbol[0, 0] = 1.0
+    inverse = 1.0 / symbol
+    inverse[0, 0] = 0.0
+
+    def solve(r):
+        r_hat = np.fft.rfft2(np.reshape(r, (n, n)))
+        return np.fft.irfft2(r_hat * inverse, s=(n, n)).ravel()
+
+    return solve
 
 
 def factorize(op):

@@ -622,6 +622,7 @@ class Experiment:
         self._say(SQUARE_DOMAIN_CAVEAT)
 
     def stage_report(self) -> None:
+        started = time.perf_counter()
         cs = self.cell_solution
         payload = {
             "config": {
@@ -675,8 +676,10 @@ class Experiment:
             "rates": self.rates,
             "rate_notes": self.rate_notes,
             "flux": self.flux_summary,
-            "timings_s": {k: round(v, 3) for k, v in self.timings.items()},
         }
+        # The report's own entry covers the stage up to this write.
+        self.timings["report"] = time.perf_counter() - started
+        payload["timings_s"] = {k: round(v, 3) for k, v in self.timings.items()}
         _write_atomic(self._outpath("report.json"),
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

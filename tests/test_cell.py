@@ -9,6 +9,7 @@ and effective potential -1/(8 pi^2); the sine-mix potential doubles it.
 import numpy as np
 import pytest
 
+from homlab import fem
 from homlab.cell import (
     cross_flux_identity_defect,
     divergence_residual,
@@ -114,3 +115,42 @@ def test_aux_potentials_compatibility():
     assert np.max(np.abs(cs.aux.compat_defects)) < 1e-12
     for gf in (*cs.aux.psi1, cs.aux.psi2, cs.aux.psi3):
         assert abs(gf.values.mean()) < 1e-10
+
+
+def corrector_systems(model, grid):
+    """The A-stiffness and the chi_1, chi_2, chi_w right-hand sides."""
+    stiff = fem.assemble_stiffness(grid, model.a_eval)
+    pts = grid.quad_points(fem.QUAD_XI)
+    a = model.a_eval(pts[..., 0], pts[..., 1])
+    rhs = [-fem.flux_load_from_quad_values(grid, a[..., :, k]) for k in range(2)]
+    rhs.append(-fem.assemble_load(grid, model.w_eval))
+    return stiff, rhs
+
+
+def test_laplace_preconditioned_cg_matches_plain_cg():
+    grid = PeriodicGrid(64)
+    stiff, rhs = corrector_systems(make_preset("layered", "sine-mix"), grid)
+    lap_solve = fem.torus_laplace_solver(grid)
+    for b in rhs:
+        ref = fem.cg_solve(stiff, b, deflate_constants=True, tol=1e-13)
+        x = fem.cg_solve(stiff, b, deflate_constants=True, tol=1e-12,
+                         precond=lap_solve)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_preconditioned_iterations_do_not_grow_with_the_grid():
+    model = make_preset("layered", "sine-mix")
+    for n in (32, 128):
+        grid = PeriodicGrid(n)
+        stiff, rhs = corrector_systems(model, grid)
+        lap_solve = fem.torus_laplace_solver(grid)
+        for b in rhs:
+            calls = []
+
+            def counting(r):
+                calls.append(1)
+                return lap_solve(r)
+
+            fem.cg_solve(stiff, b, deflate_constants=True, tol=1e-10,
+                         precond=counting)
+            assert 0 < len(calls) <= 40, (n, len(calls))

@@ -98,6 +98,7 @@ def test_report_carries_effective_constants(tmp_path):
     assert sol["h1_w"] < sol["h1_plain"]
     assert report["flux"]["min_ratio_lower"] >= report["flux"]["lower_floor"]
     assert report["gaps"]["first_eig"][0]["d7"] < report["gaps"]["first_eig"][0]["d8"]
+    assert set(report["timings_s"]) == set(STAGES)
 
 
 TWO_EPS = SMALL.replace("epsilons = 1/4", "epsilons = 1/2, 1/4")

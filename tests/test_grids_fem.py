@@ -17,6 +17,7 @@ from homlab.fem import (
     interior_operator,
     l2_norm,
     recover_gradient,
+    torus_laplace_solver,
 )
 from homlab.grids import DirichletGrid, GridFunction, PeriodicGrid, gauss_rule, interpolate
 
@@ -121,6 +122,16 @@ def test_deflated_cg_keeps_zero_mean():
     rhs -= rhs.mean()
     x = cg_solve(k, rhs, deflate_constants=True, tol=1e-11)
     assert abs(x.mean()) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17])
+def test_fft_laplace_solve_inverts_the_assembled_laplacian(n):
+    grid = PeriodicGrid(n)
+    lap = assemble_stiffness(grid, identity_a)
+    r = np.random.default_rng(n).standard_normal(grid.nnodes)
+    u = torus_laplace_solver(grid)(r)
+    assert np.max(np.abs(lap @ u - (r - r.mean()))) < 1e-12
+    assert abs(u.mean()) < 1e-12
 
 
 def test_recovered_gradient_exact_on_affine_fields():
