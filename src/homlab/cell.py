@@ -15,8 +15,9 @@ preconditioned by the exact FFT solve of the Laplacian on the torus
 (``fem.torus_laplace_solver``), so the iteration count is bounded by the
 contrast of A and does not grow with the grid.  The auxiliary potentials are
 Laplace problems and take that FFT solve directly, with no iteration.
-:func:`solve_cell` assembles the A-stiffness and builds the FFT solve once
-and shares them between the layers.
+:func:`solve_cell` samples A and W at the assembly rule once, assembles the
+A-stiffness and builds the FFT solve once, and shares them between the
+layers; each layer called on its own samples and makes what it needs.
 """
 
 from dataclasses import dataclass, field
@@ -24,18 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem
-from .coefficients import quadrature_mean_w
 from .errors import ConsistencyError
 from .grids import GridFunction, PeriodicGrid, gauss_rule
-
-_EYE = np.eye(2)
-
-
-def _quad_coeffs(model, grid, xi):
-    pts = grid.quad_points(xi)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
-    w = model.w_eval(pts[..., 0], pts[..., 1])
-    return a, w
 
 
 def _cell_operators(model, grid, stiff, lap_solve):
@@ -47,15 +38,16 @@ def _cell_operators(model, grid, stiff, lap_solve):
     return stiff, lap_solve
 
 
-def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None):
+def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None, a=None):
     """Coordinate correctors chi_1, chi_2 as zero-mean periodic GridFunctions.
 
-    ``stiff`` (the A-stiffness on ``grid``) and ``lap_solve`` (its
-    ``fem.torus_laplace_solver``) are made here unless the caller shares them.
+    ``stiff`` (the A-stiffness on ``grid``), ``lap_solve`` (its
+    ``fem.torus_laplace_solver``) and ``a`` (A at the assembly rule,
+    ``fem.quad_samples``) are made here unless the caller shares them.
     """
     stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])  # (ncells, nq, 2, 2)
+    if a is None:
+        a = fem.quad_samples(grid, model.a_eval)  # (ncells, nq, 2, 2)
     out = []
     for k in range(2):
         # weak form: (A grad chi_k, grad v) = -(A e_k, grad v)
@@ -66,52 +58,59 @@ def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None):
     return out
 
 
-def effective_matrix(model, grid, chi):
+def effective_matrix(model, grid, chi, a=None):
     """Homogenized diffusion matrix from the corrector gradients.
 
-    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i.
+    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i.  ``a`` is as in
+    :func:`solve_chi`.
     """
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
-    a_hat = np.einsum("q,cqij->ij", fem.QUAD_W, a) * grid.h ** 2
+    if a is None:
+        a = fem.quad_samples(grid, model.a_eval)
+    a_hat = fem.integrate(grid, a)
     for j in range(2):
         g = fem.cell_gradients(grid, chi[j].values)
-        a_hat[:, j] += grid.h ** 2 * np.einsum("q,cqij,cqj->i", fem.QUAD_W, a, g)
+        a_hat[:, j] += fem.integrate(grid, fem.apply_tensor(a, g))
     return a_hat
 
 
-def solve_chi_w(model, grid, tol=1e-10, stiff=None, lap_solve=None):
+def solve_chi_w(model, grid, tol=1e-10, stiff=None, lap_solve=None, w=None):
     """Potential corrector: div(A grad chi_w) = W, zero mean.
 
     Weak form: (A grad chi_w, grad v) = -(W, v).  Raises ConsistencyError when
-    the quadrature mean of W exceeds 1e-10 (incompatible right-hand side).
-    ``stiff`` and ``lap_solve`` are as in :func:`solve_chi`.
+    the quadrature mean of W exceeds 1e-10 or is not finite (incompatible
+    right-hand side).  ``stiff`` and ``lap_solve`` are as in
+    :func:`solve_chi`; ``w`` is W at the assembly rule, sampled here unless
+    the caller shares it.
     """
-    wmean = abs(quadrature_mean_w(model, grid.n))
-    if wmean > 1e-10:
+    if w is None:
+        w = fem.quad_samples(grid, model.w_eval)
+    wmean = abs(float(fem.integrate(grid, w)))
+    if not np.isfinite(wmean) or wmean > 1e-10:
         raise ConsistencyError(
             f"potential corrector needs a mean-zero W: |mean| = {wmean:.3e}")
     stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
-    rhs = -fem.assemble_load(grid, model.w_eval)
+    rhs = -fem.load_from_quad_values(grid, w)
     sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol,
                        precond=lap_solve)
     return GridFunction(grid, sol)
 
 
-def effective_potential(model, grid, chi_w):
-    """Cell average of W * chi_w (a nonpositive constant)."""
-    pts = grid.quad_points(fem.QUAD_XI)
-    w = model.w_eval(pts[..., 0], pts[..., 1])
+def effective_potential(model, grid, chi_w, w=None):
+    """Cell average of W * chi_w (a nonpositive constant); ``w`` as in
+    :func:`solve_chi_w`."""
+    if w is None:
+        w = fem.quad_samples(grid, model.w_eval)
     vals = fem.cell_values(grid, chi_w.values)
-    return float(grid.h ** 2 * np.einsum("q,cq,cq->", fem.QUAD_W, w, vals))
+    return float(fem.integrate(grid, w * vals))
 
 
-def potential_energy_identity_residual(model, grid, chi_w, m_w_chi_w):
-    """Relative defect of m = -(A grad chi_w, grad chi_w)."""
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
+def potential_energy_identity_residual(model, grid, chi_w, m_w_chi_w, a=None):
+    """Relative defect of m = -(A grad chi_w, grad chi_w); ``a`` as in
+    :func:`solve_chi`."""
+    if a is None:
+        a = fem.quad_samples(grid, model.a_eval)
     g = fem.cell_gradients(grid, chi_w.values)
-    energy = grid.h ** 2 * np.einsum("q,cqij,cqj,cqi->", fem.QUAD_W, a, g, g)
+    energy = float(fem.integrate(grid, fem.apply_tensor(a, g) * g).sum())
     return float(abs(m_w_chi_w + energy) / (1.0 + abs(m_w_chi_w)))
 
 
@@ -124,15 +123,19 @@ def cross_flux_identity_defect(model, grid, chi, chi_w, order=3):
     identity satisfied by the discrete solutions.
     """
     xi, wq = gauss_rule(order)
-    a, w = _quad_coeffs(model, grid, xi)
+    pts = grid.quad_points(xi)
+    # One finer-rule sample lives at a time: they are the largest arrays of
+    # the cell stage.
+    w = model.w_eval(pts[..., 0], pts[..., 1])
+    pot_avg = np.array([
+        fem.integrate(grid, w * fem.cell_values(grid, chi[i].values, xi), wq)
+        for i in range(2)])
+    del w
+    a = model.a_eval(pts[..., 0], pts[..., 1])
+    del pts
     gw = fem.cell_gradients(grid, chi_w.values, xi)
-    flux_avg = grid.h ** 2 * np.einsum("q,cqij,cqj->i", wq, a, gw)
-    out = np.empty(2)
-    for i in range(2):
-        vals = fem.cell_values(grid, chi[i].values, xi)
-        pot_avg = grid.h ** 2 * np.einsum("q,cq,cq->", wq, w, vals)
-        out[i] = abs(flux_avg[i] - pot_avg)
-    return out
+    flux_avg = fem.integrate(grid, fem.apply_tensor(a, gw), wq)
+    return np.abs(flux_avg - pot_avg)
 
 
 @dataclass
@@ -146,17 +149,19 @@ class FluxCorrectors:
     a_hat: np.ndarray
 
     def mean(self):
-        return self.grid.h ** 2 * np.einsum("q,cqij->ij", fem.QUAD_W, self.values)
+        return fem.integrate(self.grid, self.values)
 
-    def at(self, xi):
-        """Evaluate the corrector field at an arbitrary reference rule."""
-        pts = self.grid.quad_points(xi)
-        a = self.model.a_eval(pts[..., 0], pts[..., 1])
-        out = np.empty(a.shape)
+    def at(self, xi, a=None):
+        """Evaluate the corrector field at an arbitrary reference rule.
+
+        ``a`` is A sampled at that rule, if the caller has it.
+        """
+        if a is None:
+            a = fem.quad_samples(self.grid, self.model.a_eval, xi)
+        out = self.a_hat - a
         for j in range(2):
             g = fem.cell_gradients(self.grid, self.chi[j].values, xi)
-            out[..., :, j] = (self.a_hat[:, j] - a[..., :, j]
-                              - np.einsum("cqik,cqk->cqi", a, g))
+            out[..., :, j] -= fem.apply_tensor(a, g)
         return out
 
 
@@ -202,23 +207,20 @@ def divergence_residual(bflux, order=3):
     for f, gx, gy in _battery():
         gv = np.stack([gx(pts[..., 0], pts[..., 1]),
                        gy(pts[..., 0], pts[..., 1])], axis=-1)
-        norm = np.sqrt(grid.h ** 2 * np.einsum("q,cqi,cqi->", wq, gv, gv))
+        norm = np.sqrt(fem.integrate(grid, gv * gv, wq).sum())
         for j in range(2):
-            pair = grid.h ** 2 * np.einsum("q,cqi,cqi->", wq, b[..., :, j], gv)
+            pair = fem.integrate(grid, b[..., :, j] * gv, wq).sum()
             worst[j] = max(worst[j], abs(pair) / norm)
     return worst
 
 
-def flux_correctors(model, grid, chi, a_hat):
-    """Flux corrector field at the assembly quadrature points."""
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
-    values = np.empty(a.shape)
-    for j in range(2):
-        g = fem.cell_gradients(grid, chi[j].values)
-        values[..., :, j] = (a_hat[:, j] - a[..., :, j]
-                             - np.einsum("cqik,cqk->cqi", a, g))
-    return FluxCorrectors(grid=grid, values=values, model=model, chi=chi, a_hat=a_hat)
+def flux_correctors(model, grid, chi, a_hat, a=None):
+    """Flux corrector field at the assembly quadrature points; ``a`` as in
+    :func:`solve_chi`."""
+    flux = FluxCorrectors(grid=grid, values=None, model=model, chi=chi,
+                          a_hat=a_hat)
+    flux.values = flux.at(fem.QUAD_XI, a)
+    return flux
 
 
 @dataclass
@@ -232,7 +234,7 @@ class AuxPotentials:
 
 
 def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
-                         lap_solve=None):
+                         lap_solve=None, a=None, w=None):
     """Solve the three Laplace problems feeding the corrector expansion.
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
@@ -243,20 +245,22 @@ def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
     ``compat_tol``; :func:`solve_cell` passes ten times the cross-flux
     identity defect, floored at 1e-10) is checked before solving.  Each
     problem is one exact FFT solve (``lap_solve``, made here if not given).
+    ``a`` and ``w`` are as in :func:`solve_chi` and :func:`solve_chi_w`.
     """
     if lap_solve is None:
         lap_solve = fem.torus_laplace_solver(grid)
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
-    w = model.w_eval(pts[..., 0], pts[..., 1])
-    gw = fem.cell_gradients(grid, chi_w.values)
+    if a is None:
+        a = fem.quad_samples(grid, model.a_eval)
+    if w is None:
+        w = fem.quad_samples(grid, model.w_eval)
+    flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values))
     chi_w_q = fem.cell_values(grid, chi_w.values)
 
     sources = []
     labels = []
     for i in range(2):
         chi_i_q = fem.cell_values(grid, chi[i].values)
-        g = np.einsum("cqij,cqj->cqi", a, gw)[..., i] - w * chi_i_q
+        g = flux_w[..., i] - w * chi_i_q
         sources.append(g)
         labels.append(f"psi1[{i}]")
     sources.append(m_w_chi_w - w * chi_w_q)
@@ -267,7 +271,7 @@ def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
     defects = np.empty(len(sources))
     sols = []
     for idx, (g, lab) in enumerate(zip(sources, labels)):
-        mean = grid.h ** 2 * np.einsum("q,cq->", fem.QUAD_W, g)
+        mean = float(fem.integrate(grid, g))
         defects[idx] = abs(mean)
         if abs(mean) > compat_tol:
             raise ConsistencyError(
@@ -303,14 +307,20 @@ def solve_cell(model, n, tol=1e-10, with_aux=True):
     ``tol`` is the relative residual tolerance of the corrector CG solves.
     """
     grid = PeriodicGrid(n)
-    stiff = fem.assemble_stiffness(grid, model.a_eval)
+    a = fem.quad_samples(grid, model.a_eval)
+    stiff = fem.stiffness_from_quad_values(grid, a)
     lap_solve = fem.torus_laplace_solver(grid)
-    chi = solve_chi(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve)
-    a_hat = effective_matrix(model, grid, chi)
-    chi_w = solve_chi_w(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve)
+    chi = solve_chi(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
+                    a=a)
+    a_hat = effective_matrix(model, grid, chi, a=a)
+    # W is sampled only now: the scatter of the assembly is the stage's
+    # memory peak.
+    w = fem.quad_samples(grid, model.w_eval)
+    chi_w = solve_chi_w(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
+                        w=w)
     del stiff  # freed before the finer-rule checks below allocate
-    m_w = effective_potential(model, grid, chi_w)
-    resid = potential_energy_identity_residual(model, grid, chi_w, m_w)
+    m_w = effective_potential(model, grid, chi_w, w=w)
+    resid = potential_energy_identity_residual(model, grid, chi_w, m_w, a=a)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
     sol = CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
@@ -320,11 +330,12 @@ def solve_cell(model, n, tol=1e-10, with_aux=True):
             "chi2": abs(float(np.mean(chi[1].values))),
             "chi_w": abs(float(np.mean(chi_w.values))),
         })
-    sol.flux = flux_correctors(model, grid, chi, a_hat)
+    sol.flux = flux_correctors(model, grid, chi, a_hat, a=a)
     if with_aux:
         compat_tol = max(10.0 * float(defect.max()), 1e-10)
         sol.aux = solve_aux_potentials(model, grid, chi, chi_w, m_w,
-                                       compat_tol, lap_solve=lap_solve)
+                                       compat_tol, lap_solve=lap_solve,
+                                       a=a, w=w)
     return sol
 
 

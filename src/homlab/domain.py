@@ -34,9 +34,9 @@ from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
 from .errors import CoercivityError, ConfigurationError
 from .fem import (
-    QUAD_XI,
     QUAD_W,
     SparseOperator,
+    apply_tensor,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -44,7 +44,9 @@ from .fem import (
     cell_gradients,
     cell_values,
     factorize,
+    integrate,
     interior_operator,
+    quad_samples,
     recover_gradient,
 )
 from .grids import DirichletGrid, GridFunction
@@ -156,24 +158,19 @@ class EpsProblem:
         temporaries stay one field in size.
         """
         grid = self.grid
-        pts = grid.quad_points(QUAD_XI)
-        a = self.model.a_eval(pts[..., 0] / self.epsilon,
-                              pts[..., 1] / self.epsilon)
+        a = quad_samples(grid, _scaled_a(self.model, self.epsilon))
         has_w = self.model.w_preset != "zero"
         if has_w:
-            w = self.model.w_eval(pts[..., 0] / self.epsilon,
-                                  pts[..., 1] / self.epsilon)
+            w = quad_samples(grid, _scaled_w(self.model, self.epsilon))
         out = []
         for u in fields:
             grads = cell_gradients(grid, u)  # (ncells, nq, 2)
             vals = cell_values(grid, u)  # (ncells, nq)
-            energy = grid.h ** 2 * np.einsum(
-                "q,cqi,cqij,cqj->", QUAD_W, grads, a, grads)
+            energy = integrate(grid, apply_tensor(a, grads) * grads).sum()
+            sq = vals * vals
             if has_w:
-                energy += (grid.h ** 2 / self.epsilon) * np.einsum(
-                    "q,cq,cq->", QUAD_W, w, vals ** 2)
-            mass = grid.h ** 2 * np.einsum("q,cq,cq->", QUAD_W, vals, vals)
-            out.append((float(energy), float(mass)))
+                energy += integrate(grid, w * sq) / self.epsilon
+            out.append((float(energy), float(integrate(grid, sq))))
         return out
 
 

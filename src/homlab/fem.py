@@ -18,6 +18,15 @@ element integrals reduce to
     load:       h^2 sum_q w_q  f(x_q) N_a
 
 with N, G the shape values/reference gradients and physical gradients G/h.
+
+Fields tabulated at the points of a rule are arrays (ncells, nq, ...).  The
+kernels that make and reduce them avoid per-element loops in ``np.einsum``:
+:func:`cell_values` and :func:`cell_gradients` are one matrix product of the
+gathered corner values with the tabulated shape functions,
+:func:`apply_tensor` is the 2x2 product ``A g`` written out, and
+:func:`integrate` sums over cells with a matrix-vector product before it
+applies the weights.  The element matrices of the assembly keep their
+``einsum(..., optimize=True)`` contractions, which already go to BLAS.
 """
 
 import numpy as np
@@ -79,10 +88,20 @@ def _scatter(grid, element_mats):
     return SparseOperator(mat.tocsr())
 
 
+def quad_samples(grid, func, xi=QUAD_XI):
+    """``func(x1, x2)`` at the reference points xi of every cell: (ncells, nq, ...)."""
+    pts = grid.quad_points(xi)
+    return func(pts[..., 0], pts[..., 1])
+
+
 def assemble_stiffness(grid, a_eval):
     """Stiffness matrix for -div(A grad .) with A sampled at quadrature points."""
-    pts = grid.quad_points(QUAD_XI)
-    a = a_eval(pts[..., 0], pts[..., 1])            # (ncells, nq, 2, 2)
+    return stiffness_from_quad_values(grid, quad_samples(grid, a_eval))
+
+
+def stiffness_from_quad_values(grid, a):
+    """Stiffness matrix from A already tabulated at the quadrature points
+    (ncells, nq, 2, 2)."""
     _check_finite(a, "diffusion")
     elem = np.einsum("q,qai,cqij,qbj->cab", QUAD_W, _G, a, _G, optimize=True)
     return _scatter(grid, elem)
@@ -96,8 +115,7 @@ def assemble_mass(grid):
 
 def assemble_weighted_mass(grid, w_eval):
     """Mass matrix weighted by a scalar field sampled at quadrature points."""
-    pts = grid.quad_points(QUAD_XI)
-    w = w_eval(pts[..., 0], pts[..., 1])            # (ncells, nq)
+    w = quad_samples(grid, w_eval)                  # (ncells, nq)
     _check_finite(w, "weight")
     elem = grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, _N, _N, optimize=True)
     return _scatter(grid, elem)
@@ -111,8 +129,7 @@ def _scatter_vector(grid, element_vecs):
 
 def assemble_load(grid, f_eval):
     """Load vector (f, N_a) with f sampled at quadrature points."""
-    pts = grid.quad_points(QUAD_XI)
-    f = f_eval(pts[..., 0], pts[..., 1])
+    f = quad_samples(grid, f_eval)
     _check_finite(f, "load")
     elem = grid.h ** 2 * np.einsum("q,cq,qa->ca", QUAD_W, f, _N, optimize=True)
     return _scatter_vector(grid, elem)
@@ -139,7 +156,28 @@ def cell_values(grid, nodal, xi=None):
 def cell_gradients(grid, nodal, xi=None):
     """Physical gradients of a nodal field at reference points: (ncells, nq, 2)."""
     g = _G if xi is None else shape_gradients(xi)
-    return np.einsum("ca,qai->cqi", nodal[grid.conn], g) / grid.h
+    nq = g.shape[0]
+    # (ncells, 4) corner values times (4, nq * 2) gradients: one GEMM.
+    grads = nodal[grid.conn] @ g.transpose(1, 0, 2).reshape(4, 2 * nq)
+    return grads.reshape(grid.ncells, nq, 2) / grid.h
+
+
+def apply_tensor(a, g):
+    """Pointwise matrix-vector product ``A g``: a (..., 2, 2), g (..., 2)."""
+    out = a[..., :, 0] * g[..., 0, None]
+    out += a[..., :, 1] * g[..., 1, None]
+    return out
+
+
+def integrate(grid, vals, wq=QUAD_W):
+    """Quadrature integral ``h^2 sum_c sum_q wq[q] vals[c, q, ...]``.
+
+    ``vals`` is a field tabulated at the points of the rule with weights
+    ``wq`` in every cell of ``grid``, shape (ncells, nq, ...); the result has
+    the trailing shape ``...`` (a 0-d array for a scalar field).
+    """
+    cell_sums = np.ones(grid.ncells) @ vals.reshape(grid.ncells, -1)
+    return grid.h ** 2 * (wq @ cell_sums.reshape(wq.size, -1)).reshape(vals.shape[2:])
 
 
 def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
@@ -263,15 +301,13 @@ def factorize(op):
 def h1_seminorm(gf):
     """Broken H1 seminorm via the assembly quadrature (exact for Q1 fields)."""
     grads = cell_gradients(gf.grid, gf.values)
-    val = gf.grid.h ** 2 * np.einsum("q,cqi,cqi->", QUAD_W, grads, grads)
-    return float(np.sqrt(val))
+    return float(np.sqrt(integrate(gf.grid, grads * grads).sum()))
 
 
 def l2_norm(gf):
     """L2 norm via the assembly quadrature (exact for Q1 fields)."""
     vals = cell_values(gf.grid, gf.values)
-    val = gf.grid.h ** 2 * np.einsum("q,cq,cq->", QUAD_W, vals, vals)
-    return float(np.sqrt(val))
+    return float(np.sqrt(integrate(gf.grid, vals * vals)))
 
 
 def recover_gradient(gf):

@@ -527,12 +527,10 @@ class Experiment:
         # should not grow as the scale shrinks (advisory, never asserted).
         self.continuity_flags = {}
         ordered = sorted(cfg.epsilons, reverse=True)
+        gap_at = self._gap_index()
         for k_idx in range(1, min(cfg.k_eigen, 5) + 1):
-            gaps = []
-            for eps in ordered:
-                for row in self.gap_rows:
-                    if row["epsilon"] == eps and row["k"] == k_idx:
-                        gaps.append(row["gap"])
+            gaps = [gap_at[eps, k_idx] for eps in ordered
+                    if (eps, k_idx) in gap_at]
             self.continuity_flags[k_idx] = bool(
                 any(b > a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:])))
 
@@ -542,6 +540,10 @@ class Experiment:
                      "normalized_const"), rows)
         _write_atomic(self._outpath("gaps.csv"), text)
 
+    def _gap_index(self) -> Dict[Tuple[float, int], float]:
+        """Gap of each ``gap_rows`` entry by (epsilon, k)."""
+        return {(r["epsilon"], r["k"]): r["gap"] for r in self.gap_rows}
+
     def stage_rates(self) -> None:
         cfg = self.cfg
         eps_list = list(cfg.epsilons)
@@ -550,13 +552,11 @@ class Experiment:
             (e, self.per_eps[e].expansion.h1_w / self.f_l2) for e in eps_list]
         points["l2_gap"] = [
             (e, self.per_eps[e].expansion.l2_plain) for e in eps_list]
+        gap_at = self._gap_index()
         for k_idx in range(1, min(cfg.k_eigen, 5) + 1):
-            pts = []
-            for e in eps_list:
-                for row in self.gap_rows:
-                    if row["epsilon"] == e and row["k"] == k_idx:
-                        pts.append((e, row["gap"]))
-            points[f"eig_gap_k{k_idx}"] = pts
+            points[f"eig_gap_k{k_idx}"] = [
+                (e, gap_at[e, k_idx]) for e in eps_list
+                if (e, k_idx) in gap_at]
         points["thm21_d8"] = [(rec["epsilon"], rec["d8"])
                               for rec in self.first_eig]
         points["phi_supnorm"] = [

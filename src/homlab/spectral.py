@@ -122,7 +122,8 @@ def eigs(op: SparseOperator,
          k: int,
          seed: int = 0,
          tol: float = 1e-8,
-         sigma: Optional[float] = None,
+         *,
+         sigma: float,
          tag: str = "eps",
          epsilon: Optional[float] = None,
          lu=None) -> Spectrum:
@@ -130,9 +131,11 @@ def eigs(op: SparseOperator,
 
     Dense LAPACK below :data:`DENSE_CUTOFF` degrees of freedom; otherwise
     ARPACK shift-invert with a start vector drawn from ``seed``.  ``sigma``
-    must lie strictly below the smallest eigenvalue — the default ``-1.0``
-    is safe for coercive operators, and callers with scaled potentials
-    should pass :func:`eps_sigma_bound`.  ``lu``, if given, is the caller's
+    is required and must lie strictly below the smallest eigenvalue: the
+    shift-invert Lanczos iteration finds the eigenvalues nearest to it, so a
+    shift above lambda_1 returns wrong pairs that still pass the residual
+    check.  Callers with scaled potentials pass :func:`eps_sigma_bound`.
+    ``lu``, if given, is the caller's
     :func:`homlab.fem.factorize` factor of ``op - sigma * mass``; the ARPACK
     path uses it instead of making its own, and the dense path ignores it.
     ``tol`` is the relative residual each returned pair must meet.
@@ -153,7 +156,7 @@ def eigs(op: SparseOperator,
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
-        shift = -1.0 if sigma is None else float(sigma)
+        shift = float(sigma)
         try:
             lam, vecs = _shift_invert(op, mass, k, shift, v0, lu)
         except Exception as err:  # ARPACK failures come in several flavors

@@ -90,6 +90,17 @@ def test_galerkin_energy_defect_small():
     assert galerkin_energy_defect(p, u) < 1e-10
 
 
+def test_quadrature_energies_match_the_assembled_forms():
+    # galerkin_energy_defect compares exactly these two routes: u^T L u and
+    # u^T M u against direct quadrature of the fields.
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.25, DirichletGrid(64))
+    inner = np.random.default_rng(5).standard_normal(p.grid.ndof)
+    energy, mass = p.quadrature_energies([p.grid.extend(inner)])[0]
+    assert energy == pytest.approx(
+        inner @ p.operator_interior().dot(inner), rel=1e-12)
+    assert mass == pytest.approx(inner @ p.mass_interior().dot(inner), rel=1e-12)
+
+
 def test_coercivity_flag_goes_false_without_raising():
     base = make_preset("identity", "sine1")
     strong = CoefficientModel(

@@ -9,17 +9,29 @@ from homlab.errors import SolverError
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
+    apply_tensor,
     assemble_mass,
     assemble_stiffness,
     boundary_flux,
+    cell_gradients,
+    cell_values,
     cg_solve,
     factorize,
+    integrate,
     interior_operator,
     l2_norm,
     recover_gradient,
     torus_laplace_solver,
 )
-from homlab.grids import DirichletGrid, GridFunction, PeriodicGrid, gauss_rule, interpolate
+from homlab.grids import (
+    DirichletGrid,
+    GridFunction,
+    PeriodicGrid,
+    gauss_rule,
+    interpolate,
+    shape_gradients,
+    shape_values,
+)
 
 
 def identity_a(x1, x2):
@@ -132,6 +144,44 @@ def test_fft_laplace_solve_inverts_the_assembled_laplacian(n):
     u = torus_laplace_solver(grid)(r)
     assert np.max(np.abs(lap @ u - (r - r.mean()))) < 1e-12
     assert abs(u.mean()) < 1e-12
+
+
+@pytest.mark.parametrize("xi", [None, gauss_rule(3)[0]], ids=["assembly", "order3"])
+def test_cell_kernels_exact_on_a_bilinear_field(xi):
+    c0, c1, c2, c3 = 0.3, -1.7, 2.2, 0.9
+    grid = DirichletGrid(7)
+    gf = interpolate(grid, lambda x, y: c0 + c1 * x + c2 * y + c3 * x * y)
+    pts = grid.quad_points(QUAD_XI if xi is None else xi)
+    x, y = pts[..., 0], pts[..., 1]
+    vals = cell_values(grid, gf.values, xi)
+    grads = cell_gradients(grid, gf.values, xi)
+    assert np.max(np.abs(vals - (c0 + c1 * x + c2 * y + c3 * x * y))) < 1e-13
+    assert np.max(np.abs(grads[..., 0] - (c1 + c3 * y))) < 1e-13
+    assert np.max(np.abs(grads[..., 1] - (c2 + c3 * x))) < 1e-13
+
+
+def test_quadrature_kernels_match_einsum_references_on_the_torus():
+    grid = PeriodicGrid(12)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(grid.nnodes)
+    corner = u[grid.conn]
+    for xi, wq in (gauss_rule(2), gauss_rule(3)):
+        ref_g = np.einsum("ca,qai->cqi", corner, shape_gradients(xi)) / grid.h
+        ref_v = np.einsum("ca,qa->cq", corner, shape_values(xi))
+        g = cell_gradients(grid, u, xi)
+        v = cell_values(grid, u, xi)
+        assert np.max(np.abs(g - ref_g)) <= 1e-14 * np.max(np.abs(ref_g))
+        assert np.max(np.abs(v - ref_v)) <= 1e-14 * np.max(np.abs(ref_v))
+
+        a = rng.standard_normal(g.shape + (2,))
+        ag = apply_tensor(a, g)
+        assert np.max(np.abs(ag - np.einsum("cqij,cqj->cqi", a, g))) <= (
+            1e-14 * np.max(np.abs(ag)))
+        ref_int = grid.h ** 2 * np.einsum("q,cqij->ij", wq, a)
+        assert np.max(np.abs(integrate(grid, a, wq) - ref_int)) <= (
+            1e-13 * np.max(np.abs(ref_int)))
+        assert float(integrate(grid, v * v, wq)) == pytest.approx(
+            grid.h ** 2 * np.einsum("q,cq,cq->", wq, v, v), rel=1e-13)
 
 
 def test_recovered_gradient_exact_on_affine_fields():

@@ -54,7 +54,7 @@ def exact_q1_laplace_eigs(n, count):
 def test_dense_path_matches_separation_of_variables():
     _, k, m = laplace_pair(16)  # 225 dof, below the dense cutoff
     assert k.mat.shape[0] <= DENSE_CUTOFF
-    spec = eigs(k, m, 5)
+    spec = eigs(k, m, 5, sigma=-1.0)
     assert spec.method == "dense"
     exact = exact_q1_laplace_eigs(16, 5)
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
@@ -78,7 +78,7 @@ def test_same_seed_is_bitwise_deterministic():
 
 def test_orthonormality_and_residual_invariants():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 6)
+    spec = eigs(k, m, 6, sigma=-1.0)
     gram = spec.eigenvectors.T @ (m.mat @ spec.eigenvectors)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     assert np.max(spec.residuals) < 1e-8
@@ -87,7 +87,7 @@ def test_orthonormality_and_residual_invariants():
 
 def test_reciprocal_eigenvalues_decrease():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 6)
+    spec = eigs(k, m, 6, sigma=-1.0)
     mu = 1.0 / spec.eigenvalues
     # the 5 pi^2 pair is exactly degenerate on a square grid, so non-strict
     assert np.all(np.diff(mu) <= 1e-15)
@@ -96,9 +96,17 @@ def test_reciprocal_eigenvalues_decrease():
 def test_k_validation():
     _, k, m = laplace_pair(48)
     with pytest.raises(ConfigurationError):
-        eigs(k, m, 0)
+        eigs(k, m, 0, sigma=-1.0)
     with pytest.raises(ConfigurationError):
-        eigs(k, m, 65)
+        eigs(k, m, 65, sigma=-1.0)
+
+
+def test_eigs_needs_an_explicit_shift():
+    # No default shift: -1 lies above lambda_1 for strong negative
+    # potentials, where shift-invert silently returns the wrong pairs.
+    _, k, m = laplace_pair(48)
+    with pytest.raises(TypeError, match="sigma"):
+        eigs(k, m, 4)
 
 
 def test_constant_shift_moves_spectrum_exactly():
@@ -107,14 +115,14 @@ def test_constant_shift_moves_spectrum_exactly():
     _, k, m = laplace_pair(48)
     c = 7.5
     shifted = SparseOperator((k.mat + c * m.mat).tocsr())
-    a = eigs(k, m, 4)
+    a = eigs(k, m, 4, sigma=-1.0)
     b = eigs(shifted, m, 4, sigma=c - 1.0)
     assert np.max(np.abs(b.eigenvalues - (a.eigenvalues + c))) < 1e-9
 
 
 def test_minmax_probe_never_beats_lowest_eigenvalue():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 1)
+    spec = eigs(k, m, 1, sigma=-1.0)
     probe = minmax_probe(k, m, trials=20, seed=4)
     assert probe >= spec.eigenvalues[0] - 1e-9
 
@@ -204,7 +212,7 @@ def test_gap_rows_normalization():
 @pytest.fixture(scope="module")
 def spec():
     _, k, m = laplace_pair(48)
-    return eigs(k, m, 8), k, m
+    return eigs(k, m, 8, sigma=-1.0), k, m
 
 
 class TestClusterProjection:
