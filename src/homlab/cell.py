@@ -15,9 +15,10 @@ preconditioned by the exact FFT solve of the Laplacian on the torus
 (``fem.torus_laplace_solver``), so the iteration count is bounded by the
 contrast of A and does not grow with the grid.  The auxiliary potentials are
 Laplace problems and take that FFT solve directly, with no iteration.
-:func:`solve_cell` samples A and W at the assembly rule once, assembles the
-A-stiffness and builds the FFT solve once, and shares them between the
-layers; each layer called on its own samples and makes what it needs.
+:func:`solve_cell` assembles the A-stiffness and builds the FFT solve once,
+samples A and W at the assembly rule once, and shares them between the
+layers; :func:`solve_chi` and :func:`solve_chi_w` called on their own make
+and sample what they need.
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +59,12 @@ def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None, a=None):
     return out
 
 
-def effective_matrix(model, grid, chi, a=None):
+def effective_matrix(grid, chi, a):
     """Homogenized diffusion matrix from the corrector gradients.
 
-    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i.  ``a`` is as in
-    :func:`solve_chi`.
+    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i, with ``a`` the
+    samples of A at the assembly rule (``fem.quad_samples``).
     """
-    if a is None:
-        a = fem.quad_samples(grid, model.a_eval)
     a_hat = fem.integrate(grid, a)
     for j in range(2):
         g = fem.cell_gradients(grid, chi[j].values)
@@ -95,20 +94,16 @@ def solve_chi_w(model, grid, tol=1e-10, stiff=None, lap_solve=None, w=None):
     return GridFunction(grid, sol)
 
 
-def effective_potential(model, grid, chi_w, w=None):
-    """Cell average of W * chi_w (a nonpositive constant); ``w`` as in
-    :func:`solve_chi_w`."""
-    if w is None:
-        w = fem.quad_samples(grid, model.w_eval)
+def effective_potential(grid, chi_w, w):
+    """Cell average of W * chi_w (a nonpositive constant); ``w`` is W at the
+    assembly rule."""
     vals = fem.cell_values(grid, chi_w.values)
     return float(fem.integrate(grid, w * vals))
 
 
-def potential_energy_identity_residual(model, grid, chi_w, m_w_chi_w, a=None):
-    """Relative defect of m = -(A grad chi_w, grad chi_w); ``a`` as in
-    :func:`solve_chi`."""
-    if a is None:
-        a = fem.quad_samples(grid, model.a_eval)
+def potential_energy_identity_residual(grid, chi_w, m_w_chi_w, a):
+    """Relative defect of m = -(A grad chi_w, grad chi_w); ``a`` is A at the
+    assembly rule."""
     g = fem.cell_gradients(grid, chi_w.values)
     energy = float(fem.integrate(grid, fem.apply_tensor(a, g) * g).sum())
     return float(abs(m_w_chi_w + energy) / (1.0 + abs(m_w_chi_w)))
@@ -151,18 +146,20 @@ class FluxCorrectors:
     def mean(self):
         return fem.integrate(self.grid, self.values)
 
-    def at(self, xi, a=None):
-        """Evaluate the corrector field at an arbitrary reference rule.
+    def at(self, xi):
+        """Evaluate the corrector field at an arbitrary reference rule."""
+        a = fem.quad_samples(self.grid, self.model.a_eval, xi)
+        return _flux_field(self.grid, self.chi, self.a_hat, xi, a)
 
-        ``a`` is A sampled at that rule, if the caller has it.
-        """
-        if a is None:
-            a = fem.quad_samples(self.grid, self.model.a_eval, xi)
-        out = self.a_hat - a
-        for j in range(2):
-            g = fem.cell_gradients(self.grid, self.chi[j].values, xi)
-            out[..., :, j] -= fem.apply_tensor(a, g)
-        return out
+
+def _flux_field(grid, chi, a_hat, xi, a):
+    """b = a_hat - A - A grad chi at the reference rule xi, where ``a`` is A
+    sampled at that rule."""
+    out = a_hat - a
+    for j in range(2):
+        g = fem.cell_gradients(grid, chi[j].values, xi)
+        out[..., :, j] -= fem.apply_tensor(a, g)
+    return out
 
 
 # Battery of periodic test functions (value, gradient_x, gradient_y) used to
@@ -214,13 +211,12 @@ def divergence_residual(bflux, order=3):
     return worst
 
 
-def flux_correctors(model, grid, chi, a_hat, a=None):
-    """Flux corrector field at the assembly quadrature points; ``a`` as in
-    :func:`solve_chi`."""
-    flux = FluxCorrectors(grid=grid, values=None, model=model, chi=chi,
+def flux_correctors(model, grid, chi, a_hat, a):
+    """Flux corrector field at the assembly quadrature points; ``a`` is A at
+    the assembly rule."""
+    values = _flux_field(grid, chi, a_hat, fem.QUAD_XI, a)
+    return FluxCorrectors(grid=grid, values=values, model=model, chi=chi,
                           a_hat=a_hat)
-    flux.values = flux.at(fem.QUAD_XI, a)
-    return flux
 
 
 @dataclass
@@ -233,8 +229,8 @@ class AuxPotentials:
     compat_defects: np.ndarray
 
 
-def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
-                         lap_solve=None, a=None, w=None):
+def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w,
+                         lap_solve=None):
     """Solve the three Laplace problems feeding the corrector expansion.
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
@@ -245,14 +241,10 @@ def solve_aux_potentials(model, grid, chi, chi_w, m_w_chi_w, compat_tol,
     ``compat_tol``; :func:`solve_cell` passes ten times the cross-flux
     identity defect, floored at 1e-10) is checked before solving.  Each
     problem is one exact FFT solve (``lap_solve``, made here if not given).
-    ``a`` and ``w`` are as in :func:`solve_chi` and :func:`solve_chi_w`.
+    ``a`` and ``w`` are A and W at the assembly rule.
     """
     if lap_solve is None:
         lap_solve = fem.torus_laplace_solver(grid)
-    if a is None:
-        a = fem.quad_samples(grid, model.a_eval)
-    if w is None:
-        w = fem.quad_samples(grid, model.w_eval)
     flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values))
     chi_w_q = fem.cell_values(grid, chi_w.values)
 
@@ -307,20 +299,20 @@ def solve_cell(model, n, tol=1e-10, with_aux=True):
     ``tol`` is the relative residual tolerance of the corrector CG solves.
     """
     grid = PeriodicGrid(n)
-    a = fem.quad_samples(grid, model.a_eval)
-    stiff = fem.stiffness_from_quad_values(grid, a)
+    stiff = fem.assemble_stiffness(grid, model.a_eval)
     lap_solve = fem.torus_laplace_solver(grid)
+    # A and W are sampled only after the assembly, whose scatter is the
+    # stage's memory peak.
+    a = fem.quad_samples(grid, model.a_eval)
     chi = solve_chi(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
                     a=a)
-    a_hat = effective_matrix(model, grid, chi, a=a)
-    # W is sampled only now: the scatter of the assembly is the stage's
-    # memory peak.
+    a_hat = effective_matrix(grid, chi, a)
     w = fem.quad_samples(grid, model.w_eval)
     chi_w = solve_chi_w(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
                         w=w)
     del stiff  # freed before the finer-rule checks below allocate
-    m_w = effective_potential(model, grid, chi_w, w=w)
-    resid = potential_energy_identity_residual(model, grid, chi_w, m_w, a=a)
+    m_w = effective_potential(grid, chi_w, w)
+    resid = potential_energy_identity_residual(grid, chi_w, m_w, a)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
     sol = CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
@@ -330,12 +322,11 @@ def solve_cell(model, n, tol=1e-10, with_aux=True):
             "chi2": abs(float(np.mean(chi[1].values))),
             "chi_w": abs(float(np.mean(chi_w.values))),
         })
-    sol.flux = flux_correctors(model, grid, chi, a_hat, a=a)
+    sol.flux = flux_correctors(model, grid, chi, a_hat, a)
     if with_aux:
         compat_tol = max(10.0 * float(defect.max()), 1e-10)
-        sol.aux = solve_aux_potentials(model, grid, chi, chi_w, m_w,
-                                       compat_tol, lap_solve=lap_solve,
-                                       a=a, w=w)
+        sol.aux = solve_aux_potentials(grid, chi, chi_w, m_w, compat_tol, a,
+                                       w, lap_solve=lap_solve)
     return sol
 
 

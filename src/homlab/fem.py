@@ -96,12 +96,7 @@ def quad_samples(grid, func, xi=QUAD_XI):
 
 def assemble_stiffness(grid, a_eval):
     """Stiffness matrix for -div(A grad .) with A sampled at quadrature points."""
-    return stiffness_from_quad_values(grid, quad_samples(grid, a_eval))
-
-
-def stiffness_from_quad_values(grid, a):
-    """Stiffness matrix from A already tabulated at the quadrature points
-    (ncells, nq, 2, 2)."""
+    a = quad_samples(grid, a_eval)                  # (ncells, nq, 2, 2)
     _check_finite(a, "diffusion")
     elem = np.einsum("q,qai,cqij,qbj->cab", QUAD_W, _G, a, _G, optimize=True)
     return _scatter(grid, elem)
@@ -177,7 +172,7 @@ def integrate(grid, vals, wq=QUAD_W):
     the trailing shape ``...`` (a 0-d array for a scalar field).
     """
     cell_sums = np.ones(grid.ncells) @ vals.reshape(grid.ncells, -1)
-    return grid.h ** 2 * (wq @ cell_sums.reshape(wq.size, -1)).reshape(vals.shape[2:])
+    return grid.h ** 2 * (wq @ cell_sums.reshape(vals.shape[1], -1)).reshape(vals.shape[2:])
 
 
 def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
