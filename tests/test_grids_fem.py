@@ -184,6 +184,17 @@ def test_quadrature_kernels_match_einsum_references_on_the_torus():
             grid.h ** 2 * np.einsum("q,cq,cq->", wq, v, v), rel=1e-13)
 
 
+def test_integrate_rejects_weights_of_another_rule():
+    grid = PeriodicGrid(4)
+    xi3, _ = gauss_rule(3)
+    _, wq2 = gauss_rule(2)
+    # A field at the 9 points of the order-3 rule with the 4 order-2 weights:
+    # the sum must raise rather than return a mis-weighted integral.
+    a = np.ones((grid.ncells, xi3.shape[0], 2, 2))
+    with pytest.raises(ValueError):
+        integrate(grid, a, wq2)
+
+
 def test_recovered_gradient_exact_on_affine_fields():
     grid = DirichletGrid(12)
     coords = grid.node_coords()
