@@ -5,9 +5,18 @@ Each subcommand runs the pipeline up to (and including) the named stage, so
 ``homlab run`` goes all the way to ``report.json``.  Exit code 0 means every
 stage finished; a nonzero code identifies the stage that failed (see the
 README table).
+
+OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set:
+the pipeline keeps one task per core busy, and BLAS threads on top of that
+oversubscribe the cores and change the artifact bytes.  The default is set
+here, before any module that imports numpy loads.
 """
 
 from __future__ import annotations
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import sys

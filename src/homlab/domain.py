@@ -10,13 +10,16 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
 
-Every linear system here is solved directly with a sparse LU factor
+Every linear system here is solved with a sparse LU factor
 (:func:`homlab.fem.factorize`).  :func:`solve_homogenized` takes the
 caller's factor of the effective operator, and
 :func:`solve_dirichlet_correctors` may take one of the diffusion matrix, so
 a caller that factors an operator for its shift-invert eigensolve solves
-with the same factor.  :func:`solve_eps` makes its own; the two corrector
-problems share one factor either way.
+with the same factor.  :func:`solve_eps` may take the factor of
+``L_eps - sigma M`` that the ``eps`` eigensolve used: on a coercive form it
+preconditions conjugate gradients on ``L_eps`` with it, and otherwise it
+factors ``L_eps`` itself.  The two corrector problems share one factor
+either way.
 
 No eigensolve happens here.  The sign hypothesis is read off a spectrum the
 caller already has (:func:`coercivity_check`), so each operator's spectrum
@@ -32,7 +35,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
-from .errors import CoercivityError, ConfigurationError
+from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
     QUAD_W,
     SparseOperator,
@@ -43,6 +46,7 @@ from .fem import (
     assemble_weighted_mass,
     cell_gradients,
     cell_values,
+    cg_solve,
     factorize,
     integrate,
     interior_operator,
@@ -221,7 +225,8 @@ def constant_matrix(a_hat: np.ndarray):
 
 def solve_eps(problem: EpsProblem,
               coercivity: Optional[CoercivityReport] = None,
-              allow_noncoercive: bool = False) -> GridFunction:
+              allow_noncoercive: bool = False,
+              lu=None) -> GridFunction:
     """Solve the oscillatory Dirichlet problem; returns the full nodal field.
 
     Callers are expected to establish coercivity first — pass the report from
@@ -230,6 +235,16 @@ def solve_eps(problem: EpsProblem,
     solve with :class:`CoercivityError` unless overridden; that report is the
     only sign gate, because the direct solve succeeds on any nonsingular
     operator, definite or not.
+
+    ``lu`` is the caller's factor of ``L_eps - sigma M`` for a shift sigma
+    below the spectrum, the one the ``eps`` eigensolve used.  With it and a
+    coercive report, ``L_eps`` is SPD and the solve is conjugate gradients
+    preconditioned by ``lu`` to a relative residual of 1e-13: the
+    preconditioned spectrum ``lambda / (lambda - sigma)`` lies in
+    ``[lambda_1 / (lambda_1 - sigma), 1)``, so a few iterations suffice.
+    Without ``lu``, or on a form not reported coercive, ``L_eps`` is factored
+    here and solved directly.  A PCG failure raises :class:`SolverError`
+    naming epsilon.
     """
     if coercivity is not None and not coercivity.coercive and not allow_noncoercive:
         raise CoercivityError(
@@ -242,7 +257,17 @@ def solve_eps(problem: EpsProblem,
             "solve_eps needs a coercivity report (or allow_noncoercive=True)")
     rhs_full = assemble_load(problem.grid, problem.model.f_eval)
     rhs = problem.grid.restrict(rhs_full)
-    inner = factorize(problem.operator_interior()).solve(rhs)
+    op = problem.operator_interior()
+    if lu is not None and coercivity is not None and coercivity.coercive:
+        try:
+            inner = cg_solve(op, rhs, tol=1e-13, precond=lu.solve)
+        except SolverError as err:
+            raise SolverError(
+                f"u_eps at epsilon={problem.epsilon}: {err}",
+                residual=err.residual, iterations=err.iterations,
+                breakdown=err.breakdown) from err
+    else:
+        inner = factorize(op).solve(rhs)
     return GridFunction(problem.grid, problem.grid.extend(inner))
 
 

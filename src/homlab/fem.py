@@ -6,8 +6,10 @@ FFT of its stencil is its spectrum (the idea behind FFT-based homogenization,
 Moulinec & Suquet 1998).  :func:`cg_solve` (conjugate gradients,
 constant-deflated on the torus, optionally preconditioned) solves the
 variable-coefficient cell problems with that Laplace solve as preconditioner.
-:func:`factorize` (sparse LU with a fill-reducing minimum-degree ordering)
-serves every Dirichlet system and the shift-invert eigensolves.
+:func:`factorize` (sparse LU in the grid's nested-dissection order) serves
+the Dirichlet systems and the shift-invert eigensolves; a factor of the
+shifted oscillatory operator also preconditions :func:`cg_solve` for the
+unshifted one.
 
 Assembly uses a fixed 2x2 Gauss rule per cell with coefficients sampled
 pointwise at the quadrature points.  On the reference square the physical
@@ -29,11 +31,21 @@ applies the weights.  The element matrices of the assembly keep their
 ``einsum(..., optimize=True)`` contractions, which already go to BLAS.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, SolverError, UsageError
-from .grids import DirichletGrid, GridFunction, PeriodicGrid, gauss_rule, shape_gradients, shape_values
+from .grids import (
+    DirichletGrid,
+    GridFunction,
+    PeriodicGrid,
+    gauss_rule,
+    nested_dissection,
+    shape_gradients,
+    shape_values,
+)
 
 QUAD_XI, QUAD_W = gauss_rule(2)
 _N = shape_values(QUAD_XI)          # (4, 4)
@@ -276,21 +288,45 @@ def torus_laplace_solver(grid):
     return solve
 
 
+class OrderedFactor:
+    """Sparse LU factor of ``P^T A P``; ``solve`` takes and returns vectors
+    (n,) or blocks (n, k) in the original order of ``A``."""
+
+    def __init__(self, lu, perm):
+        self.lu = lu
+        self.perm = perm
+        self._inverse = np.argsort(perm)
+
+    def solve(self, rhs):
+        return self.lu.solve(np.asarray(rhs, dtype=float)[self.perm])[self._inverse]
+
+
 def factorize(op):
     """Sparse LU factor of ``op`` for repeated direct solves (``.solve``).
 
-    Columns are ordered by minimum degree on ``A^T + A``, which suits the
-    symmetric pattern of every assembled operator and fills in far less than
-    SciPy's default COLAMD.  An exactly singular matrix raises SolverError.
+    Every factored operator is the row-major interior block of a
+    :class:`~homlab.grids.DirichletGrid`, an m-by-m node block, so its
+    rows and columns are put in the grid's nested-dissection order
+    (:func:`homlab.grids.nested_dissection`) and SuperLU keeps that order
+    (``NATURAL``) with its default threshold pivoting.  A size that is not
+    m^2 raises UsageError; an exactly singular matrix raises SolverError.
     """
     mat = op.mat if isinstance(op, SparseOperator) else op
+    rows, cols = mat.shape
+    m = math.isqrt(rows)
+    if rows != cols or m * m != rows:
+        raise UsageError(f"factorize needs the interior operator of a square "
+                         f"grid, an m^2-by-m^2 matrix; got {rows}x{cols}")
+    perm = nested_dissection(m)
     try:
-        return sp.linalg.splu(sp.csc_matrix(mat), permc_spec="MMD_AT_PLUS_A")
+        lu = sp.linalg.splu(sp.csc_matrix(mat)[perm][:, perm],
+                            permc_spec="NATURAL")
     except RuntimeError as err:
         if "singular" not in str(err):
             raise
         raise SolverError(f"sparse LU failed: {err} "
-                          f"({mat.shape[0]} unknowns)") from err
+                          f"({rows} unknowns)") from err
+    return OrderedFactor(lu, perm)
 
 
 def h1_seminorm(gf):

@@ -17,9 +17,10 @@ operator's linear solves with the same factor (in ``solve``), and drops it:
   ``u_0``; ``hom`` is this spectrum moved by ``m``, with no task of its own;
 - ``eps_prime:<label>``: factor ``K_eps`` (shift 0), eigensolve, then the
   two Dirichlet correctors;
-- ``eps:<label>``: eigensolve at :func:`eps_sigma_bound` with its own
-  factor, then the coercivity report and ``u_eps`` (:func:`solve_eps`
-  factors ``L_eps`` itself).
+- ``eps:<label>``: factor ``L_eps - sigma M`` at sigma =
+  :func:`eps_sigma_bound`, eigensolve ``L_eps``, then the coercivity report
+  and ``u_eps`` (:func:`solve_eps`: conjugate gradients on ``L_eps``
+  preconditioned by that factor when the form is coercive).
 
 ``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
 as each scale's inputs arrive, that scale's finish task (expansion,
@@ -303,12 +304,17 @@ class Experiment:
 
     def _eps_task(self, problem: EpsProblem,
                   solve: bool) -> Tuple[Spectrum, object]:
-        spectrum = self._eigs(problem.operator_interior(), "eps",
-                              eps_sigma_bound(problem), problem=problem)
+        """The factor of L_eps - sigma M at the certified shift serves the
+        eigensolve and preconditions the u_eps solve."""
+        op = problem.operator_interior()
+        sigma = eps_sigma_bound(problem)
+        lu = factorize(op.mat - sigma * self.mass_interior().mat)
+        spectrum = self._eigs(op, "eps", sigma, lu, problem)
         if not solve:
             return spectrum, None
         coercivity = coercivity_check(spectrum, self.cell_solution.m_w_chi_w)
-        return spectrum, (coercivity, solve_eps(problem, coercivity=coercivity))
+        return spectrum, (coercivity,
+                          solve_eps(problem, coercivity=coercivity, lu=lu))
 
     def _eps_prime_task(self, problem: EpsProblem,
                         solve: bool) -> Tuple[Spectrum, object]:

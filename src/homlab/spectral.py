@@ -4,7 +4,7 @@ Solves ``K v = lambda M v`` for the operators produced by
 :mod:`homlab.domain`, with a dense LAPACK path for small problems and a
 seeded shift-invert Lanczos path (ARPACK) above the cutoff.  The
 shift-invert operator is one sparse LU factor of ``K - sigma M``
-(:func:`homlab.fem.factorize`, minimum-degree ordering on ``A^T + A``).
+(:func:`homlab.fem.factorize`, in the grid's nested-dissection order).
 A caller that also solves with that matrix passes its factor in and keeps
 it; otherwise :func:`eigs` makes one and drops it when ARPACK returns.
 Every returned

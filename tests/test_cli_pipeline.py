@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,8 +141,9 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
 
 
 def test_one_factorization_per_operator(tmp_path, monkeypatch):
-    """One factor for hom_prime and, per scale, one each for eps_prime, the
-    eps eigensolve and solve_eps: 3 |epsilons| + 1 in a full run."""
+    """One factor for hom_prime and, per scale, one each for eps_prime and
+    eps, whose factor also serves solve_eps: 2 |epsilons| + 1 in a full
+    run."""
     made = []
     real = homlab.fem.factorize
 
@@ -153,7 +156,7 @@ def test_one_factorization_per_operator(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "factorize", counting_factorize)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, out=io.StringIO()) == 0
-    assert len(made) == 3 * 2 + 1
+    assert len(made) == 2 * 2 + 1
 
 
 def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
@@ -161,6 +164,7 @@ def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
     real_eigs = homlab.pipeline.eigs
     real_correctors = homlab.pipeline.solve_dirichlet_correctors
     real_homogenized = homlab.pipeline.solve_homogenized
+    real_solve_eps = homlab.pipeline.solve_eps
 
     def eigs(op, mass, k, **kwargs):
         eig_lu[kwargs["tag"], kwargs["epsilon"]] = kwargs["lu"]
@@ -174,14 +178,19 @@ def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
         solve_lu["hom_prime", None] = lu
         return real_homogenized(*args, lu=lu)
 
+    def solve_eps(problem, **kwargs):
+        solve_lu["eps", problem.epsilon] = kwargs["lu"]
+        return real_solve_eps(problem, **kwargs)
+
     monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
     monkeypatch.setattr(homlab.pipeline, "solve_dirichlet_correctors",
                         correctors)
     monkeypatch.setattr(homlab.pipeline, "solve_homogenized", homogenized)
+    monkeypatch.setattr(homlab.pipeline, "solve_eps", solve_eps)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, upto="solve", out=io.StringIO()) == 0
     assert set(solve_lu) == {("hom_prime", None), ("eps_prime", 0.5),
-                             ("eps_prime", 0.25)}
+                             ("eps_prime", 0.25), ("eps", 0.5), ("eps", 0.25)}
     for key, lu in solve_lu.items():
         assert lu is not None and eig_lu[key] is lu, key
 
@@ -323,3 +332,34 @@ def test_cli_rejects_malformed_epsilon(tmp_path, capsys):
     cfg, _ = write_cfg(tmp_path)
     assert main(["solve", "-c", cfg, "--epsilon", "huge"]) == STAGE_EXIT["config"]
     assert "cannot parse" in capsys.readouterr().err
+
+
+# Prints OPENBLAS_NUM_THREADS as it stands when numpy is first imported.
+_BLAS_PROBE = """
+import os, sys
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+import homlab.cli
+print(seen[0])
+"""
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_cli_pins_openblas_threads_unless_set(preset, threads):
+    """Importing the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads,
+    and a value already in the environment wins."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.dirname(os.path.dirname(homlab.pipeline.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == threads

@@ -1,8 +1,11 @@
 """Boundary-value solves on the unit square and their guard rails."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import homlab.domain
 from conftest import effective_factor
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
@@ -14,10 +17,10 @@ from homlab.domain import (
     solve_eps,
     solve_homogenized,
 )
-from homlab.errors import CoercivityError, ConfigurationError
-from homlab.fem import assemble_load, cg_solve, l2_norm
+from homlab.errors import CoercivityError, ConfigurationError, SolverError
+from homlab.fem import assemble_load, cg_solve, factorize, l2_norm
 from homlab.grids import DirichletGrid, GridFunction
-from homlab.spectral import eigs
+from homlab.spectral import eigs, eps_sigma_bound
 
 
 def eps_spectrum(p, k=1):
@@ -206,3 +209,62 @@ def test_direct_solves_match_a_tight_cg_reference():
         load = -grid.restrict(p.stiffness_full().dot(coords[:, j]))
         ref = cg_solve(p.diffusion_interior(), load, tol=1e-13)
         assert close(grid.restrict(dc.deviation[j].values), ref)
+
+
+def shifted_factor_and_report(p):
+    """The eps eigensolve's factor of L_eps - sigma M and its report."""
+    sigma = eps_sigma_bound(p)
+    op = p.operator_interior()
+    lu = factorize(op.mat - sigma * p.mass_interior().mat)
+    spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
+                    epsilon=p.epsilon)
+    return lu, coercivity_check(spectrum, 0.0)
+
+
+def counting_cg(monkeypatch, **fixed):
+    calls = []
+
+    def cg(*args, **kwargs):
+        calls.append(kwargs)
+        return cg_solve(*args, **{**kwargs, **fixed})
+
+    monkeypatch.setattr(homlab.domain, "cg_solve", cg)
+    return calls
+
+
+def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
+    p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
+                   DirichletGrid(64))
+    lu, report = shifted_factor_and_report(p)
+    assert report.coercive
+    direct = solve_eps(p, coercivity=report).values
+    calls = counting_cg(monkeypatch)
+    pcg = solve_eps(p, coercivity=report, lu=lu).values
+    assert len(calls) == 1 and calls[0]["precond"] == lu.solve
+    assert np.max(np.abs(pcg - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_pcg_failure_names_epsilon(monkeypatch):
+    p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
+                   DirichletGrid(64))
+    lu, report = shifted_factor_and_report(p)
+    counting_cg(monkeypatch, max_iter=1)
+    with pytest.raises(SolverError, match="epsilon=0.25") as exc:
+        solve_eps(p, coercivity=report, lu=lu)
+    assert exc.value.iterations == 1
+
+
+def test_noncoercive_override_solves_directly_despite_a_factor(monkeypatch):
+    base = make_preset("identity", "sine1")
+    strong = CoefficientModel(
+        a_eval=base.a_eval,
+        w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
+        f_eval=base.f_eval, kappa=0.999)
+    p = EpsProblem(strong, 0.5, DirichletGrid(32))
+    lu, report = shifted_factor_and_report(p)
+    assert not report.coercive
+    calls = counting_cg(monkeypatch)
+    u = solve_eps(p, coercivity=report, allow_noncoercive=True, lu=lu)
+    assert calls == []
+    assert np.array_equal(u.values,
+                          solve_eps(p, allow_noncoercive=True).values)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.errors import SolverError
+from homlab.coefficients import make_preset
+from homlab.domain import EpsProblem
+from homlab.errors import SolverError, UsageError
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
@@ -29,9 +32,11 @@ from homlab.grids import (
     PeriodicGrid,
     gauss_rule,
     interpolate,
+    nested_dissection,
     shape_gradients,
     shape_values,
 )
+from homlab.spectral import eps_sigma_bound
 
 
 def identity_a(x1, x2):
@@ -113,6 +118,46 @@ def test_cg_breakdown_on_negative_definite_operator():
     with pytest.raises(SolverError) as exc:
         cg_solve(neg, np.ones(grid.ndof), tol=1e-10)
     assert exc.value.breakdown
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 17, 255])
+def test_nested_dissection_is_a_permutation(m):
+    perm = nested_dissection(m)
+    assert np.array_equal(np.sort(perm), np.arange(m * m))
+
+
+def test_first_separator_decouples_the_halves():
+    """m = 17: the middle column (17 nodes, numbered last) splits the block
+    into two 17 x 8 halves with no coupling between them."""
+    grid = DirichletGrid(18)
+    op = interior_operator(grid, assemble_stiffness(grid, identity_a)).mat
+    perm = nested_dissection(17)
+    assert set(perm[-17:] % 17) == {8}
+    permuted = op[perm][:, perm]
+    half = 17 * 8
+    assert permuted[:half, half:2 * half].nnz == 0
+    assert permuted[:2 * half, 2 * half:].nnz > 0
+
+
+def test_factor_solves_match_a_dense_solve():
+    model = make_preset("smooth-iso", "sine1")
+    p = EpsProblem(model, 0.5, DirichletGrid(32))
+    mat = (p.operator_interior().mat
+           - eps_sigma_bound(p) * p.mass_interior().mat)
+    lu = factorize(mat)
+    rng = np.random.default_rng(8)
+    for rhs in (rng.standard_normal(p.grid.ndof),
+                rng.standard_normal((p.grid.ndof, 3))):
+        ref = np.linalg.solve(mat.toarray(), rhs)
+        x = lu.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (9, 16)])
+def test_factorize_needs_a_square_grid_operator(shape):
+    with pytest.raises(UsageError, match="m\\^2"):
+        factorize(sp.eye(*shape, format="csr"))
 
 
 def test_factorize_rejects_exactly_singular_operator():
