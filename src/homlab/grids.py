@@ -161,7 +161,6 @@ def nested_dissection(m):
     fill-reducing order for LU on a grid (George, SIAM J. Numer. Anal. 10,
     1973).
     """
-    m = int(m)
     ids = np.arange(m * m).reshape(m, m)   # [row, column]
     parts = []
 
