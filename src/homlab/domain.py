@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
 from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
     QUAD_W,
-    SparseOperator,
     apply_tensor,
     assemble_load,
     assemble_mass,
@@ -107,44 +107,37 @@ class EpsProblem:
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
-        self._stiffness_full: Optional[SparseOperator] = None
-        self._wmass_full: Optional[SparseOperator] = None
-        self._mass_int: Optional[SparseOperator] = None
-        self._op_int: Optional[SparseOperator] = None
-        self._diff_int: Optional[SparseOperator] = None
+        self._stiffness_full: Optional[sp.csr_matrix] = None
+        self._mass_int: Optional[sp.csr_matrix] = None
+        self._op_int: Optional[sp.csr_matrix] = None
+        self._diff_int: Optional[sp.csr_matrix] = None
 
     # --- assembly (lazy, cached) -------------------------------------
 
-    def stiffness_full(self) -> SparseOperator:
+    def stiffness_full(self) -> sp.csr_matrix:
         if self._stiffness_full is None:
             self._stiffness_full = assemble_stiffness(
                 self.grid, _scaled_a(self.model, self.epsilon))
         return self._stiffness_full
 
-    def weighted_mass_full(self) -> SparseOperator:
-        if self._wmass_full is None:
-            self._wmass_full = assemble_weighted_mass(
-                self.grid, _scaled_w(self.model, self.epsilon))
-        return self._wmass_full
-
-    def mass_interior(self) -> SparseOperator:
+    def mass_interior(self) -> sp.csr_matrix:
         if self._mass_int is None:
             self._mass_int = interior_operator(self.grid, assemble_mass(self.grid))
         return self._mass_int
 
-    def operator_interior(self) -> SparseOperator:
+    def operator_interior(self) -> sp.csr_matrix:
         """Interior matrix of  -div(A(x/eps) grad .) + (1/eps) W(x/eps)."""
         if self._op_int is None:
             k = self.diffusion_interior()
             if self.model.w_preset == "zero":
                 self._op_int = k
             else:
-                mw = interior_operator(self.grid, self.weighted_mass_full())
-                combined = k.mat + (1.0 / self.epsilon) * mw.mat
-                self._op_int = SparseOperator(combined.tocsr())
+                mw = interior_operator(self.grid, assemble_weighted_mass(
+                    self.grid, _scaled_w(self.model, self.epsilon)))
+                self._op_int = k + (1.0 / self.epsilon) * mw
         return self._op_int
 
-    def diffusion_interior(self) -> SparseOperator:
+    def diffusion_interior(self) -> sp.csr_matrix:
         """Interior stiffness alone (no potential term)."""
         if self._diff_int is None:
             self._diff_int = interior_operator(self.grid, self.stiffness_full())

@@ -52,36 +52,6 @@ _N = shape_values(QUAD_XI)          # (4, 4)
 _G = shape_gradients(QUAD_XI)       # (4, 4, 2)
 
 
-class SparseOperator:
-    """Symmetric sparse matrix in CSR form with a few convenience hooks."""
-
-    def __init__(self, mat):
-        self.mat = mat.tocsr()
-
-    @property
-    def shape(self):
-        return self.mat.shape
-
-    def dot(self, x):
-        return self.mat.dot(x)
-
-    def __matmul__(self, x):
-        return self.mat.dot(x)
-
-    def toarray(self):
-        return self.mat.toarray()
-
-    def symmetry_defect(self):
-        d = self.mat - self.mat.T
-        if d.nnz == 0:
-            return 0.0
-        return float(np.abs(d.data).max())
-
-    def restrict(self, idx):
-        """Principal submatrix on the index set idx."""
-        return SparseOperator(self.mat[np.ix_(idx, idx)])
-
-
 def _check_finite(vals, what):
     if np.isfinite(vals).all():
         return
@@ -97,7 +67,7 @@ def _scatter(grid, element_mats):
     cols = np.tile(conn, (1, 4)).ravel()
     mat = sp.coo_matrix((element_mats.ravel(), (rows, cols)),
                         shape=(grid.nnodes, grid.nnodes))
-    return SparseOperator(mat.tocsr())
+    return mat.tocsr()
 
 
 def quad_samples(grid, func, xi=QUAD_XI):
@@ -138,8 +108,7 @@ def assemble_load(grid, f_eval):
     """Load vector (f, N_a) with f sampled at quadrature points."""
     f = quad_samples(grid, f_eval)
     _check_finite(f, "load")
-    elem = grid.h ** 2 * np.einsum("q,cq,qa->ca", QUAD_W, f, _N, optimize=True)
-    return _scatter_vector(grid, elem)
+    return load_from_quad_values(grid, f)
 
 
 def load_from_quad_values(grid, qvals):
@@ -199,7 +168,6 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
     ``precond``: ||r|| <= tol * ||b||.  Raises SolverError on stagnation or
     breakdown.
     """
-    mat = op.mat if isinstance(op, SparseOperator) else op
     b = np.array(rhs, dtype=float)
     n = b.shape[0]
     if max_iter is None:
@@ -228,7 +196,7 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
     rr = r @ r
     rz = r @ z
     for it in range(1, max_iter + 1):
-        ap = mat.dot(p)
+        ap = op.dot(p)
         if deflate_constants:
             ap = project(ap)
         pap = p @ ap
@@ -270,7 +238,7 @@ def torus_laplace_solver(grid):
     """
     n = grid.n
     col = assemble_stiffness(PeriodicGrid(3), lambda x1, x2: np.broadcast_to(
-        np.eye(2), np.shape(x1) + (2, 2))).mat[:, 0]
+        np.eye(2), np.shape(x1) + (2, 2)))[:, 0]
     stencil = col.toarray().reshape(3, 3)          # [dy % 3, dx % 3]
     kernel = np.zeros((n, n))
     for dy in (-1, 0, 1):
@@ -311,15 +279,14 @@ def factorize(op):
     (``NATURAL``) with its default threshold pivoting.  A size that is not
     m^2 raises UsageError; an exactly singular matrix raises SolverError.
     """
-    mat = op.mat if isinstance(op, SparseOperator) else op
-    rows, cols = mat.shape
+    rows, cols = op.shape
     m = math.isqrt(rows)
     if rows != cols or m * m != rows:
         raise UsageError(f"factorize needs the interior operator of a square "
                          f"grid, an m^2-by-m^2 matrix; got {rows}x{cols}")
     perm = nested_dissection(m)
     try:
-        lu = sp.linalg.splu(sp.csc_matrix(mat)[perm][:, perm],
+        lu = sp.linalg.splu(sp.csc_matrix(op)[perm][:, perm],
                             permc_spec="NATURAL")
     except RuntimeError as err:
         if "singular" not in str(err):
@@ -404,4 +371,4 @@ def interior_operator(grid, op):
     """Restrict an operator on the full nodal set to the interior DOF."""
     if not isinstance(grid, DirichletGrid):
         raise UsageError("interior restriction only applies to DirichletGrid")
-    return op.restrict(grid.interior)
+    return op[np.ix_(grid.interior, grid.interior)]

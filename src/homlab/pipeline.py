@@ -44,7 +44,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,14 +75,13 @@ from .domain import (
 from .errors import ConfigurationError, HomlabError, InsufficientDataError
 from .fem import (
     QUAD_W,
-    QUAD_XI,
-    SparseOperator,
     assemble_mass,
     assemble_stiffness,
     factorize,
     interior_operator,
+    quad_samples,
 )
-from .grids import DirichletGrid, GridFunction
+from .grids import DirichletGrid, GridFunction, interpolate
 from .spectral import (
     Spectrum,
     cluster_projection,
@@ -93,6 +92,11 @@ from .spectral import (
     rayleigh_quadrature_defect,
     shift_spectrum,
 )
+
+# For annotations only: importing scipy.sparse here, ahead of homlab.fem,
+# made ``import homlab.cli`` 8-9% slower on a 2-core VM.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "STAGES",
@@ -218,8 +222,8 @@ class Experiment:
         self.flux_records: List[FluxRecord] = []
         self.flux_summary: dict = {}
         self.timings: Dict[str, float] = {}
-        self._mass_interior: Optional[SparseOperator] = None
-        self._hom_stiff_interior: Optional[SparseOperator] = None
+        self._mass_interior: Optional[sp.csr_matrix] = None
+        self._hom_stiff_interior: Optional[sp.csr_matrix] = None
 
     # -- shared pieces -------------------------------------------------
 
@@ -229,13 +233,13 @@ class Experiment:
     def _say(self, text: str) -> None:
         print(text, file=self.out)
 
-    def mass_interior(self) -> SparseOperator:
+    def mass_interior(self) -> sp.csr_matrix:
         if self._mass_interior is None:
             self._mass_interior = interior_operator(
                 self.domain_grid, assemble_mass(self.domain_grid))
         return self._mass_interior
 
-    def hom_stiffness_interior(self) -> SparseOperator:
+    def hom_stiffness_interior(self) -> sp.csr_matrix:
         if self._hom_stiff_interior is None:
             self._hom_stiff_interior = interior_operator(
                 self.domain_grid, assemble_stiffness(
@@ -243,12 +247,12 @@ class Experiment:
                     constant_matrix(self.cell_solution.a_hat)))
         return self._hom_stiff_interior
 
-    def hom_operator_interior(self) -> SparseOperator:
+    def hom_operator_interior(self) -> sp.csr_matrix:
         k = self.hom_stiffness_interior()
         m = float(self.cell_solution.m_w_chi_w)
         if m == 0.0:
             return k
-        return SparseOperator((k.mat + m * self.mass_interior().mat).tocsr())
+        return k + m * self.mass_interior()
 
     def eps_problem(self, eps: float) -> EpsProblem:
         """The solve stage's problem at ``eps`` if it ran, else a fresh one
@@ -277,7 +281,7 @@ class Experiment:
     # Each returns (spectrum, what its solves produced, or None without
     # ``solve``).  They read shared operators but write no shared state.
 
-    def _eigs(self, op: SparseOperator, tag: str, sigma: float, lu=None,
+    def _eigs(self, op: sp.csr_matrix, tag: str, sigma: float, lu=None,
               problem: Optional[EpsProblem] = None) -> Spectrum:
         return eigs(op, self.mass_interior(), self.cfg.k_eigen,
                     seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
@@ -295,7 +299,7 @@ class Experiment:
         m = float(cs.m_w_chi_w)
         sigma = -m if m > -homogenized_lower_bound(cs.a_hat) else -1.0
         stiff = self.hom_stiffness_interior()
-        lu = factorize(stiff.mat - sigma * self.mass_interior().mat)
+        lu = factorize(stiff - sigma * self.mass_interior())
         spectrum = self._eigs(stiff, "hom_prime", sigma, lu)
         if not solve:
             return spectrum, None
@@ -308,7 +312,7 @@ class Experiment:
         eigensolve and preconditions the u_eps solve."""
         op = problem.operator_interior()
         sigma = eps_sigma_bound(problem)
-        lu = factorize(op.mat - sigma * self.mass_interior().mat)
+        lu = factorize(op - sigma * self.mass_interior())
         spectrum = self._eigs(op, "eps", sigma, lu, problem)
         if not solve:
             return spectrum, None
@@ -433,8 +437,7 @@ class Experiment:
     def stage_solve(self, dump_fields: bool = False) -> None:
         cfg = self.cfg
         # ||f|| by the same quadrature that assembles everything else
-        pts = self.domain_grid.quad_points(QUAD_XI)
-        fq = self.model.f_eval(pts[..., 0], pts[..., 1])
+        fq = quad_samples(self.domain_grid, self.model.f_eval)
         self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
 
@@ -499,7 +502,7 @@ class Experiment:
         self.clusters = []
 
         f_interior = self.domain_grid.restrict(
-            _nodal_interpolant(self.domain_grid, self.model.f_eval))
+            interpolate(self.domain_grid, self.model.f_eval).values)
         for eps in cfg.epsilons:
             label = eps_label(eps)
             s_eps = self.spectra[f"eps:{label}"]
@@ -746,11 +749,6 @@ class Experiment:
                          f"{name} (slope {slope:.2f})</text>")
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
-
-
-def _nodal_interpolant(grid: DirichletGrid, f_eval) -> np.ndarray:
-    coords = grid.node_coords()
-    return np.asarray(f_eval(coords[:, 0], coords[:, 1]), dtype=float)
 
 
 def stages_for(*targets: str) -> List[str]:

@@ -36,10 +36,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, SpectralError
-from .fem import QUAD_XI, SparseOperator, factorize
+from .fem import QUAD_XI, factorize
 from .grids import GridFunction
 
 __all__ = [
@@ -97,7 +98,7 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _orthonormalize(vecs: np.ndarray, mass: SparseOperator) -> np.ndarray:
+def _orthonormalize(vecs: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
     """Gram–Schmidt in the M inner product via Cholesky of the Gram matrix."""
     gram = vecs.T @ mass.dot(vecs)
     try:
@@ -117,8 +118,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * signs
 
 
-def eigs(op: SparseOperator,
-         mass: SparseOperator,
+def eigs(op: sp.csr_matrix,
+         mass: sp.csr_matrix,
          k: int,
          seed: int = 0,
          tol: float = 1e-8,
@@ -171,19 +172,19 @@ def eigs(op: SparseOperator,
     return _checked_spectrum(op, mass, lam, vecs, tol, method, tag, epsilon)
 
 
-def _shift_invert(op: SparseOperator, mass: SparseOperator, k: int,
+def _shift_invert(op: sp.csr_matrix, mass: sp.csr_matrix, k: int,
                   shift: float, v0: np.ndarray, lu=None):
     """ARPACK on ``(op - shift mass)^-1 mass``; a factor made here dies on
     return."""
     if lu is None:
-        lu = factorize(op.mat - shift * mass.mat)
+        lu = factorize(op - shift * mass)
     opinv = scipy.sparse.linalg.LinearOperator(op.shape, matvec=lu.solve,
                                                dtype=float)
-    return scipy.sparse.linalg.eigsh(op.mat, k=k, M=mass.mat, sigma=shift,
+    return scipy.sparse.linalg.eigsh(op, k=k, M=mass, sigma=shift,
                                      which="LM", v0=v0, OPinv=opinv)
 
 
-def _checked_spectrum(op: SparseOperator, mass: SparseOperator,
+def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
                       lam: np.ndarray, vecs: np.ndarray, tol: float,
                       method: str, tag: str,
                       epsilon: Optional[float]) -> Spectrum:
@@ -206,7 +207,7 @@ def _checked_spectrum(op: SparseOperator, mass: SparseOperator,
 
 
 def shift_spectrum(spectrum: Spectrum, shift: float,
-                   op: SparseOperator, mass: SparseOperator,
+                   op: sp.csr_matrix, mass: sp.csr_matrix,
                    tol: float = 1e-8, tag: str = "hom") -> Spectrum:
     """Spectrum of ``op``, which is ``spectrum``'s operator plus
     ``shift * mass``, without a second eigensolve.
@@ -257,7 +258,7 @@ def rayleigh_quadrature_defect(problem, spectrum: Spectrum) -> np.ndarray:
     return defects
 
 
-def minmax_probe(op: SparseOperator, mass: SparseOperator,
+def minmax_probe(op: sp.csr_matrix, mass: sp.csr_matrix,
                  trials: int = 20, seed: int = 0) -> float:
     """Smallest Rayleigh quotient over random trial vectors.
 
@@ -364,8 +365,8 @@ class ClusterProjection:
 def cluster_projection(spectrum: Spectrum,
                        lam: float,
                        f: np.ndarray,
-                       op: SparseOperator,
-                       mass: SparseOperator) -> ClusterProjection:
+                       op: sp.csr_matrix,
+                       mass: sp.csr_matrix) -> ClusterProjection:
     """Project ``f`` (interior DOF vector) onto the unit-window cluster.
 
     ``op`` supplies the energy inner product for the gradient constant; the

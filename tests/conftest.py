@@ -16,7 +16,7 @@ def effective_factor(grid, a_hat, m=0.0):
     """Sparse LU factor of the interior effective operator K + m M."""
     k = interior_operator(grid, assemble_stiffness(grid, constant_matrix(a_hat)))
     mass = interior_operator(grid, assemble_mass(grid))
-    return factorize(k.mat + m * mass.mat)
+    return factorize(k + m * mass)
 
 
 def record_criterion(num: int, ok: bool, detail: str) -> None:

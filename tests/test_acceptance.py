@@ -205,7 +205,7 @@ def test_criterion_09_eigensolver_sanity(laplace_spectrum):
     exact = np.array(sorted(np.pi ** 2 * (p ** 2 + q ** 2)
                             for p in range(1, 6) for q in range(1, 6))[:5])
     rel = float(np.max(np.abs(spec.eigenvalues - exact) / exact))
-    gram = spec.eigenvectors.T @ (m.mat @ spec.eigenvectors)
+    gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
     ortho = float(np.max(np.abs(gram - np.eye(5))))
     resid = float(np.max(spec.residuals))
     ok = rel < 0.01 and ortho < 1e-8 and resid < 1e-8

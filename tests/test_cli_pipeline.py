@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on a deliberately small configuration."""
 
+import importlib.util
 import io
 import json
 import os
@@ -363,3 +364,16 @@ def test_cli_pins_openblas_threads_unless_set(preset, threads):
     done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == threads
+
+
+def test_benchmark_span_targets_resolve():
+    """Every name the traced benchmark wraps still exists in the package,
+    so a refactor that drops one fails here and not only in a traced run."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr_path, _, _ in spans.TARGETS:
+        _, _, target = spans._resolve(module_name, attr_path)
+        assert callable(target), f"{module_name}.{attr_path}"

@@ -215,7 +215,7 @@ def shifted_factor_and_report(p):
     """The eps eigensolve's factor of L_eps - sigma M and its report."""
     sigma = eps_sigma_bound(p)
     op = p.operator_interior()
-    lu = factorize(op.mat - sigma * p.mass_interior().mat)
+    lu = factorize(op - sigma * p.mass_interior())
     spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
                     epsilon=p.epsilon)
     return lu, coercivity_check(spectrum, 0.0)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from homlab.coefficients import make_preset
 from homlab.domain import EpsProblem
-from homlab.errors import SolverError, UsageError
+from homlab.errors import (
+    AssemblyError,
+    ConfigurationError,
+    SolverError,
+    SpectralError,
+    UsageError,
+)
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
@@ -36,7 +42,7 @@ from homlab.grids import (
     shape_gradients,
     shape_values,
 )
-from homlab.spectral import eps_sigma_bound
+from homlab.spectral import eigs, eps_sigma_bound, shift_spectrum
 
 
 def identity_a(x1, x2):
@@ -74,13 +80,13 @@ def test_mass_total_is_domain_area():
     grid = DirichletGrid(16)
     m = assemble_mass(grid)
     ones = np.ones(grid.nnodes)
-    assert abs(ones @ (m.mat @ ones) - 1.0) < 1e-13
+    assert abs(ones @ (m @ ones) - 1.0) < 1e-13
 
 
 def test_stiffness_symmetric_with_constants_in_kernel():
     grid = PeriodicGrid(8)
     k = assemble_stiffness(grid, identity_a)
-    dense = k.mat.toarray()
+    dense = k.toarray()
     assert np.max(np.abs(dense - dense.T)) < 1e-14
     assert np.max(np.abs(dense.sum(axis=1))) < 1e-13
 
@@ -107,14 +113,14 @@ def test_cg_matches_direct_solve():
     op = interior_operator(grid, assemble_stiffness(grid, identity_a))
     rhs = np.random.default_rng(3).standard_normal(grid.ndof)
     x = cg_solve(op, rhs, tol=1e-12)
-    x_ref = spla.spsolve(op.mat.tocsc(), rhs)
+    x_ref = spla.spsolve(op.tocsc(), rhs)
     assert np.max(np.abs(x - x_ref)) < 1e-8
 
 
 def test_cg_breakdown_on_negative_definite_operator():
     grid = DirichletGrid(8)
     op = interior_operator(grid, assemble_stiffness(grid, identity_a))
-    neg = type(op)((-op.mat).tocsr())
+    neg = -op
     with pytest.raises(SolverError) as exc:
         cg_solve(neg, np.ones(grid.ndof), tol=1e-10)
     assert exc.value.breakdown
@@ -130,7 +136,7 @@ def test_first_separator_decouples_the_halves():
     """m = 17: the middle column (17 nodes, numbered last) splits the block
     into two 17 x 8 halves with no coupling between them."""
     grid = DirichletGrid(18)
-    op = interior_operator(grid, assemble_stiffness(grid, identity_a)).mat
+    op = interior_operator(grid, assemble_stiffness(grid, identity_a))
     perm = nested_dissection(17)
     assert set(perm[-17:] % 17) == {8}
     permuted = op[perm][:, perm]
@@ -142,8 +148,7 @@ def test_first_separator_decouples_the_halves():
 def test_factor_solves_match_a_dense_solve():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.5, DirichletGrid(32))
-    mat = (p.operator_interior().mat
-           - eps_sigma_bound(p) * p.mass_interior().mat)
+    mat = p.operator_interior() - eps_sigma_bound(p) * p.mass_interior()
     lu = factorize(mat)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(p.grid.ndof),
@@ -175,7 +180,7 @@ def test_deflated_cg_keeps_zero_mean():
     coords = grid.node_coords()
     rhs_field = np.sin(2 * np.pi * coords[:, 0])
     m = assemble_mass(grid)
-    rhs = m.mat @ rhs_field
+    rhs = m @ rhs_field
     rhs -= rhs.mean()
     x = cg_solve(k, rhs, deflate_constants=True, tol=1e-11)
     assert abs(x.mean()) < 1e-12
@@ -263,3 +268,58 @@ def test_boundary_flux_of_bubble():
     err64 = abs(vals[64] - 2.0 / 15.0)
     err128 = abs(vals[128] - 2.0 / 15.0)
     assert 1.7 < err64 / err128 < 2.3
+
+
+# Error branches that no pipeline run reaches.
+
+def laplace_pair(n):
+    grid = DirichletGrid(n)
+    return (interior_operator(grid, assemble_stiffness(grid, identity_a)),
+            interior_operator(grid, assemble_mass(grid)))
+
+
+def restrict_periodic():
+    grid = PeriodicGrid(4)
+    interior_operator(grid, assemble_mass(grid))
+
+
+def assemble_nan_diffusion():
+    def a_eval(x1, x2):
+        out = identity_a(x1, x2)
+        out[x1 > 0.75] = np.nan  # cells are numbered row by row: cell 3 first
+        return out
+
+    assemble_stiffness(DirichletGrid(4), a_eval)
+
+
+def eigs_all_pairs():
+    k, m = laplace_pair(4)  # 9 interior DOF
+    eigs(k, m, 9, sigma=-1.0)
+
+
+def shift_checked_against_unshifted_operator():
+    k, m = laplace_pair(8)
+    shift_spectrum(eigs(k, m, 3, sigma=-1.0), 5.0, k, m)  # not k + 5 m
+
+
+def flux_on_the_torus():
+    grid = PeriodicGrid(4)
+    boundary_flux(GridFunction(grid, np.zeros(grid.nnodes)))
+
+
+ERROR_CASES = [
+    (restrict_periodic, UsageError, "DirichletGrid"),
+    (assemble_nan_diffusion, AssemblyError,
+     "non-finite diffusion sample in cell 3$"),
+    (eigs_all_pairs, ConfigurationError,
+     "k=9 eigenpairs requested from a 9-DOF"),
+    (shift_checked_against_unshifted_operator, SpectralError, "residual"),
+    (flux_on_the_torus, UsageError, "DirichletGrid"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", ERROR_CASES,
+                         ids=[case[0].__name__ for case in ERROR_CASES])
+def test_error_branch_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
