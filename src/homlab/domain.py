@@ -88,7 +88,8 @@ class EpsProblem:
     """Oscillatory Dirichlet problem at a fixed scale.
 
     Bundles the coefficient model, the scale ``epsilon`` and the domain grid,
-    and caches the assembled interior operators.  Construction enforces the
+    and caches the assembled interior operators and the two corrector lifts;
+    no full-grid matrix outlives its assembly.  Construction enforces the
     resolution rule ``h <= epsilon / 16``; everything downstream may then
     assume the oscillation is resolved.
     """
@@ -107,18 +108,12 @@ class EpsProblem:
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
-        self._stiffness_full: Optional[sp.csr_matrix] = None
         self._mass_int: Optional[sp.csr_matrix] = None
         self._op_int: Optional[sp.csr_matrix] = None
         self._diff_int: Optional[sp.csr_matrix] = None
+        self._lifts: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # --- assembly (lazy, cached) -------------------------------------
-
-    def stiffness_full(self) -> sp.csr_matrix:
-        if self._stiffness_full is None:
-            self._stiffness_full = assemble_stiffness(
-                self.grid, _scaled_a(self.model, self.epsilon))
-        return self._stiffness_full
 
     def mass_interior(self) -> sp.csr_matrix:
         if self._mass_int is None:
@@ -138,10 +133,28 @@ class EpsProblem:
         return self._op_int
 
     def diffusion_interior(self) -> sp.csr_matrix:
-        """Interior stiffness alone (no potential term)."""
+        """Interior stiffness alone (no potential term).
+
+        The full-grid stiffness ``K`` is assembled here once and not kept;
+        besides its interior block only the corrector lifts
+        (:meth:`corrector_lifts`) are taken from it.
+        """
         if self._diff_int is None:
-            self._diff_int = interior_operator(self.grid, self.stiffness_full())
+            k_full = assemble_stiffness(self.grid,
+                                        _scaled_a(self.model, self.epsilon))
+            coords = self.grid.node_coords()
+            self._lifts = tuple(
+                -self.grid.restrict(k_full.dot(coords[:, j].copy()))
+                for j in (0, 1))
+            self._diff_int = interior_operator(self.grid, k_full)
         return self._diff_int
+
+    def corrector_lifts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Interior loads ``-(K x_j)`` of the two Dirichlet corrector
+        problems, ``K`` the full-grid stiffness and ``x_j`` the nodal
+        coordinate ``j`` (j = 1, 2)."""
+        self.diffusion_interior()
+        return self._lifts
 
     # --- energy by quadrature ----------------------------------------
 
@@ -356,20 +369,19 @@ def solve_dirichlet_correctors(problem: EpsProblem,
 
     The ansatz ``Phi_j = x_j + phi`` turns the boundary data into homogeneous
     Dirichlet data for ``phi`` with load ``-(K x_j)`` restricted to the
-    interior; the boundary nodes of the returned field therefore carry
-    ``x_j`` exactly (bit for bit), not merely up to solver tolerance.  Both
-    problems share one factor of the diffusion matrix: ``lu`` if the caller
-    passes its factor of ``problem.diffusion_interior()``, else one made
-    here only if a load is nonzero.
+    interior (:meth:`EpsProblem.corrector_lifts`); the boundary nodes of the
+    returned field therefore carry ``x_j`` exactly (bit for bit), not merely
+    up to solver tolerance.  Both problems share one factor of the diffusion
+    matrix: ``lu`` if the caller passes its factor of
+    ``problem.diffusion_interior()``, else one made here only if a load is
+    nonzero.
     """
     grid = problem.grid
-    k_full = problem.stiffness_full()
     coords = grid.node_coords()
     phi = []
     deviation = []
-    for j in 0, 1:
+    for j, rhs in enumerate(problem.corrector_lifts()):
         x_j = coords[:, j].copy()
-        rhs = -grid.restrict(k_full.dot(x_j))
         if np.linalg.norm(rhs) == 0.0:
             inner = np.zeros(grid.ndof)
         else:

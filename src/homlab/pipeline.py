@@ -28,7 +28,9 @@ Jacobian, energy defect).  Each operator's spectrum is computed once per
 run: after ``solve``, ``eigs`` finds them all and only adds the Rayleigh
 defects; run without ``solve``, it submits the missing spectrum tasks to
 one pool the same way.  All operators are assembled on the main thread
-before the first task starts, and no factor outlives its task.
+before the first task starts, and no factor outlives its task; the freed
+heap goes back to the OS after the assembly and after each task
+(:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -183,6 +185,45 @@ def _task_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
         pool.shutdown(cancel_futures=True)
 
 
+def _release_heap() -> None:
+    """Hand the C heap's free pages back to the OS: glibc's
+    ``malloc_trim(0)``, and nothing where the C library lacks it.
+
+    glibc keeps freed blocks below its (dynamic) mmap threshold resident, so
+    the memory of finished assemblies, factors and eigensolves would
+    otherwise stack under the next task's peak.  ``ctypes`` is imported here,
+    not at module top, to keep it out of the CLI's start-up.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
+def _released(task, *args):
+    """Run ``task``; once its frame, and with it its factor, is gone, give
+    the freed heap back (:func:`_release_heap`)."""
+    result = task(*args)
+    _release_heap()
+    return result
+
+
+def _peak_rss_mb() -> Optional[float]:
+    """Peak resident set size of this process so far, in MB; ``None`` where
+    :mod:`resource` is missing.  ``ru_maxrss`` counts bytes on macOS and
+    KB elsewhere."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
+                 1)
+
+
 @dataclass
 class _EpsArtifacts:
     """Everything computed for one scale."""
@@ -222,6 +263,7 @@ class Experiment:
         self.flux_records: List[FluxRecord] = []
         self.flux_summary: dict = {}
         self.timings: Dict[str, float] = {}
+        self.peak_rss_mb: Dict[str, Optional[float]] = {}
         self._mass_interior: Optional[sp.csr_matrix] = None
         self._hom_stiff_interior: Optional[sp.csr_matrix] = None
 
@@ -342,22 +384,27 @@ class Experiment:
         Every operator is assembled before the first task starts.  Assembly
         running on this thread while the workers factor made peak RSS vary
         from run to run (glibc's allocator keeps a different share of the
-        freed memory resident depending on how the two interleave)."""
+        freed memory resident depending on how the two interleave).  The
+        assembly's freed heap is handed back before the first submit, and
+        each task's when it returns (:func:`_released`)."""
         self.mass_interior()
         self.hom_stiffness_interior()
         problems: Dict[float, EpsProblem] = {}
         for eps in self.cfg.epsilons:
             problems[eps] = self.eps_problem(eps)
             problems[eps].operator_interior()  # builds K_eps too
+        _release_heap()
         futures: Dict[str, Future] = {}
         if solve or "hom_prime" not in self.spectra:
-            futures["hom_prime"] = pool.submit(self._hom_prime_task, solve)
+            futures["hom_prime"] = pool.submit(_released,
+                                               self._hom_prime_task, solve)
         for eps, problem in problems.items():
             label = eps_label(eps)
             for tag, task in ((f"eps:{label}", self._eps_task),
                               (f"eps_prime:{label}", self._eps_prime_task)):
                 if solve or tag not in self.spectra:
-                    futures[tag] = pool.submit(task, problem, solve)
+                    futures[tag] = pool.submit(_released, task, problem,
+                                               solve)
         return problems, futures
 
     def _collect(self, futures: Dict[str, Future], tag: str):
@@ -686,9 +733,11 @@ class Experiment:
             "rate_notes": self.rate_notes,
             "flux": self.flux_summary,
         }
-        # The report's own entry covers the stage up to this write.
+        # The report's own entries cover the stage up to this write.
         self.timings["report"] = time.perf_counter() - started
+        self.peak_rss_mb["report"] = _peak_rss_mb()
         payload["timings_s"] = {k: round(v, 3) for k, v in self.timings.items()}
+        payload["peak_rss_mb"] = self.peak_rss_mb
         _write_atomic(self._outpath("report.json"),
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -803,4 +852,5 @@ def run_experiment(config_path: Optional[str] = None,
             print(f"[{stage}] {exc}", file=err)
             return STAGE_EXIT[stage]
         exp.timings[stage] = time.perf_counter() - t0
+        exp.peak_rss_mb[stage] = _peak_rss_mb()
     return 0

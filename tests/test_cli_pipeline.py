@@ -102,6 +102,8 @@ def test_report_carries_effective_constants(tmp_path):
     assert report["flux"]["min_ratio_lower"] >= report["flux"]["lower_floor"]
     assert report["gaps"]["first_eig"][0]["d7"] < report["gaps"]["first_eig"][0]["d8"]
     assert set(report["timings_s"]) == set(STAGES)
+    peaks = [report["peak_rss_mb"][stage] for stage in STAGES]
+    assert all(p > 0 for p in peaks) and peaks == sorted(peaks)
 
 
 TWO_EPS = SMALL.replace("epsilons = 1/4", "epsilons = 1/2, 1/4")
@@ -251,6 +253,55 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
                   / np.abs(exact + m)) < 1e-10
     assert np.array_equal(hom.eigenvectors, hom_prime.eigenvectors)
     assert np.max(hom.residuals) < cfg.eig_tol
+
+
+@pytest.mark.parametrize("upto", ["report", "eigs"])
+def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
+                                                       upto):
+    """Once after the operators are assembled, before the first task starts,
+    and once as each operator task returns: 1 + 2 |epsilons| tasks in a
+    stage that submits them all.  In a full run ``eigs`` submits none,
+    since ``solve`` has every spectrum, but still passes its assembly."""
+    events = []
+    real = Experiment._submit_operator_tasks
+
+    def submit(self, pool, solve):
+        events.append("submit")
+        return real(self, pool, solve)
+
+    tasks = ("_hom_prime_task", "_eps_task", "_eps_prime_task")
+    for name in tasks:
+        def task(self, *args, _real=getattr(Experiment, name)):
+            events.append("task")
+            return _real(self, *args)
+        monkeypatch.setattr(Experiment, name, task)
+    monkeypatch.setattr(Experiment, "_submit_operator_tasks", submit)
+    monkeypatch.setattr(homlab.pipeline, "_release_heap",
+                        lambda: events.append("release"))
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, upto=upto, out=io.StringIO()) == 0
+    rounds = 2 if upto == "report" else 1
+    starts = [i for i, event in enumerate(events) if event == "submit"]
+    assert len(starts) == rounds
+    assert all(events[i + 1] == "release" for i in starts)
+    assert events.count("task") == 1 + 2 * 2
+    assert events.count("release") == rounds + events.count("task")
+
+
+def test_release_heap_without_malloc_trim_is_a_silent_no_op(monkeypatch):
+    """A C library without ``malloc_trim`` (musl, macOS) or none at all
+    (``CDLL`` failing to load) leaves the helper doing nothing."""
+    import ctypes
+
+    class NoTrim:
+        pass
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    for loader in (lambda name: NoTrim(), no_library):
+        monkeypatch.setattr(ctypes, "CDLL", loader)
+        assert homlab.pipeline._release_heap() is None
 
 
 def test_two_runs_are_byte_identical(tmp_path):

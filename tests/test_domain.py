@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import homlab.domain
 from conftest import effective_factor
@@ -18,9 +19,21 @@ from homlab.domain import (
     solve_homogenized,
 )
 from homlab.errors import CoercivityError, ConfigurationError, SolverError
-from homlab.fem import assemble_load, cg_solve, factorize, l2_norm
+from homlab.fem import (
+    assemble_load,
+    assemble_stiffness,
+    cg_solve,
+    factorize,
+    l2_norm,
+)
 from homlab.grids import DirichletGrid, GridFunction
 from homlab.spectral import eigs, eps_sigma_bound
+
+
+def full_stiffness(p):
+    """Stiffness of ``p``'s diffusion on every node of its grid."""
+    return assemble_stiffness(p.grid, lambda x1, x2: p.model.a_eval(
+        x1 / p.epsilon, x2 / p.epsilon))
 
 
 def eps_spectrum(p, k=1):
@@ -190,6 +203,23 @@ def test_corrector_boundary_values_pin_to_coordinates():
         assert np.array_equal(dc.phi[j].values[wall], coords[wall, j])
 
 
+def test_problem_keeps_lifts_instead_of_the_full_stiffness():
+    """Assembly leaves only interior matrices behind, plus the corrector
+    loads -(K x_j), equal bit for bit to those of the full stiffness K."""
+    p = EpsProblem(make_preset("layered", "sine1"), 0.25, DirichletGrid(64))
+    p.operator_interior()
+    grid = p.grid
+    held = [v for v in vars(p).values() if sp.issparse(v)]
+    assert held
+    assert all(m.shape == (grid.ndof, grid.ndof) for m in held)
+    k_full = full_stiffness(p)
+    coords = grid.node_coords()
+    lifts = p.corrector_lifts()
+    assert len(lifts) == 2
+    for j in 0, 1:
+        assert np.array_equal(lifts[j], -grid.restrict(k_full @ coords[:, j]))
+
+
 def test_direct_solves_match_a_tight_cg_reference():
     model = make_preset("smooth-iso", "sine1", "sine-sine")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
@@ -206,7 +236,7 @@ def test_direct_solves_match_a_tight_cg_reference():
     dc = solve_dirichlet_correctors(p)
     coords = grid.node_coords()
     for j in 0, 1:
-        load = -grid.restrict(p.stiffness_full().dot(coords[:, j]))
+        load = -grid.restrict(full_stiffness(p).dot(coords[:, j]))
         ref = cg_solve(p.diffusion_interior(), load, tol=1e-13)
         assert close(grid.restrict(dc.deviation[j].values), ref)
 
