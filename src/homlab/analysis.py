@@ -11,7 +11,7 @@ corrector map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,17 +40,11 @@ class CorrectorExpansion:
 
     The correction consists of the boundary-adapted corrector contraction
     with the recovered gradient of ``u_0`` plus the scaled cell-potential
-    term; every ingredient is kept for inspection.  ``w`` vanishes on the
-    boundary because each term does.
+    term.  ``w`` vanishes on the boundary because each term does.
     """
 
     epsilon: float
     w: GridFunction
-    u_eps: GridFunction
-    u_0: GridFunction
-    grad_u0: Tuple[GridFunction, GridFunction]
-    corrector_term: np.ndarray
-    potential_term: np.ndarray
     h1_w: float
     l2_w: float
     h1_plain: float  # ||u_eps - u_0||_H1, for the "correction helps" check
@@ -64,12 +58,16 @@ def sample_cell_field(cell_gf: GridFunction, grid, epsilon: float) -> GridFuncti
     return GridFunction(grid, vals)
 
 
+#: Largest boundary value the corrected difference may carry: every term of
+#: it vanishes on the wall, so anything above round-off is a wrong input.
+TRACE_TOL = 1e-12
+
+
 def build_expansion(u_eps: GridFunction,
                     u_0: GridFunction,
                     correctors: DirichletCorrectors,
                     chi_w_sampled: GridFunction,
-                    epsilon: float,
-                    trace_tol: float = 1e-12) -> CorrectorExpansion:
+                    epsilon: float) -> CorrectorExpansion:
     """Assemble the corrected difference and both error norms.
 
     ``chi_w_sampled`` must already be the cell potential corrector sampled at
@@ -89,7 +87,7 @@ def build_expansion(u_eps: GridFunction,
     w = GridFunction(grid, w_vals)
 
     trace = _boundary_abs_max(w)
-    if trace > trace_tol:
+    if trace > TRACE_TOL:
         raise UsageError(
             f"corrected difference has nonzero boundary trace {trace:.3e}; "
             "some input field violates its boundary condition")
@@ -98,10 +96,7 @@ def build_expansion(u_eps: GridFunction,
     h1_w = float(np.hypot(h1_seminorm(w), l2_norm(w)))
     h1_plain = float(np.hypot(h1_seminorm(diff), l2_norm(diff)))
     return CorrectorExpansion(
-        epsilon=float(epsilon), w=w, u_eps=u_eps, u_0=u_0,
-        grad_u0=(gx, gy), corrector_term=corrector_term,
-        potential_term=potential_term,
-        h1_w=h1_w, l2_w=float(l2_norm(w)),
+        epsilon=float(epsilon), w=w, h1_w=h1_w, l2_w=float(l2_norm(w)),
         h1_plain=h1_plain, l2_plain=float(l2_norm(diff)))
 
 
@@ -169,26 +164,19 @@ class FluxRecord:
     ratio_lower: float
 
     @property
-    def in_lower_regime(self) -> bool:
-        """Scale-eigenvalue product small enough for the lower-bound trend."""
-        return self.epsilon * self.lam < 1.0
-
-    @property
     def in_upper_regime(self) -> bool:
         return self.epsilon ** 2 * self.lam < 1.0
 
 
-def flux_table(problem: EpsProblem, spectrum: Spectrum,
-               k_max: Optional[int] = None) -> List[FluxRecord]:
-    """Boundary-flux records for the first ``k_max`` eigenpairs.
+def flux_table(problem: EpsProblem, spectrum: Spectrum) -> List[FluxRecord]:
+    """Boundary-flux records for every eigenpair of ``spectrum``.
 
     Eigenvectors arrive mass-orthonormal from :mod:`homlab.spectral`, which
     is the discrete unit-L2 normalization the ratios assume.
     """
     grid = problem.grid
-    k_use = spectrum.k if k_max is None else min(k_max, spectrum.k)
     records = []
-    for j in range(k_use):
+    for j in range(spectrum.k):
         full = GridFunction(grid, grid.extend(spectrum.eigenvectors[:, j]))
         fx = float(boundary_flux(full))
         lam = float(spectrum.eigenvalues[j])
@@ -199,17 +187,11 @@ def flux_table(problem: EpsProblem, spectrum: Spectrum,
     return records
 
 
-def jacobian_check(correctors: DirichletCorrectors,
-                   epsilon: Optional[float] = None,
-                   layer_width_factor: float = 1.0) -> float:
+def jacobian_check(correctors: DirichletCorrectors) -> float:
     """Minimum determinant of the corrector-map Jacobian near the boundary.
 
-    Probes cells whose centers lie within ``layer_width_factor * epsilon``
-    of the wall; a positive return means the map ``x -> Phi(x)`` is locally
+    Probes cells whose centers lie within one ``epsilon`` of the wall; a
+    positive return means the map ``x -> Phi(x)`` is locally
     orientation-preserving there.
     """
-    if epsilon is not None and abs(epsilon - correctors.epsilon) > 1e-14:
-        raise UsageError(
-            f"epsilon {epsilon} does not match the correctors' scale "
-            f"{correctors.epsilon}")
-    return correctors.min_jacobian(layer_width_factor=layer_width_factor)
+    return correctors.min_jacobian()

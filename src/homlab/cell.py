@@ -5,23 +5,24 @@ Solves the periodic corrector problems
     -div(A (grad chi_k + e_k)) = 0          (one per coordinate)
      div(A grad chi_w)         = W          (potential corrector)
 
-with zero-mean solutions, and derives the effective diffusion matrix, the
-effective potential constant, flux correctors, and the auxiliary periodic
-potentials used by the corrector expansion.  All right-hand sides are
-quadrature-sampled; compatibility (zero mean) is enforced before solving.
+with zero-mean solutions, and derives the effective diffusion matrix and the
+effective potential constant.  Two consistency numbers go with them: the
+cell mean of the flux corrector b = a_hat - A - A grad chi, and the
+compatibility (zero-mean) defects of the right-hand sides of the auxiliary
+Laplace problems the paper builds from the correctors.  All right-hand sides
+are quadrature-sampled; compatibility (zero mean) is enforced before solving.
 
 The correctors are solved by conjugate gradients on the A-stiffness,
 preconditioned by the exact FFT solve of the Laplacian on the torus
 (``fem.torus_laplace_solver``), so the iteration count is bounded by the
-contrast of A and does not grow with the grid.  The auxiliary potentials are
-Laplace problems and take that FFT solve directly, with no iteration.
+contrast of A and does not grow with the grid.
 :func:`solve_cell` assembles the A-stiffness and builds the FFT solve once,
 samples A and W at the assembly rule once, and shares them between the
 layers; :func:`solve_chi` and :func:`solve_chi_w` called on their own make
 and sample what they need.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,25 +134,6 @@ def cross_flux_identity_defect(model, grid, chi, chi_w, order=3):
     return np.abs(flux_avg - pot_avg)
 
 
-@dataclass
-class FluxCorrectors:
-    """Mean-zero matrix field b = a_hat - A - A grad chi at quadrature points."""
-
-    grid: object
-    values: np.ndarray        # (ncells, nq, 2, 2) at the assembly rule
-    model: object
-    chi: list
-    a_hat: np.ndarray
-
-    def mean(self):
-        return fem.integrate(self.grid, self.values)
-
-    def at(self, xi):
-        """Evaluate the corrector field at an arbitrary reference rule."""
-        a = fem.quad_samples(self.grid, self.model.a_eval, xi)
-        return _flux_field(self.grid, self.chi, self.a_hat, xi, a)
-
-
 def _flux_field(grid, chi, a_hat, xi, a):
     """b = a_hat - A - A grad chi at the reference rule xi, where ``a`` is A
     sampled at that rule."""
@@ -162,118 +144,35 @@ def _flux_field(grid, chi, a_hat, xi, a):
     return out
 
 
-# Battery of periodic test functions (value, gradient_x, gradient_y) used to
-# probe the weak divergence.  The phases are deliberately incommensurate with
-# the preset symmetries: pure sin/cos modes pair to exactly zero against the
-# symmetric presets by parity, which would test nothing.
-def _battery():
-    two_pi = 2.0 * np.pi
-
-    def shifted(kx, ky, px, py):
-        def f(x, y):
-            return np.sin(two_pi * kx * x + px) * np.sin(two_pi * ky * y + py)
-
-        def gx(x, y):
-            return two_pi * kx * np.cos(two_pi * kx * x + px) * np.sin(two_pi * ky * y + py)
-
-        def gy(x, y):
-            return two_pi * ky * np.sin(two_pi * kx * x + px) * np.cos(two_pi * ky * y + py)
-
-        return (f, gx, gy)
-
-    return [
-        shifted(1, 0, 0.7, 0.5 * np.pi),
-        shifted(0, 1, 0.5 * np.pi, 1.3),
-        shifted(1, 1, 0.4, 2.1),
-        shifted(2, 1, 1.1, 0.6),
-    ]
-
-
-def divergence_residual(bflux, order=3):
-    """Worst normalized pairing |(b_.j, grad v)| over a smooth periodic battery.
-
-    The correctors are weakly divergence-free in the limit; against analytic
-    test gradients sampled on an independent Gauss rule the pairing decays
-    with the corrector discretization error.
-    """
-    grid = bflux.grid
-    xi, wq = gauss_rule(order)
-    pts = grid.quad_points(xi)
-    b = bflux.at(xi)
-    worst = np.zeros(2)
-    for f, gx, gy in _battery():
-        gv = np.stack([gx(pts[..., 0], pts[..., 1]),
-                       gy(pts[..., 0], pts[..., 1])], axis=-1)
-        norm = np.sqrt(fem.integrate(grid, gv * gv, wq).sum())
-        for j in range(2):
-            pair = fem.integrate(grid, b[..., :, j] * gv, wq).sum()
-            worst[j] = max(worst[j], abs(pair) / norm)
-    return worst
-
-
-def flux_correctors(model, grid, chi, a_hat, a):
-    """Flux corrector field at the assembly quadrature points; ``a`` is A at
-    the assembly rule."""
-    values = _flux_field(grid, chi, a_hat, fem.QUAD_XI, a)
-    return FluxCorrectors(grid=grid, values=values, model=model, chi=chi,
-                          a_hat=a_hat)
-
-
-@dataclass
-class AuxPotentials:
-    """Periodic potentials whose Laplacians reproduce corrector source terms."""
-
-    psi1: list          # pair of GridFunctions, one per coordinate
-    psi2: GridFunction
-    psi3: GridFunction
-    compat_defects: np.ndarray
-
-
-def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w,
-                         lap_solve=None):
-    """Solve the three Laplace problems feeding the corrector expansion.
+def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w):
+    """Compatibility check of the three auxiliary Laplace problems
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
         lap psi2   = m_w_chi_w - W chi_w
         lap psi3   = W
 
-    Compatibility (zero quadrature mean of each right-hand side, at most
-    ``compat_tol``; :func:`solve_cell` passes ten times the cross-flux
-    identity defect, floored at 1e-10) is checked before solving.  Each
-    problem is one exact FFT solve (``lap_solve``, made here if not given).
-    ``a`` and ``w`` are A and W at the assembly rule.
+    Returns the absolute quadrature mean of each right-hand side (psi1[0],
+    psi1[1], psi2, psi3) and raises ConsistencyError, naming the problem,
+    when one exceeds ``compat_tol`` (:func:`solve_cell` passes ten times the
+    cross-flux identity defect, floored at 1e-10).  The potentials
+    themselves are not solved: nothing downstream reads them.  ``a`` and
+    ``w`` are A and W at the assembly rule.
     """
-    if lap_solve is None:
-        lap_solve = fem.torus_laplace_solver(grid)
     flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values))
-    chi_w_q = fem.cell_values(grid, chi_w.values)
-
-    sources = []
-    labels = []
-    for i in range(2):
-        chi_i_q = fem.cell_values(grid, chi[i].values)
-        g = flux_w[..., i] - w * chi_i_q
-        sources.append(g)
-        labels.append(f"psi1[{i}]")
-    sources.append(m_w_chi_w - w * chi_w_q)
-    labels.append("psi2")
-    sources.append(w)
-    labels.append("psi3")
+    sources = {f"psi1[{i}]": flux_w[..., i]
+               - w * fem.cell_values(grid, chi[i].values) for i in range(2)}
+    sources["psi2"] = m_w_chi_w - w * fem.cell_values(grid, chi_w.values)
+    sources["psi3"] = w
 
     defects = np.empty(len(sources))
-    sols = []
-    for idx, (g, lab) in enumerate(zip(sources, labels)):
+    for idx, (lab, g) in enumerate(sources.items()):
         mean = float(fem.integrate(grid, g))
         defects[idx] = abs(mean)
         if abs(mean) > compat_tol:
             raise ConsistencyError(
                 f"right-hand side for {lab} has nonzero mean {mean:.3e} "
                 f"(tolerance {compat_tol:.3e})")
-        rhs = -fem.load_from_quad_values(grid, g)
-        sols.append(GridFunction(grid, lap_solve(rhs)))
-
-    return AuxPotentials(psi1=sols[:2], psi2=sols[2], psi3=sols[3],
-                         compat_defects=defects)
+    return defects
 
 
 @dataclass
@@ -288,12 +187,12 @@ class CellSolution:
     m_w_chi_w: float
     energy_identity_residual: float
     cross_flux_defect: np.ndarray
-    aux: AuxPotentials = None
-    flux: FluxCorrectors = None
-    mean_abs: dict = field(default_factory=dict)
+    flux_corrector_mean_abs: float  # max |cell mean| of the entries of b
+    aux_compat_defects: np.ndarray
+    mean_abs: dict
 
 
-def solve_cell(model, n, tol=1e-10, with_aux=True):
+def solve_cell(model, n, tol=1e-10):
     """Run the full cell stage on an n-by-n periodic grid.
 
     ``tol`` is the relative residual tolerance of the corrector CG solves.
@@ -314,20 +213,20 @@ def solve_cell(model, n, tol=1e-10, with_aux=True):
     m_w = effective_potential(grid, chi_w, w)
     resid = potential_energy_identity_residual(grid, chi_w, m_w, a)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
-    sol = CellSolution(
+    flux_mean = float(np.abs(fem.integrate(
+        grid, _flux_field(grid, chi, a_hat, fem.QUAD_XI, a))).max())
+    compat_tol = max(10.0 * float(defect.max()), 1e-10)
+    return CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
         m_w_chi_w=m_w, energy_identity_residual=resid, cross_flux_defect=defect,
+        flux_corrector_mean_abs=flux_mean,
+        aux_compat_defects=solve_aux_potentials(grid, chi, chi_w, m_w,
+                                                compat_tol, a, w),
         mean_abs={
             "chi1": abs(float(np.mean(chi[0].values))),
             "chi2": abs(float(np.mean(chi[1].values))),
             "chi_w": abs(float(np.mean(chi_w.values))),
         })
-    sol.flux = flux_correctors(model, grid, chi, a_hat, a)
-    if with_aux:
-        compat_tol = max(10.0 * float(defect.max()), 1e-10)
-        sol.aux = solve_aux_potentials(grid, chi, chi_w, m_w, compat_tol, a,
-                                       w, lap_solve=lap_solve)
-    return sol
 
 
 def sample_periodic(gf, x1, x2, epsilon=1.0):

@@ -336,20 +336,19 @@ class DirichletCorrectors:
     def sup_deviation(self) -> float:
         return max(float(np.max(np.abs(d.values))) for d in self.deviation)
 
-    def min_jacobian(self, layer_width_factor: float = 1.0) -> float:
+    def min_jacobian(self) -> float:
         """Smallest determinant of the corrector Jacobian near the wall.
 
         The map ``x -> (phi_1, phi_2)`` is probed on every cell whose center
-        lies within ``layer_width_factor * epsilon`` of the boundary; its
-        Jacobian is evaluated from recovered nodal gradients interpolated to
-        the quadrature points of each such cell.
+        lies within ``epsilon`` of the boundary; its Jacobian is evaluated
+        from recovered nodal gradients interpolated to the quadrature points
+        of each such cell.
         """
         grid = self.phi[0].grid
         n = grid.n
         h = grid.h
-        width = layer_width_factor * self.epsilon
         centers = (np.arange(n) + 0.5) * h
-        near = (centers < width) | (centers > 1.0 - width)
+        near = (centers < self.epsilon) | (centers > 1.0 - self.epsilon)
         mask2d = near[:, None] | near[None, :]  # index [iy, ix]
         cells = np.flatnonzero(mask2d.ravel())
         if cells.size == 0:

@@ -12,10 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# Local corner offsets in reference coordinates, counterclockwise.
-CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
 def gauss_rule(order=2):
     """Tensor Gauss-Legendre rule on the reference square [0,1]^2.
 
@@ -85,7 +81,7 @@ class DirichletGrid:
     """n-by-n cell grid on the closed unit square with (n+1)^2 nodes.
 
     ``interior`` lists the (n-1)^2 nodes strictly inside; boundary edges are
-    enumerated with outward unit normals for flux quadrature.
+    enumerated for flux quadrature.
     """
 
     periodic = False
@@ -113,21 +109,20 @@ class DirichletGrid:
         self.interior = np.flatnonzero(self.is_interior)
         self.ndof = self.interior.size
 
-        # Boundary edges: (cell index, local edge 0..3), outward normal.
+        # Boundary edges: (cell index, local edge 0..3).
         # Local edges: 0 bottom, 1 right, 2 top, 3 left.
         cid = lambda cx, cy: cy * self.n + cx
-        edge_cell, edge_local, normals = [], [], []
+        edge_cell, edge_local = [], []
         for cx in range(self.n):
-            edge_cell.append(cid(cx, 0)); edge_local.append(0); normals.append((0.0, -1.0))
+            edge_cell.append(cid(cx, 0)); edge_local.append(0)
         for cy in range(self.n):
-            edge_cell.append(cid(self.n - 1, cy)); edge_local.append(1); normals.append((1.0, 0.0))
+            edge_cell.append(cid(self.n - 1, cy)); edge_local.append(1)
         for cx in range(self.n):
-            edge_cell.append(cid(cx, self.n - 1)); edge_local.append(2); normals.append((0.0, 1.0))
+            edge_cell.append(cid(cx, self.n - 1)); edge_local.append(2)
         for cy in range(self.n):
-            edge_cell.append(cid(0, cy)); edge_local.append(3); normals.append((-1.0, 0.0))
+            edge_cell.append(cid(0, cy)); edge_local.append(3)
         self.edge_cell = np.array(edge_cell)
         self.edge_local = np.array(edge_local)
-        self.edge_normal = np.array(normals)
 
     def node_coords(self):
         t = np.arange(self.n + 1) * self.h
@@ -199,9 +194,6 @@ class GridFunction:
             raise ValueError(
                 f"GridFunction values shape {self.values.shape} does not match "
                 f"grid with {self.grid.nnodes} nodes")
-
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
 
 
 def interpolate(grid, func):

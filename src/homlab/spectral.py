@@ -51,7 +51,6 @@ __all__ = [
     "shift_spectrum",
     "eps_sigma_bound",
     "rayleigh_quadrature_defect",
-    "minmax_probe",
     "first_eigenvalue_comparison",
     "FirstEigenvalueComparison",
     "eigenvalue_gap_rows",
@@ -256,22 +255,6 @@ def rayleigh_quadrature_defect(problem, spectrum: Spectrum) -> np.ndarray:
         lam = spectrum.eigenvalues[j]
         defects[j] = abs(energy / mass - lam) / max(abs(lam), 1e-30)
     return defects
-
-
-def minmax_probe(op: sp.csr_matrix, mass: sp.csr_matrix,
-                 trials: int = 20, seed: int = 0) -> float:
-    """Smallest Rayleigh quotient over random trial vectors.
-
-    By the variational principle this can never undercut the true first
-    eigenvalue; tests compare it against the solver's ``lambda_1``.
-    """
-    rng = np.random.default_rng(seed)
-    n = op.shape[0]
-    best = np.inf
-    for _ in range(trials):
-        v = rng.standard_normal(n)
-        best = min(best, float((v @ op.dot(v)) / (v @ mass.dot(v))))
-    return best
 
 
 @dataclass

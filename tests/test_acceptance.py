@@ -70,7 +70,7 @@ def laplace_spectrum():
 
 def test_criterion_01_effective_tensor_oracle():
     t0 = time.perf_counter()
-    cs = solve_cell(make_preset("layered"), 128, with_aux=False)
+    cs = solve_cell(make_preset("layered"), 128)
     elapsed = time.perf_counter() - t0
     d11 = abs(cs.a_hat[0, 0] - np.sqrt(3.0))
     d22 = abs(cs.a_hat[1, 1] - 2.0)
@@ -84,13 +84,13 @@ def test_criterion_01_effective_tensor_oracle():
 
 
 def test_criterion_02_effective_potential_oracle():
-    cs = solve_cell(make_preset("identity", "sine1"), 128, with_aux=False)
+    cs = solve_cell(make_preset("identity", "sine1"), 128)
     target = -1.0 / (8 * np.pi ** 2)
     dm = abs(cs.m_w_chi_w - target)
     worst = 0.0
     for a in A_PRESETS:
         for w in W_PRESETS:
-            c = solve_cell(make_preset(a, w), 64, with_aux=False)
+            c = solve_cell(make_preset(a, w), 64)
             worst = max(worst, c.energy_identity_residual)
     ok = dm < 1e-5 and worst < 1e-8
     record_criterion(2, ok,

@@ -66,7 +66,7 @@ def identity_pieces():
     u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
                             lu=effective_factor(grid, np.eye(2)))
     dc = solve_dirichlet_correctors(p)
-    cs = solve_cell(model, 16, with_aux=False)
+    cs = solve_cell(model, 16)
     chi_w_s = sample_cell_field(cs.chi_w, grid, 0.25)
     return model, grid, p, u_eps, u_0, dc, chi_w_s
 
@@ -125,18 +125,11 @@ def test_flux_regime_flags():
     model = make_preset("identity", "zero")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
     spec = eigs(p.operator_interior(), p.mass_interior(), 2, sigma=-1.0)
-    records = flux_table(p, spec, k_max=2)
+    records = flux_table(p, spec)
+    assert len(records) == 2
     for r in records:
-        assert r.in_lower_regime == (0.25 * r.lam < 1.0)
         assert r.in_upper_regime == (0.0625 * r.lam < 1.0)
         assert r.ratio_upper <= r.ratio_lower  # denominator only grows
-
-
-def test_flux_k_max_truncates():
-    model = make_preset("identity", "zero")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
-    spec = eigs(p.operator_interior(), p.mass_interior(), 3, sigma=-1.0)
-    assert len(flux_table(p, spec, k_max=2)) == 2
 
 
 # --------------------------------------------------------------- jacobian
@@ -144,8 +137,6 @@ def test_flux_k_max_truncates():
 def test_jacobian_check_wraps_correctors():
     p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
     dc = solve_dirichlet_correctors(p)
-    val = jacobian_check(dc, epsilon=0.25)
+    val = jacobian_check(dc)
     assert val == dc.min_jacobian()
     assert val > 0.2
-    with pytest.raises(UsageError):
-        jacobian_check(dc, epsilon=0.125)

@@ -6,31 +6,30 @@ identity diffusion with W = sin(2 pi y1) gives chi_w = -sin(2 pi y1)/(4 pi^2)
 and effective potential -1/(8 pi^2); the sine-mix potential doubles it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from homlab import fem
+from homlab import cell, fem
 from homlab.cell import (
     cross_flux_identity_defect,
-    divergence_residual,
+    solve_aux_potentials,
     solve_cell,
     solve_chi,
     solve_chi_w,
 )
-from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
-from homlab.grids import PeriodicGrid
+from homlab.coefficients import A_PRESETS, W_PRESETS, make_preset
+from homlab.errors import ConsistencyError
+from homlab.grids import PeriodicGrid, gauss_rule
 
 
 def desymmetrized_model():
     """Layered A with a phase-shifted potential, so the cross-flux identity
     has genuinely nonzero sides (the builtin presets pair an even A with an
     odd W and both sides vanish by parity)."""
-    base = make_preset("layered")
-    return CoefficientModel(
-        a_eval=base.a_eval,
-        w_eval=lambda y1, y2: np.sin(2 * np.pi * np.asarray(y1, dtype=float) + 0.7),
-        f_eval=base.f_eval,
-        kappa=base.kappa)
+    return replace(make_preset("layered"), w_eval=lambda y1, y2: np.sin(
+        2 * np.pi * np.asarray(y1, dtype=float) + 0.7))
 
 
 def test_identity_correctors_vanish():
@@ -78,7 +77,7 @@ def test_effective_potential_identity_sine_mix():
 @pytest.mark.parametrize("a", A_PRESETS)
 @pytest.mark.parametrize("w", W_PRESETS)
 def test_energy_identity_residual_tiny_everywhere(a, w):
-    cs = solve_cell(make_preset(a, w), 32, with_aux=False)
+    cs = solve_cell(make_preset(a, w), 32)
     assert cs.energy_identity_residual < 1e-12
 
 
@@ -95,26 +94,100 @@ def test_cross_flux_identity_desymmetrized_decay():
 
 
 def test_flux_correctors_are_mean_zero():
-    cs = solve_cell(make_preset("smooth-iso", "sine1"), 32, with_aux=False)
-    assert np.max(np.abs(cs.flux.mean())) < 1e-12
+    cs = solve_cell(make_preset("smooth-iso", "sine1"), 32)
+    assert cs.flux_corrector_mean_abs < 1e-12
+
+
+# Battery of periodic test functions (value, gradient_x, gradient_y) used to
+# probe the weak divergence.  The phases are deliberately incommensurate with
+# the preset symmetries: pure sin/cos modes pair to exactly zero against the
+# symmetric presets by parity, which would test nothing.
+def _battery():
+    two_pi = 2.0 * np.pi
+
+    def shifted(kx, ky, px, py):
+        def f(x, y):
+            return np.sin(two_pi * kx * x + px) * np.sin(two_pi * ky * y + py)
+
+        def gx(x, y):
+            return two_pi * kx * np.cos(two_pi * kx * x + px) * np.sin(two_pi * ky * y + py)
+
+        def gy(x, y):
+            return two_pi * ky * np.sin(two_pi * kx * x + px) * np.cos(two_pi * ky * y + py)
+
+        return (f, gx, gy)
+
+    return [
+        shifted(1, 0, 0.7, 0.5 * np.pi),
+        shifted(0, 1, 0.5 * np.pi, 1.3),
+        shifted(1, 1, 0.4, 2.1),
+        shifted(2, 1, 1.1, 0.6),
+    ]
+
+
+def divergence_residual(cs, order=3):
+    """Worst normalized pairing |(b_.j, grad v)| over a smooth periodic battery.
+
+    b = a_hat - A - A grad chi is weakly divergence-free in the limit;
+    against analytic test gradients sampled on an independent Gauss rule the
+    pairing decays with the corrector discretization error.
+    """
+    grid = cs.grid
+    xi, wq = gauss_rule(order)
+    pts = grid.quad_points(xi)
+    a = fem.quad_samples(grid, cs.model.a_eval, xi)
+    b = cell._flux_field(grid, cs.chi, cs.a_hat, xi, a)
+    worst = np.zeros(2)
+    for f, gx, gy in _battery():
+        gv = np.stack([gx(pts[..., 0], pts[..., 1]),
+                       gy(pts[..., 0], pts[..., 1])], axis=-1)
+        norm = np.sqrt(fem.integrate(grid, gv * gv, wq).sum())
+        for j in range(2):
+            pair = fem.integrate(grid, b[..., :, j] * gv, wq).sum()
+            worst[j] = max(worst[j], abs(pair) / norm)
+    return worst
 
 
 def test_divergence_residual_decays_with_grid():
     model = make_preset("smooth-iso", "sine1")
     res = {}
     for n in (32, 64):
-        cs = solve_cell(model, n, with_aux=False)
-        res[n] = np.max(divergence_residual(cs.flux))
+        cs = solve_cell(model, n)
+        res[n] = np.max(divergence_residual(cs))
     # halving h should at least halve the residual; measured ratio 4.0
     assert res[32] / res[64] >= 1.7
 
 
 def test_aux_potentials_compatibility():
     cs = solve_cell(make_preset("smooth-iso", "sine1"), 32)
-    assert cs.aux is not None
-    assert np.max(np.abs(cs.aux.compat_defects)) < 1e-12
-    for gf in (*cs.aux.psi1, cs.aux.psi2, cs.aux.psi3):
-        assert abs(gf.values.mean()) < 1e-10
+    assert cs.aux_compat_defects.shape == (4,)
+    assert np.max(np.abs(cs.aux_compat_defects)) < 1e-12
+
+
+def _chi_w_of_shifted_w(grid):
+    """solve_chi_w on a W whose cell mean is 0.1."""
+    solve_chi_w(replace(make_preset("identity"), w_eval=lambda y1, y2: np.sin(
+        2 * np.pi * np.asarray(y1, dtype=float)) + 0.1), grid)
+
+
+def _aux_check(grid, m_shift=0.0, w_shift=0.0):
+    """solve_aux_potentials on the desymmetrized correctors, with the
+    effective potential or the sampled W moved off its true value."""
+    model = desymmetrized_model()
+    chi, chi_w = solve_chi(model, grid), solve_chi_w(model, grid)
+    a, w = (fem.quad_samples(grid, f) for f in (model.a_eval, model.w_eval))
+    m_w = cell.effective_potential(grid, chi_w, w)
+    solve_aux_potentials(grid, chi, chi_w, m_w + m_shift, 1e-10, a, w + w_shift)
+
+
+@pytest.mark.parametrize("trigger, message", [
+    (_chi_w_of_shifted_w, r"mean-zero W: \|mean\| = 1\.000e-01"),
+    (lambda grid: _aux_check(grid, m_shift=1e-3), r"psi2 has nonzero mean"),
+    (lambda grid: _aux_check(grid, w_shift=0.1), r"psi3 has nonzero mean"),
+], ids=["chi_w", "psi2", "psi3"])
+def test_mean_zero_checks_raise_consistency_error(trigger, message):
+    with pytest.raises(ConsistencyError, match=message):
+        trigger(PeriodicGrid(16))
 
 
 def corrector_systems(model, grid):
