@@ -15,10 +15,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .cell import CellSolution, sample_periodic
+from .cell import sample_periodic
 from .domain import DirichletCorrectors, EpsProblem
 from .errors import InsufficientDataError, UsageError
-from .fem import boundary_flux, h1_seminorm, l2_norm, recover_gradient
+from .fem import boundary_flux, cell_values, h1_seminorm, l2_norm, recover_gradient
 from .grids import GridFunction
 from .spectral import Spectrum
 
@@ -190,8 +190,21 @@ def flux_table(problem: EpsProblem, spectrum: Spectrum) -> List[FluxRecord]:
 def jacobian_check(correctors: DirichletCorrectors) -> float:
     """Minimum determinant of the corrector-map Jacobian near the boundary.
 
-    Probes cells whose centers lie within one ``epsilon`` of the wall; a
-    positive return means the map ``x -> Phi(x)`` is locally
+    The map ``x -> (phi_1, phi_2)`` is probed on every cell whose center
+    lies within one ``epsilon`` of the wall; its Jacobian is evaluated from
+    recovered nodal gradients interpolated to the quadrature points of each
+    such cell.  A positive return means the map is locally
     orientation-preserving there.
     """
-    return correctors.min_jacobian()
+    grid = correctors.phi[0].grid
+    centers = (np.arange(grid.n) + 0.5) * grid.h
+    near = (centers < correctors.epsilon) | (centers > 1.0 - correctors.epsilon)
+    mask2d = near[:, None] | near[None, :]  # index [iy, ix]
+    cells = np.flatnonzero(mask2d.ravel())
+    if cells.size == 0:
+        cells = np.arange(grid.ncells)  # layer thinner than one cell row
+    # d1x = d(phi_1)/dx1 at the quadrature points of those cells, and so on
+    (d1x, d1y), (d2x, d2y) = (
+        [cell_values(grid, g.values)[cells] for g in recover_gradient(phi)]
+        for phi in correctors.phi)
+    return float((d1x * d2y - d2x * d1y).min())

@@ -15,11 +15,10 @@ are quadrature-sampled; compatibility (zero mean) is enforced before solving.
 The correctors are solved by conjugate gradients on the A-stiffness,
 preconditioned by the exact FFT solve of the Laplacian on the torus
 (``fem.torus_laplace_solver``), so the iteration count is bounded by the
-contrast of A and does not grow with the grid.
-:func:`solve_cell` assembles the A-stiffness and builds the FFT solve once,
-samples A and W at the assembly rule once, and shares them between the
-layers; :func:`solve_chi` and :func:`solve_chi_w` called on their own make
-and sample what they need.
+contrast of A and does not grow with the grid.  :func:`solve_cell` is the
+one route to the cell operators: it assembles the A-stiffness and builds the
+FFT solve once, samples A and W at the assembly rule once, and hands them to
+:func:`solve_chi` and :func:`solve_chi_w`.
 """
 
 from dataclasses import dataclass
@@ -31,25 +30,14 @@ from .errors import ConsistencyError
 from .grids import GridFunction, PeriodicGrid, gauss_rule
 
 
-def _cell_operators(model, grid, stiff, lap_solve):
-    """The A-stiffness and FFT Laplace solve of ``grid``, made where not given."""
-    if stiff is None:
-        stiff = fem.assemble_stiffness(grid, model.a_eval)
-    if lap_solve is None:
-        lap_solve = fem.torus_laplace_solver(grid)
-    return stiff, lap_solve
-
-
-def solve_chi(model, grid, tol=1e-10, stiff=None, lap_solve=None, a=None):
+def solve_chi(grid, stiff, lap_solve, a, tol):
     """Coordinate correctors chi_1, chi_2 as zero-mean periodic GridFunctions.
 
-    ``stiff`` (the A-stiffness on ``grid``), ``lap_solve`` (its
-    ``fem.torus_laplace_solver``) and ``a`` (A at the assembly rule,
-    ``fem.quad_samples``) are made here unless the caller shares them.
+    ``stiff`` is the A-stiffness on ``grid``, ``lap_solve`` its
+    ``fem.torus_laplace_solver``, ``a`` A at the assembly rule
+    (``fem.quad_samples``) and ``tol`` the relative residual tolerance of
+    the CG solves; :func:`solve_cell` makes them.
     """
-    stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
-    if a is None:
-        a = fem.quad_samples(grid, model.a_eval)  # (ncells, nq, 2, 2)
     out = []
     for k in range(2):
         # weak form: (A grad chi_k, grad v) = -(A e_k, grad v)
@@ -73,22 +61,18 @@ def effective_matrix(grid, chi, a):
     return a_hat
 
 
-def solve_chi_w(model, grid, tol=1e-10, stiff=None, lap_solve=None, w=None):
+def solve_chi_w(grid, stiff, lap_solve, w, tol):
     """Potential corrector: div(A grad chi_w) = W, zero mean.
 
     Weak form: (A grad chi_w, grad v) = -(W, v).  Raises ConsistencyError when
     the quadrature mean of W exceeds 1e-10 or is not finite (incompatible
-    right-hand side).  ``stiff`` and ``lap_solve`` are as in
-    :func:`solve_chi`; ``w`` is W at the assembly rule, sampled here unless
-    the caller shares it.
+    right-hand side).  ``w`` is W at the assembly rule; ``stiff``,
+    ``lap_solve`` and ``tol`` are as in :func:`solve_chi`.
     """
-    if w is None:
-        w = fem.quad_samples(grid, model.w_eval)
     wmean = abs(float(fem.integrate(grid, w)))
     if not np.isfinite(wmean) or wmean > 1e-10:
         raise ConsistencyError(
             f"potential corrector needs a mean-zero W: |mean| = {wmean:.3e}")
-    stiff, lap_solve = _cell_operators(model, grid, stiff, lap_solve)
     rhs = -fem.load_from_quad_values(grid, w)
     sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol,
                        precond=lap_solve)
@@ -203,12 +187,10 @@ def solve_cell(model, n, tol=1e-10):
     # A and W are sampled only after the assembly, whose scatter is the
     # stage's memory peak.
     a = fem.quad_samples(grid, model.a_eval)
-    chi = solve_chi(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
-                    a=a)
+    chi = solve_chi(grid, stiff, lap_solve, a, tol)
     a_hat = effective_matrix(grid, chi, a)
     w = fem.quad_samples(grid, model.w_eval)
-    chi_w = solve_chi_w(model, grid, tol=tol, stiff=stiff, lap_solve=lap_solve,
-                        w=w)
+    chi_w = solve_chi_w(grid, stiff, lap_solve, w, tol)
     del stiff  # freed before the finer-rule checks below allocate
     m_w = effective_potential(grid, chi_w, w)
     resid = potential_energy_identity_residual(grid, chi_w, m_w, a)

@@ -62,8 +62,6 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be at least 4, got {n}")
         if not self.epsilons:
             raise ConfigurationError("epsilons must not be empty")
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise ConfigurationError("epsilons contains duplicates")
         for eps in self.epsilons:
             if not 0.0 < eps <= 1.0:
                 raise ConfigurationError(f"epsilon {eps} outside (0, 1]")
@@ -74,12 +72,19 @@ class RunConfig:
                     f"h=1/{self.domain_grid_n} exceeds epsilon/"
                     f"{MIN_CELLS_PER_PERIOD}; increase domain_grid_n to at "
                     f"least {int(MIN_CELLS_PER_PERIOD / eps + 0.999999)}")
+        labels = [eps_label(eps) for eps in self.epsilons]  # artifact keys
+        shared = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if shared:
+            raise ConfigurationError("epsilons contains duplicates: scales "
+                                     "share the label " + ", ".join(shared))
         if not 1 <= self.k_eigen <= 64:
             raise ConfigurationError(
                 f"k_eigen must lie in [1, 64], got {self.k_eigen}")
         for name, tol in (("cg_tol", self.cg_tol), ("eig_tol", self.eig_tol)):
             if not 0.0 < tol < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {tol}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         if self.workers < 0:
             raise ConfigurationError("workers must be nonnegative")
 

@@ -38,7 +38,6 @@ from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
 from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
-    QUAD_W,
     apply_tensor,
     assemble_load,
     assemble_mass,
@@ -51,7 +50,6 @@ from .fem import (
     integrate,
     interior_operator,
     quad_samples,
-    recover_gradient,
 )
 from .grids import DirichletGrid, GridFunction
 from .spectral import Spectrum
@@ -335,31 +333,6 @@ class DirichletCorrectors:
 
     def sup_deviation(self) -> float:
         return max(float(np.max(np.abs(d.values))) for d in self.deviation)
-
-    def min_jacobian(self) -> float:
-        """Smallest determinant of the corrector Jacobian near the wall.
-
-        The map ``x -> (phi_1, phi_2)`` is probed on every cell whose center
-        lies within ``epsilon`` of the boundary; its Jacobian is evaluated
-        from recovered nodal gradients interpolated to the quadrature points
-        of each such cell.
-        """
-        grid = self.phi[0].grid
-        n = grid.n
-        h = grid.h
-        centers = (np.arange(n) + 0.5) * h
-        near = (centers < self.epsilon) | (centers > 1.0 - self.epsilon)
-        mask2d = near[:, None] | near[None, :]  # index [iy, ix]
-        cells = np.flatnonzero(mask2d.ravel())
-        if cells.size == 0:
-            cells = np.arange(grid.ncells)  # layer thinner than one cell row
-        jac = np.empty((cells.size, QUAD_W.size, 2, 2))
-        for j in 0, 1:
-            gx, gy = recover_gradient(self.phi[j])
-            jac[:, :, 0, j] = cell_values(grid, gx.values)[cells]
-            jac[:, :, 1, j] = cell_values(grid, gy.values)[cells]
-        dets = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-        return float(dets.min())
 
 
 def solve_dirichlet_correctors(problem: EpsProblem,

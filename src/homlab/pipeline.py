@@ -5,9 +5,11 @@ constants), ``solve`` (boundary-value solves, boundary-adapted correctors,
 corrected-difference norms), ``eigs`` (all four spectra), ``gaps``
 (eigenvalue comparisons), ``rates`` (log-log fits), ``flux`` (boundary-flux
 table), ``report`` (everything as JSON), as :data:`STAGE_TABLE` orders
-them.  A stage failure aborts the run with that stage's exit code; the
-artifact being written at that moment keeps a ``.partial`` suffix so
-truncated files never masquerade as finished ones.
+them.  Its rows also give :mod:`homlab.cli` its subcommands and options,
+and their order the exit codes (:data:`STAGE_EXIT`).  A stage failure
+aborts the run with that stage's exit code; the artifact being written at
+that moment keeps a ``.partial`` suffix so truncated files never masquerade
+as finished ones.
 
 The unit of parallel work is one Dirichlet operator.  Its task factors the
 operator once, runs the shift-invert eigensolve with that factor, does the
@@ -25,12 +27,12 @@ operator's linear solves with the same factor (in ``solve``), and drops it:
 ``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
 as each scale's inputs arrive, that scale's finish task (expansion,
 Jacobian, energy defect).  Each operator's spectrum is computed once per
-run: after ``solve``, ``eigs`` finds them all and only adds the Rayleigh
-defects; run without ``solve``, it submits the missing spectrum tasks to
-one pool the same way.  All operators are assembled on the main thread
-before the first task starts, and no factor outlives its task; the freed
-heap goes back to the OS after the assembly and after each task
-(:func:`_release_heap`).
+run, by its task: after ``solve``, ``eigs`` finds them all and only adds the
+Rayleigh defects; run without ``solve``, it submits the missing spectrum
+tasks to one pool the same way.  Each scale has one :class:`EpsProblem` for
+the run, so its operators are assembled once, on the main thread before the
+first task starts.  No factor outlives its task; the freed heap goes back
+to the OS after the assembly and after each task (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -45,7 +47,7 @@ import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,6 +104,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "STAGES",
+    "Stage",
     "STAGE_TABLE",
     "STAGE_EXIT",
     "FLUX_LOWER_FLOOR",
@@ -111,29 +114,37 @@ __all__ = [
     "stages_for",
 ]
 
-#: Stage name -> (``Experiment`` method, stages it depends on), in run order.
+@dataclass(frozen=True)
+class Stage:
+    method: str  # the ``Experiment`` method that runs it
+    deps: Tuple[str, ...]  # stages it depends on
+    help: str  # its CLI subcommand's help
+    options: Tuple[str, ...] = ()  # CLI options it takes (``homlab.cli``)
+
+
+#: Every stage, in run order.
 STAGE_TABLE = {
-    "cell": ("stage_cell", ()),
-    "solve": ("stage_solve", ("cell",)),
-    "eigs": ("stage_eigs", ("cell",)),
-    "gaps": ("stage_gaps", ("eigs",)),
-    "rates": ("stage_rates", ("solve", "gaps")),
-    "flux": ("stage_flux", ("eigs",)),
-    "report": ("stage_report", ("solve", "gaps", "rates", "flux")),
+    "cell": Stage("stage_cell", (),
+                  "periodic cell problems and effective constants",
+                  ("dump_fields",)),
+    "solve": Stage("stage_solve", ("cell",),
+                   "boundary-value solves and corrected-difference norms",
+                   ("epsilon", "dump_fields")),
+    "eigs": Stage("stage_eigs", ("cell",), "oscillatory and effective spectra",
+                  ("epsilon", "k", "seed")),
+    "gaps": Stage("stage_gaps", ("eigs",), "eigenvalue gap table (gaps.csv)"),
+    "rates": Stage("stage_rates", ("solve", "gaps"),
+                   "log-log rate fits (rates.csv)"),
+    "flux": Stage("stage_flux", ("eigs",),
+                  "boundary-flux diagnostics (flux.csv)"),
+    "report": Stage("stage_report", ("solve", "gaps", "rates", "flux"),
+                    "full pipeline through report.json"),
 }
 
 STAGES = tuple(STAGE_TABLE)
 
-STAGE_EXIT = {
-    "config": 2,
-    "cell": 10,
-    "solve": 11,
-    "eigs": 12,
-    "gaps": 13,
-    "rates": 14,
-    "flux": 15,
-    "report": 16,
-}
+#: Exit code per failure: 2 for the config, 10 + its position for a stage.
+STAGE_EXIT = {"config": 2, **{stage: 10 + i for i, stage in enumerate(STAGES)}}
 
 #: Lower-bound floor for flux/lambda, frozen after the first calibration run
 #: (observed minimum 1.4395 over the layered and smooth-iso sweeps at n=256,
@@ -230,7 +241,6 @@ class _EpsArtifacts:
 
     epsilon: float
     label: str
-    problem: EpsProblem
     coercivity: CoercivityReport
     u_eps: GridFunction
     correctors: DirichletCorrectors
@@ -242,11 +252,14 @@ class _EpsArtifacts:
 class Experiment:
     """One configured run; stages populate attributes and write artifacts."""
 
-    def __init__(self, cfg: RunConfig, out=sys.stdout):
+    def __init__(self, cfg: RunConfig, out=None):
         self.cfg = cfg
         self.out = out
         self.model = make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset)
         self.domain_grid = DirichletGrid(cfg.domain_grid_n)
+        # one problem per scale for the whole run, assembled lazily
+        self.problems = {eps: EpsProblem(self.model, eps, self.domain_grid)
+                         for eps in cfg.epsilons}
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
@@ -288,35 +301,6 @@ class Experiment:
                     self.domain_grid,
                     constant_matrix(self.cell_solution.a_hat)))
         return self._hom_stiff_interior
-
-    def hom_operator_interior(self) -> sp.csr_matrix:
-        k = self.hom_stiffness_interior()
-        m = float(self.cell_solution.m_w_chi_w)
-        if m == 0.0:
-            return k
-        return k + m * self.mass_interior()
-
-    def eps_problem(self, eps: float) -> EpsProblem:
-        """The solve stage's problem at ``eps`` if it ran, else a fresh one
-        (deliberately not cached, so it lives no longer than its caller)."""
-        if eps in self.per_eps:
-            return self.per_eps[eps].problem
-        return EpsProblem(self.model, eps, self.domain_grid)
-
-    def spectrum(self, tag: str) -> Spectrum:
-        """Effective spectrum ``hom_prime`` or ``hom``, computed at most
-        once per run.  ``hom`` is ``hom_prime`` moved by ``m``, since
-        K + mM has K's eigenvectors, so it costs no eigensolve of its own."""
-        if tag not in self.spectra:
-            if tag == "hom":
-                self.spectra[tag] = shift_spectrum(
-                    self.spectrum("hom_prime"),
-                    float(self.cell_solution.m_w_chi_w),
-                    self.hom_operator_interior(), self.mass_interior(),
-                    tol=self.cfg.eig_tol, tag=tag)
-            elif tag == "hom_prime":
-                self.spectra[tag] = self._hom_prime_task(False)[0]
-        return self.spectra[tag]
 
     # -- per-operator tasks ---------------------------------------------
     #
@@ -374,12 +358,11 @@ class Experiment:
             return spectrum, None
         return spectrum, solve_dirichlet_correctors(problem, lu=lu)
 
-    def _submit_operator_tasks(self, pool: ThreadPoolExecutor, solve: bool
-                               ) -> Tuple[Dict[float, EpsProblem],
-                                          Dict[str, Future]]:
+    def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
+                               solve: bool) -> Dict[str, Future]:
         """Submit ``hom_prime``'s task, then ``eps`` and ``eps_prime`` per
-        scale; without ``solve``, only those whose spectrum is missing.
-        Returns each scale's problem and the futures by tag.
+        scale (without ``solve``, only those whose spectrum is missing);
+        return the futures by tag.
 
         Every operator is assembled before the first task starts.  Assembly
         running on this thread while the workers factor made peak RSS vary
@@ -389,23 +372,21 @@ class Experiment:
         each task's when it returns (:func:`_released`)."""
         self.mass_interior()
         self.hom_stiffness_interior()
-        problems: Dict[float, EpsProblem] = {}
-        for eps in self.cfg.epsilons:
-            problems[eps] = self.eps_problem(eps)
-            problems[eps].operator_interior()  # builds K_eps too
+        for problem in self.problems.values():
+            problem.operator_interior()  # builds K_eps too
         _release_heap()
         futures: Dict[str, Future] = {}
         if solve or "hom_prime" not in self.spectra:
             futures["hom_prime"] = pool.submit(_released,
                                                self._hom_prime_task, solve)
-        for eps, problem in problems.items():
+        for eps, problem in self.problems.items():
             label = eps_label(eps)
             for tag, task in ((f"eps:{label}", self._eps_task),
                               (f"eps_prime:{label}", self._eps_prime_task)):
                 if solve or tag not in self.spectra:
                     futures[tag] = pool.submit(_released, task, problem,
                                                solve)
-        return problems, futures
+        return futures
 
     def _collect(self, futures: Dict[str, Future], tag: str):
         """Wait for ``tag``'s task, keep its spectrum, return the rest."""
@@ -413,9 +394,10 @@ class Experiment:
         return solved
 
     def run_stage(self, stage: str, dump_fields: bool = False) -> None:
-        """Run ``stage``; only cell and solve have fields to dump."""
-        method = getattr(self, STAGE_TABLE[stage][0])
-        if dump_fields and stage in ("cell", "solve"):
+        """Run ``stage``; ``dump_fields`` reaches the stages that take it."""
+        row = STAGE_TABLE[stage]
+        method = getattr(self, row.method)
+        if dump_fields and "dump_fields" in row.options:
             method(dump_fields=True)
         else:
             method()
@@ -456,14 +438,8 @@ class Experiment:
             rows = np.column_stack([
                 coords[:, 0], coords[:, 1],
                 cs.chi[0].values, cs.chi[1].values, cs.chi_w.values])
-            self._write_field_csv("cell_fields.csv",
-                                  ("y1", "y2", "chi1", "chi2", "chi_w"), rows)
-
-    def _write_field_csv(self, name: str, header, rows: np.ndarray) -> None:
-        body = [",".join(header)]
-        for row in rows:
-            body.append(",".join(repr(float(v)) for v in row))
-        _write_atomic(self._outpath(name), "\n".join(body) + "\n")
+            _write_atomic(self._outpath("cell_fields.csv"), _csv(
+                ("y1", "y2", "chi1", "chi2", "chi_w"), rows))
 
     def _finish_eps(self, problem: EpsProblem, coercivity: CoercivityReport,
                     u_eps: GridFunction,
@@ -474,9 +450,8 @@ class Experiment:
         expansion = build_expansion(u_eps, self.u_0, correctors,
                                     chi_w_sampled, eps)
         return _EpsArtifacts(
-            epsilon=eps, label=eps_label(eps), problem=problem,
-            coercivity=coercivity, u_eps=u_eps, correctors=correctors,
-            expansion=expansion,
+            epsilon=eps, label=eps_label(eps), coercivity=coercivity,
+            u_eps=u_eps, correctors=correctors, expansion=expansion,
             jacobian_min=jacobian_check(correctors),
             energy_defect=galerkin_energy_defect(problem, u_eps))
 
@@ -488,10 +463,10 @@ class Experiment:
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
 
         with _task_pool(cfg.effective_workers()) as pool:
-            problems, futures = self._submit_operator_tasks(pool, solve=True)
+            futures = self._submit_operator_tasks(pool, solve=True)
             self.u_0 = self._collect(futures, "hom_prime")
             finish = {}
-            for eps, problem in problems.items():
+            for eps, problem in self.problems.items():
                 label = eps_label(eps)
                 coercivity, u_eps = self._collect(futures, f"eps:{label}")
                 correctors = self._collect(futures, f"eps_prime:{label}")
@@ -509,15 +484,15 @@ class Experiment:
                     self.u_0.values, art.correctors.phi[0].values,
                     art.correctors.phi[1].values])
                 name = "solve_fields_" + art.label.replace("/", "_") + ".csv"
-                self._write_field_csv(
-                    name, ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"), rows)
+                _write_atomic(self._outpath(name), _csv(
+                    ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"), rows))
 
     def stage_eigs(self) -> None:
         cfg = self.cfg
         with _task_pool(cfg.effective_workers()) as pool:
-            problems, futures = self._submit_operator_tasks(pool, solve=False)
+            futures = self._submit_operator_tasks(pool, solve=False)
             defects = {}
-            for eps, problem in problems.items():
+            for eps, problem in self.problems.items():
                 tag = f"eps:{eps_label(eps)}"
                 if tag in futures:
                     self._collect(futures, tag)
@@ -528,7 +503,13 @@ class Experiment:
             for eps, defect in defects.items():
                 self.rayleigh_defects[eps_label(eps)] = float(
                     np.max(defect.result()))
-        self.spectrum("hom")
+        # hom is hom_prime moved by m: K + mM has K's eigenvectors.
+        m = float(self.cell_solution.m_w_chi_w)
+        stiff = self.hom_stiffness_interior()
+        self.spectra["hom"] = shift_spectrum(
+            self.spectra["hom_prime"], m,
+            stiff + m * self.mass_interior() if m else stiff,
+            self.mass_interior(), tol=cfg.eig_tol, tag="hom")
 
         tags = ["hom", "hom_prime"] + [
             f"{kind}:{eps_label(eps)}" for eps in cfg.epsilons
@@ -567,7 +548,7 @@ class Experiment:
             })
             lam1 = float(s_eps.eigenvalues[0])
             if lam1 >= 1.0:
-                op = self.eps_problem(eps).operator_interior()
+                op = self.problems[eps].operator_interior()
                 cp = cluster_projection(s_eps, lam1, f_interior, op,
                                         self.mass_interior())
                 self.clusters.append({
@@ -651,7 +632,7 @@ class Experiment:
         self.flux_records = []
         for eps in cfg.epsilons:
             self.flux_records.extend(flux_table(
-                self.eps_problem(eps), self.spectra[f"eps:{eps_label(eps)}"]))
+                self.problems[eps], self.spectra[f"eps:{eps_label(eps)}"]))
         rows = [(r.epsilon, r.k, r.lam, r.flux, r.ratio_upper, r.ratio_lower)
                 for r in self.flux_records]
         text = _csv(("epsilon", "k", "lambda", "flux", "ratio_upper",
@@ -808,7 +789,7 @@ def stages_for(*targets: str) -> List[str]:
             raise ConfigurationError(f"unknown stage {stage!r}")
         if stage in needed:
             return
-        for dep in STAGE_TABLE[stage][1]:
+        for dep in STAGE_TABLE[stage].deps:
             add(dep)
         needed.add(stage)
 
@@ -820,25 +801,23 @@ def stages_for(*targets: str) -> List[str]:
 def run_experiment(config_path: Optional[str] = None,
                    upto: str = "report",
                    cfg: Optional[RunConfig] = None,
-                   epsilon: Optional[float] = None,
-                   k_override: Optional[int] = None,
-                   seed_override: Optional[int] = None,
+                   overrides: Optional[Dict[str, object]] = None,
                    dump_fields: bool = False,
-                   out=sys.stdout,
-                   err=sys.stderr) -> int:
-    """Run the pipeline through ``upto``; returns a process exit code."""
+                   out=None,
+                   err=None) -> int:
+    """Run the pipeline through ``upto``; returns a process exit code.
+
+    ``overrides`` replaces config fields (``{"seed": 3}``) before the
+    config is validated; ``out`` and ``err`` default to the current
+    ``sys.stdout`` and ``sys.stderr``."""
+    err = sys.stderr if err is None else err
     try:
         if cfg is None:
             cfg = load_config(config_path)
-        if epsilon is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "epsilons": [epsilon]})
-        if k_override is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "k_eigen": k_override})
-        if seed_override is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": seed_override})
+        cfg = replace(cfg, **(overrides or {}))
         cfg.validate()
         os.makedirs(cfg.output_dir, exist_ok=True)
-    except HomlabError as exc:
+    except (HomlabError, OSError) as exc:
         print(f"[config] {exc}", file=err)
         return STAGE_EXIT["config"]
 

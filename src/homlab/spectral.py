@@ -32,7 +32,7 @@ tag            operator                                      shift ``sigma``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +41,6 @@ import scipy.sparse.linalg
 
 from .errors import ConfigurationError, SpectralError
 from .fem import QUAD_XI, factorize
-from .grids import GridFunction
 
 __all__ = [
     "DENSE_CUTOFF",

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from homlab.cell import cross_flux_identity_defect, solve_cell, solve_chi, solve_chi_w
+from homlab.analysis import jacobian_check
+from homlab.cell import solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
 from homlab.config import RunConfig
 from homlab.domain import EpsProblem, solve_dirichlet_correctors
 from homlab.fem import assemble_mass, assemble_stiffness, interior_operator
-from homlab.grids import DirichletGrid, PeriodicGrid
+from homlab.grids import DirichletGrid
 from homlab.pipeline import Experiment, run_experiment, stages_for
 from homlab.analysis import rate_fit
 from homlab.spectral import eigs
@@ -112,10 +113,8 @@ def test_criterion_03_cross_flux_identity_decay():
     c_freeze = 1e-5  # frozen constant; measured defects sit ~60x below C*h
     defect = {}
     for n in (64, 128):
-        grid = PeriodicGrid(n)
-        chi = solve_chi(model, grid, tol=1e-12)
-        chi_w = solve_chi_w(model, grid, tol=1e-12)
-        defect[n] = float(np.max(cross_flux_identity_defect(model, grid, chi, chi_w)))
+        defect[n] = float(np.max(
+            solve_cell(model, n, tol=1e-12).cross_flux_defect))
     ratio = defect[64] / defect[128]
     ok = (defect[64] <= c_freeze / 64 and defect[128] <= c_freeze / 128
           and ratio >= 1.8)
@@ -248,7 +247,7 @@ def test_criterion_11_boundary_layer_jacobian(default_run, layered_run):
     grid = DirichletGrid(256)
     model = make_preset("identity")
     mins["identity"] = min(
-        solve_dirichlet_correctors(EpsProblem(model, e, grid)).min_jacobian()
+        jacobian_check(solve_dirichlet_correctors(EpsProblem(model, e, grid)))
         for e in EPS_SWEEP)
     ok = all(v > 0.0 for v in mins.values())
     record_criterion(11, ok,

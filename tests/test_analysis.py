@@ -137,6 +137,4 @@ def test_flux_regime_flags():
 def test_jacobian_check_wraps_correctors():
     p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
     dc = solve_dirichlet_correctors(p)
-    val = jacobian_check(dc)
-    assert val == dc.min_jacobian()
-    assert val > 0.2
+    assert jacobian_check(dc) > 0.2

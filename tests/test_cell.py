@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from homlab import cell, fem
-from homlab.cell import (
-    cross_flux_identity_defect,
-    solve_aux_potentials,
-    solve_cell,
-    solve_chi,
-    solve_chi_w,
-)
+from homlab.cell import solve_aux_potentials, solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, make_preset
 from homlab.errors import ConsistencyError
 from homlab.grids import PeriodicGrid, gauss_rule
@@ -85,10 +79,7 @@ def test_cross_flux_identity_desymmetrized_decay():
     model = desymmetrized_model()
     defects = {}
     for n in (64, 128):
-        grid = PeriodicGrid(n)
-        chi = solve_chi(model, grid, tol=1e-12)
-        chi_w = solve_chi_w(model, grid, tol=1e-12)
-        defects[n] = np.max(cross_flux_identity_defect(model, grid, chi, chi_w))
+        defects[n] = np.max(solve_cell(model, n, tol=1e-12).cross_flux_defect)
     assert defects[64] < 3e-9          # measured 2.362e-9
     assert defects[64] / defects[128] > 8.0  # measured ratio 16 (fourth order)
 
@@ -165,19 +156,19 @@ def test_aux_potentials_compatibility():
 
 
 def _chi_w_of_shifted_w(grid):
-    """solve_chi_w on a W whose cell mean is 0.1."""
-    solve_chi_w(replace(make_preset("identity"), w_eval=lambda y1, y2: np.sin(
-        2 * np.pi * np.asarray(y1, dtype=float)) + 0.1), grid)
+    """solve_cell, through solve_chi_w, on a W whose cell mean is 0.1."""
+    solve_cell(replace(make_preset("identity"), w_eval=lambda y1, y2: np.sin(
+        2 * np.pi * np.asarray(y1, dtype=float)) + 0.1), grid.n)
 
 
 def _aux_check(grid, m_shift=0.0, w_shift=0.0):
     """solve_aux_potentials on the desymmetrized correctors, with the
     effective potential or the sampled W moved off its true value."""
     model = desymmetrized_model()
-    chi, chi_w = solve_chi(model, grid), solve_chi_w(model, grid)
-    a, w = (fem.quad_samples(grid, f) for f in (model.a_eval, model.w_eval))
-    m_w = cell.effective_potential(grid, chi_w, w)
-    solve_aux_potentials(grid, chi, chi_w, m_w + m_shift, 1e-10, a, w + w_shift)
+    cs = solve_cell(model, grid.n)
+    a, w = (fem.quad_samples(cs.grid, f) for f in (model.a_eval, model.w_eval))
+    solve_aux_potentials(cs.grid, cs.chi, cs.chi_w, cs.m_w_chi_w + m_shift,
+                         1e-10, a, w + w_shift)
 
 
 @pytest.mark.parametrize("trigger, message", [

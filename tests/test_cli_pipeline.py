@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on a deliberately small configuration."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -14,13 +15,14 @@ import homlab.domain
 import homlab.fem
 import homlab.pipeline
 import homlab.spectral
-from homlab.cli import main
+from homlab.cli import build_parser, main
 from homlab.config import RunConfig
 from homlab.domain import homogenized_lower_bound
 from homlab.errors import ConfigurationError
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
     STAGE_EXIT,
+    STAGE_TABLE,
     STAGES,
     Experiment,
     run_experiment,
@@ -135,7 +137,7 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(homlab.pipeline, "eigs", counting_eigs)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
-    assert run_experiment(cfg, seed_override=3, out=io.StringIO()) == 0
+    assert run_experiment(cfg, overrides={"seed": 3}, out=io.StringIO()) == 0
     pencils = [(tag, eps) for tag, eps, _, _ in calls]
     assert len(pencils) == len(set(pencils))
     assert set(pencils) == {("hom_prime", None)} | {
@@ -202,11 +204,11 @@ def test_hom_prime_shift_follows_the_sign_guard(tmp_path, monkeypatch):
     """sigma = -m when m > -2 pi^2 lambda_min(a_hat), so the factor is
     K + mM; otherwise sigma = -1, the spectrum is unchanged and the solve
     stage stops at the sign hypothesis."""
-    sigmas = []
+    sigmas = {}
     real_eigs = homlab.pipeline.eigs
 
     def eigs(op, mass, k, **kwargs):
-        sigmas.append(kwargs["sigma"])
+        sigmas[kwargs["tag"]] = kwargs["sigma"]
         return real_eigs(op, mass, k, **kwargs)
 
     monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
@@ -219,8 +221,9 @@ def test_hom_prime_shift_follows_the_sign_guard(tmp_path, monkeypatch):
         bound = homogenized_lower_bound(exp.cell_solution.a_hat)
         m = 3.0 if held else -bound - 1.0
         exp.cell_solution.m_w_chi_w = m
-        spectra.append(exp.spectrum("hom_prime").eigenvalues)
-        assert sigmas[-1] == (-m if held else -1.0)
+        exp.run_stage("eigs")
+        spectra.append(exp.spectra["hom_prime"].eigenvalues)
+        assert sigmas["hom_prime"] == (-m if held else -1.0)
         if not held:
             with pytest.raises(ConfigurationError, match="sign hypothesis"):
                 exp.run_stage("solve")
@@ -245,8 +248,8 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
     exact = np.sort((a_hat[0, 0] * mu[:, None]
                      + a_hat[1, 1] * mu[None, :]).ravel())[:cfg.k_eigen]
 
-    hom_prime = exp.spectrum("hom_prime")
-    hom = exp.spectrum("hom")
+    exp.run_stage("eigs")
+    hom_prime, hom = exp.spectra["hom_prime"], exp.spectra["hom"]
     assert hom_prime.method == "arpack"
     assert np.max(np.abs(hom_prime.eigenvalues - exact) / exact) < 1e-10
     assert np.max(np.abs(hom.eigenvalues - (exact + m))
@@ -354,6 +357,52 @@ def test_exit_codes_are_distinct():
     codes = list(STAGE_EXIT.values())
     assert len(codes) == len(set(codes))
     assert set(STAGE_EXIT) == set(STAGES) | {"config"}
+    assert STAGE_EXIT == {"config": 2, "cell": 10, "solve": 11, "eigs": 12,
+                          "gaps": 13, "rates": 14, "flux": 15, "report": 16}
+
+
+def test_cli_subcommands_are_the_stage_table_rows():
+    """One subcommand per row, in order (``report`` spelled ``run``), each
+    taking ``-c`` and exactly the row's options."""
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    expected = {("run" if stage == "report" else stage): set(row.options)
+                for stage, row in STAGE_TABLE.items()}
+    assert list(subs.choices) == list(expected)
+    for name, sub in subs.choices.items():
+        dests = {action.dest for action in sub._actions} - {"help", "config"}
+        assert dests == expected[name], name
+
+
+def test_gaps_assembles_each_scale_once(tmp_path, monkeypatch):
+    """eigs and the cluster projection of gaps share each scale's problem,
+    so K_eps and M_W are assembled once per scale."""
+    calls = {"assemble_stiffness": 0, "assemble_weighted_mass": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(homlab.domain, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(homlab.domain, name, counting)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, upto="gaps", out=io.StringIO()) == 0
+    assert calls == {"assemble_stiffness": 2, "assemble_weighted_mass": 2}
+
+
+def test_uncreatable_output_dir_is_a_config_error(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    cfg = RunConfig(cell_grid_n=16, domain_grid_n=68, epsilons=[0.25],
+                    output_dir=str(blocker / "sub"))
+    err = io.StringIO()
+    assert run_experiment(cfg=cfg, upto="cell", err=err) == STAGE_EXIT["config"]
+    assert err.getvalue().startswith("[config] ")
+    assert str(blocker / "sub") in err.getvalue()
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    cfg, _ = write_cfg(tmp_path)
+    assert main(["eigs", "-c", cfg, "--seed", "-1"]) == STAGE_EXIT["config"]
+    assert "[config] seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_cell_dump_fields(tmp_path):

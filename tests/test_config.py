@@ -105,3 +105,19 @@ def test_missing_file_raises_configuration_error(tmp_path):
 def test_load_none_gives_defaults():
     cfg = load_config(None)
     assert cfg.domain_grid_n == 256
+
+
+def test_scales_that_share_a_label_are_duplicates():
+    """0.25 and 0.2500000000001 are both labelled 1/4, and the artifacts key
+    scales by label, so the second would overwrite the first."""
+    with pytest.raises(ConfigurationError,
+                       match="epsilons contains duplicates: .*1/4"):
+        parse_config("epsilons = 0.25, 0.2500000000001\n")
+    # a value that has no label fails the range check, not the labelling
+    with pytest.raises(ConfigurationError, match="outside"):
+        parse_config("epsilons = nan, 1/4\n")
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+        parse_config("seed = -1\n")

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import homlab.domain
 from conftest import effective_factor
+from homlab.analysis import jacobian_check
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
     EpsProblem,
@@ -163,7 +164,7 @@ def test_identity_boundary_correctors_are_coordinates():
     p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
     dc = solve_dirichlet_correctors(p)
     assert dc.sup_deviation() < 1e-12
-    assert dc.min_jacobian() > 1.0 - 1e-9
+    assert jacobian_check(dc) > 1.0 - 1e-9
 
 
 def test_layered_boundary_correctors_scale_linearly():
@@ -173,7 +174,7 @@ def test_layered_boundary_correctors_scale_linearly():
     for eps in (0.25, 0.125):
         dc = solve_dirichlet_correctors(EpsProblem(model, eps, grid))
         sup[eps] = dc.sup_deviation()
-        assert dc.min_jacobian() > 0.2  # frozen floor, measured ~0.56
+        assert jacobian_check(dc) > 0.2  # frozen floor, measured ~0.56
     assert sup[0.25] == pytest.approx(3.8937884e-2, rel=1e-5)
     assert sup[0.125] == pytest.approx(2.0158834e-2, rel=1e-5)
     assert 1.6 < sup[0.25] / sup[0.125] < 2.4
