@@ -21,6 +21,9 @@ __all__ = ["RunConfig", "parse_config", "load_config", "eps_label"]
 #: Cells per oscillation period demanded of the domain grid (h <= eps/16).
 MIN_CELLS_PER_PERIOD = 16
 
+#: Hard cap on how many eigenpairs one eigensolve may request (``k_eigen``).
+K_MAX = 64
+
 
 def eps_label(value: float) -> str:
     """Short exact-looking label for a scale value (``0.25`` -> ``1/4``)."""
@@ -77,9 +80,9 @@ class RunConfig:
         if shared:
             raise ConfigurationError("epsilons contains duplicates: scales "
                                      "share the label " + ", ".join(shared))
-        if not 1 <= self.k_eigen <= 64:
+        if not 1 <= self.k_eigen <= K_MAX:
             raise ConfigurationError(
-                f"k_eigen must lie in [1, 64], got {self.k_eigen}")
+                f"k_eigen must lie in [1, {K_MAX}], got {self.k_eigen}")
         for name, tol in (("cg_tol", self.cg_tol), ("eig_tol", self.eig_tol)):
             if not 0.0 < tol < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0, 1), got {tol}")
@@ -153,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = rhs
         elif kind is int:
             num = _parse_number(rhs, key)
-            if num != int(num):
+            if not num.is_integer():  # also inf and nan
                 raise ConfigurationError(f"{key} must be an integer, got {rhs!r}")
             values[attr] = int(num)
         elif kind is float:
@@ -179,6 +182,6 @@ def load_config(path: Optional[str]) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
     return parse_config(text)

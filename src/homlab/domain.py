@@ -10,16 +10,14 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
 
-Every linear system here is solved with a sparse LU factor
-(:func:`homlab.fem.factorize`).  :func:`solve_homogenized` takes the
-caller's factor of the effective operator, and
-:func:`solve_dirichlet_correctors` may take one of the diffusion matrix, so
-a caller that factors an operator for its shift-invert eigensolve solves
-with the same factor.  :func:`solve_eps` may take the factor of
-``L_eps - sigma M`` that the ``eps`` eigensolve used: on a coercive form it
-preconditions conjugate gradients on ``L_eps`` with it, and otherwise it
-factors ``L_eps`` itself.  The two corrector problems share one factor
-either way.
+Nothing here factors a matrix.  Every solve takes the caller's sparse LU
+factor (:func:`homlab.fem.factorize`), the one the pipeline's operator task
+made for that operator's shift-invert eigensolve:
+:func:`solve_homogenized` solves with the factor of the effective
+operator, :func:`solve_dirichlet_correctors` with the factor of the
+diffusion matrix, shared by both corrector problems, and :func:`solve_eps`
+preconditions conjugate gradients on ``L_eps`` with the factor of
+``L_eps - sigma M``.
 
 No eigensolve happens here.  The sign hypothesis is read off a spectrum the
 caller already has (:func:`coercivity_check`), so each operator's spectrum
@@ -46,7 +44,6 @@ from .fem import (
     cell_gradients,
     cell_values,
     cg_solve,
-    factorize,
     integrate,
     interior_operator,
     quad_samples,
@@ -204,7 +201,7 @@ def coercivity_check(spectrum: Spectrum,
     (tag ``eps``), already computed; only its first eigenvalue is read.
 
     No exception is raised on a negative finding — the report carries it,
-    and :func:`solve_eps` decides what to do.
+    and :func:`solve_eps` refuses to solve.
     """
     lam_eps = float(spectrum.eigenvalues[0])
     return CoercivityReport(
@@ -227,51 +224,37 @@ def constant_matrix(a_hat: np.ndarray):
     return a_eval
 
 
-def solve_eps(problem: EpsProblem,
-              coercivity: Optional[CoercivityReport] = None,
-              allow_noncoercive: bool = False,
-              lu=None) -> GridFunction:
+def solve_eps(problem: EpsProblem, coercivity: CoercivityReport,
+              lu) -> GridFunction:
     """Solve the oscillatory Dirichlet problem; returns the full nodal field.
 
-    Callers are expected to establish coercivity first — pass the report from
-    :func:`coercivity_check`, or set ``allow_noncoercive=True`` to take
-    responsibility themselves.  A report with ``coercive=False`` stops the
-    solve with :class:`CoercivityError` unless overridden; that report is the
-    only sign gate, because the direct solve succeeds on any nonsingular
-    operator, definite or not.
+    ``coercivity`` is the report of :func:`coercivity_check`.  A report with
+    ``coercive=False`` stops the solve with :class:`CoercivityError`: the
+    estimates this solution feeds assume the sign hypothesis.
 
     ``lu`` is the caller's factor of ``L_eps - sigma M`` for a shift sigma
-    below the spectrum, the one the ``eps`` eigensolve used.  With it and a
-    coercive report, ``L_eps`` is SPD and the solve is conjugate gradients
+    below the spectrum, the one the ``eps`` eigensolve used.  On a coercive
+    form ``L_eps`` is SPD and the solve is conjugate gradients
     preconditioned by ``lu`` to a relative residual of 1e-13: the
     preconditioned spectrum ``lambda / (lambda - sigma)`` lies in
-    ``[lambda_1 / (lambda_1 - sigma), 1)``, so a few iterations suffice.
-    Without ``lu``, or on a form not reported coercive, ``L_eps`` is factored
-    here and solved directly.  A PCG failure raises :class:`SolverError`
-    naming epsilon.
+    ``[lambda_1 / (lambda_1 - sigma), 1)``, so a few iterations suffice.  A
+    PCG failure raises :class:`SolverError` naming epsilon.
     """
-    if coercivity is not None and not coercivity.coercive and not allow_noncoercive:
+    if not coercivity.coercive:
         raise CoercivityError(
             f"first eigenvalue {coercivity.lambda_eps_1:.6g} <= 0 at "
-            f"epsilon={problem.epsilon}: the bilinear form is not coercive "
-            "(pass allow_noncoercive=True to attempt the solve regardless)",
+            f"epsilon={problem.epsilon}: the bilinear form is not coercive",
             lambda_1=coercivity.lambda_eps_1)
-    if coercivity is None and not allow_noncoercive:
-        raise ConfigurationError(
-            "solve_eps needs a coercivity report (or allow_noncoercive=True)")
-    rhs_full = assemble_load(problem.grid, problem.model.f_eval)
-    rhs = problem.grid.restrict(rhs_full)
-    op = problem.operator_interior()
-    if lu is not None and coercivity is not None and coercivity.coercive:
-        try:
-            inner = cg_solve(op, rhs, tol=1e-13, precond=lu.solve)
-        except SolverError as err:
-            raise SolverError(
-                f"u_eps at epsilon={problem.epsilon}: {err}",
-                residual=err.residual, iterations=err.iterations,
-                breakdown=err.breakdown) from err
-    else:
-        inner = factorize(op).solve(rhs)
+    rhs = problem.grid.restrict(
+        assemble_load(problem.grid, problem.model.f_eval))
+    try:
+        inner = cg_solve(problem.operator_interior(), rhs, tol=1e-13,
+                         precond=lu.solve)
+    except SolverError as err:
+        raise SolverError(
+            f"u_eps at epsilon={problem.epsilon}: {err}",
+            residual=err.residual, iterations=err.iterations,
+            breakdown=err.breakdown) from err
     return GridFunction(problem.grid, problem.grid.extend(inner))
 
 
@@ -336,32 +319,23 @@ class DirichletCorrectors:
 
 
 def solve_dirichlet_correctors(problem: EpsProblem,
-                               lu=None) -> DirichletCorrectors:
+                               lu) -> DirichletCorrectors:
     """Solve the two corrector problems for ``problem``'s scale and grid.
 
     The ansatz ``Phi_j = x_j + phi`` turns the boundary data into homogeneous
     Dirichlet data for ``phi`` with load ``-(K x_j)`` restricted to the
     interior (:meth:`EpsProblem.corrector_lifts`); the boundary nodes of the
     returned field therefore carry ``x_j`` exactly (bit for bit), not merely
-    up to solver tolerance.  Both problems share one factor of the diffusion
-    matrix: ``lu`` if the caller passes its factor of
-    ``problem.diffusion_interior()``, else one made here only if a load is
-    nonzero.
+    up to solver tolerance.  Both problems solve with ``lu``, the caller's
+    factor of ``problem.diffusion_interior()``.
     """
     grid = problem.grid
     coords = grid.node_coords()
     phi = []
     deviation = []
     for j, rhs in enumerate(problem.corrector_lifts()):
-        x_j = coords[:, j].copy()
-        if np.linalg.norm(rhs) == 0.0:
-            inner = np.zeros(grid.ndof)
-        else:
-            if lu is None:
-                lu = factorize(problem.diffusion_interior())
-            inner = lu.solve(rhs)
-        dev = grid.extend(inner)
-        phi.append(GridFunction(grid, x_j + dev))
+        dev = grid.extend(lu.solve(rhs))
+        phi.append(GridFunction(grid, coords[:, j] + dev))
         deviation.append(GridFunction(grid, dev))
     return DirichletCorrectors(epsilon=problem.epsilon, phi=phi,
                                deviation=deviation)

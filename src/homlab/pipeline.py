@@ -22,7 +22,11 @@ operator's linear solves with the same factor (in ``solve``), and drops it:
 - ``eps:<label>``: factor ``L_eps - sigma M`` at sigma =
   :func:`eps_sigma_bound`, eigensolve ``L_eps``, then the coercivity report
   and ``u_eps`` (:func:`solve_eps`: conjugate gradients on ``L_eps``
-  preconditioned by that factor when the form is coercive).
+  preconditioned by that factor; a form that is not coercive stops the
+  stage).
+
+These tasks are the only place that factors: :mod:`homlab.domain` and
+:mod:`homlab.spectral` solve with the factor a task passes them.
 
 ``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
 as each scale's inputs arrive, that scale's finish task (expansion,
@@ -247,6 +251,7 @@ class _EpsArtifacts:
     expansion: CorrectorExpansion
     jacobian_min: float
     energy_defect: float
+    phi_supnorm: float  # sup |Phi_1 - x_1|
 
 
 class Experiment:
@@ -307,7 +312,7 @@ class Experiment:
     # Each returns (spectrum, what its solves produced, or None without
     # ``solve``).  They read shared operators but write no shared state.
 
-    def _eigs(self, op: sp.csr_matrix, tag: str, sigma: float, lu=None,
+    def _eigs(self, op: sp.csr_matrix, tag: str, sigma: float, lu,
               problem: Optional[EpsProblem] = None) -> Spectrum:
         return eigs(op, self.mass_interior(), self.cfg.k_eigen,
                     seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
@@ -453,7 +458,8 @@ class Experiment:
             epsilon=eps, label=eps_label(eps), coercivity=coercivity,
             u_eps=u_eps, correctors=correctors, expansion=expansion,
             jacobian_min=jacobian_check(correctors),
-            energy_defect=galerkin_energy_defect(problem, u_eps))
+            energy_defect=galerkin_energy_defect(problem, u_eps),
+            phi_supnorm=float(np.max(np.abs(correctors.deviation[0].values))))
 
     def stage_solve(self, dump_fields: bool = False) -> None:
         cfg = self.cfg
@@ -596,9 +602,7 @@ class Experiment:
         points["thm21_d8"] = [(rec["epsilon"], rec["d8"])
                               for rec in self.first_eig]
         points["phi_supnorm"] = [
-            (e, float(np.max(np.abs(self.per_eps[e].correctors
-                                    .deviation[0].values))))
-            for e in eps_list]
+            (e, self.per_eps[e].phi_supnorm) for e in eps_list]
 
         self.rates = {}
         self.rate_notes = []
@@ -694,8 +698,7 @@ class Experiment:
                     "l2_w": self.per_eps[e].expansion.l2_w,
                     "h1_plain": self.per_eps[e].expansion.h1_plain,
                     "l2_plain": self.per_eps[e].expansion.l2_plain,
-                    "phi_supnorm": float(np.max(np.abs(
-                        self.per_eps[e].correctors.deviation[0].values))),
+                    "phi_supnorm": self.per_eps[e].phi_supnorm,
                 } for e in self.cfg.epsilons
             },
             "eigs": {

@@ -2,12 +2,10 @@
 
 Solves ``K v = lambda M v`` for the operators produced by
 :mod:`homlab.domain`, with a dense LAPACK path for small problems and a
-seeded shift-invert Lanczos path (ARPACK) above the cutoff.  The
-shift-invert operator is one sparse LU factor of ``K - sigma M``
-(:func:`homlab.fem.factorize`, in the grid's nested-dissection order).
-A caller that also solves with that matrix passes its factor in and keeps
-it; otherwise :func:`eigs` makes one and drops it when ARPACK returns.
-Every returned
+seeded shift-invert Lanczos path (ARPACK) above the cutoff.  Nothing here
+factors a matrix: the shift-invert operator is the caller's sparse LU
+factor of ``K - sigma M`` (:func:`homlab.fem.factorize`), the one the
+pipeline's operator task made and also solves with.  Every returned
 :class:`Spectrum` is re-orthonormalized in the mass inner product,
 sign-fixed, and residual-checked; failures raise :class:`SpectralError`
 rather than returning dubious pairs.  A spectrum shifted by a multiple of
@@ -39,12 +37,12 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from .config import K_MAX
 from .errors import ConfigurationError, SpectralError
-from .fem import QUAD_XI, factorize
+from .fem import QUAD_XI
 
 __all__ = [
     "DENSE_CUTOFF",
-    "K_MAX",
     "Spectrum",
     "eigs",
     "shift_spectrum",
@@ -64,9 +62,6 @@ __all__ = [
 #: vs 0.054 s at 3969 DOF).  The dense path also serves tiny pencils, where
 #: ``eigsh`` needs k < n.
 DENSE_CUTOFF = 256
-
-#: Hard cap on how many eigenpairs one call may request.
-K_MAX = 64
 
 
 @dataclass
@@ -125,7 +120,7 @@ def eigs(op: sp.csr_matrix,
          sigma: float,
          tag: str = "eps",
          epsilon: Optional[float] = None,
-         lu=None) -> Spectrum:
+         lu) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``op v = lambda mass v``.
 
     Dense LAPACK below :data:`DENSE_CUTOFF` degrees of freedom; otherwise
@@ -134,9 +129,9 @@ def eigs(op: sp.csr_matrix,
     shift-invert Lanczos iteration finds the eigenvalues nearest to it, so a
     shift above lambda_1 returns wrong pairs that still pass the residual
     check.  Callers with scaled potentials pass :func:`eps_sigma_bound`.
-    ``lu``, if given, is the caller's
-    :func:`homlab.fem.factorize` factor of ``op - sigma * mass``; the ARPACK
-    path uses it instead of making its own, and the dense path ignores it.
+    ``lu`` is the caller's :func:`homlab.fem.factorize` factor of
+    ``op - sigma * mass``, the ARPACK path's shift-invert operator; the
+    dense path does not use it.
     ``tol`` is the relative residual each returned pair must meet.
     """
     n = op.shape[0]
@@ -171,11 +166,8 @@ def eigs(op: sp.csr_matrix,
 
 
 def _shift_invert(op: sp.csr_matrix, mass: sp.csr_matrix, k: int,
-                  shift: float, v0: np.ndarray, lu=None):
-    """ARPACK on ``(op - shift mass)^-1 mass``; a factor made here dies on
-    return."""
-    if lu is None:
-        lu = factorize(op - shift * mass)
+                  shift: float, v0: np.ndarray, lu):
+    """ARPACK on ``(op - shift mass)^-1 mass``, applied by ``lu``."""
     opinv = scipy.sparse.linalg.LinearOperator(op.shape, matvec=lu.solve,
                                                dtype=float)
     return scipy.sparse.linalg.eigsh(op, k=k, M=mass, sigma=shift,

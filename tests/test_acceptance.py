@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import factor, record_criterion, shifted_eigs
 from homlab.analysis import jacobian_check
 from homlab.cell import solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
@@ -24,7 +24,6 @@ from homlab.fem import assemble_mass, assemble_stiffness, interior_operator
 from homlab.grids import DirichletGrid
 from homlab.pipeline import Experiment, run_experiment, stages_for
 from homlab.analysis import rate_fit
-from homlab.spectral import eigs
 
 EPS_SWEEP = (0.25, 0.125, 0.0625)
 
@@ -66,7 +65,7 @@ def laplace_spectrum():
     k = interior_operator(grid, assemble_stiffness(
         grid, make_preset("identity").a_eval))
     m = interior_operator(grid, assemble_mass(grid))
-    return eigs(k, m, 5, sigma=-1.0), m
+    return shifted_eigs(k, m, 5, sigma=-1.0), m
 
 
 def test_criterion_01_effective_tensor_oracle():
@@ -127,7 +126,8 @@ def test_criterion_03_cross_flux_identity_decay():
 
 def test_criterion_04_boundary_correctors(layered_run):
     p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
-    id_sup = solve_dirichlet_correctors(p).sup_deviation()
+    id_sup = solve_dirichlet_correctors(
+        p, lu=factor(p.diffusion_interior())).sup_deviation()
 
     pts = [(eps, float(np.max(np.abs(
         layered_run.per_eps[eps].correctors.deviation[0].values))))
@@ -220,7 +220,8 @@ def test_criterion_10_flux_trends(default_run, layered_run):
 
     model = make_preset("identity")
     p = EpsProblem(model, 0.25, DirichletGrid(128))
-    spec = eigs(p.operator_interior(), p.mass_interior(), 1, sigma=-1.0)
+    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 1,
+                        sigma=-1.0)
     from homlab.analysis import flux_table
 
     ratio = flux_table(p, spec)[0].ratio_lower
@@ -246,9 +247,10 @@ def test_criterion_11_boundary_layer_jacobian(default_run, layered_run):
         mins[name] = min(exp.per_eps[e].jacobian_min for e in EPS_SWEEP)
     grid = DirichletGrid(256)
     model = make_preset("identity")
+    problems = (EpsProblem(model, e, grid) for e in EPS_SWEEP)
     mins["identity"] = min(
-        jacobian_check(solve_dirichlet_correctors(EpsProblem(model, e, grid)))
-        for e in EPS_SWEEP)
+        jacobian_check(solve_dirichlet_correctors(
+            p, lu=factor(p.diffusion_interior()))) for p in problems)
     ok = all(v > 0.0 for v in mins.values())
     record_criterion(11, ok,
                      "min boundary-layer det(grad Phi): "

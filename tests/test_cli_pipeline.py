@@ -156,8 +156,10 @@ def test_one_factorization_per_operator(tmp_path, monkeypatch):
         made.append(op.shape)
         return real(op)
 
-    for module in (homlab.fem, homlab.domain, homlab.spectral,
-                   homlab.pipeline):
+    # the pipeline's tasks are the only place that factors
+    assert not hasattr(homlab.domain, "factorize")
+    assert not hasattr(homlab.spectral, "factorize")
+    for module in (homlab.fem, homlab.pipeline):
         monkeypatch.setattr(module, "factorize", counting_factorize)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, out=io.StringIO()) == 0
@@ -403,6 +405,13 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     cfg, _ = write_cfg(tmp_path)
     assert main(["eigs", "-c", cfg, "--seed", "-1"]) == STAGE_EXIT["config"]
     assert "[config] seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = \xff\n")
+    assert main(["cell", "-c", str(path)]) == STAGE_EXIT["config"]
+    assert capsys.readouterr().err.startswith("[config] cannot read config")
 
 
 def test_cli_cell_dump_fields(tmp_path):

@@ -60,6 +60,13 @@ def test_non_integer_where_integer_expected():
         parse_config("domain_grid_n = 64.5\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_non_finite_number_where_integer_expected(value):
+    with pytest.raises(ConfigurationError,
+                       match="cell_grid_n must be an integer"):
+        parse_config(f"cell_grid_n = {value}\n")
+
+
 def test_resolution_rule_message_names_required_n():
     with pytest.raises(ConfigurationError) as exc:
         parse_config("epsilons = 1/32\ndomain_grid_n = 256\n")

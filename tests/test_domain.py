@@ -7,12 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 import homlab.domain
-from conftest import effective_factor
+from conftest import effective_factor, eps_factor_and_report, factor
 from homlab.analysis import jacobian_check
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
     EpsProblem,
     coercivity_check,
+    constant_matrix,
     galerkin_energy_defect,
     homogenized_lower_bound,
     solve_dirichlet_correctors,
@@ -24,11 +25,11 @@ from homlab.fem import (
     assemble_load,
     assemble_stiffness,
     cg_solve,
-    factorize,
+    interior_operator,
     l2_norm,
 )
 from homlab.grids import DirichletGrid, GridFunction
-from homlab.spectral import eigs, eps_sigma_bound
+from homlab.spectral import eigs
 
 
 def full_stiffness(p):
@@ -38,8 +39,21 @@ def full_stiffness(p):
 
 
 def eps_spectrum(p, k=1):
-    return eigs(p.operator_interior(), p.mass_interior(), k, sigma=-300.0,
-                epsilon=p.epsilon)
+    """The spectrum at shift -300 and the factor it used."""
+    op, mass = p.operator_interior(), p.mass_interior()
+    lu = factor(op, mass, -300.0)
+    return eigs(op, mass, k, sigma=-300.0, lu=lu, epsilon=p.epsilon), lu
+
+
+def solved_eps(p):
+    """u_eps as the pipeline's ``eps`` task solves it."""
+    lu, report = eps_factor_and_report(p)
+    return solve_eps(p, coercivity=report, lu=lu)
+
+
+def correctors(p):
+    """The Dirichlet correctors with the factor of the diffusion matrix."""
+    return solve_dirichlet_correctors(p, lu=factor(p.diffusion_interior()))
 
 
 def test_resolution_guard():
@@ -63,14 +77,8 @@ def test_identity_solution_is_scale_free():
     sols = []
     for eps in (0.25, 0.125):
         p = EpsProblem(model, eps, grid)
-        sols.append(solve_eps(p, allow_noncoercive=True).values)
+        sols.append(solved_eps(p).values)
     assert np.array_equal(sols[0], sols[1])
-
-
-def test_solve_requires_report_or_override():
-    p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
-    with pytest.raises(ConfigurationError):
-        solve_eps(p)
 
 
 def test_poisson_solve_second_order():
@@ -91,19 +99,22 @@ def test_poisson_solve_second_order():
 
 
 def test_identity_homogenized_equals_eps_solve():
-    model = make_preset("identity", "zero", "sine-sine")
+    """With identity diffusion and no potential the oscillatory operator
+    is, bit for bit, the effective one with a_hat = I and m = 0, so both
+    problems are the same linear system."""
     grid = DirichletGrid(64)
-    p = EpsProblem(model, 0.25, grid)
-    u_eps = solve_eps(p, allow_noncoercive=True)
-    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
-                            lu=effective_factor(grid, np.eye(2)))
-    assert np.array_equal(u_eps.values, u_0.values)
+    p = EpsProblem(make_preset("identity", "zero", "sine-sine"), 0.25, grid)
+    op = p.operator_interior()
+    k_hat = interior_operator(grid, assemble_stiffness(
+        grid, constant_matrix(np.eye(2))))
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op, part), getattr(k_hat, part))
 
 
 def test_galerkin_energy_defect_small():
     model = make_preset("smooth-iso", "sine1", "sine-sine")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    u = solve_eps(p, allow_noncoercive=True)
+    u = solved_eps(p)
     assert galerkin_energy_defect(p, u) < 1e-10
 
 
@@ -125,24 +136,25 @@ def test_coercivity_flag_goes_false_without_raising():
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
     p = EpsProblem(strong, 0.5, DirichletGrid(32))
-    report = coercivity_check(eps_spectrum(p), 0.0)
+    spectrum, lu = eps_spectrum(p)
+    report = coercivity_check(spectrum, 0.0)
     assert not report.coercive
     assert report.epsilon == 0.5
     assert report.lambda_eps_1 == pytest.approx(-74.718, abs=0.5)
     with pytest.raises(CoercivityError):
-        solve_eps(p, coercivity=report)
+        solve_eps(p, coercivity=report, lu=lu)
 
 
 def test_coercivity_report_on_sound_problem():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    spectrum = eps_spectrum(p, k=3)
+    spectrum, lu = eps_spectrum(p, k=3)
     report = coercivity_check(spectrum, -0.006)
     assert report.coercive
     assert report.epsilon == 0.25
     assert report.lambda_eps_1 == spectrum.eigenvalues[0] > 0
     assert report.m_w_chi_w == -0.006
-    u = solve_eps(p, coercivity=report)
+    u = solve_eps(p, coercivity=report, lu=lu)
     assert np.isfinite(u.values).all()
 
 
@@ -162,7 +174,7 @@ def test_homogenized_sign_hypothesis_guard():
 
 def test_identity_boundary_correctors_are_coordinates():
     p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
-    dc = solve_dirichlet_correctors(p)
+    dc = correctors(p)
     assert dc.sup_deviation() < 1e-12
     assert jacobian_check(dc) > 1.0 - 1e-9
 
@@ -172,7 +184,7 @@ def test_layered_boundary_correctors_scale_linearly():
     grid = DirichletGrid(128)
     sup = {}
     for eps in (0.25, 0.125):
-        dc = solve_dirichlet_correctors(EpsProblem(model, eps, grid))
+        dc = correctors(EpsProblem(model, eps, grid))
         sup[eps] = dc.sup_deviation()
         assert jacobian_check(dc) > 0.2  # frozen floor, measured ~0.56
     assert sup[0.25] == pytest.approx(3.8937884e-2, rel=1e-5)
@@ -180,23 +192,9 @@ def test_layered_boundary_correctors_scale_linearly():
     assert 1.6 < sup[0.25] / sup[0.125] < 2.4
 
 
-def test_correctors_with_zero_load_skip_the_solve():
-    """A zero diffusion field makes both corrector loads exactly zero."""
-    base = make_preset("identity")
-    flat = CoefficientModel(
-        a_eval=lambda y1, y2: np.zeros(np.shape(y1) + (2, 2)),
-        w_eval=base.w_eval, f_eval=base.f_eval, kappa=base.kappa)
-    p = EpsProblem(flat, 0.25, DirichletGrid(64))
-    dc = solve_dirichlet_correctors(p)
-    assert dc.sup_deviation() == 0.0
-    coords = p.grid.node_coords()
-    for j in range(2):
-        assert np.array_equal(dc.phi[j].values, coords[:, j])
-
-
 def test_corrector_boundary_values_pin_to_coordinates():
     p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
-    dc = solve_dirichlet_correctors(p)
+    dc = correctors(p)
     grid = p.grid
     coords = grid.node_coords()
     wall = ~grid.is_interior
@@ -229,27 +227,17 @@ def test_direct_solves_match_a_tight_cg_reference():
     def close(x, ref):
         return np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    u = solve_eps(p, allow_noncoercive=True)
+    u = solved_eps(p)
     rhs = grid.restrict(assemble_load(grid, model.f_eval))
     ref = cg_solve(p.operator_interior(), rhs, tol=1e-13)
     assert close(grid.restrict(u.values), ref)
 
-    dc = solve_dirichlet_correctors(p)
+    dc = correctors(p)
     coords = grid.node_coords()
     for j in 0, 1:
         load = -grid.restrict(full_stiffness(p).dot(coords[:, j]))
         ref = cg_solve(p.diffusion_interior(), load, tol=1e-13)
         assert close(grid.restrict(dc.deviation[j].values), ref)
-
-
-def shifted_factor_and_report(p):
-    """The eps eigensolve's factor of L_eps - sigma M and its report."""
-    sigma = eps_sigma_bound(p)
-    op = p.operator_interior()
-    lu = factorize(op - sigma * p.mass_interior())
-    spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
-                    epsilon=p.epsilon)
-    return lu, coercivity_check(spectrum, 0.0)
 
 
 def counting_cg(monkeypatch, **fixed):
@@ -266,9 +254,10 @@ def counting_cg(monkeypatch, **fixed):
 def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
     p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
                    DirichletGrid(64))
-    lu, report = shifted_factor_and_report(p)
+    lu, report = eps_factor_and_report(p)
     assert report.coercive
-    direct = solve_eps(p, coercivity=report).values
+    rhs = p.grid.restrict(assemble_load(p.grid, p.model.f_eval))
+    direct = p.grid.extend(factor(p.operator_interior()).solve(rhs))
     calls = counting_cg(monkeypatch)
     pcg = solve_eps(p, coercivity=report, lu=lu).values
     assert len(calls) == 1 and calls[0]["precond"] == lu.solve
@@ -278,24 +267,23 @@ def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
 def test_pcg_failure_names_epsilon(monkeypatch):
     p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
                    DirichletGrid(64))
-    lu, report = shifted_factor_and_report(p)
+    lu, report = eps_factor_and_report(p)
     counting_cg(monkeypatch, max_iter=1)
     with pytest.raises(SolverError, match="epsilon=0.25") as exc:
         solve_eps(p, coercivity=report, lu=lu)
     assert exc.value.iterations == 1
 
 
-def test_noncoercive_override_solves_directly_despite_a_factor(monkeypatch):
+def test_noncoercive_report_stops_the_solve_before_cg(monkeypatch):
     base = make_preset("identity", "sine1")
     strong = CoefficientModel(
         a_eval=base.a_eval,
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
     p = EpsProblem(strong, 0.5, DirichletGrid(32))
-    lu, report = shifted_factor_and_report(p)
+    lu, report = eps_factor_and_report(p)
     assert not report.coercive
     calls = counting_cg(monkeypatch)
-    u = solve_eps(p, coercivity=report, allow_noncoercive=True, lu=lu)
+    with pytest.raises(CoercivityError):
+        solve_eps(p, coercivity=report, lu=lu)
     assert calls == []
-    assert np.array_equal(u.values,
-                          solve_eps(p, allow_noncoercive=True).values)

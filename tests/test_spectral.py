@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import EpsProblem
 from homlab.errors import ConfigurationError, SpectralError
@@ -53,7 +54,7 @@ def exact_q1_laplace_eigs(n, count):
 def test_dense_path_matches_separation_of_variables():
     _, k, m = laplace_pair(16)  # 225 dof, below the dense cutoff
     assert k.shape[0] <= DENSE_CUTOFF
-    spec = eigs(k, m, 5, sigma=-1.0)
+    spec = shifted_eigs(k, m, 5, sigma=-1.0)
     assert spec.method == "dense"
     exact = exact_q1_laplace_eigs(16, 5)
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
@@ -61,7 +62,7 @@ def test_dense_path_matches_separation_of_variables():
 
 def test_arpack_path_matches_separation_of_variables():
     _, k, m = laplace_pair(80)  # 6241 dof, above the cutoff
-    spec = eigs(k, m, 5, sigma=-1.0)
+    spec = shifted_eigs(k, m, 5, sigma=-1.0)
     assert spec.method == "arpack"
     rel = np.abs(spec.eigenvalues - exact_laplace_eigs(5)) / exact_laplace_eigs(5)
     assert np.max(rel) < 0.01
@@ -69,15 +70,15 @@ def test_arpack_path_matches_separation_of_variables():
 
 def test_same_seed_is_bitwise_deterministic():
     _, k, m = laplace_pair(80)
-    a = eigs(k, m, 4, seed=11, sigma=-1.0)
-    b = eigs(k, m, 4, seed=11, sigma=-1.0)
+    a = shifted_eigs(k, m, 4, seed=11, sigma=-1.0)
+    b = shifted_eigs(k, m, 4, seed=11, sigma=-1.0)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
 def test_orthonormality_and_residual_invariants():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 6, sigma=-1.0)
+    spec = shifted_eigs(k, m, 6, sigma=-1.0)
     gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     assert np.max(spec.residuals) < 1e-8
@@ -86,7 +87,7 @@ def test_orthonormality_and_residual_invariants():
 
 def test_reciprocal_eigenvalues_decrease():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 6, sigma=-1.0)
+    spec = shifted_eigs(k, m, 6, sigma=-1.0)
     mu = 1.0 / spec.eigenvalues
     # the 5 pi^2 pair is exactly degenerate on a square grid, so non-strict
     assert np.all(np.diff(mu) <= 1e-15)
@@ -95,9 +96,9 @@ def test_reciprocal_eigenvalues_decrease():
 def test_k_validation():
     _, k, m = laplace_pair(48)
     with pytest.raises(ConfigurationError):
-        eigs(k, m, 0, sigma=-1.0)
+        shifted_eigs(k, m, 0, sigma=-1.0)
     with pytest.raises(ConfigurationError):
-        eigs(k, m, 65, sigma=-1.0)
+        shifted_eigs(k, m, 65, sigma=-1.0)
 
 
 def test_eigs_needs_an_explicit_shift():
@@ -112,8 +113,8 @@ def test_constant_shift_moves_spectrum_exactly():
     _, k, m = laplace_pair(48)
     c = 7.5
     shifted = k + c * m
-    a = eigs(k, m, 4, sigma=-1.0)
-    b = eigs(shifted, m, 4, sigma=c - 1.0)
+    a = shifted_eigs(k, m, 4, sigma=-1.0)
+    b = shifted_eigs(shifted, m, 4, sigma=c - 1.0)
     assert np.max(np.abs(b.eigenvalues - (a.eigenvalues + c))) < 1e-9
 
 
@@ -134,7 +135,7 @@ def minmax_probe(op, mass, trials=20, seed=0):
 
 def test_minmax_probe_never_beats_lowest_eigenvalue():
     _, k, m = laplace_pair(48)
-    spec = eigs(k, m, 1, sigma=-1.0)
+    spec = shifted_eigs(k, m, 1, sigma=-1.0)
     probe = minmax_probe(k, m, trials=20, seed=4)
     assert probe >= spec.eigenvalues[0] - 1e-9
 
@@ -184,8 +185,8 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
 def test_rayleigh_quotients_match_direct_quadrature():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    spec = eigs(p.operator_interior(), p.mass_interior(), 3,
-                sigma=eps_sigma_bound(p), epsilon=0.25)
+    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 3,
+                        sigma=eps_sigma_bound(p), epsilon=0.25)
     defect = rayleigh_quadrature_defect(p, spec)
     assert np.max(defect) < 1e-10
 
@@ -194,7 +195,7 @@ def test_arpack_path_matches_dense_eigh_just_above_the_cutoff():
     p = EpsProblem(make_preset("smooth-iso", "sine1"), 1.0, DirichletGrid(18))
     op, mass = p.operator_interior(), p.mass_interior()
     assert op.shape[0] == 289 > DENSE_CUTOFF
-    spec = eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=1.0)
+    spec = shifted_eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=1.0)
     assert spec.method == "arpack"
     ref = scipy.linalg.eigh(op.toarray(), mass.toarray(), eigvals_only=True,
                             subset_by_index=(0, 4))
@@ -224,7 +225,7 @@ def test_gap_rows_normalization():
 @pytest.fixture(scope="module")
 def spec():
     _, k, m = laplace_pair(48)
-    return eigs(k, m, 8, sigma=-1.0), k, m
+    return shifted_eigs(k, m, 8, sigma=-1.0), k, m
 
 
 class TestClusterProjection:
