@@ -703,6 +703,8 @@ class Experiment:
             },
             "eigs": {
                 "rayleigh_defects": dict(self.rayleigh_defects),
+                "solves": {tag: spec.solves
+                           for tag, spec in self.spectra.items()},
                 "tags": {tag: [float(v) for v in spec.eigenvalues]
                          for tag, spec in self.spectra.items()},
             },

@@ -2,11 +2,14 @@
 
 Solves ``K v = lambda M v`` for the operators produced by
 :mod:`homlab.domain`, with a dense LAPACK path for small problems and a
-seeded shift-invert Lanczos path (ARPACK) above the cutoff.  Nothing here
-factors a matrix: the shift-invert operator is the caller's sparse LU
-factor of ``K - sigma M`` (:func:`homlab.fem.factorize`), the one the
-pipeline's operator task made and also solves with.  Every returned
-:class:`Spectrum` is re-orthonormalized in the mass inner product,
+seeded thick-restart Lanczos path above the cutoff.  The Lanczos path
+(:func:`_lanczos`) runs in the mass inner product on ``(K - sigma M)^-1 M``
+and stops as soon as every wanted pair meets a tenth of the residual
+tolerance; its work is the factor's solves, sparse products and numpy BLAS
+calls.  Nothing here factors a matrix: the shift-invert operator is the
+caller's sparse LU factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
+the one the pipeline's operator task made and also solves with.  Every
+returned :class:`Spectrum` is re-orthonormalized in the mass inner product,
 sign-fixed, and residual-checked; failures raise :class:`SpectralError`
 rather than returning dubious pairs.  A spectrum shifted by a multiple of
 the mass matrix (:func:`shift_spectrum`) reuses the eigenvectors and is
@@ -35,7 +38,6 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .config import K_MAX
 from .errors import ConfigurationError, SpectralError
@@ -56,12 +58,24 @@ __all__ = [
 ]
 
 #: Problems at or below this many degrees of freedom go to dense LAPACK.
-#: The crossover, measured on ``eps`` pencils with k=5 and one BLAS thread:
-#: dense ``eigh`` wins at 225 DOF (0.007 s vs 0.011 s for shift-invert on a
-#: sparse LU factor) and loses from 289 DOF on (0.012 s vs 0.011 s; 10.3 s
-#: vs 0.054 s at 3969 DOF).  The dense path also serves tiny pencils, where
-#: ``eigsh`` needs k < n.
+#: The crossover, measured on ``eps`` pencils (epsilon = 1) with k=5 and one
+#: BLAS thread on a 2-core Xeon VM: dense ``eigh`` wins at 225 DOF (5.1 ms
+#: vs 5.9 ms for :func:`_lanczos`, its factor included) and loses from 289
+#: DOF on (8.5 ms vs 6.5 ms; 7.4 s vs 0.037 s at 3969 DOF).  The dense path
+#: also serves tiny pencils, where a Lanczos basis of ``max(2k+1, 20)``
+#: vectors would not fit.
 DENSE_CUTOFF = 256
+
+#: Thick restarts :func:`_lanczos` makes before it gives up; the pipeline's
+#: pencils took 2 or 3 (measured at k = 5, 32 and 64).
+MAX_RESTARTS = 100
+#: Lanczos breakdown: the part of a solve's result left after
+#: orthogonalization is at most this fraction of it, so the basis spans an
+#: invariant subspace to working precision.
+_BREAKDOWN = 1e-12
+#: Basis columns recombined at a time on a thick restart, so the restart
+#: needs a (keep x chunk) temporary rather than a second basis.
+_RESTART_CHUNK = 4096
 
 
 @dataclass
@@ -77,8 +91,9 @@ class Spectrum:
     eigenvalues: np.ndarray  # (k,)
     eigenvectors: np.ndarray  # (ndof, k)
     residuals: np.ndarray  # (k,) relative residual per pair
-    method: str  # "dense" | "arpack"
+    method: str  # "dense" | "lanczos"
     epsilon: Optional[float] = None
+    solves: int = 0  # shift-invert solves made; 0 on the dense path
 
     def __post_init__(self):
         if self.eigenvalues.ndim != 1:
@@ -124,15 +139,16 @@ def eigs(op: sp.csr_matrix,
     """Lowest ``k`` eigenpairs of ``op v = lambda mass v``.
 
     Dense LAPACK below :data:`DENSE_CUTOFF` degrees of freedom; otherwise
-    ARPACK shift-invert with a start vector drawn from ``seed``.  ``sigma``
-    is required and must lie strictly below the smallest eigenvalue: the
-    shift-invert Lanczos iteration finds the eigenvalues nearest to it, so a
-    shift above lambda_1 returns wrong pairs that still pass the residual
-    check.  Callers with scaled potentials pass :func:`eps_sigma_bound`.
-    ``lu`` is the caller's :func:`homlab.fem.factorize` factor of
-    ``op - sigma * mass``, the ARPACK path's shift-invert operator; the
-    dense path does not use it.
-    ``tol`` is the relative residual each returned pair must meet.
+    shift-invert Lanczos (:func:`_lanczos`) with a start vector drawn from
+    ``seed``.  ``sigma`` is required and must lie strictly below the
+    smallest eigenvalue: the iteration finds the eigenvalues nearest to it,
+    so a shift above lambda_1 returns wrong pairs that still pass the
+    residual check.  Callers with scaled potentials pass
+    :func:`eps_sigma_bound`.  ``lu`` is the caller's
+    :func:`homlab.fem.factorize` factor of ``op - sigma * mass``, the
+    Lanczos path's shift-invert operator; the dense path does not use it.
+    ``tol`` is the relative residual each returned pair must meet; the
+    Lanczos path iterates until every pair meets a tenth of it.
     """
     n = op.shape[0]
     if k < 1:
@@ -146,44 +162,114 @@ def eigs(op: sp.csr_matrix,
     if n <= DENSE_CUTOFF:
         lam, vecs = scipy.linalg.eigh(
             op.toarray(), mass.toarray(), subset_by_index=(0, k - 1))
-        method = "dense"
+        method, solves = "dense", 0
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        shift = float(sigma)
-        try:
-            lam, vecs = _shift_invert(op, mass, k, shift, v0, lu)
-        except Exception as err:  # ARPACK failures come in several flavors
-            raise SpectralError(
-                f"shift-invert eigensolve failed at sigma={shift:.6g}: {err}"
-            ) from err
-        order = np.argsort(lam)
-        lam, vecs = lam[order], vecs[:, order]
-        method = "arpack"
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
+                                     tol / 10.0)
+        method = "lanczos"
 
     vecs = _fix_signs(_orthonormalize(vecs, mass))
-    return _checked_spectrum(op, mass, lam, vecs, tol, method, tag, epsilon)
+    return _checked_spectrum(op, mass, lam, vecs, tol, method, tag, epsilon,
+                             solves)
 
 
-def _shift_invert(op: sp.csr_matrix, mass: sp.csr_matrix, k: int,
-                  shift: float, v0: np.ndarray, lu):
-    """ARPACK on ``(op - shift mass)^-1 mass``, applied by ``lu``."""
-    opinv = scipy.sparse.linalg.LinearOperator(op.shape, matvec=lu.solve,
-                                               dtype=float)
-    return scipy.sparse.linalg.eigsh(op, k=k, M=mass, sigma=shift,
-                                     which="LM", v0=v0, OPinv=opinv)
+def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
+             v0: np.ndarray, lu, rtol: float):
+    """Thick-restart Lanczos for the ``k`` eigenvalues nearest ``shift``.
+
+    Runs on ``C = (op - shift mass)^-1 mass``, which is self-adjoint in the
+    mass inner product, with eigenvalues ``1 / (lambda - shift)``; a step is
+    one ``lu.solve`` of ``mass v`` and two passes of classical Gram-Schmidt
+    against the whole basis (Ericsson & Ruhe, Math. Comp. 1980).  Only the
+    ``ncv + 1`` basis vectors are stored.  When the basis is full, the
+    ``keep`` largest Ritz vectors and the last Lanczos vector start the next
+    cycle (Wu & Simon, SIAM J. Matrix Anal. Appl. 2000).  Stops once every
+    wanted pair has the cheap Ritz residual ``|beta s_last| <= rtol theta``
+    and the relative residual that :func:`_checked_spectrum` gates, checked
+    on the formed Ritz vectors, is at most ``rtol`` too.  Returns the
+    eigenvalues ascending, the eigenvectors as ``(n, k)`` columns and the
+    number of solves made.
+    """
+    n = op.shape[0]
+    ncv = max(2 * k + 1, 20)
+    keep = k + (ncv - k) // 2
+    basis = np.empty((ncv + 1, n))
+    proj = np.zeros((ncv, ncv))  # basis^T mass C basis
+    mv = mass.dot(v0)
+    norm = np.sqrt(v0 @ mv)
+    basis[0] = v0 / norm
+    mv /= norm
+    j = solves = restarts = 0
+    gate = rtol
+
+    def failure(what: str) -> SpectralError:
+        return SpectralError(
+            f"Lanczos {what} after {solves} solves ({n} DOF, k={k}, "
+            f"sigma={shift:.6g})")
+
+    while True:
+        w = lu.solve(mv)
+        solves += 1
+        mw = mass.dot(w)
+        size = np.sqrt(w @ mw)
+        coef = np.zeros(j + 1)
+        for _ in range(2):
+            h = basis[:j + 1] @ mw
+            w -= h @ basis[:j + 1]
+            coef += h
+            mw = mass.dot(w)
+        beta = np.sqrt(max(float(w @ mw), 0.0))
+        proj[:j + 1, j] = proj[j, :j + 1] = coef
+        m = j + 1
+        if m >= k:
+            theta, s = np.linalg.eigh(proj[:m, :m])
+            theta, s = theta[::-1], s[:, ::-1]
+            estimate = np.max(np.abs(beta * s[-1, :k]) / theta[:k])
+            if estimate <= gate:
+                vecs = (s[:, :k].T @ basis[:m]).T
+                lam = shift + 1.0 / theta[:k]
+                worst = np.max(_relative_residuals(op, mass, lam, vecs))
+                if worst <= rtol:
+                    return lam, vecs, solves
+                # The true residual runs ahead of the estimate by a nearly
+                # steady factor: form the vectors again only once the
+                # estimate has closed the gap just measured.
+                gate = estimate * rtol / worst
+        if beta <= _BREAKDOWN * size:
+            raise failure("broke down on an invariant subspace")
+        if m == ncv:
+            restarts += 1
+            if restarts > MAX_RESTARTS:
+                raise failure(f"did not converge in {MAX_RESTARTS} restarts")
+            # basis[:keep] = s_keep^T basis[:ncv], a column block at a time
+            for start in range(0, n, _RESTART_CHUNK):
+                cols = slice(start, start + _RESTART_CHUNK)
+                basis[:keep, cols] = s[:, :keep].T @ basis[:ncv, cols]
+            proj[:] = 0.0
+            proj[:keep, :keep] = np.diag(theta[:keep])
+            j = keep
+        else:
+            j = m
+        basis[j] = w / beta
+        mv = mw / beta
+
+
+def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
+                        lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``||op v - lambda mass v|| / (|lambda| ||mass v||)`` per pair."""
+    mv = mass.dot(vecs)
+    res_abs = np.linalg.norm(op.dot(vecs) - lam[None, :] * mv, axis=0)
+    scale = np.maximum(np.abs(lam), 1e-30) * np.linalg.norm(mv, axis=0)
+    return res_abs / scale
 
 
 def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
                       lam: np.ndarray, vecs: np.ndarray, tol: float,
-                      method: str, tag: str,
-                      epsilon: Optional[float]) -> Spectrum:
+                      method: str, tag: str, epsilon: Optional[float],
+                      solves: int) -> Spectrum:
     """Residual and order check every returned :class:`Spectrum` passes."""
-    kv = op.dot(vecs)
-    mv = mass.dot(vecs)
-    res_abs = np.linalg.norm(kv - lam[None, :] * mv, axis=0)
-    scale = np.maximum(np.abs(lam), 1e-30) * np.linalg.norm(mv, axis=0)
-    residuals = res_abs / scale
+    residuals = _relative_residuals(op, mass, lam, vecs)
     if np.any(residuals > tol):
         worst = int(np.argmax(residuals))
         raise SpectralError(
@@ -193,7 +279,8 @@ def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
     if np.any(np.diff(lam) < -tol * np.maximum(np.abs(lam[:-1]), 1.0)):
         raise SpectralError("eigenvalues not returned in ascending order")
     return Spectrum(tag=tag, eigenvalues=lam, eigenvectors=vecs,
-                    residuals=residuals, method=method, epsilon=epsilon)
+                    residuals=residuals, method=method, epsilon=epsilon,
+                    solves=solves)
 
 
 def shift_spectrum(spectrum: Spectrum, shift: float,
@@ -208,7 +295,7 @@ def shift_spectrum(spectrum: Spectrum, shift: float,
     """
     return _checked_spectrum(op, mass, spectrum.eigenvalues + shift,
                              spectrum.eigenvectors, tol, spectrum.method,
-                             tag, spectrum.epsilon)
+                             tag, spectrum.epsilon, solves=0)
 
 
 def eps_sigma_bound(problem) -> float:

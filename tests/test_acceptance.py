@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per numbered criterion.
+"""Acceptance criteria, one test per numbered criterion, and the solve count
+of the default run's eigensolves, read from the same shared sweep.
 
 Every test records a PASS/FAIL line (printed in the terminal summary) before
 asserting, with the measured values inline.  Heavy sweeps are shared through
@@ -281,3 +282,17 @@ def test_criterion_12_determinism(tmp_path_factory):
                      f"two identical runs: {sum(same)}/{len(same)} artifacts "
                      "byte-identical")
     assert ok
+
+
+def test_default_pencils_converge_in_fewer_than_46_solves(default_run):
+    """ARPACK, asked for machine precision, made 46 solves on every k = 5
+    pencil of the default run; the Lanczos path stops at a tenth of
+    eig_tol (measured 31-36)."""
+    exp, _ = default_run
+    assert exp.cfg.k_eigen == 5
+    for tag, spectrum in exp.spectra.items():
+        if tag == "hom":  # hom_prime's pairs moved by m, no solve of its own
+            assert spectrum.solves == 0
+        else:
+            assert spectrum.method == "lanczos", tag
+            assert 0 < spectrum.solves < 46, tag

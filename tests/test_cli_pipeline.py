@@ -103,6 +103,10 @@ def test_report_carries_effective_constants(tmp_path):
     assert sol["h1_w"] < sol["h1_plain"]
     assert report["flux"]["min_ratio_lower"] >= report["flux"]["lower_floor"]
     assert report["gaps"]["first_eig"][0]["d7"] < report["gaps"]["first_eig"][0]["d8"]
+    assert report["eigs"]["solves"]["hom"] == 0
+    assert set(report["eigs"]["solves"]) == set(report["eigs"]["tags"])
+    assert all(report["eigs"]["solves"][tag] > 0
+               for tag in ("hom_prime", "eps:1/4", "eps_prime:1/4"))
     assert set(report["timings_s"]) == set(STAGES)
     peaks = [report["peak_rss_mb"][stage] for stage in STAGES]
     assert all(p > 0 for p in peaks) and peaks == sorted(peaks)
@@ -252,7 +256,7 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
 
     exp.run_stage("eigs")
     hom_prime, hom = exp.spectra["hom_prime"], exp.spectra["hom"]
-    assert hom_prime.method == "arpack"
+    assert hom_prime.method == "lanczos"
     assert np.max(np.abs(hom_prime.eigenvalues - exact) / exact) < 1e-10
     assert np.max(np.abs(hom.eigenvalues - (exact + m))
                   / np.abs(exact + m)) < 1e-10

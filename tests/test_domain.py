@@ -1,7 +1,5 @@
 """Boundary-value solves on the unit square and their guard rails."""
 
-import functools
-
 import numpy as np
 import pytest
 import scipy.sparse as sp

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is read somewhere in its module.
+"""Every module-level import in the package and its tests is read somewhere
+in its module.
 
 No linter ships with the project, so this AST scan stands in for one on the
 rule that matters most for a package that deletes code: an import whose last
@@ -11,7 +12,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "homlab"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "homlab"
 
 
 def _imports(body):
@@ -51,7 +53,8 @@ def unused_imports(source):
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
-                                  if p.name != "__init__.py"],
+                                  if p.name != "__init__.py"]
+                         + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

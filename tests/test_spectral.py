@@ -1,19 +1,24 @@
-"""Generalized eigensolves: dense and shift-invert paths, invariants, and
+"""Generalized eigensolves: dense and Lanczos paths, invariants, and
 the comparison tables built from spectra."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from conftest import shifted_eigs
+from conftest import factor, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
-from homlab.domain import EpsProblem
+from homlab.domain import EpsProblem, constant_matrix
 from homlab.errors import ConfigurationError, SpectralError
 from homlab.fem import QUAD_XI, assemble_mass, assemble_stiffness, interior_operator
 from homlab.grids import DirichletGrid
 from homlab.spectral import (
     DENSE_CUTOFF,
+    MAX_RESTARTS,
     Spectrum,
+    _lanczos,
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
@@ -60,10 +65,10 @@ def test_dense_path_matches_separation_of_variables():
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
 
 
-def test_arpack_path_matches_separation_of_variables():
+def test_lanczos_path_matches_separation_of_variables():
     _, k, m = laplace_pair(80)  # 6241 dof, above the cutoff
     spec = shifted_eigs(k, m, 5, sigma=-1.0)
-    assert spec.method == "arpack"
+    assert spec.method == "lanczos"
     rel = np.abs(spec.eigenvalues - exact_laplace_eigs(5)) / exact_laplace_eigs(5)
     assert np.max(rel) < 0.01
 
@@ -74,6 +79,65 @@ def test_same_seed_is_bitwise_deterministic():
     b = shifted_eigs(k, m, 4, seed=11, sigma=-1.0)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_eigensolves_on_two_threads_match_one_after_the_other():
+    """The Lanczos path shares no state between calls, so running two at
+    once changes no bit of either result."""
+    pencils = [laplace_pair(64)[1:], laplace_pair(72)[1:]]
+    lus = [factor(k, m, -1.0) for k, m in pencils]
+
+    def solve(i):
+        k, m = pencils[i]
+        return eigs(k, m, 6, seed=i, sigma=-1.0, lu=lus[i])
+
+    serial = [solve(0), solve(1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(solve, (0, 1)))
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert a.solves == b.solves > 0
+
+
+def test_lanczos_returns_both_members_of_an_exact_pair():
+    """Isotropic a_hat makes the hom_prime pencil a Kronecker sum with
+    lambda_2 = lambda_3; a one-vector Krylov space holds a single direction
+    of that plane until rounding seeds the other, and both must come back
+    before the iteration stops."""
+    grid = DirichletGrid(64)
+    a_hat = 1.7 * np.eye(2)
+    k = interior_operator(grid, assemble_stiffness(grid, constant_matrix(a_hat)))
+    m = interior_operator(grid, assemble_mass(grid))
+    spec = shifted_eigs(k, m, 5, sigma=-1.0)
+    assert spec.method == "lanczos"
+    exact = 1.7 * exact_q1_laplace_eigs(64, 5)
+    assert exact[1] == pytest.approx(exact[2], rel=1e-14)
+    assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
+    gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
+    assert np.max(np.abs(gram - np.eye(5))) < 1e-12
+
+
+def test_lanczos_breakdown_raises():
+    """A start vector inside a 3-dimensional invariant subspace exhausts the
+    Krylov space before k = 5 pairs exist."""
+    n = 289
+    op = sp.diags(np.arange(1.0, n + 1.0), format="csr")
+    mass = sp.identity(n, format="csr")
+    v0 = np.zeros(n)
+    v0[:3] = 1.0
+    with pytest.raises(SpectralError, match=(
+            r"broke down on an invariant subspace after 3 solves "
+            r"\(289 DOF, k=5, sigma=-1\)")):
+        _lanczos(op, mass, 5, -1.0, v0, factor(op, mass, -1.0), 1e-9)
+
+
+def test_lanczos_gives_up_after_the_restart_cap():
+    _, k, m = laplace_pair(18)  # 289 dof, just above the cutoff
+    with pytest.raises(SpectralError, match=(
+            rf"did not converge in {MAX_RESTARTS} restarts after \d+ solves "
+            r"\(289 DOF, k=2, sigma=-1\)")):
+        shifted_eigs(k, m, 2, sigma=-1.0, tol=1e-30)
 
 
 def test_orthonormality_and_residual_invariants():
@@ -191,12 +255,12 @@ def test_rayleigh_quotients_match_direct_quadrature():
     assert np.max(defect) < 1e-10
 
 
-def test_arpack_path_matches_dense_eigh_just_above_the_cutoff():
+def test_lanczos_path_matches_dense_eigh_just_above_the_cutoff():
     p = EpsProblem(make_preset("smooth-iso", "sine1"), 1.0, DirichletGrid(18))
     op, mass = p.operator_interior(), p.mass_interior()
     assert op.shape[0] == 289 > DENSE_CUTOFF
     spec = shifted_eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=1.0)
-    assert spec.method == "arpack"
+    assert spec.method == "lanczos"
     ref = scipy.linalg.eigh(op.toarray(), mass.toarray(), eigvals_only=True,
                             subset_by_index=(0, 4))
     assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
