@@ -104,16 +104,13 @@ def _boundary_abs_max(gf: GridFunction) -> float:
     grid = gf.grid
     if grid.periodic:
         raise UsageError("boundary trace is only defined on a Dirichlet grid")
-    mask = np.ones(grid.nnodes, dtype=bool)
-    mask[grid.interior] = False
-    return float(np.max(np.abs(gf.values[mask])))
+    return float(np.max(np.abs(gf.values[~grid.is_interior])))
 
 
 @dataclass
 class RateReport:
     """Log-log least-squares fit of value against scale."""
 
-    quantity: str
     points: List[Tuple[float, float]]
     slope: float
     intercept: float
@@ -141,9 +138,8 @@ def rate_fit(points: Sequence[Tuple[float, float]],
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return RateReport(quantity=quantity, points=usable,
-                      slope=float(slope), intercept=float(intercept),
-                      r2=r2, excluded=excluded)
+    return RateReport(points=usable, slope=float(slope),
+                      intercept=float(intercept), r2=r2, excluded=excluded)
 
 
 @dataclass

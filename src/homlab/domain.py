@@ -10,6 +10,10 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
 
+Each scale's operators are assembled once, when its :class:`EpsProblem` is
+built, and kept as plain attributes; reading them assembles nothing, so
+threads can share a problem.
+
 Nothing here factors a matrix.  Every solve takes the caller's sparse LU
 factor (:func:`homlab.fem.factorize`), the one the pipeline's operator task
 made for that operator's shift-invert eigensolve:
@@ -80,13 +84,19 @@ def _scaled_w(model: CoefficientModel, epsilon: float):
 
 
 class EpsProblem:
-    """Oscillatory Dirichlet problem at a fixed scale.
+    """Oscillatory Dirichlet problem at a fixed scale, assembled on
+    construction:
 
-    Bundles the coefficient model, the scale ``epsilon`` and the domain grid,
-    and caches the assembled interior operators and the two corrector lifts;
-    no full-grid matrix outlives its assembly.  Construction enforces the
-    resolution rule ``h <= epsilon / 16``; everything downstream may then
-    assume the oscillation is resolved.
+    - ``diffusion``: interior stiffness ``K_eps`` of ``-div(A(x/eps) grad .)``;
+    - ``operator``: interior matrix of ``-div(A(x/eps) grad .) + (1/eps)
+      W(x/eps)``, i.e. ``diffusion + (1/eps) M_W``, or ``diffusion`` itself
+      when ``W`` is zero;
+    - ``lifts``: interior loads ``-(K x_j)`` of the two corrector problems,
+      ``x_j`` the nodal coordinate ``j`` (j = 1, 2).
+
+    The full-grid stiffness ``K`` is assembled once and not kept.
+    Construction first enforces the resolution rule ``h <= epsilon / 16``;
+    everything downstream may then assume the oscillation is resolved.
     """
 
     def __init__(self, model: CoefficientModel, epsilon: float, grid: DirichletGrid):
@@ -103,53 +113,24 @@ class EpsProblem:
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
+        k_full = assemble_stiffness(grid, _scaled_a(model, self.epsilon))
+        coords = grid.node_coords()
+        self.lifts: Tuple[np.ndarray, np.ndarray] = tuple(
+            -grid.restrict(k_full.dot(coords[:, j].copy())) for j in (0, 1))
+        self.diffusion = interior_operator(grid, k_full)
+        del k_full, coords  # freed before M_W is assembled
+        if model.w_preset == "zero":
+            self.operator = self.diffusion
+        else:
+            mw = interior_operator(grid, assemble_weighted_mass(
+                grid, _scaled_w(model, self.epsilon)))
+            self.operator = self.diffusion + (1.0 / self.epsilon) * mw
         self._mass_int: Optional[sp.csr_matrix] = None
-        self._op_int: Optional[sp.csr_matrix] = None
-        self._diff_int: Optional[sp.csr_matrix] = None
-        self._lifts: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    # --- assembly (lazy, cached) -------------------------------------
 
     def mass_interior(self) -> sp.csr_matrix:
         if self._mass_int is None:
             self._mass_int = interior_operator(self.grid, assemble_mass(self.grid))
         return self._mass_int
-
-    def operator_interior(self) -> sp.csr_matrix:
-        """Interior matrix of  -div(A(x/eps) grad .) + (1/eps) W(x/eps)."""
-        if self._op_int is None:
-            k = self.diffusion_interior()
-            if self.model.w_preset == "zero":
-                self._op_int = k
-            else:
-                mw = interior_operator(self.grid, assemble_weighted_mass(
-                    self.grid, _scaled_w(self.model, self.epsilon)))
-                self._op_int = k + (1.0 / self.epsilon) * mw
-        return self._op_int
-
-    def diffusion_interior(self) -> sp.csr_matrix:
-        """Interior stiffness alone (no potential term).
-
-        The full-grid stiffness ``K`` is assembled here once and not kept;
-        besides its interior block only the corrector lifts
-        (:meth:`corrector_lifts`) are taken from it.
-        """
-        if self._diff_int is None:
-            k_full = assemble_stiffness(self.grid,
-                                        _scaled_a(self.model, self.epsilon))
-            coords = self.grid.node_coords()
-            self._lifts = tuple(
-                -self.grid.restrict(k_full.dot(coords[:, j].copy()))
-                for j in (0, 1))
-            self._diff_int = interior_operator(self.grid, k_full)
-        return self._diff_int
-
-    def corrector_lifts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Interior loads ``-(K x_j)`` of the two Dirichlet corrector
-        problems, ``K`` the full-grid stiffness and ``x_j`` the nodal
-        coordinate ``j`` (j = 1, 2)."""
-        self.diffusion_interior()
-        return self._lifts
 
     # --- energy by quadrature ----------------------------------------
 
@@ -248,7 +229,7 @@ def solve_eps(problem: EpsProblem, coercivity: CoercivityReport,
     rhs = problem.grid.restrict(
         assemble_load(problem.grid, problem.model.f_eval))
     try:
-        inner = cg_solve(problem.operator_interior(), rhs, tol=1e-13,
+        inner = cg_solve(problem.operator, rhs, tol=1e-13,
                          precond=lu.solve)
     except SolverError as err:
         raise SolverError(
@@ -324,16 +305,16 @@ def solve_dirichlet_correctors(problem: EpsProblem,
 
     The ansatz ``Phi_j = x_j + phi`` turns the boundary data into homogeneous
     Dirichlet data for ``phi`` with load ``-(K x_j)`` restricted to the
-    interior (:meth:`EpsProblem.corrector_lifts`); the boundary nodes of the
-    returned field therefore carry ``x_j`` exactly (bit for bit), not merely
-    up to solver tolerance.  Both problems solve with ``lu``, the caller's
-    factor of ``problem.diffusion_interior()``.
+    interior (``problem.lifts``); the boundary nodes of the returned field
+    therefore carry ``x_j`` exactly (bit for bit), not merely up to solver
+    tolerance.  Both problems solve with ``lu``, the caller's factor of
+    ``problem.diffusion``.
     """
     grid = problem.grid
     coords = grid.node_coords()
     phi = []
     deviation = []
-    for j, rhs in enumerate(problem.corrector_lifts()):
+    for j, rhs in enumerate(problem.lifts):
         dev = grid.extend(lu.solve(rhs))
         phi.append(GridFunction(grid, coords[:, j] + dev))
         deviation.append(GridFunction(grid, dev))
@@ -350,7 +331,7 @@ def galerkin_energy_defect(problem: EpsProblem, u: GridFunction) -> float:
     consistency probe for the oscillatory solve path.
     """
     inner = problem.grid.restrict(u.values)
-    op_energy = float(inner @ problem.operator_interior().dot(inner))
+    op_energy = float(inner @ problem.operator.dot(inner))
     quad = problem.quadrature_energies([u.values])[0][0]
     scale = max(abs(quad), abs(op_energy), 1e-300)
     return abs(op_energy - quad) / scale

@@ -309,19 +309,14 @@ def l2_norm(gf):
 
 
 def recover_gradient(gf):
-    """Nodal gradient by averaging the Q1 corner gradients of adjacent cells.
+    """Nodal gradient of a field on a DirichletGrid by averaging the Q1
+    corner gradients of adjacent cells.
 
     On a uniform grid this reduces to central differences at interior nodes
-    (O(h^2)) and one-sided differences on the boundary of a DirichletGrid;
-    exact for globally (bi)linear fields.
+    (O(h^2)) and one-sided differences on the boundary; exact for globally
+    (bi)linear fields.
     """
     grid, u = gf.grid, gf.values
-    if grid.periodic:
-        n = grid.n
-        v = u.reshape(n, n)  # v[iy, ix]
-        gx = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2 * grid.h)
-        gy = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2 * grid.h)
-        return (GridFunction(grid, gx.ravel()), GridFunction(grid, gy.ravel()))
     m = grid.n + 1
     v = u.reshape(m, m)
     gx = np.gradient(v, grid.h, axis=1, edge_order=1)
@@ -356,9 +351,11 @@ def boundary_flux(gf):
         raise UsageError("boundary_flux needs a DirichletGrid; the unit cell has no boundary")
     total = 0.0
     u = gf.values
-    for local in range(4):
-        mask = grid.edge_local == local
-        cells = grid.edge_cell[mask]
+    n = grid.n
+    # The wall cells in row-major cell numbering, by local edge.
+    walls = (slice(0, n), slice(n - 1, None, n), slice(n * (n - 1), None),
+             slice(0, None, n))
+    for local, cells in enumerate(walls):
         xi = _edge_ref_points(local)
         g = shape_gradients(xi)                       # (2,4,2)
         vals = u[grid.conn[cells]]                    # (ne,4)

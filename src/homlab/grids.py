@@ -80,8 +80,7 @@ class PeriodicGrid:
 class DirichletGrid:
     """n-by-n cell grid on the closed unit square with (n+1)^2 nodes.
 
-    ``interior`` lists the (n-1)^2 nodes strictly inside; boundary edges are
-    enumerated for flux quadrature.
+    ``interior`` lists the (n-1)^2 nodes strictly inside.
     """
 
     periodic = False
@@ -108,21 +107,6 @@ class DirichletGrid:
         self.is_interior = inner.ravel()
         self.interior = np.flatnonzero(self.is_interior)
         self.ndof = self.interior.size
-
-        # Boundary edges: (cell index, local edge 0..3).
-        # Local edges: 0 bottom, 1 right, 2 top, 3 left.
-        cid = lambda cx, cy: cy * self.n + cx
-        edge_cell, edge_local = [], []
-        for cx in range(self.n):
-            edge_cell.append(cid(cx, 0)); edge_local.append(0)
-        for cy in range(self.n):
-            edge_cell.append(cid(self.n - 1, cy)); edge_local.append(1)
-        for cx in range(self.n):
-            edge_cell.append(cid(cx, self.n - 1)); edge_local.append(2)
-        for cy in range(self.n):
-            edge_cell.append(cid(0, cy)); edge_local.append(3)
-        self.edge_cell = np.array(edge_cell)
-        self.edge_local = np.array(edge_local)
 
     def node_coords(self):
         t = np.arange(self.n + 1) * self.h

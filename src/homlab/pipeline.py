@@ -33,10 +33,13 @@ as each scale's inputs arrive, that scale's finish task (expansion,
 Jacobian, energy defect).  Each operator's spectrum is computed once per
 run, by its task: after ``solve``, ``eigs`` finds them all and only adds the
 Rayleigh defects; run without ``solve``, it submits the missing spectrum
-tasks to one pool the same way.  Each scale has one :class:`EpsProblem` for
-the run, so its operators are assembled once, on the main thread before the
-first task starts.  No factor outlives its task; the freed heap goes back
-to the OS after the assembly and after each task (:func:`_release_heap`).
+tasks to one pool the same way.  The operators are assembled once per run
+by ``Experiment._assemble``, on the main thread before the first task
+starts: the interior mass, the effective stiffness and one
+:class:`EpsProblem` per scale, which assembles its operators when built;
+``cell`` alone assembles none.  No factor outlives its task; the freed heap
+goes back to the OS after the assembly and after each task
+(:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -262,9 +265,10 @@ class Experiment:
         self.out = out
         self.model = make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset)
         self.domain_grid = DirichletGrid(cfg.domain_grid_n)
-        # one problem per scale for the whole run, assembled lazily
-        self.problems = {eps: EpsProblem(self.model, eps, self.domain_grid)
-                         for eps in cfg.epsilons}
+        # the run's operators, built once by _assemble
+        self.mass: Optional[sp.csr_matrix] = None  # interior mass
+        self.hom_stiffness: Optional[sp.csr_matrix] = None  # of a_hat
+        self.problems: Dict[float, EpsProblem] = {}  # one per scale
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
@@ -282,8 +286,6 @@ class Experiment:
         self.flux_summary: dict = {}
         self.timings: Dict[str, float] = {}
         self.peak_rss_mb: Dict[str, Optional[float]] = {}
-        self._mass_interior: Optional[sp.csr_matrix] = None
-        self._hom_stiff_interior: Optional[sp.csr_matrix] = None
 
     # -- shared pieces -------------------------------------------------
 
@@ -293,20 +295,6 @@ class Experiment:
     def _say(self, text: str) -> None:
         print(text, file=self.out)
 
-    def mass_interior(self) -> sp.csr_matrix:
-        if self._mass_interior is None:
-            self._mass_interior = interior_operator(
-                self.domain_grid, assemble_mass(self.domain_grid))
-        return self._mass_interior
-
-    def hom_stiffness_interior(self) -> sp.csr_matrix:
-        if self._hom_stiff_interior is None:
-            self._hom_stiff_interior = interior_operator(
-                self.domain_grid, assemble_stiffness(
-                    self.domain_grid,
-                    constant_matrix(self.cell_solution.a_hat)))
-        return self._hom_stiff_interior
-
     # -- per-operator tasks ---------------------------------------------
     #
     # Each returns (spectrum, what its solves produced, or None without
@@ -314,7 +302,7 @@ class Experiment:
 
     def _eigs(self, op: sp.csr_matrix, tag: str, sigma: float, lu,
               problem: Optional[EpsProblem] = None) -> Spectrum:
-        return eigs(op, self.mass_interior(), self.cfg.k_eigen,
+        return eigs(op, self.mass, self.cfg.k_eigen,
                     seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
                     tag=tag, lu=lu,
                     epsilon=None if problem is None else problem.epsilon)
@@ -329,9 +317,8 @@ class Experiment:
         cs = self.cell_solution
         m = float(cs.m_w_chi_w)
         sigma = -m if m > -homogenized_lower_bound(cs.a_hat) else -1.0
-        stiff = self.hom_stiffness_interior()
-        lu = factorize(stiff - sigma * self.mass_interior())
-        spectrum = self._eigs(stiff, "hom_prime", sigma, lu)
+        lu = factorize(self.hom_stiffness - sigma * self.mass)
+        spectrum = self._eigs(self.hom_stiffness, "hom_prime", sigma, lu)
         if not solve:
             return spectrum, None
         return spectrum, solve_homogenized(cs.a_hat, m, self.domain_grid,
@@ -341,9 +328,9 @@ class Experiment:
                   solve: bool) -> Tuple[Spectrum, object]:
         """The factor of L_eps - sigma M at the certified shift serves the
         eigensolve and preconditions the u_eps solve."""
-        op = problem.operator_interior()
+        op = problem.operator
         sigma = eps_sigma_bound(problem)
-        lu = factorize(op - sigma * self.mass_interior())
+        lu = factorize(op - sigma * self.mass)
         spectrum = self._eigs(op, "eps", sigma, lu, problem)
         if not solve:
             return spectrum, None
@@ -356,12 +343,25 @@ class Experiment:
         """K_eps is the Dirichlet stiffness of an SPD coefficient, so it is
         SPD and shift 0 lies below its spectrum; a singular K_eps raises
         SolverError in the factorization."""
-        lu = factorize(problem.diffusion_interior())
-        spectrum = self._eigs(problem.diffusion_interior(), "eps_prime", 0.0,
-                              lu, problem)
+        lu = factorize(problem.diffusion)
+        spectrum = self._eigs(problem.diffusion, "eps_prime", 0.0, lu,
+                              problem)
         if not solve:
             return spectrum, None
         return spectrum, solve_dirichlet_correctors(problem, lu=lu)
+
+    def _assemble(self) -> None:
+        """Assemble every operator of the run, once: the interior mass,
+        the effective stiffness of ``a_hat`` and one :class:`EpsProblem` per
+        scale.  Needs the cell stage's ``a_hat``."""
+        if self.mass is not None:
+            return
+        grid = self.domain_grid
+        self.mass = interior_operator(grid, assemble_mass(grid))
+        self.hom_stiffness = interior_operator(grid, assemble_stiffness(
+            grid, constant_matrix(self.cell_solution.a_hat)))
+        self.problems = {eps: EpsProblem(self.model, eps, grid)
+                         for eps in self.cfg.epsilons}
 
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
@@ -369,16 +369,14 @@ class Experiment:
         scale (without ``solve``, only those whose spectrum is missing);
         return the futures by tag.
 
-        Every operator is assembled before the first task starts.  Assembly
-        running on this thread while the workers factor made peak RSS vary
-        from run to run (glibc's allocator keeps a different share of the
-        freed memory resident depending on how the two interleave).  The
-        assembly's freed heap is handed back before the first submit, and
-        each task's when it returns (:func:`_released`)."""
-        self.mass_interior()
-        self.hom_stiffness_interior()
-        for problem in self.problems.values():
-            problem.operator_interior()  # builds K_eps too
+        Every operator is assembled (:meth:`_assemble`) before the first
+        task starts, and the tasks only read them.  Assembly running on this
+        thread while the workers factor made peak RSS vary from run to run
+        (glibc's allocator keeps a different share of the freed memory
+        resident depending on how the two interleave).  The freed heap is
+        handed back before the first submit, and each task's when it
+        returns (:func:`_released`)."""
+        self._assemble()
         _release_heap()
         futures: Dict[str, Future] = {}
         if solve or "hom_prime" not in self.spectra:
@@ -511,11 +509,11 @@ class Experiment:
                     np.max(defect.result()))
         # hom is hom_prime moved by m: K + mM has K's eigenvectors.
         m = float(self.cell_solution.m_w_chi_w)
-        stiff = self.hom_stiffness_interior()
+        stiff = self.hom_stiffness
         self.spectra["hom"] = shift_spectrum(
             self.spectra["hom_prime"], m,
-            stiff + m * self.mass_interior() if m else stiff,
-            self.mass_interior(), tol=cfg.eig_tol, tag="hom")
+            stiff + m * self.mass if m else stiff,
+            self.mass, tol=cfg.eig_tol, tag="hom")
 
         tags = ["hom", "hom_prime"] + [
             f"{kind}:{eps_label(eps)}" for eps in cfg.epsilons
@@ -554,9 +552,9 @@ class Experiment:
             })
             lam1 = float(s_eps.eigenvalues[0])
             if lam1 >= 1.0:
-                op = self.problems[eps].operator_interior()
-                cp = cluster_projection(s_eps, lam1, f_interior, op,
-                                        self.mass_interior())
+                cp = cluster_projection(s_eps, lam1, f_interior,
+                                        self.problems[eps].operator,
+                                        self.mass)
                 self.clusters.append({
                     "epsilon": eps, "lambda": cp.lam,
                     "members": cp.members, "truncated": cp.truncated,

@@ -38,7 +38,7 @@ def eps_factor_and_report(p):
     of ``L_eps - sigma M`` at :func:`eps_sigma_bound`, and the coercivity
     report read from the first eigenvalue it finds."""
     sigma = eps_sigma_bound(p)
-    op = p.operator_interior()
+    op = p.operator
     lu = factor(op, p.mass_interior(), sigma)
     spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
                     epsilon=p.epsilon)

@@ -128,7 +128,7 @@ def test_criterion_03_cross_flux_identity_decay():
 def test_criterion_04_boundary_correctors(layered_run):
     p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
     id_sup = solve_dirichlet_correctors(
-        p, lu=factor(p.diffusion_interior())).sup_deviation()
+        p, lu=factor(p.diffusion)).sup_deviation()
 
     pts = [(eps, float(np.max(np.abs(
         layered_run.per_eps[eps].correctors.deviation[0].values))))
@@ -221,7 +221,7 @@ def test_criterion_10_flux_trends(default_run, layered_run):
 
     model = make_preset("identity")
     p = EpsProblem(model, 0.25, DirichletGrid(128))
-    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 1,
+    spec = shifted_eigs(p.operator, p.mass_interior(), 1,
                         sigma=-1.0)
     from homlab.analysis import flux_table
 
@@ -251,7 +251,7 @@ def test_criterion_11_boundary_layer_jacobian(default_run, layered_run):
     problems = (EpsProblem(model, e, grid) for e in EPS_SWEEP)
     mins["identity"] = min(
         jacobian_check(solve_dirichlet_correctors(
-            p, lu=factor(p.diffusion_interior()))) for p in problems)
+            p, lu=factor(p.diffusion))) for p in problems)
     ok = all(v > 0.0 for v in mins.values())
     record_criterion(11, ok,
                      "min boundary-layer det(grad Phi): "

@@ -65,7 +65,7 @@ def identity_pieces():
     u_eps = solve_eps(p, coercivity=report, lu=lu)
     u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
                             lu=effective_factor(grid, np.eye(2)))
-    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion_interior()))
+    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
     cs = solve_cell(model, 16)
     chi_w_s = sample_cell_field(cs.chi_w, grid, 0.25)
     return model, grid, p, u_eps, u_0, dc, chi_w_s
@@ -112,7 +112,7 @@ def test_sample_cell_field_constant_passthrough():
 def test_identity_flux_ratio_near_four():
     model = make_preset("identity", "zero")
     p = EpsProblem(model, 0.25, DirichletGrid(128))
-    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 1,
+    spec = shifted_eigs(p.operator, p.mass_interior(), 1,
                         sigma=-1.0, epsilon=0.25)
     records = flux_table(p, spec)
     assert len(records) == 1
@@ -123,7 +123,7 @@ def test_identity_flux_ratio_near_four():
 def test_flux_regime_flags():
     model = make_preset("identity", "zero")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 2,
+    spec = shifted_eigs(p.operator, p.mass_interior(), 2,
                         sigma=-1.0)
     records = flux_table(p, spec)
     assert len(records) == 2
@@ -136,5 +136,5 @@ def test_flux_regime_flags():
 
 def test_jacobian_check_wraps_correctors():
     p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
-    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion_interior()))
+    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
     assert jacobian_check(dc) > 0.2

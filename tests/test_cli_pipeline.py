@@ -394,6 +394,24 @@ def test_gaps_assembles_each_scale_once(tmp_path, monkeypatch):
     assert calls == {"assemble_stiffness": 2, "assemble_weighted_mass": 2}
 
 
+def test_cell_stage_assembles_no_dirichlet_operator(tmp_path, monkeypatch):
+    """``homlab cell`` builds no problem: the Dirichlet operators are
+    assembled only once the operator tasks are about to run."""
+    calls = []
+    names = {homlab.domain: ("assemble_stiffness", "assemble_weighted_mass",
+                             "assemble_mass"),
+             homlab.pipeline: ("assemble_stiffness", "assemble_mass")}
+    for module, module_names in names.items():
+        for name in module_names:
+            def counting(*args, _name=name, _real=getattr(module, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, upto="cell", out=io.StringIO()) == 0
+    assert calls == []
+
+
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file\n")

@@ -38,7 +38,7 @@ def full_stiffness(p):
 
 def eps_spectrum(p, k=1):
     """The spectrum at shift -300 and the factor it used."""
-    op, mass = p.operator_interior(), p.mass_interior()
+    op, mass = p.operator, p.mass_interior()
     lu = factor(op, mass, -300.0)
     return eigs(op, mass, k, sigma=-300.0, lu=lu, epsilon=p.epsilon), lu
 
@@ -51,7 +51,7 @@ def solved_eps(p):
 
 def correctors(p):
     """The Dirichlet correctors with the factor of the diffusion matrix."""
-    return solve_dirichlet_correctors(p, lu=factor(p.diffusion_interior()))
+    return solve_dirichlet_correctors(p, lu=factor(p.diffusion))
 
 
 def test_resolution_guard():
@@ -102,7 +102,7 @@ def test_identity_homogenized_equals_eps_solve():
     problems are the same linear system."""
     grid = DirichletGrid(64)
     p = EpsProblem(make_preset("identity", "zero", "sine-sine"), 0.25, grid)
-    op = p.operator_interior()
+    op = p.operator
     k_hat = interior_operator(grid, assemble_stiffness(
         grid, constant_matrix(np.eye(2))))
     for part in ("indptr", "indices", "data"):
@@ -123,7 +123,7 @@ def test_quadrature_energies_match_the_assembled_forms():
     inner = np.random.default_rng(5).standard_normal(p.grid.ndof)
     energy, mass = p.quadrature_energies([p.grid.extend(inner)])[0]
     assert energy == pytest.approx(
-        inner @ p.operator_interior().dot(inner), rel=1e-12)
+        inner @ p.operator.dot(inner), rel=1e-12)
     assert mass == pytest.approx(inner @ p.mass_interior().dot(inner), rel=1e-12)
 
 
@@ -204,17 +204,35 @@ def test_problem_keeps_lifts_instead_of_the_full_stiffness():
     """Assembly leaves only interior matrices behind, plus the corrector
     loads -(K x_j), equal bit for bit to those of the full stiffness K."""
     p = EpsProblem(make_preset("layered", "sine1"), 0.25, DirichletGrid(64))
-    p.operator_interior()
     grid = p.grid
     held = [v for v in vars(p).values() if sp.issparse(v)]
     assert held
     assert all(m.shape == (grid.ndof, grid.ndof) for m in held)
     k_full = full_stiffness(p)
     coords = grid.node_coords()
-    lifts = p.corrector_lifts()
+    lifts = p.lifts
     assert len(lifts) == 2
     for j in 0, 1:
         assert np.array_equal(lifts[j], -grid.restrict(k_full @ coords[:, j]))
+
+
+def test_problem_is_assembled_once_on_construction(monkeypatch):
+    """After construction nothing assembles: reading the operators, solving
+    the correctors and the energy probe use what the problem holds."""
+    p = EpsProblem(make_preset("layered", "sine1"), 0.25, DirichletGrid(64))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled after construction")
+
+    for name in ("assemble_stiffness", "assemble_weighted_mass",
+                 "assemble_mass"):
+        monkeypatch.setattr(homlab.domain, name, refuse)
+    ndof = p.grid.ndof
+    assert p.operator.shape == p.diffusion.shape == (ndof, ndof)
+    assert p.operator is not p.diffusion  # W is not zero
+    assert [lift.shape for lift in p.lifts] == [(ndof,), (ndof,)]
+    dc = correctors(p)
+    assert galerkin_energy_defect(p, dc.deviation[0]) < 1e-10
 
 
 def test_direct_solves_match_a_tight_cg_reference():
@@ -227,14 +245,14 @@ def test_direct_solves_match_a_tight_cg_reference():
 
     u = solved_eps(p)
     rhs = grid.restrict(assemble_load(grid, model.f_eval))
-    ref = cg_solve(p.operator_interior(), rhs, tol=1e-13)
+    ref = cg_solve(p.operator, rhs, tol=1e-13)
     assert close(grid.restrict(u.values), ref)
 
     dc = correctors(p)
     coords = grid.node_coords()
     for j in 0, 1:
         load = -grid.restrict(full_stiffness(p).dot(coords[:, j]))
-        ref = cg_solve(p.diffusion_interior(), load, tol=1e-13)
+        ref = cg_solve(p.diffusion, load, tol=1e-13)
         assert close(grid.restrict(dc.deviation[j].values), ref)
 
 
@@ -255,7 +273,7 @@ def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
     lu, report = eps_factor_and_report(p)
     assert report.coercive
     rhs = p.grid.restrict(assemble_load(p.grid, p.model.f_eval))
-    direct = p.grid.extend(factor(p.operator_interior()).solve(rhs))
+    direct = p.grid.extend(factor(p.operator).solve(rhs))
     calls = counting_cg(monkeypatch)
     pcg = solve_eps(p, coercivity=report, lu=lu).values
     assert len(calls) == 1 and calls[0]["precond"] == lu.solve

@@ -207,7 +207,7 @@ def test_minmax_probe_never_beats_lowest_eigenvalue():
 def test_zero_potential_makes_both_operators_identical():
     model = make_preset("identity", "zero")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    assert p.operator_interior() is p.diffusion_interior()
+    assert p.operator is p.diffusion
 
 
 def test_eps_sigma_bound_is_the_quadrature_minimum():
@@ -239,7 +239,7 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
     model = CoefficientModel(a_eval=base.a_eval, w_eval=w_eval,
                              f_eval=base.f_eval, kappa=base.kappa)
     p = EpsProblem(model, eps, grid)
-    lam_1 = scipy.linalg.eigh(p.operator_interior().toarray(),
+    lam_1 = scipy.linalg.eigh(p.operator.toarray(),
                               p.mass_interior().toarray(), eigvals_only=True,
                               subset_by_index=(0, 0))[0]
     assert lam_1 < -1.0  # the lattice minimum, zero, would give -1
@@ -249,7 +249,7 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
 def test_rayleigh_quotients_match_direct_quadrature():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
-    spec = shifted_eigs(p.operator_interior(), p.mass_interior(), 3,
+    spec = shifted_eigs(p.operator, p.mass_interior(), 3,
                         sigma=eps_sigma_bound(p), epsilon=0.25)
     defect = rayleigh_quadrature_defect(p, spec)
     assert np.max(defect) < 1e-10
@@ -257,7 +257,7 @@ def test_rayleigh_quotients_match_direct_quadrature():
 
 def test_lanczos_path_matches_dense_eigh_just_above_the_cutoff():
     p = EpsProblem(make_preset("smooth-iso", "sine1"), 1.0, DirichletGrid(18))
-    op, mass = p.operator_interior(), p.mass_interior()
+    op, mass = p.operator, p.mass_interior()
     assert op.shape[0] == 289 > DENSE_CUTOFF
     spec = shifted_eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=1.0)
     assert spec.method == "lanczos"
