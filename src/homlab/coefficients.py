@@ -18,7 +18,7 @@ W_PRESETS = ("zero", "sine1", "sine-mix")
 F_PRESETS = ("one", "sine-sine")
 
 
-def _iso(scalar_field, y1):
+def _iso(scalar_field):
     """Expand a scalar field into an isotropic 2x2 matrix field."""
     out = np.zeros(np.shape(scalar_field) + (2, 2))
     out[..., 0, 0] = scalar_field
@@ -27,16 +27,16 @@ def _iso(scalar_field, y1):
 
 
 def _a_identity(y1, y2):
-    return _iso(np.ones_like(np.asarray(y1, dtype=float)), y1)
+    return _iso(np.ones_like(np.asarray(y1, dtype=float)))
 
 
 def _a_layered(y1, y2):
-    return _iso(2.0 + np.sin(TWO_PI * np.asarray(y1, dtype=float)), y1)
+    return _iso(2.0 + np.sin(TWO_PI * np.asarray(y1, dtype=float)))
 
 
 def _a_smooth_iso(y1, y2):
     s = 2.0 + np.sin(TWO_PI * np.asarray(y1, dtype=float)) * np.sin(TWO_PI * np.asarray(y2, dtype=float))
-    return _iso(s, y1)
+    return _iso(s)
 
 
 def _w_zero(y1, y2):

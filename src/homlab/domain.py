@@ -69,18 +69,12 @@ __all__ = [
 ]
 
 
-def _scaled_a(model: CoefficientModel, epsilon: float):
-    def a_eval(x1, x2):
-        return model.a_eval(x1 / epsilon, x2 / epsilon)
+def _scaled(field: Callable[..., np.ndarray], epsilon: float):
+    """The unit-periodic ``field`` read at ``y = x / epsilon``."""
+    def scaled(x1, x2):
+        return field(x1 / epsilon, x2 / epsilon)
 
-    return a_eval
-
-
-def _scaled_w(model: CoefficientModel, epsilon: float):
-    def w_eval(x1, x2):
-        return model.w_eval(x1 / epsilon, x2 / epsilon)
-
-    return w_eval
+    return scaled
 
 
 class EpsProblem:
@@ -113,7 +107,7 @@ class EpsProblem:
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
-        k_full = assemble_stiffness(grid, _scaled_a(model, self.epsilon))
+        k_full = assemble_stiffness(grid, _scaled(model.a_eval, self.epsilon))
         coords = grid.node_coords()
         self.lifts: Tuple[np.ndarray, np.ndarray] = tuple(
             -grid.restrict(k_full.dot(coords[:, j].copy())) for j in (0, 1))
@@ -123,7 +117,7 @@ class EpsProblem:
             self.operator = self.diffusion
         else:
             mw = interior_operator(grid, assemble_weighted_mass(
-                grid, _scaled_w(model, self.epsilon)))
+                grid, _scaled(model.w_eval, self.epsilon)))
             self.operator = self.diffusion + (1.0 / self.epsilon) * mw
         self._mass_int: Optional[sp.csr_matrix] = None
 
@@ -144,10 +138,10 @@ class EpsProblem:
         temporaries stay one field in size.
         """
         grid = self.grid
-        a = quad_samples(grid, _scaled_a(self.model, self.epsilon))
+        a = quad_samples(grid, _scaled(self.model.a_eval, self.epsilon))
         has_w = self.model.w_preset != "zero"
         if has_w:
-            w = quad_samples(grid, _scaled_w(self.model, self.epsilon))
+            w = quad_samples(grid, _scaled(self.model.w_eval, self.epsilon))
         out = []
         for u in fields:
             grads = cell_gradients(grid, u)  # (ncells, nq, 2)

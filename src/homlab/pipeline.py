@@ -11,22 +11,23 @@ aborts the run with that stage's exit code; the artifact being written at
 that moment keeps a ``.partial`` suffix so truncated files never masquerade
 as finished ones.
 
-The unit of parallel work is one Dirichlet operator.  Its task factors the
-operator once, runs the shift-invert eigensolve with that factor, does the
-operator's linear solves with the same factor (in ``solve``), and drops it:
+The unit of parallel work is one Dirichlet operator, and one task
+(``Experiment._operator_task``) serves them all.  It factors the operator
+at its certified shift (the table that ``Experiment._assemble`` builds),
+runs the shift-invert eigensolve with that factor, does the operator's
+linear solves with the same factor (in ``solve``), and drops it:
 
-- ``hom_prime``: factor ``K + mM`` (shift ``-m``), eigensolve ``K``, then
-  ``u_0``; ``hom`` is this spectrum moved by ``m``, with no task of its own;
-- ``eps_prime:<label>``: factor ``K_eps`` (shift 0), eigensolve, then the
-  two Dirichlet correctors;
-- ``eps:<label>``: factor ``L_eps - sigma M`` at sigma =
-  :func:`eps_sigma_bound`, eigensolve ``L_eps``, then the coercivity report
-  and ``u_eps`` (:func:`solve_eps`: conjugate gradients on ``L_eps``
+- ``hom_prime``: eigensolve ``K``, then ``u_0``; ``hom`` is this spectrum
+  moved by ``m``, with no task of its own;
+- ``eps_prime:<label>``: eigensolve ``K_eps``, then the two Dirichlet
+  correctors;
+- ``eps:<label>``: eigensolve ``L_eps``, then the coercivity report and
+  ``u_eps`` (:func:`solve_eps`: conjugate gradients on ``L_eps``
   preconditioned by that factor; a form that is not coercive stops the
   stage).
 
-These tasks are the only place that factors: :mod:`homlab.domain` and
-:mod:`homlab.spectral` solve with the factor a task passes them.
+This task is the only place that factors: :mod:`homlab.domain` and
+:mod:`homlab.spectral` solve with the factor it passes them.
 
 ``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
 as each scale's inputs arrive, that scale's finish task (expansion,
@@ -267,8 +268,9 @@ class Experiment:
         self.domain_grid = DirichletGrid(cfg.domain_grid_n)
         # the run's operators, built once by _assemble
         self.mass: Optional[sp.csr_matrix] = None  # interior mass
-        self.hom_stiffness: Optional[sp.csr_matrix] = None  # of a_hat
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
+        self.operators: Dict[str, Tuple[sp.csr_matrix, float,
+                                        Optional[EpsProblem]]] = {}
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
@@ -296,78 +298,86 @@ class Experiment:
         print(text, file=self.out)
 
     # -- per-operator tasks ---------------------------------------------
-    #
-    # Each returns (spectrum, what its solves produced, or None without
-    # ``solve``).  They read shared operators but write no shared state.
-
-    def _eigs(self, op: sp.csr_matrix, tag: str, sigma: float, lu,
-              problem: Optional[EpsProblem] = None) -> Spectrum:
-        return eigs(op, self.mass, self.cfg.k_eigen,
-                    seed=self.cfg.seed, tol=self.cfg.eig_tol, sigma=sigma,
-                    tag=tag, lu=lu,
-                    epsilon=None if problem is None else problem.epsilon)
-
-    def _hom_prime_task(self, solve: bool) -> Tuple[Spectrum, object]:
-        """The shift -m makes the factor K + mM, the effective operator
-        that u_0 solves with.  It lies below lambda_1(K) when the sign guard
-        m > -2 pi^2 lambda_min(a_hat) holds, since that bounds the continuous
-        lambda_1 and conforming Q1 eigenvalues lie above the continuous
-        ones.  Otherwise the shift is -1, and :func:`solve_homogenized`
-        refuses to solve."""
-        cs = self.cell_solution
-        m = float(cs.m_w_chi_w)
-        sigma = -m if m > -homogenized_lower_bound(cs.a_hat) else -1.0
-        lu = factorize(self.hom_stiffness - sigma * self.mass)
-        spectrum = self._eigs(self.hom_stiffness, "hom_prime", sigma, lu)
-        if not solve:
-            return spectrum, None
-        return spectrum, solve_homogenized(cs.a_hat, m, self.domain_grid,
-                                           self.model.f_eval, lu=lu)
-
-    def _eps_task(self, problem: EpsProblem,
-                  solve: bool) -> Tuple[Spectrum, object]:
-        """The factor of L_eps - sigma M at the certified shift serves the
-        eigensolve and preconditions the u_eps solve."""
-        op = problem.operator
-        sigma = eps_sigma_bound(problem)
-        lu = factorize(op - sigma * self.mass)
-        spectrum = self._eigs(op, "eps", sigma, lu, problem)
-        if not solve:
-            return spectrum, None
-        coercivity = coercivity_check(spectrum, self.cell_solution.m_w_chi_w)
-        return spectrum, (coercivity,
-                          solve_eps(problem, coercivity=coercivity, lu=lu))
-
-    def _eps_prime_task(self, problem: EpsProblem,
-                        solve: bool) -> Tuple[Spectrum, object]:
-        """K_eps is the Dirichlet stiffness of an SPD coefficient, so it is
-        SPD and shift 0 lies below its spectrum; a singular K_eps raises
-        SolverError in the factorization."""
-        lu = factorize(problem.diffusion)
-        spectrum = self._eigs(problem.diffusion, "eps_prime", 0.0, lu,
-                              problem)
-        if not solve:
-            return spectrum, None
-        return spectrum, solve_dirichlet_correctors(problem, lu=lu)
 
     def _assemble(self) -> None:
         """Assemble every operator of the run, once: the interior mass,
-        the effective stiffness of ``a_hat`` and one :class:`EpsProblem` per
-        scale.  Needs the cell stage's ``a_hat``."""
+        the effective stiffness ``K`` of ``a_hat`` and one
+        :class:`EpsProblem` per scale.  Needs the cell stage's ``a_hat``.
+
+        ``self.operators`` tables them by spectrum tag as (operator, shift
+        sigma, its problem or None), in the order their tasks are
+        submitted.  The shifts are the run's shift certificate: each lies
+        strictly below its operator's spectrum, as the shift-invert
+        eigensolve needs to find the lowest pairs.
+
+        - ``hom_prime``, the effective diffusion ``K``: sigma = -m, so the
+          factor is ``K + mM``, the operator ``u_0`` solves with.  Under the
+          sign guard m > -2 pi^2 lambda_min(a_hat) it lies below
+          lambda_1(K): the guard bounds the continuous lambda_1, and
+          conforming Q1 eigenvalues lie above the continuous ones.
+          Otherwise sigma = -1, and :func:`solve_homogenized` refuses to
+          solve.  ``hom``, which adds the effective potential, has no row:
+          it is this spectrum moved by ``m``.
+        - ``eps:<label>``, the oscillatory operator ``L_eps``: sigma =
+          :func:`eps_sigma_bound`, one below ``min(0, min_q W_q) / eps``.
+        - ``eps_prime:<label>``, the oscillatory diffusion ``K_eps``:
+          sigma = 0.  ``K_eps`` is the Dirichlet stiffness of an SPD
+          coefficient, so it is SPD; a singular one raises
+          :class:`SolverError` in the factorization.
+        """
         if self.mass is not None:
             return
         grid = self.domain_grid
+        cs = self.cell_solution
+        m = float(cs.m_w_chi_w)
         self.mass = interior_operator(grid, assemble_mass(grid))
-        self.hom_stiffness = interior_operator(grid, assemble_stiffness(
-            grid, constant_matrix(self.cell_solution.a_hat)))
+        hom_stiffness = interior_operator(grid, assemble_stiffness(
+            grid, constant_matrix(cs.a_hat)))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
                          for eps in self.cfg.epsilons}
+        guard = m > -homogenized_lower_bound(cs.a_hat)
+        self.operators = {"hom_prime": (hom_stiffness,
+                                        -m if guard else -1.0, None)}
+        for eps, problem in self.problems.items():
+            label = eps_label(eps)
+            self.operators[f"eps:{label}"] = (
+                problem.operator, eps_sigma_bound(problem), problem)
+            self.operators[f"eps_prime:{label}"] = (
+                problem.diffusion, 0.0, problem)
+
+    def _operator_task(self, tag: str,
+                       solve: bool) -> Tuple[Spectrum, object]:
+        """Factor ``tag``'s operator at its shift, eigensolve with that
+        factor and, with ``solve``, do the operator's solves with it.
+
+        Returns (spectrum, what the solves produced, or None without
+        ``solve``).  Reads the shared operators, writes no shared state.
+        """
+        op, sigma, problem = self.operators[tag]
+        kind = tag.partition(":")[0]
+        lu = factorize(op - sigma * self.mass if sigma else op)
+        spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
+                        tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
+                        epsilon=None if problem is None else problem.epsilon)
+        if not solve:
+            return spectrum, None
+        cs = self.cell_solution
+        if kind == "hom_prime":
+            return spectrum, solve_homogenized(
+                cs.a_hat, cs.m_w_chi_w, self.domain_grid, self.model.f_eval,
+                lu=lu)
+        if kind == "eps_prime":
+            return spectrum, solve_dirichlet_correctors(problem, lu=lu)
+        coercivity = coercivity_check(spectrum, cs.m_w_chi_w)
+        return spectrum, (coercivity,
+                          solve_eps(problem, coercivity=coercivity, lu=lu))
 
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
-        """Submit ``hom_prime``'s task, then ``eps`` and ``eps_prime`` per
-        scale (without ``solve``, only those whose spectrum is missing);
-        return the futures by tag.
+        """Submit one task per row of the operator table, in its order:
+        ``hom_prime``, then ``eps`` and ``eps_prime`` per scale (without
+        ``solve``, only those whose spectrum is missing); return the futures
+        by tag.
 
         Every operator is assembled (:meth:`_assemble`) before the first
         task starts, and the tasks only read them.  Assembly running on this
@@ -378,18 +388,9 @@ class Experiment:
         returns (:func:`_released`)."""
         self._assemble()
         _release_heap()
-        futures: Dict[str, Future] = {}
-        if solve or "hom_prime" not in self.spectra:
-            futures["hom_prime"] = pool.submit(_released,
-                                               self._hom_prime_task, solve)
-        for eps, problem in self.problems.items():
-            label = eps_label(eps)
-            for tag, task in ((f"eps:{label}", self._eps_task),
-                              (f"eps_prime:{label}", self._eps_prime_task)):
-                if solve or tag not in self.spectra:
-                    futures[tag] = pool.submit(_released, task, problem,
-                                               solve)
-        return futures
+        return {tag: pool.submit(_released, self._operator_task, tag, solve)
+                for tag in self.operators
+                if solve or tag not in self.spectra}
 
     def _collect(self, futures: Dict[str, Future], tag: str):
         """Wait for ``tag``'s task, keep its spectrum, return the rest."""
@@ -509,7 +510,7 @@ class Experiment:
                     np.max(defect.result()))
         # hom is hom_prime moved by m: K + mM has K's eigenvectors.
         m = float(self.cell_solution.m_w_chi_w)
-        stiff = self.hom_stiffness
+        stiff = self.operators["hom_prime"][0]
         self.spectra["hom"] = shift_spectrum(
             self.spectra["hom_prime"], m,
             stiff + m * self.mass if m else stiff,
@@ -539,17 +540,10 @@ class Experiment:
             s_eps = self.spectra[f"eps:{label}"]
             s_prime = self.spectra[f"eps_prime:{label}"]
             self.gap_rows.extend(eigenvalue_gap_rows(eps, s_eps, s_hom))
-            rec = first_eigenvalue_comparison(
+            self.first_eig.append({**first_eigenvalue_comparison(
                 eps, float(s_eps.eigenvalues[0]),
                 float(s_prime.eigenvalues[0]),
-                float(s_homp.eigenvalues[0]), cs.m_w_chi_w)
-            self.first_eig.append({
-                "epsilon": eps, "label": label,
-                "lambda_eps_1": rec.lambda_eps_1,
-                "lambda_eps_prime_1": rec.lambda_eps_prime_1,
-                "lambda_hom_prime_1": rec.lambda_hom_prime_1,
-                "d7": rec.d_vs_eps_prime, "d8": rec.d_vs_hom_prime,
-            })
+                float(s_homp.eigenvalues[0]), cs.m_w_chi_w), "label": label})
             lam1 = float(s_eps.eigenvalues[0])
             if lam1 >= 1.0:
                 cp = cluster_projection(s_eps, lam1, f_interior,

@@ -1,33 +1,20 @@
 """Generalized eigenvalue engine and spectral comparison tables.
 
 Solves ``K v = lambda M v`` for the operators produced by
-:mod:`homlab.domain`, with a dense LAPACK path for small problems and a
-seeded thick-restart Lanczos path above the cutoff.  The Lanczos path
-(:func:`_lanczos`) runs in the mass inner product on ``(K - sigma M)^-1 M``
-and stops as soon as every wanted pair meets a tenth of the residual
+:mod:`homlab.domain` by one route: a seeded thick-restart Lanczos
+(:func:`_lanczos`) in the mass inner product on ``(K - sigma M)^-1 M``,
+which stops as soon as every wanted pair meets a tenth of the residual
 tolerance; its work is the factor's solves, sparse products and numpy BLAS
 calls.  Nothing here factors a matrix: the shift-invert operator is the
 caller's sparse LU factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
-the one the pipeline's operator task made and also solves with.  Every
-returned :class:`Spectrum` is re-orthonormalized in the mass inner product,
-sign-fixed, and residual-checked; failures raise :class:`SpectralError`
-rather than returning dubious pairs.  A spectrum shifted by a multiple of
-the mass matrix (:func:`shift_spectrum`) reuses the eigenvectors and is
-checked the same way.
-
-Spectra are tagged by which operator they belong to; the pipeline shifts
-each at the value shown, always strictly below the spectrum:
-
-============== ============================================= ===================
-tag            operator                                      shift ``sigma``
-============== ============================================= ===================
-``eps``        oscillatory diffusion plus scaled potential   :func:`eps_sigma_bound`
-``eps_prime``  oscillatory diffusion alone                   ``0`` (SPD stiffness)
-``hom``        effective diffusion plus effective potential  none: ``hom_prime`` + m
-``hom_prime``  effective diffusion alone                     ``-m``, so the factor
-                                                             is ``K + mM``; ``-1``
-                                                             if the sign guard fails
-============== ============================================= ===================
+the one the pipeline's operator task made and also solves with; that task's
+table (``Experiment._assemble``) certifies each shift below its spectrum.
+Every returned :class:`Spectrum` is re-orthonormalized in the mass inner
+product, sign-fixed, and residual-checked; failures raise
+:class:`SpectralError`, naming the operator's tag and scale, rather than
+returning dubious pairs.  A spectrum shifted by a multiple of the mass
+matrix (:func:`shift_spectrum`) reuses the eigenvectors and is checked the
+same way.
 """
 
 from __future__ import annotations
@@ -44,27 +31,16 @@ from .errors import ConfigurationError, SpectralError
 from .fem import QUAD_XI
 
 __all__ = [
-    "DENSE_CUTOFF",
     "Spectrum",
     "eigs",
     "shift_spectrum",
     "eps_sigma_bound",
     "rayleigh_quadrature_defect",
     "first_eigenvalue_comparison",
-    "FirstEigenvalueComparison",
     "eigenvalue_gap_rows",
     "cluster_projection",
     "ClusterProjection",
 ]
-
-#: Problems at or below this many degrees of freedom go to dense LAPACK.
-#: The crossover, measured on ``eps`` pencils (epsilon = 1) with k=5 and one
-#: BLAS thread on a 2-core Xeon VM: dense ``eigh`` wins at 225 DOF (5.1 ms
-#: vs 5.9 ms for :func:`_lanczos`, its factor included) and loses from 289
-#: DOF on (8.5 ms vs 6.5 ms; 7.4 s vs 0.037 s at 3969 DOF).  The dense path
-#: also serves tiny pencils, where a Lanczos basis of ``max(2k+1, 20)``
-#: vectors would not fit.
-DENSE_CUTOFF = 256
 
 #: Thick restarts :func:`_lanczos` makes before it gives up; the pipeline's
 #: pencils took 2 or 3 (measured at k = 5, 32 and 64).
@@ -82,18 +58,16 @@ _RESTART_CHUNK = 4096
 class Spectrum:
     """Eigenpairs of one operator, ascending, M-orthonormal, sign-fixed.
 
-    ``epsilon`` is carried for the oscillatory tags and ``None`` for the
-    effective ones.  Eigenvectors are stored column-wise on the interior
+    ``epsilon`` is carried for the oscillatory operators and ``None`` for
+    the effective ones.  Eigenvectors are stored column-wise on the interior
     degrees of freedom; ``grid.extend`` turns one into a nodal field.
     """
 
-    tag: str
     eigenvalues: np.ndarray  # (k,)
     eigenvectors: np.ndarray  # (ndof, k)
     residuals: np.ndarray  # (k,) relative residual per pair
-    method: str  # "dense" | "lanczos"
     epsilon: Optional[float] = None
-    solves: int = 0  # shift-invert solves made; 0 on the dense path
+    solves: int = 0  # shift-invert solves made; 0 for a shifted spectrum
 
     def __post_init__(self):
         if self.eigenvalues.ndim != 1:
@@ -138,40 +112,44 @@ def eigs(op: sp.csr_matrix,
          lu) -> Spectrum:
     """Lowest ``k`` eigenpairs of ``op v = lambda mass v``.
 
-    Dense LAPACK below :data:`DENSE_CUTOFF` degrees of freedom; otherwise
-    shift-invert Lanczos (:func:`_lanczos`) with a start vector drawn from
+    Shift-invert Lanczos (:func:`_lanczos`) with a start vector drawn from
     ``seed``.  ``sigma`` is required and must lie strictly below the
     smallest eigenvalue: the iteration finds the eigenvalues nearest to it,
     so a shift above lambda_1 returns wrong pairs that still pass the
     residual check.  Callers with scaled potentials pass
     :func:`eps_sigma_bound`.  ``lu`` is the caller's
     :func:`homlab.fem.factorize` factor of ``op - sigma * mass``, the
-    Lanczos path's shift-invert operator; the dense path does not use it.
-    ``tol`` is the relative residual each returned pair must meet; the
-    Lanczos path iterates until every pair meets a tenth of it.
+    shift-invert operator.  ``tol`` is the relative residual each returned
+    pair must meet; the iteration runs until every pair meets a tenth of
+    it.  ``epsilon`` is kept on the spectrum, and with ``tag`` it names the
+    operator in errors.  The pencil must have more degrees of freedom than
+    the Lanczos basis (:func:`_basis_size`).
     """
     n = op.shape[0]
     if k < 1:
         raise ConfigurationError(f"k must be at least 1, got {k}")
     if k > K_MAX:
         raise ConfigurationError(f"k={k} exceeds the supported cap {K_MAX}")
-    if k >= n:
+    ncv = _basis_size(k)
+    if n <= ncv:
         raise ConfigurationError(
-            f"k={k} eigenpairs requested from a {n}-DOF operator")
+            f"a {n}-DOF pencil is not larger than the {ncv}-vector Lanczos "
+            f"basis for k={k} ({_operator_name(tag, epsilon)})")
 
-    if n <= DENSE_CUTOFF:
-        lam, vecs = scipy.linalg.eigh(
-            op.toarray(), mass.toarray(), subset_by_index=(0, k - 1))
-        method, solves = "dense", 0
-    else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
-                                     tol / 10.0)
-        method = "lanczos"
-
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
+                                 tol / 10.0)
     vecs = _fix_signs(_orthonormalize(vecs, mass))
-    return _checked_spectrum(op, mass, lam, vecs, tol, method, tag, epsilon,
-                             solves)
+    return _checked_spectrum(op, mass, lam, vecs, tol, tag, epsilon, solves)
+
+
+def _basis_size(k: int) -> int:
+    """Vectors in :func:`_lanczos`'s basis for ``k`` wanted pairs."""
+    return max(2 * k + 1, 20)
+
+
+def _operator_name(tag: str, epsilon: Optional[float]) -> str:
+    return tag if epsilon is None else f"{tag} at epsilon={epsilon:g}"
 
 
 def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
@@ -192,7 +170,7 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     number of solves made.
     """
     n = op.shape[0]
-    ncv = max(2 * k + 1, 20)
+    ncv = _basis_size(k)
     keep = k + (ncv - k) // 2
     basis = np.empty((ncv + 1, n))
     proj = np.zeros((ncv, ncv))  # basis^T mass C basis
@@ -266,21 +244,22 @@ def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
 
 def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
                       lam: np.ndarray, vecs: np.ndarray, tol: float,
-                      method: str, tag: str, epsilon: Optional[float],
+                      tag: str, epsilon: Optional[float],
                       solves: int) -> Spectrum:
-    """Residual and order check every returned :class:`Spectrum` passes."""
+    """Residual and order check every returned :class:`Spectrum` passes;
+    a failure names the operator by ``tag`` and ``epsilon``."""
     residuals = _relative_residuals(op, mass, lam, vecs)
+    where = f"{_operator_name(tag, epsilon)}, {op.shape[0]} DOF"
     if np.any(residuals > tol):
         worst = int(np.argmax(residuals))
         raise SpectralError(
             f"eigenpair {worst + 1} residual {residuals[worst]:.3e} exceeds "
-            f"tolerance {tol:.1e} ({method} path, {op.shape[0]} DOF)",
-            residuals=residuals)
+            f"tolerance {tol:.1e} ({where})", residuals=residuals)
     if np.any(np.diff(lam) < -tol * np.maximum(np.abs(lam[:-1]), 1.0)):
-        raise SpectralError("eigenvalues not returned in ascending order")
-    return Spectrum(tag=tag, eigenvalues=lam, eigenvectors=vecs,
-                    residuals=residuals, method=method, epsilon=epsilon,
-                    solves=solves)
+        raise SpectralError(
+            f"eigenvalues not returned in ascending order ({where})")
+    return Spectrum(eigenvalues=lam, eigenvectors=vecs, residuals=residuals,
+                    epsilon=epsilon, solves=solves)
 
 
 def shift_spectrum(spectrum: Spectrum, shift: float,
@@ -294,8 +273,8 @@ def shift_spectrum(spectrum: Spectrum, shift: float,
     ``shift`` added, checked against ``op`` as :func:`eigs` checks its own.
     """
     return _checked_spectrum(op, mass, spectrum.eigenvalues + shift,
-                             spectrum.eigenvectors, tol, spectrum.method,
-                             tag, spectrum.epsilon, solves=0)
+                             spectrum.eigenvectors, tol, tag,
+                             spectrum.epsilon, solves=0)
 
 
 def eps_sigma_bound(problem) -> float:
@@ -335,41 +314,27 @@ def rayleigh_quadrature_defect(problem, spectrum: Spectrum) -> np.ndarray:
     return defects
 
 
-@dataclass
-class FirstEigenvalueComparison:
-    """First-eigenvalue bookkeeping for one scale.
-
-    ``d_vs_eps_prime``  = |lambda_eps_1 - (lambda_eps_prime_1 + m)|
-    ``d_vs_hom_prime``  = |lambda_eps_1 - (lambda_hom_prime_1 + m)|
-
-    Both shrink like the scale itself when homogenization holds; the second
-    one feeds the ``thm21_d8`` rate row.
-    """
-
-    epsilon: float
-    lambda_eps_1: float
-    lambda_eps_prime_1: float
-    lambda_hom_prime_1: float
-    m_w_chi_w: float
-    d_vs_eps_prime: float
-    d_vs_hom_prime: float
-
-
 def first_eigenvalue_comparison(epsilon: float,
                                 lambda_eps_1: float,
                                 lambda_eps_prime_1: float,
                                 lambda_hom_prime_1: float,
-                                m_w_chi_w: float) -> FirstEigenvalueComparison:
+                                m_w_chi_w: float) -> dict:
+    """First-eigenvalue record of one scale, as ``report.json`` keeps it.
+
+    ``d7`` = |lambda_eps_1 - (lambda_eps_prime_1 + m)| and
+    ``d8`` = |lambda_eps_1 - (lambda_hom_prime_1 + m)|.  Both shrink like
+    the scale itself when homogenization holds; ``d8`` feeds the
+    ``thm21_d8`` rate row.
+    """
     m = float(m_w_chi_w)
-    return FirstEigenvalueComparison(
-        epsilon=float(epsilon),
-        lambda_eps_1=float(lambda_eps_1),
-        lambda_eps_prime_1=float(lambda_eps_prime_1),
-        lambda_hom_prime_1=float(lambda_hom_prime_1),
-        m_w_chi_w=m,
-        d_vs_eps_prime=abs(lambda_eps_1 - (lambda_eps_prime_1 + m)),
-        d_vs_hom_prime=abs(lambda_eps_1 - (lambda_hom_prime_1 + m)),
-    )
+    return {
+        "epsilon": float(epsilon),
+        "lambda_eps_1": float(lambda_eps_1),
+        "lambda_eps_prime_1": float(lambda_eps_prime_1),
+        "lambda_hom_prime_1": float(lambda_hom_prime_1),
+        "d7": abs(lambda_eps_1 - (lambda_eps_prime_1 + m)),
+        "d8": abs(lambda_eps_1 - (lambda_hom_prime_1 + m)),
+    }
 
 
 def eigenvalue_gap_rows(epsilon: float,

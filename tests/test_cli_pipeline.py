@@ -10,15 +10,18 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import homlab.domain
 import homlab.fem
 import homlab.pipeline
 import homlab.spectral
 from homlab.cli import build_parser, main
-from homlab.config import RunConfig
-from homlab.domain import homogenized_lower_bound
+from homlab.coefficients import make_preset
+from homlab.config import K_MAX, RunConfig
+from homlab.domain import EpsProblem, homogenized_lower_bound
 from homlab.errors import ConfigurationError
+from homlab.grids import DirichletGrid
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
     STAGE_EXIT,
@@ -256,12 +259,27 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
 
     exp.run_stage("eigs")
     hom_prime, hom = exp.spectra["hom_prime"], exp.spectra["hom"]
-    assert hom_prime.method == "lanczos"
     assert np.max(np.abs(hom_prime.eigenvalues - exact) / exact) < 1e-10
     assert np.max(np.abs(hom.eigenvalues - (exact + m))
                   / np.abs(exact + m)) < 1e-10
     assert np.array_equal(hom.eigenvectors, hom_prime.eigenvectors)
     assert np.max(hom.residuals) < cfg.eig_tol
+
+
+def test_smallest_grid_gives_k_max_pairs(tmp_path):
+    """domain_grid_n = 16 at epsilon = 1 is the coarsest grid a config
+    allows: 225 DOF, more than the 129-vector Lanczos basis of k = 64."""
+    cfg = RunConfig(cell_grid_n=16, domain_grid_n=16, epsilons=[1.0],
+                    k_eigen=K_MAX, output_dir=str(tmp_path))
+    assert run_experiment(cfg=cfg, upto="flux", out=io.StringIO()) == 0
+    rows = open(tmp_path / "spectrum_E.csv").read().splitlines()[1:]
+    lam = np.array([float(row.split(",")[2]) for row in rows
+                    if row.startswith("eps:1,")])
+    p = EpsProblem(make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset),
+                   1.0, DirichletGrid(16))
+    ref = scipy.linalg.eigh(p.operator.toarray(), p.mass_interior().toarray(),
+                            eigvals_only=True, subset_by_index=(0, K_MAX - 1))
+    assert np.max(np.abs(lam - ref) / np.abs(ref)) < 1e-10
 
 
 @pytest.mark.parametrize("upto", ["report", "eigs"])
@@ -278,12 +296,13 @@ def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
         events.append("submit")
         return real(self, pool, solve)
 
-    tasks = ("_hom_prime_task", "_eps_task", "_eps_prime_task")
-    for name in tasks:
-        def task(self, *args, _real=getattr(Experiment, name)):
-            events.append("task")
-            return _real(self, *args)
-        monkeypatch.setattr(Experiment, name, task)
+    real_task = Experiment._operator_task
+
+    def task(self, *args):
+        events.append("task")
+        return real_task(self, *args)
+
+    monkeypatch.setattr(Experiment, "_operator_task", task)
     monkeypatch.setattr(Experiment, "_submit_operator_tasks", submit)
     monkeypatch.setattr(homlab.pipeline, "_release_heap",
                         lambda: events.append("release"))

@@ -293,9 +293,9 @@ def assemble_nan_diffusion():
     assemble_stiffness(DirichletGrid(4), a_eval)
 
 
-def eigs_all_pairs():
-    k, m = laplace_pair(4)  # 9 interior DOF
-    shifted_eigs(k, m, 9, sigma=-1.0)
+def eigs_pencil_within_the_basis():
+    k, m = laplace_pair(6)  # 25 interior DOF, the basis of k = 12
+    shifted_eigs(k, m, 12, sigma=-1.0, tag="hom_prime")
 
 
 def shift_checked_against_unshifted_operator():
@@ -312,9 +312,11 @@ ERROR_CASES = [
     (restrict_periodic, UsageError, "DirichletGrid"),
     (assemble_nan_diffusion, AssemblyError,
      "non-finite diffusion sample in cell 3$"),
-    (eigs_all_pairs, ConfigurationError,
-     "k=9 eigenpairs requested from a 9-DOF"),
-    (shift_checked_against_unshifted_operator, SpectralError, "residual"),
+    (eigs_pencil_within_the_basis, ConfigurationError,
+     r"a 25-DOF pencil is not larger than the 25-vector Lanczos basis for "
+     r"k=12 \(hom_prime\)$"),
+    (shift_checked_against_unshifted_operator, SpectralError,
+     r"residual .* \(hom, 49 DOF\)$"),
     (flux_on_the_torus, UsageError, "DirichletGrid"),
 ]
 

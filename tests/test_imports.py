@@ -1,6 +1,7 @@
 """Every module-level import in the package and its tests is read somewhere
-in its module, and every module-level private name of the package is read
-somewhere in the package.
+in its module, every module-level private name of the package is read
+somewhere in the package, and every name a package module lists in
+``__all__`` exists.
 
 No linter ships with the project, so these AST scans stand in for one on the
 rule that matters most for a package that deletes code: an import or a
@@ -10,6 +11,7 @@ import scan are ``from __future__`` imports, the re-exports of
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -119,3 +121,13 @@ def test_the_scan_sees_an_unread_private_name():
         "b": "from a import _used\nimport a\nprint(a._T)\n",
     }
     assert unread_private_names(sources) == ["a._Box"]
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                        if p.stem != "__main__"))
+def test_every_all_entry_resolves(stem):
+    """The import scan trusts ``__all__``, so a stale entry would hide."""
+    module = importlib.import_module(
+        "homlab" if stem == "__init__" else f"homlab.{stem}")
+    assert [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)] == []

@@ -1,5 +1,5 @@
-"""Generalized eigensolves: dense and Lanczos paths, invariants, and
-the comparison tables built from spectra."""
+"""Generalized eigensolves: the Lanczos path, its invariants, and the
+comparison tables built from spectra."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,7 +15,6 @@ from homlab.errors import ConfigurationError, SpectralError
 from homlab.fem import QUAD_XI, assemble_mass, assemble_stiffness, interior_operator
 from homlab.grids import DirichletGrid
 from homlab.spectral import (
-    DENSE_CUTOFF,
     MAX_RESTARTS,
     Spectrum,
     _lanczos,
@@ -25,6 +24,7 @@ from homlab.spectral import (
     eps_sigma_bound,
     first_eigenvalue_comparison,
     rayleigh_quadrature_defect,
+    shift_spectrum,
 )
 
 
@@ -56,19 +56,16 @@ def exact_q1_laplace_eigs(n, count):
     return np.sort((mu[:, None] + mu[None, :]).ravel())[:count]
 
 
-def test_dense_path_matches_separation_of_variables():
-    _, k, m = laplace_pair(16)  # 225 dof, below the dense cutoff
-    assert k.shape[0] <= DENSE_CUTOFF
+def test_smallest_pencil_matches_separation_of_variables():
+    _, k, m = laplace_pair(16)  # 225 dof, the smallest grid a config allows
     spec = shifted_eigs(k, m, 5, sigma=-1.0)
-    assert spec.method == "dense"
     exact = exact_q1_laplace_eigs(16, 5)
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
 
 
 def test_lanczos_path_matches_separation_of_variables():
-    _, k, m = laplace_pair(80)  # 6241 dof, above the cutoff
+    _, k, m = laplace_pair(80)  # 6241 dof
     spec = shifted_eigs(k, m, 5, sigma=-1.0)
-    assert spec.method == "lanczos"
     rel = np.abs(spec.eigenvalues - exact_laplace_eigs(5)) / exact_laplace_eigs(5)
     assert np.max(rel) < 0.01
 
@@ -110,7 +107,6 @@ def test_lanczos_returns_both_members_of_an_exact_pair():
     k = interior_operator(grid, assemble_stiffness(grid, constant_matrix(a_hat)))
     m = interior_operator(grid, assemble_mass(grid))
     spec = shifted_eigs(k, m, 5, sigma=-1.0)
-    assert spec.method == "lanczos"
     exact = 1.7 * exact_q1_laplace_eigs(64, 5)
     assert exact[1] == pytest.approx(exact[2], rel=1e-14)
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
@@ -133,7 +129,7 @@ def test_lanczos_breakdown_raises():
 
 
 def test_lanczos_gives_up_after_the_restart_cap():
-    _, k, m = laplace_pair(18)  # 289 dof, just above the cutoff
+    _, k, m = laplace_pair(18)  # 289 dof
     with pytest.raises(SpectralError, match=(
             rf"did not converge in {MAX_RESTARTS} restarts after \d+ solves "
             r"\(289 DOF, k=2, sigma=-1\)")):
@@ -255,30 +251,28 @@ def test_rayleigh_quotients_match_direct_quadrature():
     assert np.max(defect) < 1e-10
 
 
-def test_lanczos_path_matches_dense_eigh_just_above_the_cutoff():
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 1.0, DirichletGrid(18))
-    op, mass = p.operator, p.mass_interior()
-    assert op.shape[0] == 289 > DENSE_CUTOFF
-    spec = shifted_eigs(op, mass, 5, sigma=eps_sigma_bound(p), epsilon=1.0)
-    assert spec.method == "lanczos"
-    ref = scipy.linalg.eigh(op.toarray(), mass.toarray(), eigvals_only=True,
-                            subset_by_index=(0, 4))
-    assert np.max(np.abs(spec.eigenvalues - ref) / np.abs(ref)) < 1e-10
-
-
 def test_first_eigenvalue_comparison_arithmetic():
     rec = first_eigenvalue_comparison(0.25, 20.0, 19.5, 19.4, -0.1)
-    assert rec.d_vs_eps_prime == pytest.approx(abs(20.0 - (19.5 - 0.1)))
-    assert rec.d_vs_hom_prime == pytest.approx(abs(20.0 - (19.4 - 0.1)))
+    assert rec["d7"] == pytest.approx(abs(20.0 - (19.5 - 0.1)))
+    assert rec["d8"] == pytest.approx(abs(20.0 - (19.4 - 0.1)))
+
+
+def test_a_failed_check_names_the_operator_and_its_scale():
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(32))
+    mass = p.mass_interior()
+    spec = shifted_eigs(p.diffusion, mass, 3, sigma=0.0, tag="eps_prime",
+                        epsilon=0.5)
+    with pytest.raises(SpectralError,
+                       match=r"\(eps_prime at epsilon=0\.5, 961 DOF\)$"):
+        shift_spectrum(spec, 1.0, p.diffusion, mass, tag="eps_prime")
 
 
 def test_gap_rows_normalization():
-    sa = Spectrum(tag="eps", eigenvalues=np.array([4.0, 9.0]),
+    sa = Spectrum(eigenvalues=np.array([4.0, 9.0]),
                   eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2),
-                  method="dense", epsilon=0.5)
-    sb = Spectrum(tag="hom", eigenvalues=np.array([4.5, 8.0]),
-                  eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2),
-                  method="dense")
+                  epsilon=0.5)
+    sb = Spectrum(eigenvalues=np.array([4.5, 8.0]),
+                  eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2))
     rows = eigenvalue_gap_rows(0.5, sa, sb)
     assert [r["k"] for r in rows] == [1, 2]
     assert rows[0]["gap"] == pytest.approx(0.5)
