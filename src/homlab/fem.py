@@ -29,6 +29,11 @@ gathered corner values with the tabulated shape functions,
 :func:`integrate` sums over cells with a matrix-vector product before it
 applies the weights.  The element matrices of the assembly keep their
 ``einsum(..., optimize=True)`` contractions, which already go to BLAS.
+
+:func:`integrate` also runs on the pipeline's pool threads, so its cell
+sum, a vector times a tall matrix, is ``np.dot``, not ``@``: numpy's
+``matmul`` keeps the GIL through a single matrix-vector product, while
+``np.dot`` releases it and gives the same bits.
 """
 
 import math
@@ -152,7 +157,8 @@ def integrate(grid, vals, wq=QUAD_W):
     ``wq`` in every cell of ``grid``, shape (ncells, nq, ...); the result has
     the trailing shape ``...`` (a 0-d array for a scalar field).
     """
-    cell_sums = np.ones(grid.ncells) @ vals.reshape(grid.ncells, -1)
+    # np.dot, not @: matmul keeps the GIL on a vector-matrix product
+    cell_sums = np.dot(np.ones(grid.ncells), vals.reshape(grid.ncells, -1))
     return grid.h ** 2 * (wq @ cell_sums.reshape(vals.shape[1], -1)).reshape(vals.shape[2:])
 
 

@@ -15,6 +15,16 @@ product, sign-fixed, and residual-checked; failures raise
 returning dubious pairs.  A spectrum shifted by a multiple of the mass
 matrix (:func:`shift_spectrum`) reuses the eigenvectors and is checked the
 same way.
+
+Eigensolves run on the pipeline's pool threads, two at a time.  The two
+Gram-Schmidt products of a Lanczos step, each a matrix times a vector, are
+``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL through a single
+matrix-vector product, while ``np.dot`` releases it and gives the same
+bits.  Inner products of two vectors keep ``@``, since at these sizes
+``np.dot`` does not make them overlap.  The residual check
+(:func:`_relative_residuals`) works on blocks of :data:`_RESIDUAL_BLOCK`
+columns, so its temporaries stay a few blocks in size while two tasks run
+at once.
 """
 
 from __future__ import annotations
@@ -52,6 +62,9 @@ _BREAKDOWN = 1e-12
 #: Basis columns recombined at a time on a thick restart, so the restart
 #: needs a (keep x chunk) temporary rather than a second basis.
 _RESTART_CHUNK = 4096
+#: Eigenvectors residual-checked at a time, so a check holds a few
+#: (n x 8) temporaries rather than (n x k) ones.
+_RESIDUAL_BLOCK = 8
 
 
 @dataclass
@@ -138,7 +151,7 @@ def eigs(op: sp.csr_matrix,
 
     v0 = np.random.default_rng(seed).standard_normal(n)
     lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
-                                 tol / 10.0)
+                                 tol / 10.0, _operator_name(tag, epsilon))
     vecs = _fix_signs(_orthonormalize(vecs, mass))
     return _checked_spectrum(op, mass, lam, vecs, tol, tag, epsilon, solves)
 
@@ -153,7 +166,7 @@ def _operator_name(tag: str, epsilon: Optional[float]) -> str:
 
 
 def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
-             v0: np.ndarray, lu, rtol: float):
+             v0: np.ndarray, lu, rtol: float, name: str):
     """Thick-restart Lanczos for the ``k`` eigenvalues nearest ``shift``.
 
     Runs on ``C = (op - shift mass)^-1 mass``, which is self-adjoint in the
@@ -167,7 +180,7 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     and the relative residual that :func:`_checked_spectrum` gates, checked
     on the formed Ritz vectors, is at most ``rtol`` too.  Returns the
     eigenvalues ascending, the eigenvectors as ``(n, k)`` columns and the
-    number of solves made.
+    number of solves made; a failure names the operator by ``name``.
     """
     n = op.shape[0]
     ncv = _basis_size(k)
@@ -183,8 +196,8 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
 
     def failure(what: str) -> SpectralError:
         return SpectralError(
-            f"Lanczos {what} after {solves} solves ({n} DOF, k={k}, "
-            f"sigma={shift:.6g})")
+            f"Lanczos {what} after {solves} solves ({name}, {n} DOF, "
+            f"k={k}, sigma={shift:.6g})")
 
     while True:
         w = lu.solve(mv)
@@ -193,8 +206,9 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
         size = np.sqrt(w @ mw)
         coef = np.zeros(j + 1)
         for _ in range(2):
-            h = basis[:j + 1] @ mw
-            w -= h @ basis[:j + 1]
+            # np.dot, not @: matmul keeps the GIL on a matrix-vector product
+            h = np.dot(basis[:j + 1], mw)
+            w -= np.dot(h, basis[:j + 1])
             coef += h
             mw = mass.dot(w)
         beta = np.sqrt(max(float(w @ mw), 0.0))
@@ -235,11 +249,24 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
 
 def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
                         lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``||op v - lambda mass v|| / (|lambda| ||mass v||)`` per pair."""
-    mv = mass.dot(vecs)
-    res_abs = np.linalg.norm(op.dot(vecs) - lam[None, :] * mv, axis=0)
-    scale = np.maximum(np.abs(lam), 1e-30) * np.linalg.norm(mv, axis=0)
-    return res_abs / scale
+    """``||op v - lambda mass v|| / (|lambda| ||mass v||)`` per pair.
+
+    Runs on C-ordered blocks of :data:`_RESIDUAL_BLOCK` columns.  The last
+    block is as wide as the others, overlapping the one before if need be:
+    numpy sums a one-column block pairwise but the columns of a wider one
+    in row order, so a narrower block would change the bits.
+    """
+    k = lam.size
+    width = min(k, _RESIDUAL_BLOCK)
+    out = np.empty(k)
+    for start in range(0, k, width):
+        cols = slice(min(start, k - width), min(start + width, k))
+        block = np.ascontiguousarray(vecs[:, cols])
+        mv = mass.dot(block)
+        res_abs = np.linalg.norm(op.dot(block) - lam[None, cols] * mv, axis=0)
+        out[cols] = res_abs / (np.maximum(np.abs(lam[cols]), 1e-30)
+                               * np.linalg.norm(mv, axis=0))
+    return out
 
 
 def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,

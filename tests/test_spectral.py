@@ -18,6 +18,7 @@ from homlab.spectral import (
     MAX_RESTARTS,
     Spectrum,
     _lanczos,
+    _relative_residuals,
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
@@ -124,16 +125,35 @@ def test_lanczos_breakdown_raises():
     v0[:3] = 1.0
     with pytest.raises(SpectralError, match=(
             r"broke down on an invariant subspace after 3 solves "
-            r"\(289 DOF, k=5, sigma=-1\)")):
-        _lanczos(op, mass, 5, -1.0, v0, factor(op, mass, -1.0), 1e-9)
+            r"\(eps at epsilon=0.25, 289 DOF, k=5, sigma=-1\)")):
+        _lanczos(op, mass, 5, -1.0, v0, factor(op, mass, -1.0), 1e-9,
+                 "eps at epsilon=0.25")
 
 
 def test_lanczos_gives_up_after_the_restart_cap():
     _, k, m = laplace_pair(18)  # 289 dof
     with pytest.raises(SpectralError, match=(
             rf"did not converge in {MAX_RESTARTS} restarts after \d+ solves "
-            r"\(289 DOF, k=2, sigma=-1\)")):
-        shifted_eigs(k, m, 2, sigma=-1.0, tol=1e-30)
+            r"\(eps_prime at epsilon=0.125, 289 DOF, k=2, sigma=-1\)")):
+        shifted_eigs(k, m, 2, sigma=-1.0, tol=1e-30, tag="eps_prime",
+                     epsilon=0.125)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 32, 64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocked_residuals_match_the_one_shot_formula(k, order):
+    """A block boundary inside and at the end of the columns keeps the bits
+    of ``||op V - lam M V|| / (|lam| ||M V||)`` formed in one go."""
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(32))
+    op, mass = p.operator, p.mass_interior()
+    rng = np.random.default_rng(k)
+    lam = rng.uniform(-5.0, 500.0, k)
+    vecs = np.asarray(rng.standard_normal((op.shape[0], k)), order=order)
+    mv = mass.dot(vecs)
+    one_shot = (np.linalg.norm(op.dot(vecs) - lam[None, :] * mv, axis=0)
+                / (np.maximum(np.abs(lam), 1e-30)
+                   * np.linalg.norm(mv, axis=0)))
+    assert np.array_equal(_relative_residuals(op, mass, lam, vecs), one_shot)
 
 
 def test_orthonormality_and_residual_invariants():
