@@ -16,15 +16,15 @@ returning dubious pairs.  A spectrum shifted by a multiple of the mass
 matrix (:func:`shift_spectrum`) reuses the eigenvectors and is checked the
 same way.
 
-Eigensolves run on the pipeline's pool threads, two at a time.  The two
-Gram-Schmidt products of a Lanczos step, each a matrix times a vector, are
-``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL through a single
-matrix-vector product, while ``np.dot`` releases it and gives the same
-bits.  Inner products of two vectors keep ``@``, since at these sizes
+Eigensolves run on the pipeline's pool threads, several at a time.  The
+two Gram-Schmidt products of a Lanczos step, each a matrix times a vector,
+are ``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL through a
+single matrix-vector product, while ``np.dot`` releases it and gives the
+same bits.  Inner products of two vectors keep ``@``, since at these sizes
 ``np.dot`` does not make them overlap.  The residual check
 (:func:`_relative_residuals`) works on blocks of :data:`_RESIDUAL_BLOCK`
-columns, so its temporaries stay a few blocks in size while two tasks run
-at once.
+columns, so its temporaries stay a few blocks in size while tasks run side
+by side.
 """
 
 from __future__ import annotations

@@ -144,8 +144,9 @@ def test_lanczos_gives_up_after_the_restart_cap():
 def test_blocked_residuals_match_the_one_shot_formula(k, order):
     """A block boundary inside and at the end of the columns keeps the bits
     of ``||op V - lam M V|| / (|lam| ||M V||)`` formed in one go."""
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(32))
-    op, mass = p.operator, p.mass_interior()
+    grid = DirichletGrid(32)
+    op = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, grid).operator
+    mass = interior_operator(grid, assemble_mass(grid))
     rng = np.random.default_rng(k)
     lam = rng.uniform(-5.0, 500.0, k)
     vecs = np.asarray(rng.standard_normal((op.shape[0], k)), order=order)
