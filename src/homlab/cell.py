@@ -94,15 +94,15 @@ def potential_energy_identity_residual(grid, chi_w, m_w_chi_w, a):
     return float(abs(m_w_chi_w + energy) / (1.0 + abs(m_w_chi_w)))
 
 
-def cross_flux_identity_defect(model, grid, chi, chi_w, order=3):
+def cross_flux_identity_defect(model, grid, chi, chi_w):
     """Defect of the compatibility identity between corrector fluxes.
 
     Measures |cell-avg of (A grad chi_w)_i - cell-avg of chi_i W| for i = 1, 2
-    with an independent Gauss rule (finer than the assembly rule), so the
-    number reflects genuine discretization error rather than the algebraic
-    identity satisfied by the discrete solutions.
+    with an independent 3x3 Gauss rule (finer than the 2x2 assembly rule), so
+    the number reflects genuine discretization error rather than the
+    algebraic identity satisfied by the discrete solutions.
     """
-    xi, wq = gauss_rule(order)
+    xi, wq = gauss_rule(3)
     pts = grid.quad_points(xi)
     # One finer-rule sample lives at a time: they are the largest arrays of
     # the cell stage.

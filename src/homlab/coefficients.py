@@ -138,12 +138,13 @@ _DIRECTIONS = np.array([[1.0, 0.0],
 _SHIFTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
 
 
-def validate(model, lattice_n=64):
+def validate(model):
     """Check symmetry, ellipticity, periodicity, and potential mean on a lattice.
 
     Never raises: the report carries the list of failed checks and ``ok``.
     """
-    ys = (np.arange(lattice_n) + 0.31) / lattice_n  # avoid grid-aligned zeros
+    n = 64  # lattice points per axis
+    ys = (np.arange(n) + 0.31) / n  # avoid grid-aligned zeros
     y1, y2 = np.meshgrid(ys, ys, indexing="ij")
     a = model.a_eval(y1, y2)
     failures = []
@@ -168,7 +169,7 @@ def validate(model, lattice_n=64):
     if per > 1e-12:
         failures.append(f"coefficients not unit-periodic: defect {per:.3e}")
 
-    wmean = abs(quadrature_mean_w(model, max(lattice_n, 32)))
+    wmean = abs(quadrature_mean_w(model, n))
     if wmean > 1e-12:
         failures.append(f"potential mean {wmean:.3e} exceeds 1e-12")
 

@@ -8,6 +8,7 @@ fail loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,6 +51,15 @@ class RunConfig:
     workers: int = 0  # 0 = pick automatically
 
     def validate(self) -> None:
+        for attr, kind in _KEYS.values():
+            value = getattr(self, attr)
+            items = value if kind == "eps_list" else [value]
+            # a bool is no number, though Python counts it as an int
+            if not isinstance(items, list) or not all(
+                    isinstance(v, _KIND_TYPES[kind])
+                    and isinstance(v, bool) == (kind == "bool") for v in items):
+                raise ConfigurationError(
+                    f"{attr} has the wrong type: {value!r}")
         if self.a_preset not in A_PRESETS:
             raise ConfigurationError(
                 f"unknown A_preset {self.a_preset!r}; choose from {A_PRESETS}")
@@ -112,6 +122,10 @@ _KEYS = {
     "emit_svg": ("emit_svg", "bool"),
     "workers": ("workers", int),
 }
+
+#: The type of a value (of each epsilon) of each ``_KEYS`` kind.
+_KIND_TYPES = {str: str, int: numbers.Integral, float: numbers.Real,
+               "bool": bool, "eps_list": numbers.Real}
 
 
 def _parse_number(text: str, key: str) -> float:

@@ -6,10 +6,11 @@ FFT of its stencil is its spectrum (the idea behind FFT-based homogenization,
 Moulinec & Suquet 1998).  :func:`cg_solve` (conjugate gradients,
 constant-deflated on the torus, optionally preconditioned) solves the
 variable-coefficient cell problems with that Laplace solve as preconditioner.
-:func:`factorize` (sparse LU in the grid's nested-dissection order) serves
-the Dirichlet systems and the shift-invert eigensolves; a factor of the
-shifted oscillatory operator also preconditions :func:`cg_solve` for the
-unshifted one.
+:func:`factorize` (sparse LU that keeps the matrix's own order, the
+nested-dissection order in which a :class:`~homlab.grids.DirichletGrid`
+numbers its interior DOF) serves the Dirichlet systems and the shift-invert
+eigensolves; a factor of the shifted oscillatory operator also
+preconditions :func:`cg_solve` for the unshifted one.
 
 Assembly uses a fixed 2x2 Gauss rule per cell with coefficients sampled
 pointwise at the quadrature points.  On the reference square the physical
@@ -36,8 +37,6 @@ sum, a vector times a tall matrix, is ``np.dot``, not ``@``: numpy's
 ``np.dot`` releases it and gives the same bits.
 """
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -47,7 +46,6 @@ from .grids import (
     GridFunction,
     PeriodicGrid,
     gauss_rule,
-    nested_dissection,
     shape_gradients,
     shape_values,
 )
@@ -262,44 +260,22 @@ def torus_laplace_solver(grid):
     return solve
 
 
-class OrderedFactor:
-    """Sparse LU factor of ``P^T A P``; ``solve`` takes and returns vectors
-    (n,) or blocks (n, k) in the original order of ``A``."""
-
-    def __init__(self, lu, perm):
-        self.lu = lu
-        self.perm = perm
-        self._inverse = np.argsort(perm)
-
-    def solve(self, rhs):
-        return self.lu.solve(np.asarray(rhs, dtype=float)[self.perm])[self._inverse]
-
-
 def factorize(op):
     """Sparse LU factor of ``op`` for repeated direct solves (``.solve``).
 
-    Every factored operator is the row-major interior block of a
-    :class:`~homlab.grids.DirichletGrid`, an m-by-m node block, so its
-    rows and columns are put in the grid's nested-dissection order
-    (:func:`homlab.grids.nested_dissection`) and SuperLU keeps that order
-    (``NATURAL``) with its default threshold pivoting.  A size that is not
-    m^2 raises UsageError; an exactly singular matrix raises SolverError.
+    Every factored operator is an interior matrix of a
+    :class:`~homlab.grids.DirichletGrid`, already in the grid's
+    nested-dissection order, so SuperLU keeps that order (``NATURAL``) with
+    its default threshold pivoting.  An exactly singular matrix raises
+    SolverError.
     """
-    rows, cols = op.shape
-    m = math.isqrt(rows)
-    if rows != cols or m * m != rows:
-        raise UsageError(f"factorize needs the interior operator of a square "
-                         f"grid, an m^2-by-m^2 matrix; got {rows}x{cols}")
-    perm = nested_dissection(m)
     try:
-        lu = sp.linalg.splu(sp.csc_matrix(op)[perm][:, perm],
-                            permc_spec="NATURAL")
+        return sp.linalg.splu(sp.csc_matrix(op), permc_spec="NATURAL")
     except RuntimeError as err:
         if "singular" not in str(err):
             raise
         raise SolverError(f"sparse LU failed: {err} "
-                          f"({rows} unknowns)") from err
-    return OrderedFactor(lu, perm)
+                          f"({op.shape[0]} unknowns)") from err
 
 
 def h1_seminorm(gf):
@@ -371,7 +347,8 @@ def boundary_flux(gf):
 
 
 def interior_operator(grid, op):
-    """Restrict an operator on the full nodal set to the interior DOF."""
+    """Restrict an operator on the full nodal set to the interior DOF, in
+    the grid's nested-dissection order."""
     if not isinstance(grid, DirichletGrid):
         raise UsageError("interior restriction only applies to DirichletGrid")
     return op[np.ix_(grid.interior, grid.interior)]

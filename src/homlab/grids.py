@@ -3,8 +3,9 @@
 Two grid flavours share one cell layout: ``PeriodicGrid`` identifies opposite
 faces of the unit cell (n^2 nodes, n^2 cells), ``DirichletGrid`` keeps the full
 (n+1)^2 nodal set on the closed unit square and tracks which nodes are
-interior.  Nodes are ordered row-major with x fastest.  Cell corners follow the
-usual counterclockwise convention (0,0), (1,0), (1,1), (0,1).
+interior.  Nodes are ordered row-major with x fastest; interior DOF come in
+the fill-reducing nested-dissection order of their block.  Cell corners
+follow the usual counterclockwise convention (0,0), (1,0), (1,1), (0,1).
 """
 
 from dataclasses import dataclass
@@ -80,7 +81,8 @@ class PeriodicGrid:
 class DirichletGrid:
     """n-by-n cell grid on the closed unit square with (n+1)^2 nodes.
 
-    ``interior`` lists the (n-1)^2 nodes strictly inside.
+    ``interior`` lists the (n-1)^2 nodes strictly inside, in the
+    :func:`nested_dissection` order of their row-major block.
     """
 
     periodic = False
@@ -105,7 +107,8 @@ class DirichletGrid:
         jx, jy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
         inner = (jx > 0) & (jx < self.n) & (jy > 0) & (jy < self.n)
         self.is_interior = inner.ravel()
-        self.interior = np.flatnonzero(self.is_interior)
+        self.interior = np.flatnonzero(self.is_interior)[
+            nested_dissection(self.n - 1)]
         self.ndof = self.interior.size
 
     def node_coords(self):

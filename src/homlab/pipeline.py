@@ -36,10 +36,10 @@ run, by its task: after ``solve``, ``eigs`` finds them all and only adds the
 Rayleigh defects; run without ``solve``, it submits the missing spectrum
 tasks to one pool the same way.  The operators are assembled once per run
 by ``Experiment._assemble``, on the main thread before the first task
-starts: the interior mass, the effective stiffness and one
-:class:`EpsProblem` per scale, which assembles its operators when built;
-``cell`` alone assembles none.  No factor outlives its task; the freed heap
-goes back to the OS after the assembly and after each task
+starts: the domain grid, the interior mass, the effective stiffness and
+one :class:`EpsProblem` per scale, which assembles its operators when built;
+``cell`` alone builds none of them.  No factor outlives its task; the freed
+heap goes back to the OS after the assembly and after each task
 (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
@@ -55,7 +55,7 @@ import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -265,8 +265,8 @@ class Experiment:
         self.cfg = cfg
         self.out = out
         self.model = make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset)
-        self.domain_grid = DirichletGrid(cfg.domain_grid_n)
-        # the run's operators, built once by _assemble
+        # the run's domain grid and operators, built once by _assemble
+        self.domain_grid: Optional[DirichletGrid] = None
         self.mass: Optional[sp.csr_matrix] = None  # interior mass
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
         self.operators: Dict[str, Tuple[sp.csr_matrix, float,
@@ -300,8 +300,8 @@ class Experiment:
     # -- per-operator tasks ---------------------------------------------
 
     def _assemble(self) -> None:
-        """Assemble every operator of the run, once: the interior mass,
-        the effective stiffness ``K`` of ``a_hat`` and one
+        """Build the domain grid and every operator of the run, once: the
+        interior mass, the effective stiffness ``K`` of ``a_hat`` and one
         :class:`EpsProblem` per scale.  Needs the cell stage's ``a_hat``.
 
         ``self.operators`` tables them by spectrum tag as (operator, shift
@@ -327,7 +327,7 @@ class Experiment:
         """
         if self.mass is not None:
             return
-        grid = self.domain_grid
+        grid = self.domain_grid = DirichletGrid(self.cfg.domain_grid_n)
         cs = self.cell_solution
         m = float(cs.m_w_chi_w)
         self.mass = interior_operator(grid, assemble_mass(grid))
@@ -462,13 +462,12 @@ class Experiment:
 
     def stage_solve(self, dump_fields: bool = False) -> None:
         cfg = self.cfg
-        # ||f|| by the same quadrature that assembles everything else
-        fq = quad_samples(self.domain_grid, self.model.f_eval)
-        self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
-                                  * np.einsum("q,cq->", QUAD_W, fq ** 2)))
-
         with _task_pool(cfg.effective_workers()) as pool:
             futures = self._submit_operator_tasks(pool, solve=True)
+            # ||f|| by the same quadrature that assembles everything else
+            fq = quad_samples(self.domain_grid, self.model.f_eval)
+            self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
+                                      * np.einsum("q,cq->", QUAD_W, fq ** 2)))
             self.u_0 = self._collect(futures, "hom_prime")
             finish = {}
             for eps, problem in self.problems.items():
@@ -811,6 +810,10 @@ def run_experiment(config_path: Optional[str] = None,
     try:
         if cfg is None:
             cfg = load_config(config_path)
+        unknown = set(overrides or {}) - {f.name for f in fields(cfg)}
+        if unknown:
+            raise ConfigurationError(
+                f"unknown config field(s) {sorted(unknown)}")
         cfg = replace(cfg, **(overrides or {}))
         cfg.validate()
         os.makedirs(cfg.output_dir, exist_ok=True)

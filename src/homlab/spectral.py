@@ -102,8 +102,9 @@ def _orthonormalize(vecs: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
         raise SpectralError(
             "eigenvector Gram matrix is not positive definite; "
             "the solver returned a degenerate basis") from err
+    # gram = L L^T, so V L^-T is M-orthonormal: its transpose solves L X = V^T
     return np.asarray(scipy.linalg.solve_triangular(
-        chol, vecs.T, lower=True, trans="T")).T
+        chol, vecs.T, lower=True)).T
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

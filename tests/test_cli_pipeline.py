@@ -414,8 +414,9 @@ def test_gaps_assembles_each_scale_once(tmp_path, monkeypatch):
 
 
 def test_cell_stage_assembles_no_dirichlet_operator(tmp_path, monkeypatch):
-    """``homlab cell`` builds no problem: the Dirichlet operators are
-    assembled only once the operator tasks are about to run."""
+    """``homlab cell`` builds no problem and no domain grid: the grid and
+    the Dirichlet operators are built only once the operator tasks are
+    about to run."""
     calls = []
     names = {homlab.domain: ("assemble_stiffness", "assemble_weighted_mass",
                              "assemble_mass"),
@@ -426,9 +427,11 @@ def test_cell_stage_assembles_no_dirichlet_operator(tmp_path, monkeypatch):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
-    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
-    assert run_experiment(cfg, upto="cell", out=io.StringIO()) == 0
-    assert calls == []
+    exp = Experiment(RunConfig(cell_grid_n=16, domain_grid_n=68,
+                               epsilons=[0.5, 0.25], output_dir=str(tmp_path)),
+                     out=io.StringIO())
+    exp.run_stage("cell")  # all that ``homlab cell`` runs
+    assert calls == [] and exp.domain_grid is None
 
 
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):
@@ -440,6 +443,19 @@ def test_uncreatable_output_dir_is_a_config_error(tmp_path):
     assert run_experiment(cfg=cfg, upto="cell", err=err) == STAGE_EXIT["config"]
     assert err.getvalue().startswith("[config] ")
     assert str(blocker / "sub") in err.getvalue()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"kk": 3}, "kk"), ({"k_eigen": "5"}, "k_eigen"),
+    ({"k_eigen": True}, "k_eigen"),
+    ({"epsilons": [0.25, "1/8"]}, "epsilons")])
+def test_bad_overrides_are_a_config_error(tmp_path, overrides, field):
+    cfg, _ = write_cfg(tmp_path)
+    err = io.StringIO()
+    assert run_experiment(cfg, upto="cell", overrides=overrides,
+                          out=io.StringIO(), err=err) == STAGE_EXIT["config"]
+    assert err.getvalue().startswith("[config] ")
+    assert field in err.getvalue()
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,17 +132,29 @@ def test_nested_dissection_is_a_permutation(m):
     assert np.array_equal(np.sort(perm), np.arange(m * m))
 
 
+@pytest.mark.parametrize("n", [2, 5, 18])
+def test_interior_dof_come_in_nested_dissection_order(n):
+    grid = DirichletGrid(n)
+    row_major = np.flatnonzero(grid.is_interior)
+    assert np.array_equal(grid.interior, row_major[nested_dissection(n - 1)])
+    rng = np.random.default_rng(n)
+    full = np.where(grid.is_interior, rng.standard_normal(grid.nnodes), 0.0)
+    assert np.array_equal(grid.extend(grid.restrict(full)), full)
+    inner = rng.standard_normal(grid.ndof)
+    assert np.array_equal(grid.restrict(grid.extend(inner)), inner)
+
+
 def test_first_separator_decouples_the_halves():
-    """m = 17: the middle column (17 nodes, numbered last) splits the block
-    into two 17 x 8 halves with no coupling between them."""
+    """n = 18: the grid numbers the middle interior column (17 nodes at
+    x = 1/2) last, so its interior operator splits into two 17 x 8 halves
+    with no coupling between them."""
     grid = DirichletGrid(18)
     op = interior_operator(grid, assemble_stiffness(grid, identity_a))
-    perm = nested_dissection(17)
-    assert set(perm[-17:] % 17) == {8}
-    permuted = op[perm][:, perm]
+    separator = grid.node_coords()[grid.interior[-17:]]
+    assert np.array_equal(separator[:, 0], np.full(17, 0.5))
     half = 17 * 8
-    assert permuted[:half, half:2 * half].nnz == 0
-    assert permuted[:2 * half, 2 * half:].nnz > 0
+    assert op[:half, half:2 * half].nnz == 0
+    assert op[:2 * half, 2 * half:].nnz > 0
 
 
 def test_factor_solves_match_a_dense_solve():
@@ -158,12 +169,6 @@ def test_factor_solves_match_a_dense_solve():
         x = lu.solve(rhs)
         assert x.shape == rhs.shape
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("shape", [(10, 10), (9, 16)])
-def test_factorize_needs_a_square_grid_operator(shape):
-    with pytest.raises(UsageError, match="m\\^2"):
-        factorize(sp.eye(*shape, format="csr"))
 
 
 def test_factorize_rejects_exactly_singular_operator():

@@ -18,6 +18,7 @@ from homlab.spectral import (
     MAX_RESTARTS,
     Spectrum,
     _lanczos,
+    _orthonormalize,
     _relative_residuals,
     cluster_projection,
     eigenvalue_gap_rows,
@@ -155,6 +156,17 @@ def test_blocked_residuals_match_the_one_shot_formula(k, order):
                 / (np.maximum(np.abs(lam), 1e-30)
                    * np.linalg.norm(mv, axis=0)))
     assert np.array_equal(_relative_residuals(op, mass, lam, vecs), one_shot)
+
+
+def test_orthonormalize_gives_an_m_orthonormal_basis_of_the_same_span():
+    rng = np.random.default_rng(6)
+    mixing = np.triu(rng.uniform(0.5, 3.0, (5, 5)))  # far from orthonormal
+    vecs = rng.standard_normal((200, 5)) @ mixing
+    mass = sp.diags(rng.uniform(0.5, 2.0, 200), format="csr")
+    basis = _orthonormalize(vecs, mass)
+    assert np.max(np.abs(basis.T @ mass.dot(basis) - np.eye(5))) < 1e-12
+    coef = np.linalg.lstsq(vecs, basis, rcond=None)[0]
+    assert np.max(np.abs(vecs @ coef - basis)) < 1e-12
 
 
 def test_orthonormality_and_residual_invariants():
