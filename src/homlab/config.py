@@ -102,9 +102,16 @@ class RunConfig:
             raise ConfigurationError("workers must be nonnegative")
 
     def effective_workers(self) -> int:
+        """``workers``, or with 0 the CPUs this process may run on (its
+        affinity mask where the platform has one, so ``taskset`` and cgroup
+        cpusets count), capped at 4."""
         if self.workers > 0:
             return self.workers
-        return max(1, min(4, os.cpu_count() or 1))
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return max(1, min(4, cpus))
 
 
 _KEYS = {

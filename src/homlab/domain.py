@@ -12,7 +12,10 @@ samples them at ``y = x / epsilon``.
 
 Each scale's operators are assembled once, when its :class:`EpsProblem` is
 built, and kept as plain attributes; reading them assembles nothing, so
-threads can share a problem.
+threads can share a problem.  They are interior matrices on the grid's one
+shared sparsity pattern (:attr:`homlab.grids.DirichletGrid.pattern`), so
+``L_eps`` is a sum of their data vectors (:func:`homlab.fem.add_scaled`);
+no full-grid matrix is built.
 
 Nothing here factors a matrix.  Every solve takes the caller's sparse LU
 factor (:func:`homlab.fem.factorize`), the one the pipeline's operator task
@@ -40,6 +43,7 @@ from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
 from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
+    add_scaled,
     apply_tensor,
     assemble_load,
     assemble_mass,
@@ -48,8 +52,8 @@ from .fem import (
     cell_gradients,
     cell_values,
     cg_solve,
+    flux_load_from_quad_values,
     integrate,
-    interior_operator,
     quad_samples,
 )
 from .grids import DirichletGrid, GridFunction
@@ -86,9 +90,12 @@ class EpsProblem:
       W(x/eps)``, i.e. ``diffusion + (1/eps) M_W``, or ``diffusion`` itself
       when ``W`` is zero;
     - ``lifts``: interior loads ``-(K x_j)`` of the two corrector problems,
-      ``x_j`` the nodal coordinate ``j`` (j = 1, 2).
+      ``x_j`` the nodal coordinate ``j`` (j = 1, 2), ``K`` the stiffness on
+      every node.
 
-    The full-grid stiffness ``K`` is assembled once and not kept.
+    ``A`` is sampled once at the quadrature points; the stiffness and the
+    lifts both read those samples.  Since ``grad x_j = e_j``, ``K x_j`` is
+    the load ``(A e_j, grad N_a)``, so the lifts need no full-grid ``K``.
     Construction first enforces the resolution rule ``h <= epsilon / 16``;
     everything downstream may then assume the oscillation is resolved.
     """
@@ -107,23 +114,23 @@ class EpsProblem:
         self.model = model
         self.epsilon = float(epsilon)
         self.grid = grid
-        k_full = assemble_stiffness(grid, _scaled(model.a_eval, self.epsilon))
-        coords = grid.node_coords()
+        a = quad_samples(grid, _scaled(model.a_eval, self.epsilon))
+        self.diffusion = assemble_stiffness(grid, a)
         self.lifts: Tuple[np.ndarray, np.ndarray] = tuple(
-            -grid.restrict(k_full.dot(coords[:, j].copy())) for j in (0, 1))
-        self.diffusion = interior_operator(grid, k_full)
-        del k_full, coords  # freed before M_W is assembled
+            -grid.restrict(flux_load_from_quad_values(grid, a[..., :, j]))
+            for j in (0, 1))
+        del a  # freed before M_W is assembled
         if model.w_preset == "zero":
             self.operator = self.diffusion
         else:
-            mw = interior_operator(grid, assemble_weighted_mass(
-                grid, _scaled(model.w_eval, self.epsilon)))
-            self.operator = self.diffusion + (1.0 / self.epsilon) * mw
+            mw = assemble_weighted_mass(
+                grid, _scaled(model.w_eval, self.epsilon))
+            self.operator = add_scaled(self.diffusion, 1.0 / self.epsilon, mw)
         self._mass_int: Optional[sp.csr_matrix] = None
 
     def mass_interior(self) -> sp.csr_matrix:
         if self._mass_int is None:
-            self._mass_int = interior_operator(self.grid, assemble_mass(self.grid))
+            self._mass_int = assemble_mass(self.grid)
         return self._mass_int
 
     # --- energy by quadrature ----------------------------------------

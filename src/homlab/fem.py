@@ -22,6 +22,16 @@ element integrals reduce to
 
 with N, G the shape values/reference gradients and physical gradients G/h.
 
+On a DirichletGrid every assembled matrix is the interior one, summed from
+the element matrices straight into the grid's read-only CSR pattern
+(:class:`~homlab.grids.InteriorPattern`) by ``np.bincount`` over its slot
+map.  All interior matrices of a grid share its index arrays, so
+:func:`add_scaled` forms ``L_eps``, the shifted operators and ``K + mM`` as
+sums of data vectors, and no full-grid matrix is built.  A PeriodicGrid
+assembles through COO: the cell stage builds one stiffness per run, where
+a cached slot map cannot pay for itself (it made ``homlab cell`` at
+n = 384 slower, and raised its peak RSS while it stayed alive).
+
 Fields tabulated at the points of a rule are arrays (ncells, nq, ...).  The
 kernels that make and reduce them avoid per-element loops in ``np.einsum``:
 :func:`cell_values` and :func:`cell_gradients` are one matrix product of the
@@ -42,7 +52,6 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, SolverError, UsageError
 from .grids import (
-    DirichletGrid,
     GridFunction,
     PeriodicGrid,
     gauss_rule,
@@ -64,13 +73,48 @@ def _check_finite(vals, what):
 
 
 def _scatter(grid, element_mats):
-    """Accumulate (ncells,4,4) element matrices into a global CSR matrix."""
-    conn = grid.conn
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    mat = sp.coo_matrix((element_mats.ravel(), (rows, cols)),
-                        shape=(grid.nnodes, grid.nnodes))
-    return mat.tocsr()
+    """Sum (ncells,4,4) element matrices into a sparse matrix.
+
+    On a DirichletGrid the result is the interior matrix, on the grid's
+    shared read-only pattern (:attr:`~homlab.grids.DirichletGrid.pattern`);
+    on a PeriodicGrid it is the full matrix, through COO.
+    """
+    if grid.periodic:
+        conn = grid.conn
+        rows = np.repeat(conn, 4, axis=1).ravel()
+        cols = np.tile(conn, (1, 4)).ravel()
+        mat = sp.coo_matrix((element_mats.ravel(), (rows, cols)),
+                            shape=(grid.nnodes, grid.nnodes))
+        return mat.tocsr()
+    pattern = grid.pattern
+    data = np.bincount(pattern.slots, weights=element_mats.ravel(),
+                       minlength=pattern.nnz + 1)[:pattern.nnz]
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(grid.ndof, grid.ndof))
+
+
+def _same_array(x, y):
+    """Whether ``x`` and ``y`` view the same memory (scipy's constructors
+    wrap the pattern's arrays in new views, so identity is not kept)."""
+    return x.shape == y.shape and x.ctypes.data == y.ctypes.data
+
+
+def add_scaled(a, beta, b):
+    """``a + beta * b`` for two interior matrices on one grid's pattern.
+
+    The sum is arithmetic on their ``data`` vectors, on the same shared
+    index arrays, with the bits of scipy's sparse sum.  Unlike scipy's sum
+    it keeps an entry that cancels to zero as a stored zero; nothing here
+    relies on such entries being dropped.  Matrices on different index
+    arrays raise UsageError.
+    """
+    if not (_same_array(a.indices, b.indices)
+            and _same_array(a.indptr, b.indptr)):
+        raise UsageError("add_scaled needs two interior matrices on the "
+                         "same DirichletGrid pattern")
+    n = a.shape[0]
+    return sp.csr_matrix((a.data + beta * b.data, a.indices, a.indptr),
+                         shape=(n, n))
 
 
 def quad_samples(grid, func, xi=QUAD_XI):
@@ -80,8 +124,15 @@ def quad_samples(grid, func, xi=QUAD_XI):
 
 
 def assemble_stiffness(grid, a_eval):
-    """Stiffness matrix for -div(A grad .) with A sampled at quadrature points."""
-    a = quad_samples(grid, a_eval)                  # (ncells, nq, 2, 2)
+    """Stiffness matrix for -div(A grad .) with A sampled at quadrature points.
+
+    ``a_eval`` is ``A(x1, x2)``, or its samples at the quadrature points of
+    every cell, (ncells, nq, 2, 2).
+    """
+    if isinstance(a_eval, np.ndarray):
+        a = a_eval
+    else:
+        a = quad_samples(grid, a_eval)              # (ncells, nq, 2, 2)
     _check_finite(a, "diffusion")
     elem = np.einsum("q,qai,cqij,qbj->cab", QUAD_W, _G, a, _G, optimize=True)
     return _scatter(grid, elem)
@@ -263,14 +314,17 @@ def torus_laplace_solver(grid):
 def factorize(op):
     """Sparse LU factor of ``op`` for repeated direct solves (``.solve``).
 
-    Every factored operator is an interior matrix of a
+    Every factored operator is an interior CSR matrix of a
     :class:`~homlab.grids.DirichletGrid`, already in the grid's
     nested-dissection order, so SuperLU keeps that order (``NATURAL``) with
-    its default threshold pivoting.  An exactly singular matrix raises
-    SolverError.
+    its default threshold pivoting.  Each is also exactly symmetric, the
+    sum of exactly symmetric element matrices, so its CSR arrays are the
+    CSC arrays of the same matrix and SuperLU reads them without a copy.
+    An exactly singular matrix raises SolverError.
     """
+    csc = sp.csc_matrix((op.data, op.indices, op.indptr), shape=op.shape)
     try:
-        return sp.linalg.splu(sp.csc_matrix(op), permc_spec="NATURAL")
+        return sp.linalg.splu(csc, permc_spec="NATURAL")
     except RuntimeError as err:
         if "singular" not in str(err):
             raise
@@ -344,11 +398,3 @@ def boundary_flux(gf):
         grads = np.einsum("ea,qai->eqi", vals, g) / grid.h
         total += 0.5 * grid.h * np.einsum("eqi,eqi->", grads, grads)
     return float(total)
-
-
-def interior_operator(grid, op):
-    """Restrict an operator on the full nodal set to the interior DOF, in
-    the grid's nested-dissection order."""
-    if not isinstance(grid, DirichletGrid):
-        raise UsageError("interior restriction only applies to DirichletGrid")
-    return op[np.ix_(grid.interior, grid.interior)]

@@ -6,6 +6,10 @@ faces of the unit cell (n^2 nodes, n^2 cells), ``DirichletGrid`` keeps the full
 interior.  Nodes are ordered row-major with x fastest; interior DOF come in
 the fill-reducing nested-dissection order of their block.  Cell corners
 follow the usual counterclockwise convention (0,0), (1,0), (1,1), (0,1).
+
+A ``DirichletGrid`` also owns the sparsity pattern that every interior
+matrix of a Q1 form on it shares (:class:`InteriorPattern`), built from
+grid arithmetic with the grid.
 """
 
 from dataclasses import dataclass
@@ -82,7 +86,8 @@ class DirichletGrid:
     """n-by-n cell grid on the closed unit square with (n+1)^2 nodes.
 
     ``interior`` lists the (n-1)^2 nodes strictly inside, in the
-    :func:`nested_dissection` order of their row-major block.
+    :func:`nested_dissection` order of their row-major block, and
+    ``pattern`` is the :class:`InteriorPattern` of their couplings.
     """
 
     periodic = False
@@ -110,6 +115,7 @@ class DirichletGrid:
         self.interior = np.flatnonzero(self.is_interior)[
             nested_dissection(self.n - 1)]
         self.ndof = self.interior.size
+        self.pattern = _interior_pattern(self)
 
     def node_coords(self):
         t = np.arange(self.n + 1) * self.h
@@ -129,6 +135,91 @@ class DirichletGrid:
         full = np.zeros(inner.shape[:-1] + (self.nnodes,))
         full[..., self.interior] = inner
         return full
+
+
+@dataclass(frozen=True)
+class InteriorPattern:
+    """Read-only CSR pattern of the interior Q1 couplings of a DirichletGrid.
+
+    Row and column ``i`` are interior DOF ``i`` (``grid.interior[i]``); row
+    ``i`` lists the DOF of the up to nine interior nodes of the 3x3 block
+    around it, in increasing order, so every CSR matrix built on
+    ``indptr``/``indices`` is canonical.  ``slots`` maps the entry ``(c, a,
+    b)`` of a stack of (ncells, 4, 4) element matrices, flattened, to its
+    position in ``data``; an entry whose row or column node lies on the
+    boundary maps to ``nnz``, one past the last position, so
+    ``np.bincount(slots, weights, minlength=nnz + 1)[:nnz]`` sums the
+    element matrices into ``data`` in cell order and drops the boundary.
+    """
+
+    indptr: np.ndarray   # (ndof + 1,) int32
+    indices: np.ndarray  # (nnz,) int32
+    slots: np.ndarray    # (16 ncells,) int32
+
+    @property
+    def nnz(self):
+        return int(self.indices.size)
+
+
+# Reference-cell coordinates (x, y) of the four local corners.
+_CORNER_X = np.array([0, 1, 1, 0])
+_CORNER_Y = np.array([0, 0, 1, 1])
+
+
+def _interior_pattern(grid):
+    """Build the :class:`InteriorPattern` of ``grid`` from grid arithmetic.
+
+    Interior nodes form an m-by-m block, m = n - 1.  The candidate columns
+    of a DOF are the DOF of its nine neighbours at offsets (dy, dx), or
+    ``ndof`` for a neighbour off the block.  A neighbour's position in its
+    row is the number of candidates below it, so no sort is needed.  The
+    offset of a local pair (a, b) is the same in every cell, so the slot of
+    element entry (c, a, b) is ``start[offset(a, b), row]``, ``row`` the
+    DOF of corner a of cell c.
+    """
+    m = grid.n - 1
+    ndof = grid.ndof
+    perm = nested_dissection(m)
+    dof = np.empty(m * m, dtype=np.int32)     # row-major block index -> DOF
+    dof[perm] = np.arange(ndof, dtype=np.int32)
+    padded = np.full((m + 2, m + 2), ndof, dtype=np.int32)
+    padded[1:-1, 1:-1] = dof.reshape(m, m)
+    # candidates[t, i]: DOF of neighbour t = 3 (dy + 1) + (dx + 1) of DOF i
+    candidates = np.stack([padded[1 + dy:m + 1 + dy, 1 + dx:m + 1 + dx]
+                           for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+                          ).reshape(9, m * m)[:, perm]
+    inside = candidates < ndof
+    indptr = np.zeros(ndof + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=0), out=indptr[1:])
+    nnz = int(indptr[-1])
+    # start[t, i]: slot of DOF i's coupling at offset t, nnz off the block;
+    # the last column serves the boundary corners, whose DOF reads -1.
+    # Candidates on the block are distinct, so each pair is compared once.
+    start = np.empty((9, ndof + 1), dtype=np.int32)
+    start[:, :-1] = indptr[:-1]
+    for t in range(9):
+        for u in range(t + 1, 9):
+            below = candidates[u] < candidates[t]
+            start[t, :-1] += below
+            start[u, :-1] += ~below
+    start[:, :-1][~inside] = nnz
+    start[:, -1] = nnz
+    indices = np.empty(nnz + 1, dtype=np.int32)
+    indices[start[:, :-1]] = candidates
+    indices = indices[:nnz]
+    corner_dof = np.full(grid.nnodes, -1, dtype=np.int32)
+    corner_dof[grid.interior] = np.arange(ndof, dtype=np.int32)
+    rows = corner_dof[grid.conn]              # (ncells, 4)
+    offset = (3 * (_CORNER_Y[None, :] - _CORNER_Y[:, None] + 1)
+              + _CORNER_X[None, :] - _CORNER_X[:, None] + 1)   # [a, b]
+    slots = np.empty((4, 4, grid.ncells), dtype=np.int32)
+    for a in range(4):
+        for b in range(4):
+            np.take(start[offset[a, b]], rows[:, a], out=slots[a, b])
+    slots = np.ascontiguousarray(slots.transpose(2, 0, 1)).reshape(-1)
+    for arr in (indptr, indices, slots):
+        arr.flags.writeable = False
+    return InteriorPattern(indptr=indptr, indices=indices, slots=slots)
 
 
 @lru_cache(maxsize=None)

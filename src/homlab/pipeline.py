@@ -38,9 +38,10 @@ tasks to one pool the same way.  The operators are assembled once per run
 by ``Experiment._assemble``, on the main thread before the first task
 starts: the domain grid, the interior mass, the effective stiffness and
 one :class:`EpsProblem` per scale, which assembles its operators when built;
-``cell`` alone builds none of them.  No factor outlives its task; the freed
-heap goes back to the OS after the assembly and after each task
-(:func:`_release_heap`).
+``cell`` alone builds none of them.  All of them share the grid's one
+interior sparsity pattern, and no full-grid matrix is built.  No factor
+outlives its task; the freed heap goes back to the OS after the assembly
+and after each task (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -87,10 +88,10 @@ from .domain import (
 from .errors import ConfigurationError, HomlabError, InsufficientDataError
 from .fem import (
     QUAD_W,
+    add_scaled,
     assemble_mass,
     assemble_stiffness,
     factorize,
-    interior_operator,
     quad_samples,
 )
 from .grids import DirichletGrid, GridFunction, interpolate
@@ -303,6 +304,10 @@ class Experiment:
         """Build the domain grid and every operator of the run, once: the
         interior mass, the effective stiffness ``K`` of ``a_hat`` and one
         :class:`EpsProblem` per scale.  Needs the cell stage's ``a_hat``.
+        Each is assembled straight into the grid's one interior pattern, so
+        all share its read-only index arrays, and the shifted matrices the
+        tasks factor (``op - sigma M``) and ``hom``'s ``K + mM`` are sums of
+        data vectors (:func:`add_scaled`).
 
         ``self.operators`` tables them by spectrum tag as (operator, shift
         sigma, its problem or None), in the order their tasks are
@@ -330,9 +335,8 @@ class Experiment:
         grid = self.domain_grid = DirichletGrid(self.cfg.domain_grid_n)
         cs = self.cell_solution
         m = float(cs.m_w_chi_w)
-        self.mass = interior_operator(grid, assemble_mass(grid))
-        hom_stiffness = interior_operator(grid, assemble_stiffness(
-            grid, constant_matrix(cs.a_hat)))
+        self.mass = assemble_mass(grid)
+        hom_stiffness = assemble_stiffness(grid, constant_matrix(cs.a_hat))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
                          for eps in self.cfg.epsilons}
         guard = m > -homogenized_lower_bound(cs.a_hat)
@@ -355,7 +359,7 @@ class Experiment:
         """
         op, sigma, problem = self.operators[tag]
         kind = tag.partition(":")[0]
-        lu = factorize(op - sigma * self.mass if sigma else op)
+        lu = factorize(add_scaled(op, -sigma, self.mass) if sigma else op)
         spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
                         tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
                         epsilon=None if problem is None else problem.epsilon)
@@ -512,7 +516,7 @@ class Experiment:
         stiff = self.operators["hom_prime"][0]
         self.spectra["hom"] = shift_spectrum(
             self.spectra["hom_prime"], m,
-            stiff + m * self.mass if m else stiff,
+            add_scaled(stiff, m, self.mass) if m else stiff,
             self.mass, tol=cfg.eig_tol, tag="hom")
 
         tags = ["hom", "hom_prime"] + [

@@ -1,13 +1,26 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard, and the
-factors that ``eigs`` and the domain solves take.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard, the
+factors that ``eigs`` and the domain solves take, and an independent COO
+oracle for the assembled matrices.
 
 Each acceptance test records one line before asserting, so the summary block
 at the end of every run lists PASS/FAIL for all criteria regardless of where
 pytest stops printing captured output.
 """
 
+import numpy as np
+import scipy.sparse as sp
+
 from homlab.domain import coercivity_check, constant_matrix
-from homlab.fem import assemble_mass, assemble_stiffness, factorize, interior_operator
+from homlab.fem import (
+    QUAD_W,
+    QUAD_XI,
+    add_scaled,
+    assemble_mass,
+    assemble_stiffness,
+    factorize,
+    quad_samples,
+)
+from homlab.grids import shape_gradients, shape_values
 from homlab.spectral import eigs, eps_sigma_bound
 
 _ACCEPTANCE_LINES = {}
@@ -17,7 +30,7 @@ def factor(op, mass=None, sigma=0.0):
     """Sparse LU factor of ``op - sigma * mass`` (of ``op`` alone without
     ``mass``), formed as the pipeline's operator tasks form it, so a test
     solves with the same factor a run would."""
-    return factorize(op if mass is None else op - sigma * mass)
+    return factorize(op if mass is None else add_scaled(op, -sigma, mass))
 
 
 def shifted_eigs(op, mass, k, *, sigma, **kwargs):
@@ -28,9 +41,8 @@ def shifted_eigs(op, mass, k, *, sigma, **kwargs):
 
 def effective_factor(grid, a_hat, m=0.0):
     """Factor of the interior effective operator K + m M."""
-    k = interior_operator(grid, assemble_stiffness(grid, constant_matrix(a_hat)))
-    mass = interior_operator(grid, assemble_mass(grid))
-    return factor(k + m * mass)
+    k = assemble_stiffness(grid, constant_matrix(a_hat))
+    return factor(k, assemble_mass(grid), -m)
 
 
 def eps_factor_and_report(p):
@@ -43,6 +55,37 @@ def eps_factor_and_report(p):
     spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
                     epsilon=p.epsilon)
     return lu, coercivity_check(spectrum, 0.0)
+
+
+def oracle_elements(grid, a_eval=None, w_eval=None):
+    """(ncells, 4, 4) element matrices by the assembly rule: the stiffness
+    of ``a_eval``, else the mass weighted by ``w_eval``, else the mass."""
+    n_q, g_q = shape_values(QUAD_XI), shape_gradients(QUAD_XI)
+    if a_eval is not None:
+        a = quad_samples(grid, a_eval)
+        return np.einsum("q,qai,cqij,qbj->cab", QUAD_W, g_q, a, g_q,
+                         optimize=True)
+    if w_eval is not None:
+        w = quad_samples(grid, w_eval)
+        return grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, n_q,
+                                       n_q, optimize=True)
+    elem = grid.h ** 2 * np.einsum("q,qa,qb->ab", QUAD_W, n_q, n_q)
+    return np.broadcast_to(elem, (grid.ncells, 4, 4))
+
+
+def oracle_matrix(grid, elem, full=False):
+    """COO assembly of ``elem`` on every node of ``grid``, the route the
+    grid's interior pattern replaces; without ``full``, its interior block
+    in the grid's DOF order, with sorted columns."""
+    rows = np.repeat(grid.conn, 4, axis=1).ravel()
+    cols = np.tile(grid.conn, (1, 4)).ravel()
+    mat = sp.coo_matrix((np.ravel(elem), (rows, cols)),
+                        shape=(grid.nnodes, grid.nnodes)).tocsr()
+    if full:
+        return mat
+    inner = mat[np.ix_(grid.interior, grid.interior)]
+    inner.sort_indices()
+    return inner
 
 
 def record_criterion(num: int, ok: bool, detail: str) -> None:

@@ -21,7 +21,7 @@ from homlab.cell import solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
 from homlab.config import RunConfig
 from homlab.domain import EpsProblem, solve_dirichlet_correctors
-from homlab.fem import assemble_mass, assemble_stiffness, interior_operator
+from homlab.fem import assemble_mass, assemble_stiffness
 from homlab.grids import DirichletGrid
 from homlab.pipeline import Experiment, run_experiment, stages_for
 from homlab.analysis import rate_fit
@@ -63,9 +63,8 @@ def identity_spectral_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def laplace_spectrum():
     grid = DirichletGrid(64)
-    k = interior_operator(grid, assemble_stiffness(
-        grid, make_preset("identity").a_eval))
-    m = interior_operator(grid, assemble_mass(grid))
+    k = assemble_stiffness(grid, make_preset("identity").a_eval)
+    m = assemble_mass(grid)
     return shifted_eigs(k, m, 5, sigma=-1.0), m
 
 

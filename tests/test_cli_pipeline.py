@@ -16,10 +16,11 @@ import homlab.domain
 import homlab.fem
 import homlab.pipeline
 import homlab.spectral
+from conftest import oracle_elements, oracle_matrix
 from homlab.cli import build_parser, main
 from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
-from homlab.domain import EpsProblem, homogenized_lower_bound
+from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
 from homlab.errors import ConfigurationError
 from homlab.grids import DirichletGrid
 from homlab.pipeline import (
@@ -432,6 +433,83 @@ def test_cell_stage_assembles_no_dirichlet_operator(tmp_path, monkeypatch):
                      out=io.StringIO())
     exp.run_stage("cell")  # all that ``homlab cell`` runs
     assert calls == [] and exp.domain_grid is None
+
+
+def assembled(tmp_path, a_preset, w_preset, n, epsilons):
+    """An Experiment after its cell stage and ``_assemble``."""
+    exp = Experiment(RunConfig(a_preset=a_preset, w_preset=w_preset,
+                               cell_grid_n=16, domain_grid_n=n,
+                               epsilons=epsilons, output_dir=str(tmp_path)),
+                     out=io.StringIO())
+    exp.run_stage("cell")
+    exp._assemble()
+    return exp
+
+
+@pytest.mark.parametrize("n, epsilons", [(18, [1.0]), (64, [0.5, 0.25])])
+@pytest.mark.parametrize("a_preset, w_preset", [
+    ("smooth-iso", "sine1"), ("layered", "sine-mix"), ("identity", "zero")])
+def test_interior_matrices_share_one_canonical_symmetric_pattern(
+        tmp_path, a_preset, w_preset, n, epsilons):
+    """The mass, K-hat and each scale's K_eps and L_eps sit on the grid's
+    one pattern: shared, canonical, read-only index arrays, exactly
+    symmetric matrices, and data equal bit for bit to the COO oracle's."""
+    exp = assembled(tmp_path, a_preset, w_preset, n, epsilons)
+    grid = exp.domain_grid
+    pattern = grid.pattern
+    model = exp.model
+    oracles = {
+        "mass": oracle_matrix(grid, oracle_elements(grid)),
+        "hom_prime": oracle_matrix(grid, oracle_elements(
+            grid, a_eval=constant_matrix(exp.cell_solution.a_hat))),
+    }
+    mats = {"mass": exp.mass, "hom_prime": exp.operators["hom_prime"][0]}
+    for eps, problem in exp.problems.items():
+        def scaled(field, eps=eps):
+            return lambda x1, x2: field(x1 / eps, x2 / eps)
+
+        k_eps = oracle_matrix(grid, oracle_elements(
+            grid, a_eval=scaled(model.a_eval)))
+        l_eps = k_eps
+        if w_preset != "zero":
+            l_eps = k_eps + (1.0 / eps) * oracle_matrix(grid, oracle_elements(
+                grid, w_eval=scaled(model.w_eval)))
+        oracles[f"eps_prime:{eps}"], oracles[f"eps:{eps}"] = k_eps, l_eps
+        mats[f"eps_prime:{eps}"] = problem.diffusion
+        mats[f"eps:{eps}"] = problem.operator
+    for name, mat in mats.items():
+        for part in ("indptr", "indices"):
+            arr = getattr(mat, part)
+            assert np.shares_memory(arr, getattr(pattern, part)), name
+            assert not arr.flags.writeable, name
+        assert mat.has_canonical_format, name
+        assert (mat != mat.T).nnz == 0, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mat, part),
+                                  getattr(oracles[name], part)), (name, part)
+
+
+@pytest.mark.parametrize("upto", ["eigs", "report"])
+def test_pattern_survives_a_run(tmp_path, monkeypatch, upto):
+    """No factorization, sum or product of a run writes into the shared
+    index arrays: they end the run as ``_assemble`` left them."""
+    kept = {}
+    real = Experiment._assemble
+
+    def assemble(self):
+        real(self)
+        if not kept:  # the first call assembles, later ones return early
+            kept["pattern"] = self.domain_grid.pattern
+            kept["bytes"] = [arr.tobytes() for arr in (
+                kept["pattern"].indptr, kept["pattern"].indices,
+                kept["pattern"].slots)]
+
+    monkeypatch.setattr(Experiment, "_assemble", assemble)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
+    assert run_experiment(cfg, upto=upto, out=io.StringIO()) == 0
+    pattern = kept["pattern"]
+    assert [arr.tobytes() for arr in (
+        pattern.indptr, pattern.indices, pattern.slots)] == kept["bytes"]
 
 
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from homlab.config import RunConfig, eps_label, load_config, parse_config
@@ -102,6 +104,17 @@ def test_effective_workers_bounds():
     assert parse_config("workers = 3\n").effective_workers() == 3
     auto = RunConfig().effective_workers()
     assert 1 <= auto <= 4
+
+
+def test_effective_workers_count_the_cpus_the_process_may_use(monkeypatch):
+    """Pinned to one CPU of eight (``taskset``, a cgroup cpuset), the
+    pool gets one worker."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert RunConfig().effective_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert RunConfig().effective_workers() == 4
 
 
 def test_missing_file_raises_configuration_error(tmp_path):
