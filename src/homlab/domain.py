@@ -17,7 +17,7 @@ shared sparsity pattern (:attr:`homlab.grids.DirichletGrid.pattern`), so
 ``L_eps`` is a sum of their data vectors (:func:`homlab.fem.add_scaled`);
 no full-grid matrix is built.
 
-Nothing here factors a matrix.  Every solve takes the caller's sparse LU
+Nothing here factors a matrix.  Every solve takes the caller's Cholesky
 factor (:func:`homlab.fem.factorize`), the one the pipeline's operator task
 made for that operator's shift-invert eigensolve:
 :func:`solve_homogenized` solves with the factor of the effective

@@ -6,10 +6,10 @@ FFT of its stencil is its spectrum (the idea behind FFT-based homogenization,
 Moulinec & Suquet 1998).  :func:`cg_solve` (conjugate gradients,
 constant-deflated on the torus, optionally preconditioned) solves the
 variable-coefficient cell problems with that Laplace solve as preconditioner.
-:func:`factorize` (sparse LU that keeps the matrix's own order, the
-nested-dissection order in which a :class:`~homlab.grids.DirichletGrid`
-numbers its interior DOF) serves the Dirichlet systems and the shift-invert
-eigensolves; a factor of the shifted oscillatory operator also
+:func:`factorize` (a multifrontal Cholesky on the nested-dissection tree in
+whose order a :class:`~homlab.grids.DirichletGrid` numbers its interior
+DOF, :mod:`homlab.cholesky`) serves the Dirichlet systems and the
+shift-invert eigensolves; a factor of the shifted oscillatory operator also
 preconditions :func:`cg_solve` for the unshifted one.
 
 Assembly uses a fixed 2x2 Gauss rule per cell with coefficients sampled
@@ -38,8 +38,11 @@ kernels that make and reduce them avoid per-element loops in ``np.einsum``:
 gathered corner values with the tabulated shape functions,
 :func:`apply_tensor` is the 2x2 product ``A g`` written out, and
 :func:`integrate` sums over cells with a matrix-vector product before it
-applies the weights.  The element matrices of the assembly keep their
-``einsum(..., optimize=True)`` contractions, which already go to BLAS.
+applies the weights.  The element matrices and load vectors of the
+assembly are one GEMM each: the samples, one row of ``nq`` (or ``4 nq``,
+``2 nq``) values per cell, times a precomputed kernel that holds the
+weights and shape functions, such as ``K[qij, ab] = w_q G_qai G_qbj`` for
+the stiffness.
 
 :func:`integrate` also runs on the pipeline's pool threads, so its cell
 sum, a vector times a tall matrix, is ``np.dot``, not ``@``: numpy's
@@ -62,6 +65,12 @@ from .grids import (
 QUAD_XI, QUAD_W = gauss_rule(2)
 _N = shape_values(QUAD_XI)          # (4, 4)
 _G = shape_gradients(QUAD_XI)       # (4, 4, 2)
+# Element kernels: stacked element matrices and vectors are the samples at
+# the quadrature points, one row per cell, times these.
+_STIFFNESS = np.einsum("q,qai,qbj->qijab", QUAD_W, _G, _G).reshape(16, 16)
+_MASS = np.einsum("q,qa,qb->qab", QUAD_W, _N, _N).reshape(4, 16)
+_LOAD = QUAD_W[:, None] * _N                                    # (4, 4)
+_FLUX = np.einsum("q,qai->qia", QUAD_W, _G).reshape(8, 4)
 
 
 def _check_finite(vals, what):
@@ -134,8 +143,8 @@ def assemble_stiffness(grid, a_eval):
     else:
         a = quad_samples(grid, a_eval)              # (ncells, nq, 2, 2)
     _check_finite(a, "diffusion")
-    elem = np.einsum("q,qai,cqij,qbj->cab", QUAD_W, _G, a, _G, optimize=True)
-    return _scatter(grid, elem)
+    elem = a.reshape(len(a), -1) @ _STIFFNESS
+    return _scatter(grid, elem.reshape(-1, 4, 4))
 
 
 def assemble_mass(grid):
@@ -148,8 +157,8 @@ def assemble_weighted_mass(grid, w_eval):
     """Mass matrix weighted by a scalar field sampled at quadrature points."""
     w = quad_samples(grid, w_eval)                  # (ncells, nq)
     _check_finite(w, "weight")
-    elem = grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, _N, _N, optimize=True)
-    return _scatter(grid, elem)
+    elem = grid.h ** 2 * (w @ _MASS)
+    return _scatter(grid, elem.reshape(-1, 4, 4))
 
 
 def _scatter_vector(grid, element_vecs):
@@ -167,14 +176,13 @@ def assemble_load(grid, f_eval):
 
 def load_from_quad_values(grid, qvals):
     """Load vector (g, N_a) from values g already tabulated at quadrature points."""
-    elem = grid.h ** 2 * np.einsum("q,cq,qa->ca", QUAD_W, qvals, _N, optimize=True)
-    return _scatter_vector(grid, elem)
+    return _scatter_vector(grid, grid.h ** 2 * (qvals @ _LOAD))
 
 
 def flux_load_from_quad_values(grid, qvecs):
     """Load vector (g, grad N_a) from a vector field tabulated at quadrature points."""
-    elem = grid.h * np.einsum("q,cqi,qai->ca", QUAD_W, qvecs, _G, optimize=True)
-    return _scatter_vector(grid, elem)
+    elem = qvecs.reshape(len(qvecs), -1) @ _FLUX
+    return _scatter_vector(grid, grid.h * elem)
 
 
 def cell_values(grid, nodal, xi=None):
@@ -312,24 +320,20 @@ def torus_laplace_solver(grid):
 
 
 def factorize(op):
-    """Sparse LU factor of ``op`` for repeated direct solves (``.solve``).
+    """Cholesky factor of ``op`` for repeated direct solves (``.solve``).
 
-    Every factored operator is an interior CSR matrix of a
+    Every factored operator is an SPD interior matrix of a
     :class:`~homlab.grids.DirichletGrid`, already in the grid's
-    nested-dissection order, so SuperLU keeps that order (``NATURAL``) with
-    its default threshold pivoting.  Each is also exactly symmetric, the
-    sum of exactly symmetric element matrices, so its CSR arrays are the
-    CSC arrays of the same matrix and SuperLU reads them without a copy.
-    An exactly singular matrix raises SolverError.
+    nested-dissection order, so the factor is the multifrontal Cholesky on
+    that dissection's tree (:func:`homlab.cholesky.cholesky`).  A matrix of
+    another shape or pattern raises UsageError; one that is not positive
+    definite, an exactly singular one included, raises SolverError.
     """
-    csc = sp.csc_matrix((op.data, op.indices, op.indptr), shape=op.shape)
-    try:
-        return sp.linalg.splu(csc, permc_spec="NATURAL")
-    except RuntimeError as err:
-        if "singular" not in str(err):
-            raise
-        raise SolverError(f"sparse LU failed: {err} "
-                          f"({op.shape[0]} unknowns)") from err
+    # imported on first use: ``import homlab.cli`` compiles or loads every
+    # module it reaches, and no stage before the first factor needs this one
+    from .cholesky import cholesky
+
+    return cholesky(op)
 
 
 def h1_seminorm(gf):

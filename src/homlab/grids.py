@@ -166,34 +166,33 @@ _CORNER_X = np.array([0, 1, 1, 0])
 _CORNER_Y = np.array([0, 0, 1, 1])
 
 
-def _interior_pattern(grid):
-    """Build the :class:`InteriorPattern` of ``grid`` from grid arithmetic.
+@lru_cache(maxsize=None)
+def coupling_table(m):
+    """Where the couplings of an m-by-m interior block go in its CSR pattern.
 
-    Interior nodes form an m-by-m block, m = n - 1.  The candidate columns
-    of a DOF are the DOF of its nine neighbours at offsets (dy, dx), or
-    ``ndof`` for a neighbour off the block.  A neighbour's position in its
-    row is the number of candidates below it, so no sort is needed.  The
-    offset of a local pair (a, b) is the same in every cell, so the slot of
-    element entry (c, a, b) is ``start[offset(a, b), row]``, ``row`` the
-    DOF of corner a of cell c.
+    The candidate columns of a DOF are the DOF of its nine neighbours at
+    offsets (dy, dx), or ``ndof`` for a neighbour off the block; returns
+    ``(indptr, indices, start)`` with ``start[t, i]`` the slot in ``data``
+    of DOF ``i``'s coupling at offset ``t = 3 (dy + 1) + dx + 1``, or
+    ``nnz`` off the block (its last column, for a boundary node, reads
+    ``nnz`` too).  A neighbour's position in its row is the number of
+    candidates below it, so no sort is needed.  The arrays are read-only
+    and shared by every grid and factor of the block.
     """
-    m = grid.n - 1
-    ndof = grid.ndof
+    ndof = m * m
     perm = nested_dissection(m)
-    dof = np.empty(m * m, dtype=np.int32)     # row-major block index -> DOF
+    dof = np.empty(ndof, dtype=np.int32)     # row-major block index -> DOF
     dof[perm] = np.arange(ndof, dtype=np.int32)
     padded = np.full((m + 2, m + 2), ndof, dtype=np.int32)
     padded[1:-1, 1:-1] = dof.reshape(m, m)
     # candidates[t, i]: DOF of neighbour t = 3 (dy + 1) + (dx + 1) of DOF i
     candidates = np.stack([padded[1 + dy:m + 1 + dy, 1 + dx:m + 1 + dx]
                            for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-                          ).reshape(9, m * m)[:, perm]
+                          ).reshape(9, ndof)[:, perm]
     inside = candidates < ndof
     indptr = np.zeros(ndof + 1, dtype=np.int32)
     np.cumsum(inside.sum(axis=0), out=indptr[1:])
     nnz = int(indptr[-1])
-    # start[t, i]: slot of DOF i's coupling at offset t, nnz off the block;
-    # the last column serves the boundary corners, whose DOF reads -1.
     # Candidates on the block are distinct, so each pair is compared once.
     start = np.empty((9, ndof + 1), dtype=np.int32)
     start[:, :-1] = indptr[:-1]
@@ -207,8 +206,21 @@ def _interior_pattern(grid):
     indices = np.empty(nnz + 1, dtype=np.int32)
     indices[start[:, :-1]] = candidates
     indices = indices[:nnz]
+    for arr in (indptr, indices, start):
+        arr.flags.writeable = False
+    return indptr, indices, start
+
+
+def _interior_pattern(grid):
+    """Build the :class:`InteriorPattern` of ``grid`` from grid arithmetic
+    (:func:`coupling_table` of its m-by-m interior block, m = n - 1).  The
+    offset of a local pair (a, b) is the same in every cell, so the slot of
+    element entry (c, a, b) is ``start[offset(a, b), row]``, ``row`` the
+    DOF of corner a of cell c.
+    """
+    indptr, indices, start = coupling_table(grid.n - 1)
     corner_dof = np.full(grid.nnodes, -1, dtype=np.int32)
-    corner_dof[grid.interior] = np.arange(ndof, dtype=np.int32)
+    corner_dof[grid.interior] = np.arange(grid.ndof, dtype=np.int32)
     rows = corner_dof[grid.conn]              # (ncells, 4)
     offset = (3 * (_CORNER_Y[None, :] - _CORNER_Y[:, None] + 1)
               + _CORNER_X[None, :] - _CORNER_X[:, None] + 1)   # [a, b]
@@ -217,44 +229,97 @@ def _interior_pattern(grid):
         for b in range(4):
             np.take(start[offset[a, b]], rows[:, a], out=slots[a, b])
     slots = np.ascontiguousarray(slots.transpose(2, 0, 1)).reshape(-1)
-    for arr in (indptr, indices, slots):
-        arr.flags.writeable = False
+    slots.flags.writeable = False
     return InteriorPattern(indptr=indptr, indices=indices, slots=slots)
+
+
+@dataclass(frozen=True)
+class DissectionLevel:
+    """The nodes at one depth of the nested-dissection tree of a block.
+
+    Rectangles are (first row, first column, rows, columns) of the m-by-m
+    row-major block, one row per node.  ``block`` is the part of the grid
+    the node's subtree numbers, ``own`` the nodes the node itself numbers:
+    the whole block for a leaf, else its separator line.  ``own`` comes
+    row-major as DOF ``start`` to ``start + rows * columns - 1``.  Nodes
+    ``2 i`` and ``2 i + 1`` of the next level are the two halves of node
+    ``split[i]``, the separators of this level, the one numbered first
+    first.
+    """
+
+    block: np.ndarray   # (nf, 4)
+    own: np.ndarray     # (nf, 4)
+    start: np.ndarray   # (nf,)
+    split: np.ndarray   # (k,) indices of the nodes with children
+
+
+@lru_cache(maxsize=None)
+def dissection_tree(m):
+    """Geometric nested dissection of an m-by-m row-major node block, one
+    :class:`DissectionLevel` per depth, root first.
+
+    Each block is split across its longer side (columns on a tie) by the
+    middle line of nodes; that line separates the two halves for the Q1
+    9-point stencil, so it is numbered after both halves, which are split
+    the same way in turn.  Blocks of at most 16 nodes or with a side below
+    3 are leaves.  This is the fill-reducing order for factoring a grid
+    operator (George, SIAM J. Numer. Anal. 10, 1973).
+    """
+    levels = []
+    r0 = c0 = start = np.zeros(1, dtype=np.int64)
+    rows = cols = np.full(1, m, dtype=np.int64)
+    while r0.size:
+        size = rows * cols
+        leaf = (size <= 16) | (np.minimum(rows, cols) < 3)
+        by_col = ~leaf & (cols >= rows)
+        by_row = ~leaf & ~by_col
+        mid = np.where(by_col, cols // 2, rows // 2)
+        own_rows = np.where(by_row, 1, rows)
+        own_cols = np.where(by_col, 1, cols)
+        own = np.column_stack([np.where(by_row, r0 + mid, r0),
+                               np.where(by_col, c0 + mid, c0),
+                               own_rows, own_cols])
+        split = np.flatnonzero(~leaf)
+        levels.append(DissectionLevel(
+            block=np.column_stack([r0, c0, rows, cols]), own=own,
+            start=start + size - own_rows * own_cols, split=split))
+        first_rows = np.where(by_row, mid, rows)[split]
+        first_cols = np.where(by_col, mid, cols)[split]
+        r0, c0, rows, cols, start = (
+            np.stack(pair, axis=1).ravel() for pair in (
+                (r0[split], np.where(by_row, r0 + mid + 1, r0)[split]),
+                (c0[split], np.where(by_col, c0 + mid + 1, c0)[split]),
+                (first_rows, rows[split] - by_row[split] * (mid[split] + 1)),
+                (first_cols, cols[split] - by_col[split] * (mid[split] + 1)),
+                (start[split], start[split] + first_rows * first_cols)))
+    return tuple(levels)
+
+
+def own_positions(level, m):
+    """Row-major block indices of each node's own DOF at ``level``, one
+    row per node, padded with -1 to the level's largest node: (nf, s)."""
+    r0, c0, rows, cols = level.own.T
+    size = rows * cols
+    k = np.arange(size.max())
+    valid = k < size[:, None]
+    pos = ((r0[:, None] + k // cols[:, None]) * m
+           + c0[:, None] + k % cols[:, None])
+    return np.where(valid, pos, -1)
 
 
 @lru_cache(maxsize=None)
 def nested_dissection(m):
-    """Geometric nested-dissection order of an m-by-m row-major node block.
+    """Nested-dissection order of an m-by-m row-major node block.
 
-    Returns ``perm`` (read-only) with ``perm[new] = old``.  Each block is
-    split across its longer side by the middle line of nodes; that line
-    separates the two halves for the Q1 9-point stencil, so it is numbered
-    after both halves, which are ordered the same way in turn.  Blocks of at
-    most 16 nodes or with a side below 3 stay row-major.  This is the
-    fill-reducing order for LU on a grid (George, SIAM J. Numer. Anal. 10,
-    1973).
+    Returns ``perm`` (read-only) with ``perm[new] = old``: each node of
+    :func:`dissection_tree` numbers its own nodes row-major after its
+    subtree's halves.
     """
-    ids = np.arange(m * m).reshape(m, m)   # [row, column]
-    parts = []
-
-    def visit(block):
-        rows, cols = block.shape
-        if block.size <= 16 or min(rows, cols) < 3:
-            parts.append(block.ravel())
-            return
-        if cols >= rows:
-            mid = cols // 2
-            visit(block[:, :mid])
-            visit(block[:, mid + 1:])
-            parts.append(block[:, mid])
-        else:
-            mid = rows // 2
-            visit(block[:mid])
-            visit(block[mid + 1:])
-            parts.append(block[mid])
-
-    visit(ids)
-    perm = np.concatenate(parts)
+    perm = np.empty(m * m, dtype=np.int64)
+    for level in dissection_tree(m):
+        pos = own_positions(level, m)
+        dof = level.start[:, None] + np.arange(pos.shape[1])
+        perm[dof[pos >= 0]] = pos[pos >= 0]
     perm.flags.writeable = False
     return perm
 

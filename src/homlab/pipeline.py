@@ -40,8 +40,8 @@ starts: the domain grid, the interior mass, the effective stiffness and
 one :class:`EpsProblem` per scale, which assembles its operators when built;
 ``cell`` alone builds none of them.  All of them share the grid's one
 interior sparsity pattern, and no full-grid matrix is built.  No factor
-outlives its task; the freed heap goes back to the OS after the assembly
-and after each task (:func:`_release_heap`).
+outlives its task; the freed heap goes back to the OS after the assembly,
+after each factorization and after each task (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -85,7 +85,12 @@ from .domain import (
     solve_eps,
     solve_homogenized,
 )
-from .errors import ConfigurationError, HomlabError, InsufficientDataError
+from .errors import (
+    ConfigurationError,
+    HomlabError,
+    InsufficientDataError,
+    SolverError,
+)
 from .fem import (
     QUAD_W,
     add_scaled,
@@ -311,9 +316,14 @@ class Experiment:
 
         ``self.operators`` tables them by spectrum tag as (operator, shift
         sigma, its problem or None), in the order their tasks are
-        submitted.  The shifts are the run's shift certificate: each lies
-        strictly below its operator's spectrum, as the shift-invert
-        eigensolve needs to find the lowest pairs.
+        submitted.  Each shift must lie strictly below its operator's
+        spectrum, as the shift-invert eigensolve needs to find the lowest
+        pairs, and each task checks that it does: the Cholesky factor of
+        ``op - sigma M`` completes only if that matrix is positive
+        definite, that is, only if sigma < lambda_1 (up to the
+        factorization's backward error), and :meth:`_operator_task` raises
+        :class:`SolverError` naming the operator when it does not.  The
+        shifts, and why each should pass:
 
         - ``hom_prime``, the effective diffusion ``K``: sigma = -m, so the
           factor is ``K + mM``, the operator ``u_0`` solves with.  Under the
@@ -327,8 +337,7 @@ class Experiment:
           :func:`eps_sigma_bound`, one below ``min(0, min_q W_q) / eps``.
         - ``eps_prime:<label>``, the oscillatory diffusion ``K_eps``:
           sigma = 0.  ``K_eps`` is the Dirichlet stiffness of an SPD
-          coefficient, so it is SPD; a singular one raises
-          :class:`SolverError` in the factorization.
+          coefficient, so it is SPD.
         """
         if self.mass is not None:
             return
@@ -352,14 +361,25 @@ class Experiment:
     def _operator_task(self, tag: str,
                        solve: bool) -> Tuple[Spectrum, object]:
         """Factor ``tag``'s operator at its shift, eigensolve with that
-        factor and, with ``solve``, do the operator's solves with it.
+        factor and, with ``solve``, do the operator's solves with it.  A
+        factor that fails proves the shift is not below the spectrum and
+        raises :class:`SolverError` naming the operator, its scale and the
+        shift.
 
         Returns (spectrum, what the solves produced, or None without
         ``solve``).  Reads the shared operators, writes no shared state.
         """
         op, sigma, problem = self.operators[tag]
         kind = tag.partition(":")[0]
-        lu = factorize(add_scaled(op, -sigma, self.mass) if sigma else op)
+        try:
+            lu = factorize(add_scaled(op, -sigma, self.mass) if sigma else op)
+        except SolverError as err:
+            scale = "" if problem is None else (
+                f" at epsilon={eps_label(problem.epsilon)}")
+            raise SolverError(f"shift {sigma:.6g} is not below the spectrum "
+                              f"of {kind}{scale}: {err}") from err
+        # the factorization's temporaries, before the eigensolve's own
+        _release_heap()
         spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
                         tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
                         epsilon=None if problem is None else problem.epsilon)

@@ -6,9 +6,9 @@ Solves ``K v = lambda M v`` for the operators produced by
 which stops as soon as every wanted pair meets a tenth of the residual
 tolerance; its work is the factor's solves, sparse products and numpy BLAS
 calls.  Nothing here factors a matrix: the shift-invert operator is the
-caller's sparse LU factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
-the one the pipeline's operator task made and also solves with; that task's
-table (``Experiment._assemble``) certifies each shift below its spectrum.
+caller's Cholesky factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
+the one the pipeline's operator task made and also solves with; that a
+Cholesky factor exists at all certifies the shift below the spectrum.
 Every returned :class:`Spectrum` is re-orthonormalized in the mass inner
 product, sign-fixed, and residual-checked; failures raise
 :class:`SpectralError`, naming the operator's tag and scale, rather than

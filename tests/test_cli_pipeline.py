@@ -21,7 +21,7 @@ from homlab.cli import build_parser, main
 from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
 from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
-from homlab.errors import ConfigurationError
+from homlab.errors import ConfigurationError, SolverError
 from homlab.grids import DirichletGrid
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
@@ -287,9 +287,10 @@ def test_smallest_grid_gives_k_max_pairs(tmp_path):
 def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
                                                        upto):
     """Once after the operators are assembled, before the first task starts,
-    and once as each operator task returns: 1 + 2 |epsilons| tasks in a
-    stage that submits them all.  In a full run ``eigs`` submits none,
-    since ``solve`` has every spectrum, but still passes its assembly."""
+    and twice in each operator task, after its factorization and as it
+    returns: 1 + 2 |epsilons| tasks in a stage that submits them all.  In a
+    full run ``eigs`` submits none, since ``solve`` has every spectrum, but
+    still passes its assembly."""
     events = []
     real = Experiment._submit_operator_tasks
 
@@ -314,7 +315,7 @@ def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
     assert len(starts) == rounds
     assert all(events[i + 1] == "release" for i in starts)
     assert events.count("task") == 1 + 2 * 2
-    assert events.count("release") == rounds + events.count("task")
+    assert events.count("release") == rounds + 2 * events.count("task")
 
 
 def test_release_heap_without_malloc_trim_is_a_silent_no_op(monkeypatch):
@@ -487,6 +488,22 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mat, part),
                                   getattr(oracles[name], part)), (name, part)
+
+
+def test_a_shift_above_lambda_1_fails_the_factor_and_names_the_operator(
+        tmp_path):
+    """The factor of K_eps - sigma M exists only for sigma below the
+    spectrum: at lambda_1 + 1 the task raises SolverError naming the
+    operator, its scale and the shift."""
+    exp = assembled(tmp_path, "smooth-iso", "sine1", 18, [1.0])
+    op, _, problem = exp.operators["eps_prime:1"]
+    lam_1 = scipy.linalg.eigh(op.toarray(), exp.mass.toarray(),
+                              eigvals_only=True, subset_by_index=[0, 0])[0]
+    exp.operators["eps_prime:1"] = (op, lam_1 + 1.0, problem)
+    with pytest.raises(SolverError) as exc:
+        exp._operator_task("eps_prime:1", solve=False)
+    assert (f"shift {lam_1 + 1.0:.6g} is not below the spectrum of "
+            "eps_prime at epsilon=1") in str(exc.value)
 
 
 @pytest.mark.parametrize("upto", ["eigs", "report"])

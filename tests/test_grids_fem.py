@@ -1,10 +1,16 @@
 """Grid bookkeeping and the bilinear-element kernel."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homlab.cholesky
 from conftest import oracle_elements, oracle_matrix, shifted_eigs
 from homlab.coefficients import make_preset
 from homlab.domain import EpsProblem
@@ -132,6 +138,35 @@ def test_nested_dissection_is_a_permutation(m):
     assert np.array_equal(np.sort(perm), np.arange(m * m))
 
 
+def recursive_dissection(m):
+    """The nested-dissection order by its recursive definition: split the
+    longer side (columns on a tie) at its middle line, number both halves
+    in turn, then the line; blocks of at most 16 nodes or with a side below
+    3 stay row-major."""
+    parts = []
+
+    def visit(block):
+        rows, cols = block.shape
+        if block.size <= 16 or min(rows, cols) < 3:
+            parts.append(block.ravel())
+        elif cols >= rows:
+            visit(block[:, :cols // 2])
+            visit(block[:, cols // 2 + 1:])
+            parts.append(block[:, cols // 2])
+        else:
+            visit(block[:rows // 2])
+            visit(block[rows // 2 + 1:])
+            parts.append(block[rows // 2])
+
+    visit(np.arange(m * m).reshape(m, m))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 17, 40, 67, 71, 127])
+def test_dissection_tree_numbers_as_the_recursive_definition(m):
+    assert np.array_equal(nested_dissection(m), recursive_dissection(m))
+
+
 @pytest.mark.parametrize("n", [2, 5, 18])
 def test_interior_dof_come_in_nested_dissection_order(n):
     grid = DirichletGrid(n)
@@ -169,6 +204,124 @@ def test_factor_solves_match_a_dense_solve():
         x = lu.solve(rhs)
         assert x.shape == rhs.shape
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def banded_solve(mat, rhs, m):
+    """Solve with LAPACK's dense-band Cholesky: in row-major order the
+    matrix of an m-by-m block is a band of half-width m + 1."""
+    perm = nested_dissection(m)            # DOF -> row-major index
+    coo = mat.tocoo()
+    rows, cols = perm[coo.row], perm[coo.col]
+    lower = rows >= cols
+    band = np.zeros((m + 2, m * m))
+    band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
+    b = np.empty_like(rhs)
+    b[perm] = rhs
+    return scipy.linalg.solveh_banded(band, b, lower=True)[perm]
+
+
+@pytest.mark.parametrize("n, eps", [(18, 1.0), (68, 0.25), (72, 0.25)])
+def test_factor_solves_match_a_dense_solve_on_uneven_dissections(n, eps):
+    """Blocks of 17, 67 and 71 nodes a side, not 2^p - 1: their dissection
+    trees have fronts of several shapes at one depth, and leaves beside
+    separators.  The reference is a dense-band Cholesky solve."""
+    model = make_preset("layered", "sine-mix")
+    p = EpsProblem(model, eps, DirichletGrid(n))
+    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
+    lu = factorize(mat)
+    rng = np.random.default_rng(n)
+    for rhs in (rng.standard_normal(p.grid.ndof),
+                rng.standard_normal((p.grid.ndof, 3))):
+        ref = banded_solve(mat, rhs, n - 1)
+        x = lu.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_factor_matches_superlu_on_an_eps_pencil():
+    """At n = 256 the factor solves as SuperLU's LU of the same matrix did,
+    to 1e-12 relative."""
+    from scipy.sparse.linalg import splu
+
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 1 / 16,
+                   DirichletGrid(256))
+    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
+    rhs = np.random.default_rng(256).standard_normal(p.grid.ndof)
+    ref = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
+    assert (np.max(np.abs(factorize(mat).solve(rhs) - ref))
+            <= 1e-12 * np.max(np.abs(ref)))
+
+
+def test_factorize_takes_any_matrix_within_the_pattern():
+    """A diagonal matrix and a scipy difference, on index arrays of their
+    own, factor and solve like the grid's own matrices."""
+    grid = DirichletGrid(10)
+    rng = np.random.default_rng(10)
+    diag = 1.0 + rng.random(grid.ndof)
+    rhs = rng.standard_normal(grid.ndof)
+    assert np.allclose(factorize(sp.diags(diag).tocsr()).solve(rhs),
+                       rhs / diag, rtol=1e-14, atol=0.0)
+    mass = assemble_mass(grid)
+    shifted = assemble_stiffness(grid, identity_a) - (-3.0) * mass
+    assert not np.shares_memory(shifted.indices, grid.pattern.indices)
+    x = factorize(shifted).solve(rhs)
+    assert np.allclose(shifted @ x, rhs, rtol=0.0, atol=1e-12)
+
+
+def test_factorize_rejects_an_entry_outside_the_pattern():
+    grid = DirichletGrid(10)
+    op = assemble_stiffness(grid, identity_a).tolil()
+    far = int(np.flatnonzero(grid.interior == grid.interior.max())[0])
+    near = int(np.flatnonzero(grid.interior == grid.interior.min())[0])
+    op[near, far] = op[far, near] = -1e-3
+    with pytest.raises(UsageError):
+        factorize(op.tocsr())
+
+
+def test_two_threads_solve_as_one_after_the_other():
+    """Two factors solving on two threads at once give the bits they give
+    one after the other."""
+    factors, rhs = [], []
+    for eps in (0.5, 0.25):
+        p = EpsProblem(make_preset("smooth-iso", "sine1"), eps,
+                       DirichletGrid(64))
+        factors.append(factorize(add_scaled(p.operator, -eps_sigma_bound(p),
+                                            p.mass_interior())))
+        rhs.append(np.random.default_rng(64).standard_normal(
+            (p.grid.ndof, 2)))
+
+    def solve(i):
+        return [factors[i].solve(b) for b in (rhs[i][:, 0], rhs[i])]
+
+    serial = [solve(0), solve(1)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(solve, [0, 1]))
+    for one, other in zip(serial, threaded):
+        for x, y in zip(one, other):
+            assert np.array_equal(x, y)
+
+
+def test_threads_factoring_one_grid_size_share_one_analysis():
+    """Four threads factor at once, with the analysis of their grid size
+    not yet cached and the interpreter switching threads often: the
+    analysis is made once, and every solve has the bits of a serial one."""
+    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(33))
+    mats = [add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior()),
+            p.diffusion]
+    rhs = np.random.default_rng(33).standard_normal(p.grid.ndof)
+    serial = [factorize(mat).solve(rhs) for mat in mats]
+    homlab.cholesky._symbolic.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            solved = list(pool.map(lambda i: factorize(mats[i % 2]).solve(rhs),
+                                   range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert homlab.cholesky._symbolic.cache_info().misses == 1
+    for i, x in enumerate(solved):
+        assert np.array_equal(x, serial[i % 2])
 
 
 def test_factorize_rejects_exactly_singular_operator():
