@@ -14,13 +14,13 @@ For a front ``F = [[F11, F12], [F21, F22]]`` (own DOF first), the factor
 step is ``F11 = L11 L11^T`` (batched ``np.linalg.cholesky``), ``L21 = F21
 L11^-T`` and the update ``F22 - L21 L21^T``, which is added into the
 parent's front (the *extend-add*).  A depth keeps one block per front,
-``[L11^-1; -L21 L11^-1]``, the two products a solve applies: the forward
-sweep is one batched product with it, the backward sweep one with its
-transpose.  Nothing else of the numeric factor is kept, and the updates of
-a batch of fronts are freed as soon as their parents have taken them.  The
-symbolic part (fronts, rings, where each matrix entry and each update go)
-comes from grid arithmetic and is cached per block size
-(:func:`_symbolic`).
+``[L11^-1; -L21 L11^-1]`` (``L11^-1`` by batched ``np.linalg.inv``), the
+two products a solve applies: the forward sweep is one batched product
+with it, the backward sweep one with its transpose.  Nothing else of the
+numeric factor is kept, and the updates of a batch of fronts are freed as
+soon as their parents have taken them.  The symbolic part (fronts, rings,
+where each matrix entry and each update go) comes from grid arithmetic and
+is cached per block size (:func:`_symbolic`).
 
 The batched calls run on the pipeline's pool threads; ``np.linalg``'s
 gufuncs and ``matmul`` on 3-D operands release the GIL.
@@ -37,6 +37,7 @@ import scipy.sparse as sp
 
 from .errors import SolverError, UsageError
 from .grids import (
+    coupling_pattern,
     coupling_table,
     dissection_tree,
     nested_dissection,
@@ -45,8 +46,6 @@ from .grids import (
 
 #: Entries of the front stack factored in one batch; bounds the transient.
 _BATCH = 1 << 18
-#: Largest pivot block :func:`_lower_inverse` inverts row by row.
-_BY_ROWS = 16
 
 # The pool's first tasks ask for the same analysis at once: one makes it.
 _ANALYSIS_LOCK = threading.Lock()
@@ -277,10 +276,10 @@ def _symbolic(m):
 
 def _pattern_data(op, m):
     """``op``'s entries as a data vector on the block's CSR pattern
-    (:func:`homlab.grids.coupling_table`).  An operator on that pattern's
-    own index arrays passes its data as is; any other is mapped onto it, and
-    an entry outside the 9-point pattern raises UsageError."""
-    indptr, indices, _ = coupling_table(m)
+    (:func:`homlab.grids.coupling_pattern`).  An operator on that
+    pattern's own index arrays passes its data as is; any other is mapped
+    onto it, and an entry outside the 9-point pattern raises UsageError."""
+    indptr, indices = coupling_pattern(m)
     if (isinstance(op, sp.csr_matrix) and op.indices.shape == indices.shape
             and op.indices.ctypes.data == indices.ctypes.data
             and op.indptr.ctypes.data == indptr.ctypes.data):
@@ -375,7 +374,7 @@ def cholesky(op):
                 raise SolverError(
                     f"Cholesky factorization failed: the matrix is singular "
                     f"or not positive definite ({n} unknowns)") from err
-            inv = _lower_inverse(low)
+            inv = np.linalg.inv(low)
             l21 = np.matmul(front[:, s:s + r, :s], inv.transpose(0, 2, 1))
             block[f0:f1, :s] = inv
             multiplier = block[f0:f1, s:]
@@ -392,24 +391,3 @@ def cholesky(op):
         below, child = made, lv
     return CholeskyFactor(sym, blocks)
 
-
-def _lower_inverse(low):
-    """Inverses of a stack of lower-triangular matrices: by rows for small
-    ones, by halves above that (``[[A, 0], [B, C]]^-1 = [[A^-1, 0],
-    [-C^-1 B A^-1, C^-1]]``), so every product is a batched one."""
-    s = low.shape[-1]
-    inv = np.zeros_like(low)
-    if s <= _BY_ROWS:
-        diag = 1.0 / low.diagonal(axis1=1, axis2=2)
-        for i in range(s):
-            inv[:, i, i] = diag[:, i]
-            if i:
-                inv[:, i, :i] = -diag[:, i, None] * np.einsum(
-                    "fk,fkj->fj", low[:, i, :i], inv[:, :i, :i])
-        return inv
-    h = s // 2
-    inv[:, :h, :h] = _lower_inverse(low[:, :h, :h])
-    inv[:, h:, h:] = _lower_inverse(low[:, h:, h:])
-    inv[:, h:, :h] = -np.matmul(inv[:, h:, h:],
-                                np.matmul(low[:, h:, :h], inv[:, :h, :h]))
-    return inv

@@ -138,13 +138,19 @@ def assemble_stiffness(grid, a_eval):
     ``a_eval`` is ``A(x1, x2)``, or its samples at the quadrature points of
     every cell, (ncells, nq, 2, 2).
     """
+    return _scatter(grid, stiffness_elements(grid, a_eval))
+
+
+def stiffness_elements(grid, a_eval):
+    """The (ncells, 4, 4) element matrices of :func:`assemble_stiffness`:
+    the samples of A, one row of ``4 nq`` values per cell, times the kernel
+    ``K[qij, ab] = w_q G_qai G_qbj``."""
     if isinstance(a_eval, np.ndarray):
         a = a_eval
     else:
         a = quad_samples(grid, a_eval)              # (ncells, nq, 2, 2)
     _check_finite(a, "diffusion")
-    elem = a.reshape(len(a), -1) @ _STIFFNESS
-    return _scatter(grid, elem.reshape(-1, 4, 4))
+    return (a.reshape(len(a), -1) @ _STIFFNESS).reshape(-1, 4, 4)
 
 
 def assemble_mass(grid):
@@ -155,10 +161,16 @@ def assemble_mass(grid):
 
 def assemble_weighted_mass(grid, w_eval):
     """Mass matrix weighted by a scalar field sampled at quadrature points."""
+    return _scatter(grid, weighted_mass_elements(grid, w_eval))
+
+
+def weighted_mass_elements(grid, w_eval):
+    """The (ncells, 4, 4) element matrices of
+    :func:`assemble_weighted_mass`: ``h^2`` times the samples of the weight,
+    one row of ``nq`` values per cell, times ``K[q, ab] = w_q N_qa N_qb``."""
     w = quad_samples(grid, w_eval)                  # (ncells, nq)
     _check_finite(w, "weight")
-    elem = grid.h ** 2 * (w @ _MASS)
-    return _scatter(grid, elem.reshape(-1, 4, 4))
+    return (grid.h ** 2 * (w @ _MASS)).reshape(-1, 4, 4)
 
 
 def _scatter_vector(grid, element_vecs):

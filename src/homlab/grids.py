@@ -166,7 +166,10 @@ _CORNER_X = np.array([0, 1, 1, 0])
 _CORNER_Y = np.array([0, 0, 1, 1])
 
 
-@lru_cache(maxsize=None)
+# (indptr, indices) per block size, shared by every grid and factor of it
+_PATTERNS = {}
+
+
 def coupling_table(m):
     """Where the couplings of an m-by-m interior block go in its CSR pattern.
 
@@ -176,8 +179,11 @@ def coupling_table(m):
     of DOF ``i``'s coupling at offset ``t = 3 (dy + 1) + dx + 1``, or
     ``nnz`` off the block (its last column, for a boundary node, reads
     ``nnz`` too).  A neighbour's position in its row is the number of
-    candidates below it, so no sort is needed.  The arrays are read-only
-    and shared by every grid and factor of the block.
+    candidates below it, so no sort is needed.  The arrays are read-only;
+    ``indptr`` and ``indices`` are the block's shared ones
+    (:func:`coupling_pattern`), while ``start`` is made anew on every call
+    and kept by nobody: its two readers, the grid's slot map and the
+    factor's analysis, each need it once per block size.
     """
     ndof = m * m
     perm = nested_dissection(m)
@@ -208,7 +214,14 @@ def coupling_table(m):
     indices = indices[:nnz]
     for arr in (indptr, indices, start):
         arr.flags.writeable = False
-    return indptr, indices, start
+    return _PATTERNS.setdefault(m, (indptr, indices)) + (start,)
+
+
+def coupling_pattern(m):
+    """The read-only ``(indptr, indices)`` of :func:`coupling_table`,
+    shared by every grid and factor of an m-by-m block."""
+    shared = _PATTERNS.get(m)
+    return shared if shared is not None else coupling_table(m)[:2]
 
 
 def _interior_pattern(grid):

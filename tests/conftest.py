@@ -60,18 +60,17 @@ def eps_factor_and_report(p):
 def oracle_elements(grid, a_eval=None, w_eval=None):
     """(ncells, 4, 4) element matrices by the assembly rule: the stiffness
     of ``a_eval``, else the mass weighted by ``w_eval``, else the mass.
-    The weighted ones are the samples, one row per cell, times a kernel of
-    weights and shape functions, as the assembly forms them."""
+    Each is the four-operand contraction of weights, shape functions and
+    samples, independent of the assembly's precomputed kernels."""
     n_q, g_q = shape_values(QUAD_XI), shape_gradients(QUAD_XI)
     if a_eval is not None:
         a = quad_samples(grid, a_eval)
-        kernel = np.einsum("q,qai,qbj->qijab", QUAD_W, g_q, g_q)
-        return (a.reshape(grid.ncells, -1)
-                @ kernel.reshape(-1, 16)).reshape(-1, 4, 4)
+        return np.einsum("q,qai,cqij,qbj->cab", QUAD_W, g_q, a, g_q,
+                         optimize=True)
     if w_eval is not None:
         w = quad_samples(grid, w_eval)
-        kernel = np.einsum("q,qa,qb->qab", QUAD_W, n_q, n_q)
-        return grid.h ** 2 * (w @ kernel.reshape(-1, 16)).reshape(-1, 4, 4)
+        return grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, n_q,
+                                       n_q, optimize=True)
     elem = grid.h ** 2 * np.einsum("q,qa,qb->ab", QUAD_W, n_q, n_q)
     return np.broadcast_to(elem, (grid.ncells, 4, 4))
 

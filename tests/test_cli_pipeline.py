@@ -22,6 +22,7 @@ from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
 from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
 from homlab.errors import ConfigurationError, SolverError
+from homlab.fem import stiffness_elements, weighted_mass_elements
 from homlab.grids import DirichletGrid
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
@@ -454,27 +455,29 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
         tmp_path, a_preset, w_preset, n, epsilons):
     """The mass, K-hat and each scale's K_eps and L_eps sit on the grid's
     one pattern: shared, canonical, read-only index arrays, exactly
-    symmetric matrices, and data equal bit for bit to the COO oracle's."""
+    symmetric matrices, and data equal bit for bit to the COO route's on
+    the same element matrices.  (The element matrices themselves are
+    checked against the einsum contractions in test_grids_fem.)"""
     exp = assembled(tmp_path, a_preset, w_preset, n, epsilons)
     grid = exp.domain_grid
     pattern = grid.pattern
     model = exp.model
     oracles = {
         "mass": oracle_matrix(grid, oracle_elements(grid)),
-        "hom_prime": oracle_matrix(grid, oracle_elements(
-            grid, a_eval=constant_matrix(exp.cell_solution.a_hat))),
+        "hom_prime": oracle_matrix(grid, stiffness_elements(
+            grid, constant_matrix(exp.cell_solution.a_hat))),
     }
     mats = {"mass": exp.mass, "hom_prime": exp.operators["hom_prime"][0]}
     for eps, problem in exp.problems.items():
         def scaled(field, eps=eps):
             return lambda x1, x2: field(x1 / eps, x2 / eps)
 
-        k_eps = oracle_matrix(grid, oracle_elements(
-            grid, a_eval=scaled(model.a_eval)))
+        k_eps = oracle_matrix(grid, stiffness_elements(
+            grid, scaled(model.a_eval)))
         l_eps = k_eps
         if w_preset != "zero":
-            l_eps = k_eps + (1.0 / eps) * oracle_matrix(grid, oracle_elements(
-                grid, w_eval=scaled(model.w_eval)))
+            l_eps = k_eps + (1.0 / eps) * oracle_matrix(
+                grid, weighted_mass_elements(grid, scaled(model.w_eval)))
         oracles[f"eps_prime:{eps}"], oracles[f"eps:{eps}"] = k_eps, l_eps
         mats[f"eps_prime:{eps}"] = problem.diffusion
         mats[f"eps:{eps}"] = problem.operator

@@ -33,10 +33,14 @@ from homlab.fem import (
     cell_values,
     cg_solve,
     factorize,
+    flux_load_from_quad_values,
     integrate,
     l2_norm,
+    load_from_quad_values,
     recover_gradient,
+    stiffness_elements,
     torus_laplace_solver,
+    weighted_mass_elements,
 )
 from homlab.grids import (
     DirichletGrid,
@@ -391,6 +395,48 @@ def test_quadrature_kernels_match_einsum_references_on_the_torus():
             1e-13 * np.max(np.abs(ref_int)))
         assert float(integrate(grid, v * v, wq)) == pytest.approx(
             grid.h ** 2 * np.einsum("q,cq,cq->", wq, v, v), rel=1e-13)
+
+
+@pytest.mark.parametrize("grid", [DirichletGrid(24), PeriodicGrid(16)],
+                         ids=["dirichlet", "torus"])
+@pytest.mark.parametrize("a_preset", ["layered", "smooth-iso", "random"])
+def test_element_kernels_match_the_einsum_contractions(grid, a_preset):
+    """The element matrices and loads of the assembly, one GEMM each with a
+    precomputed kernel, agree with the einsum contractions of weights,
+    shape functions and samples to 1e-14 of their largest entry (a load:
+    of the largest sum of |element entries| at a node).  The random
+    samples make A non-symmetric, so a swapped index shows."""
+    rng = np.random.default_rng(5)
+    if a_preset == "random":
+        a_q = rng.standard_normal((grid.ncells, len(QUAD_W), 2, 2))
+        w_q = rng.standard_normal((grid.ncells, len(QUAD_W)))
+    else:
+        model = make_preset(a_preset, "sine-mix")
+        pts = grid.quad_points(QUAD_XI) * 4.0
+        a_q = model.a_eval(pts[..., 0], pts[..., 1])
+        w_q = model.w_eval(pts[..., 0], pts[..., 1])
+    pairs = [
+        (stiffness_elements(grid, a_q),
+         oracle_elements(grid, a_eval=lambda x1, x2: a_q)),
+        (weighted_mass_elements(grid, lambda x1, x2: w_q),
+         oracle_elements(grid, w_eval=lambda x1, x2: w_q)),
+    ]
+    for got, ref in pairs:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    n_q, g_q = shape_values(QUAD_XI), shape_gradients(QUAD_XI)
+    loads = [(load_from_quad_values(grid, w_q),
+              grid.h ** 2 * np.einsum("q,cq,qa->ca", QUAD_W, w_q, n_q))]
+    for j in 0, 1:
+        loads.append((flux_load_from_quad_values(grid, a_q[..., :, j]),
+                      grid.h * np.einsum("q,cqi,qai->ca", QUAD_W,
+                                         a_q[..., :, j], g_q)))
+    for got, elem in loads:
+        def scatter(e):
+            return np.bincount(grid.conn.ravel(), weights=e.ravel(),
+                               minlength=grid.nnodes)
+        assert np.max(np.abs(got - scatter(elem))) <= (
+            1e-14 * np.max(scatter(np.abs(elem))))
 
 
 def test_integrate_rejects_weights_of_another_rule():
