@@ -103,16 +103,14 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     algebraic identity satisfied by the discrete solutions.
     """
     xi, wq = gauss_rule(3)
-    pts = grid.quad_points(xi)
     # One finer-rule sample lives at a time: they are the largest arrays of
     # the cell stage.
-    w = model.w_eval(pts[..., 0], pts[..., 1])
+    w = fem.quad_samples(grid, model.w_eval, xi)
     pot_avg = np.array([
         fem.integrate(grid, w * fem.cell_values(grid, chi[i].values, xi), wq)
         for i in range(2)])
     del w
-    a = model.a_eval(pts[..., 0], pts[..., 1])
-    del pts
+    a = fem.quad_samples(grid, model.a_eval, xi)
     gw = fem.cell_gradients(grid, chi_w.values, xi)
     flux_avg = fem.integrate(grid, fem.apply_tensor(a, gw), wq)
     return np.abs(flux_avg - pot_avg)
@@ -182,10 +180,10 @@ def solve_cell(model, n, tol=1e-10):
     ``tol`` is the relative residual tolerance of the corrector CG solves.
     """
     grid = PeriodicGrid(n)
-    stiff = fem.assemble_stiffness(grid, model.a_eval)
+    # The assembly's samples of A are freed before its scatter, the stage's
+    # memory peak, so A and W are sampled again only after it.
+    stiff = fem.assemble_stiffness(grid, fem.quad_samples(grid, model.a_eval))
     lap_solve = fem.torus_laplace_solver(grid)
-    # A and W are sampled only after the assembly, whose scatter is the
-    # stage's memory peak.
     a = fem.quad_samples(grid, model.a_eval)
     chi = solve_chi(grid, stiff, lap_solve, a, tol)
     a_hat = effective_matrix(grid, chi, a)

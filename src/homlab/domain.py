@@ -123,8 +123,8 @@ class EpsProblem:
         if model.w_preset == "zero":
             self.operator = self.diffusion
         else:
-            mw = assemble_weighted_mass(
-                grid, _scaled(model.w_eval, self.epsilon))
+            mw = assemble_weighted_mass(grid, quad_samples(
+                grid, _scaled(model.w_eval, self.epsilon)))
             self.operator = add_scaled(self.diffusion, 1.0 / self.epsilon, mw)
         self._mass_int: Optional[sp.csr_matrix] = None
 

@@ -126,29 +126,69 @@ def add_scaled(a, beta, b):
                          shape=(n, n))
 
 
-def quad_samples(grid, func, xi=QUAD_XI):
-    """``func(x1, x2)`` at the reference points xi of every cell: (ncells, nq, ...)."""
-    pts = grid.quad_points(xi)
-    return func(pts[..., 0], pts[..., 1])
+def quad_axes(grid, xi=QUAD_XI):
+    """The coordinates of the reference points xi of every cell as a pair
+    of broadcastable arrays in the layout (iy, ix, qx, qy):
+    ``x1 = ix h + xi_qx h``, shape (1, n, o, 1), and ``x2 = iy h + eta_qy
+    h``, shape (n, 1, 1, o).
 
-
-def assemble_stiffness(grid, a_eval):
-    """Stiffness matrix for -div(A grad .) with A sampled at quadrature points.
-
-    ``a_eval`` is ``A(x1, x2)``, or its samples at the quadrature points of
-    every cell, (ncells, nq, 2, 2).
+    ``xi`` is an o-by-o tensor rule in the layout of :func:`gauss_rule`
+    (qx-major); cells are row-major, so the pair broadcast to (n, n, o, o)
+    and reshaped to (ncells, nq) lists every cell's points in rule order.
+    Another rule raises UsageError.
     """
-    return _scatter(grid, stiffness_elements(grid, a_eval))
+    o = int(round(np.sqrt(len(xi))))
+    t1, t2 = xi[::o, 0], xi[:o, 1]
+    if o * o != len(xi) or not np.array_equal(
+            xi, np.column_stack([np.repeat(t1, o), np.tile(t2, o)])):
+        raise UsageError(f"quadrature points of shape {np.shape(xi)} are not "
+                         "a tensor-product rule in gauss_rule's layout")
+    origin = np.arange(grid.n) * grid.h
+    x1 = origin[None, :, None, None] + (t1 * grid.h)[None, None, :, None]
+    x2 = origin[:, None, None, None] + (t2 * grid.h)[None, None, None, :]
+    return x1, x2
 
 
-def stiffness_elements(grid, a_eval):
+def quad_samples(grid, func, xi=QUAD_XI):
+    """``func(x1, x2)`` at the reference points xi of every cell:
+    (ncells, nq, ...).
+
+    ``func`` is called once, on the pair of :func:`quad_axes`, so it must be
+    elementwise numpy on broadcastable arrays: its result has the
+    broadcast shape of some four leading axes (iy, ix, qx, qy), each 1 or
+    full, followed by the value's own axes.  It is made full size once.
+    A result that does not broadcast to the grid raises UsageError.  The
+    samples may be a read-only view of the result.
+    """
+    x1, x2 = quad_axes(grid, xi)
+    vals = np.asarray(func(x1, x2))
+    lead = np.broadcast_shapes(x1.shape, x2.shape)
+    if vals.ndim < len(lead) or any(
+            v not in (1, g) for v, g in zip(vals.shape, lead)):
+        raise UsageError(
+            f"coefficient callable returned shape {vals.shape}, which does "
+            f"not broadcast to the grid's {lead} (cells y, cells x, points "
+            "x, points y) followed by the value's own axes")
+    value_shape = vals.shape[len(lead):]
+    return np.broadcast_to(vals, lead + value_shape).reshape(
+        (grid.ncells, len(xi)) + value_shape)
+
+
+def assemble_stiffness(grid, a):
+    """Stiffness matrix for -div(A grad .) from ``a``, the samples of A at
+    the quadrature points of every cell (:func:`quad_samples`),
+    (ncells, nq, 2, 2)."""
+    elem = stiffness_elements(grid, a)
+    # A caller that passes the samples as a temporary frees them here,
+    # before the scatter.
+    del a
+    return _scatter(grid, elem)
+
+
+def stiffness_elements(grid, a):
     """The (ncells, 4, 4) element matrices of :func:`assemble_stiffness`:
-    the samples of A, one row of ``4 nq`` values per cell, times the kernel
-    ``K[qij, ab] = w_q G_qai G_qbj``."""
-    if isinstance(a_eval, np.ndarray):
-        a = a_eval
-    else:
-        a = quad_samples(grid, a_eval)              # (ncells, nq, 2, 2)
+    the samples ``a`` of A, one row of ``4 nq`` values per cell, times the
+    kernel ``K[qij, ab] = w_q G_qai G_qbj``."""
     _check_finite(a, "diffusion")
     return (a.reshape(len(a), -1) @ _STIFFNESS).reshape(-1, 4, 4)
 
@@ -159,24 +199,26 @@ def assemble_mass(grid):
     return _scatter(grid, np.broadcast_to(elem, (grid.ncells, 4, 4)))
 
 
-def assemble_weighted_mass(grid, w_eval):
-    """Mass matrix weighted by a scalar field sampled at quadrature points."""
-    return _scatter(grid, weighted_mass_elements(grid, w_eval))
+def assemble_weighted_mass(grid, w):
+    """Mass matrix weighted by a scalar field from ``w``, its samples at the
+    quadrature points of every cell (:func:`quad_samples`), (ncells, nq)."""
+    elem = weighted_mass_elements(grid, w)
+    del w  # as in assemble_stiffness
+    return _scatter(grid, elem)
 
 
-def weighted_mass_elements(grid, w_eval):
+def weighted_mass_elements(grid, w):
     """The (ncells, 4, 4) element matrices of
-    :func:`assemble_weighted_mass`: ``h^2`` times the samples of the weight,
-    one row of ``nq`` values per cell, times ``K[q, ab] = w_q N_qa N_qb``."""
-    w = quad_samples(grid, w_eval)                  # (ncells, nq)
+    :func:`assemble_weighted_mass`: ``h^2`` times the samples ``w`` of the
+    weight, one row of ``nq`` values per cell, times
+    ``K[q, ab] = w_q N_qa N_qb``."""
     _check_finite(w, "weight")
     return (grid.h ** 2 * (w @ _MASS)).reshape(-1, 4, 4)
 
 
 def _scatter_vector(grid, element_vecs):
-    out = np.zeros(grid.nnodes)
-    np.add.at(out, grid.conn.ravel(), element_vecs.ravel())
-    return out
+    return np.bincount(grid.conn.ravel(), weights=element_vecs.ravel(),
+                       minlength=grid.nnodes)
 
 
 def assemble_load(grid, f_eval):
@@ -312,8 +354,10 @@ def torus_laplace_solver(grid):
     the accumulation.  The inverse symbol is zero on the constant mode.
     """
     n = grid.n
-    col = assemble_stiffness(PeriodicGrid(3), lambda x1, x2: np.broadcast_to(
-        np.eye(2), np.shape(x1) + (2, 2)))[:, 0]
+    stencil_grid = PeriodicGrid(3)
+    col = assemble_stiffness(stencil_grid, quad_samples(
+        stencil_grid, lambda x1, x2: np.broadcast_to(
+            np.eye(2), np.shape(x1) + (2, 2))))[:, 0]
     stencil = col.toarray().reshape(3, 3)          # [dy % 3, dx % 3]
     kernel = np.zeros((n, n))
     for dy in (-1, 0, 1):

@@ -17,6 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import UsageError
+
+
 def gauss_rule(order=2):
     """Tensor Gauss-Legendre rule on the reference square [0,1]^2.
 
@@ -70,16 +73,11 @@ class PeriodicGrid:
                                      iy * self.n + xp,
                                      yp * self.n + xp,
                                      yp * self.n + ix])
-        self._cell_origin = np.column_stack([ix * self.h, iy * self.h])
 
     def node_coords(self):
         t = np.arange(self.n) * self.h
         x, y = np.meshgrid(t, t, indexing="xy")
         return np.column_stack([x.ravel(), y.ravel()])
-
-    def quad_points(self, xi):
-        """Physical coordinates of reference points xi in every cell: (ncells, nq, 2)."""
-        return self._cell_origin[:, None, :] + xi[None, :, :] * self.h
 
 
 class DirichletGrid:
@@ -107,7 +105,6 @@ class DirichletGrid:
                                      iy * m + ix + 1,
                                      (iy + 1) * m + ix + 1,
                                      (iy + 1) * m + ix])
-        self._cell_origin = np.column_stack([ix * self.h, iy * self.h])
 
         jx, jy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
         inner = (jx > 0) & (jx < self.n) & (jy > 0) & (jy < self.n)
@@ -121,9 +118,6 @@ class DirichletGrid:
         t = np.arange(self.n + 1) * self.h
         x, y = np.meshgrid(t, t, indexing="xy")
         return np.column_stack([x.ravel(), y.ravel()])
-
-    def quad_points(self, xi):
-        return self._cell_origin[:, None, :] + xi[None, :, :] * self.h
 
     def restrict(self, full):
         """Full nodal vector -> interior DOF vector."""
@@ -353,6 +347,17 @@ class GridFunction:
 
 
 def interpolate(grid, func):
-    """Nodal interpolant of func(x1, x2) on the grid."""
-    xy = grid.node_coords()
-    return GridFunction(grid, np.asarray(func(xy[:, 0], xy[:, 1]), dtype=float))
+    """Nodal interpolant of func(x1, x2) on the grid.
+
+    ``func`` is called once, on the node axes ``x1`` (1, m) and ``x2``
+    (m, 1), m nodes per side, so it must be elementwise numpy on
+    broadcastable arrays; a result that does not broadcast to (m, m)
+    raises UsageError.
+    """
+    m = grid.n if grid.periodic else grid.n + 1
+    t = np.arange(m) * grid.h
+    vals = np.asarray(func(t[None, :], t[:, None]), dtype=float)
+    if vals.ndim != 2 or any(v not in (1, m) for v in vals.shape):
+        raise UsageError(f"interpolated callable returned shape {vals.shape}, "
+                         f"which does not broadcast to the node grid's {(m, m)}")
+    return GridFunction(grid, np.broadcast_to(vals, (m, m)).flatten())

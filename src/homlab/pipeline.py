@@ -345,7 +345,8 @@ class Experiment:
         cs = self.cell_solution
         m = float(cs.m_w_chi_w)
         self.mass = assemble_mass(grid)
-        hom_stiffness = assemble_stiffness(grid, constant_matrix(cs.a_hat))
+        hom_stiffness = assemble_stiffness(
+            grid, quad_samples(grid, constant_matrix(cs.a_hat)))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
                          for eps in self.cfg.epsilons}
         guard = m > -homogenized_lower_bound(cs.a_hat)

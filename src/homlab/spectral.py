@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 from .config import K_MAX
 from .errors import ConfigurationError, SpectralError
-from .fem import QUAD_XI
+from .fem import quad_axes
 
 __all__ = [
     "Spectrum",
@@ -316,9 +316,10 @@ def eps_sigma_bound(problem) -> float:
     one below that.
     """
     eps = problem.epsilon
-    pts = problem.grid.quad_points(QUAD_XI)
-    wmin = float(np.min(problem.model.w_eval(pts[..., 0] / eps,
-                                             pts[..., 1] / eps)))
+    x1, x2 = quad_axes(problem.grid)
+    # The minimum over the samples before they are made full size: the
+    # same set of values.
+    wmin = float(np.min(problem.model.w_eval(x1 / eps, x2 / eps)))
     return min(0.0, wmin) / eps - 1.0
 
 

@@ -18,6 +18,7 @@ from homlab.fem import (
     assemble_mass,
     assemble_stiffness,
     factorize,
+    quad_axes,
     quad_samples,
 )
 from homlab.grids import shape_gradients, shape_values
@@ -41,7 +42,7 @@ def shifted_eigs(op, mass, k, *, sigma, **kwargs):
 
 def effective_factor(grid, a_hat, m=0.0):
     """Factor of the interior effective operator K + m M."""
-    k = assemble_stiffness(grid, constant_matrix(a_hat))
+    k = assemble_stiffness(grid, quad_samples(grid, constant_matrix(a_hat)))
     return factor(k, assemble_mass(grid), -m)
 
 
@@ -57,18 +58,24 @@ def eps_factor_and_report(p):
     return lu, coercivity_check(spectrum, 0.0)
 
 
-def oracle_elements(grid, a_eval=None, w_eval=None):
+def quad_points(grid, xi=QUAD_XI):
+    """Coordinates of the reference points xi in every cell, (ncells, nq, 2):
+    the pair of :func:`homlab.fem.quad_axes` broadcast to full size."""
+    pair = np.broadcast_arrays(*quad_axes(grid, xi))
+    return np.stack(pair, axis=-1).reshape(grid.ncells, len(xi), 2)
+
+
+def oracle_elements(grid, a=None, w=None):
     """(ncells, 4, 4) element matrices by the assembly rule: the stiffness
-    of ``a_eval``, else the mass weighted by ``w_eval``, else the mass.
-    Each is the four-operand contraction of weights, shape functions and
-    samples, independent of the assembly's precomputed kernels."""
+    of the samples ``a`` of A, else the mass weighted by the samples ``w``,
+    else the mass.  Each is the four-operand contraction of weights, shape
+    functions and samples, independent of the assembly's precomputed
+    kernels."""
     n_q, g_q = shape_values(QUAD_XI), shape_gradients(QUAD_XI)
-    if a_eval is not None:
-        a = quad_samples(grid, a_eval)
+    if a is not None:
         return np.einsum("q,qai,cqij,qbj->cab", QUAD_W, g_q, a, g_q,
                          optimize=True)
-    if w_eval is not None:
-        w = quad_samples(grid, w_eval)
+    if w is not None:
         return grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, n_q,
                                        n_q, optimize=True)
     elem = grid.h ** 2 * np.einsum("q,qa,qb->ab", QUAD_W, n_q, n_q)

@@ -21,7 +21,7 @@ from homlab.cell import solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
 from homlab.config import RunConfig
 from homlab.domain import EpsProblem, solve_dirichlet_correctors
-from homlab.fem import assemble_mass, assemble_stiffness
+from homlab.fem import assemble_mass, assemble_stiffness, quad_samples
 from homlab.grids import DirichletGrid
 from homlab.pipeline import Experiment, run_experiment, stages_for
 from homlab.analysis import rate_fit
@@ -63,7 +63,7 @@ def identity_spectral_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def laplace_spectrum():
     grid = DirichletGrid(64)
-    k = assemble_stiffness(grid, make_preset("identity").a_eval)
+    k = assemble_stiffness(grid, quad_samples(grid, make_preset("identity").a_eval))
     m = assemble_mass(grid)
     return shifted_eigs(k, m, 5, sigma=-1.0), m
 

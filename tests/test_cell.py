@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import quad_points
 from homlab import cell, fem
 from homlab.cell import solve_aux_potentials, solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, make_preset
@@ -125,7 +126,7 @@ def divergence_residual(cs, order=3):
     """
     grid = cs.grid
     xi, wq = gauss_rule(order)
-    pts = grid.quad_points(xi)
+    pts = quad_points(grid, xi)
     a = fem.quad_samples(grid, cs.model.a_eval, xi)
     b = cell._flux_field(grid, cs.chi, cs.a_hat, xi, a)
     worst = np.zeros(2)
@@ -183,9 +184,8 @@ def test_mean_zero_checks_raise_consistency_error(trigger, message):
 
 def corrector_systems(model, grid):
     """The A-stiffness and the chi_1, chi_2, chi_w right-hand sides."""
-    stiff = fem.assemble_stiffness(grid, model.a_eval)
-    pts = grid.quad_points(fem.QUAD_XI)
-    a = model.a_eval(pts[..., 0], pts[..., 1])
+    a = fem.quad_samples(grid, model.a_eval)
+    stiff = fem.assemble_stiffness(grid, a)
     rhs = [-fem.flux_load_from_quad_values(grid, a[..., :, k]) for k in range(2)]
     rhs.append(-fem.assemble_load(grid, model.w_eval))
     return stiff, rhs

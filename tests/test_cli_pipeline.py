@@ -22,7 +22,7 @@ from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
 from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
 from homlab.errors import ConfigurationError, SolverError
-from homlab.fem import stiffness_elements, weighted_mass_elements
+from homlab.fem import quad_samples, stiffness_elements, weighted_mass_elements
 from homlab.grids import DirichletGrid
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
@@ -465,12 +465,13 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
     oracles = {
         "mass": oracle_matrix(grid, oracle_elements(grid)),
         "hom_prime": oracle_matrix(grid, stiffness_elements(
-            grid, constant_matrix(exp.cell_solution.a_hat))),
+            grid, quad_samples(grid, constant_matrix(
+                exp.cell_solution.a_hat)))),
     }
     mats = {"mass": exp.mass, "hom_prime": exp.operators["hom_prime"][0]}
     for eps, problem in exp.problems.items():
         def scaled(field, eps=eps):
-            return lambda x1, x2: field(x1 / eps, x2 / eps)
+            return quad_samples(grid, lambda x1, x2: field(x1 / eps, x2 / eps))
 
         k_eps = oracle_matrix(grid, stiffness_elements(
             grid, scaled(model.a_eval)))
@@ -628,6 +629,20 @@ def test_cli_pins_openblas_threads_unless_set(preset, threads):
     done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == threads
+
+
+def test_cli_import_leaves_the_factor_module_unloaded():
+    """``import homlab.cli`` does not load ``homlab.cholesky``: the factor
+    module is imported on first use (``fem.factorize``), and the set-up
+    time of every command depends on it staying out."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(homlab.pipeline.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, homlab.cli; print('homlab.cholesky' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_benchmark_span_targets_resolve():

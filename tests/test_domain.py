@@ -30,6 +30,7 @@ from homlab.fem import (
     assemble_stiffness,
     cg_solve,
     l2_norm,
+    quad_samples,
 )
 from homlab.grids import DirichletGrid, GridFunction
 from homlab.spectral import eigs
@@ -38,8 +39,8 @@ from homlab.spectral import eigs
 def full_stiffness(p):
     """Stiffness of ``p``'s diffusion on every node of its grid, by the COO
     oracle."""
-    elem = oracle_elements(p.grid, a_eval=lambda x1, x2: p.model.a_eval(
-        x1 / p.epsilon, x2 / p.epsilon))
+    elem = oracle_elements(p.grid, a=quad_samples(
+        p.grid, lambda x1, x2: p.model.a_eval(x1 / p.epsilon, x2 / p.epsilon)))
     return oracle_matrix(p.grid, elem, full=True)
 
 
@@ -110,7 +111,7 @@ def test_identity_homogenized_equals_eps_solve():
     grid = DirichletGrid(64)
     p = EpsProblem(make_preset("identity", "zero", "sine-sine"), 0.25, grid)
     op = p.operator
-    k_hat = assemble_stiffness(grid, constant_matrix(np.eye(2)))
+    k_hat = assemble_stiffness(grid, quad_samples(grid, constant_matrix(np.eye(2))))
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(op, part), getattr(k_hat, part))
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homlab.cholesky
-from conftest import oracle_elements, oracle_matrix, shifted_eigs
-from homlab.coefficients import make_preset
-from homlab.domain import EpsProblem
+from conftest import oracle_elements, oracle_matrix, quad_points, shifted_eigs
+from homlab.coefficients import A_PRESETS, F_PRESETS, W_PRESETS, make_preset
+from homlab.domain import EpsProblem, constant_matrix
 from homlab.errors import (
     AssemblyError,
     ConfigurationError,
@@ -24,6 +24,7 @@ from homlab.errors import (
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
+    _scatter_vector,
     add_scaled,
     apply_tensor,
     assemble_mass,
@@ -37,6 +38,7 @@ from homlab.fem import (
     integrate,
     l2_norm,
     load_from_quad_values,
+    quad_samples,
     recover_gradient,
     stiffness_elements,
     torus_laplace_solver,
@@ -62,6 +64,11 @@ def identity_a(x1, x2):
     return out
 
 
+def laplacian(grid):
+    """The stiffness of the identity tensor on ``grid``."""
+    return assemble_stiffness(grid, quad_samples(grid, identity_a))
+
+
 def test_grid_counts_and_spacing():
     pg = PeriodicGrid(8)
     assert pg.nnodes == 64
@@ -75,7 +82,7 @@ def test_gauss_rule_integrates_cubics_exactly():
     # piecewise-cubic integrand is exact per cell for the order-3 rule
     grid = PeriodicGrid(4)
     xi, wq = gauss_rule(3)
-    pts = grid.quad_points(xi)
+    pts = quad_points(grid, xi)
     vals = pts[..., 0] ** 3 * pts[..., 1] ** 2
     total = grid.h ** 2 * np.einsum("q,cq->", wq, vals)
     assert abs(total - 1.0 / 12.0) < 1e-14
@@ -95,7 +102,7 @@ def test_mass_total_is_domain_area():
 
 def test_stiffness_symmetric_with_constants_in_kernel():
     grid = PeriodicGrid(8)
-    k = assemble_stiffness(grid, identity_a)
+    k = laplacian(grid)
     dense = k.toarray()
     assert np.max(np.abs(dense - dense.T)) < 1e-14
     assert np.max(np.abs(dense.sum(axis=1))) < 1e-13
@@ -120,7 +127,7 @@ def test_cg_matches_direct_solve():
     import scipy.sparse.linalg as spla
 
     grid = DirichletGrid(8)
-    op = assemble_stiffness(grid, identity_a)
+    op = laplacian(grid)
     rhs = np.random.default_rng(3).standard_normal(grid.ndof)
     x = cg_solve(op, rhs, tol=1e-12)
     x_ref = spla.spsolve(op.tocsc(), rhs)
@@ -129,7 +136,7 @@ def test_cg_matches_direct_solve():
 
 def test_cg_breakdown_on_negative_definite_operator():
     grid = DirichletGrid(8)
-    op = assemble_stiffness(grid, identity_a)
+    op = laplacian(grid)
     neg = -op
     with pytest.raises(SolverError) as exc:
         cg_solve(neg, np.ones(grid.ndof), tol=1e-10)
@@ -188,7 +195,7 @@ def test_first_separator_decouples_the_halves():
     x = 1/2) last, so its interior operator splits into two 17 x 8 halves
     with no coupling between them."""
     grid = DirichletGrid(18)
-    op = assemble_stiffness(grid, identity_a)
+    op = laplacian(grid)
     separator = grid.node_coords()[grid.interior[-17:]]
     assert np.array_equal(separator[:, 0], np.full(17, 0.5))
     half = 17 * 8
@@ -266,7 +273,7 @@ def test_factorize_takes_any_matrix_within_the_pattern():
     assert np.allclose(factorize(sp.diags(diag).tocsr()).solve(rhs),
                        rhs / diag, rtol=1e-14, atol=0.0)
     mass = assemble_mass(grid)
-    shifted = assemble_stiffness(grid, identity_a) - (-3.0) * mass
+    shifted = laplacian(grid) - (-3.0) * mass
     assert not np.shares_memory(shifted.indices, grid.pattern.indices)
     x = factorize(shifted).solve(rhs)
     assert np.allclose(shifted @ x, rhs, rtol=0.0, atol=1e-12)
@@ -274,7 +281,7 @@ def test_factorize_takes_any_matrix_within_the_pattern():
 
 def test_factorize_rejects_an_entry_outside_the_pattern():
     grid = DirichletGrid(10)
-    op = assemble_stiffness(grid, identity_a).tolil()
+    op = laplacian(grid).tolil()
     far = int(np.flatnonzero(grid.interior == grid.interior.max())[0])
     near = int(np.flatnonzero(grid.interior == grid.interior.min())[0])
     op[near, far] = op[far, near] = -1e-3
@@ -330,8 +337,7 @@ def test_threads_factoring_one_grid_size_share_one_analysis():
 
 def test_factorize_rejects_exactly_singular_operator():
     grid = DirichletGrid(8)
-    flat = assemble_stiffness(
-        grid, lambda x1, x2: np.zeros(np.shape(x1) + (2, 2)))
+    flat = assemble_stiffness(grid, np.zeros((grid.ncells, 4, 2, 2)))
     with pytest.raises(SolverError) as exc:
         factorize(flat)
     assert "singular" in str(exc.value)
@@ -339,7 +345,7 @@ def test_factorize_rejects_exactly_singular_operator():
 
 def test_deflated_cg_keeps_zero_mean():
     grid = PeriodicGrid(16)
-    k = assemble_stiffness(grid, identity_a)
+    k = laplacian(grid)
     coords = grid.node_coords()
     rhs_field = np.sin(2 * np.pi * coords[:, 0])
     m = assemble_mass(grid)
@@ -352,7 +358,7 @@ def test_deflated_cg_keeps_zero_mean():
 @pytest.mark.parametrize("n", [2, 3, 4, 17])
 def test_fft_laplace_solve_inverts_the_assembled_laplacian(n):
     grid = PeriodicGrid(n)
-    lap = assemble_stiffness(grid, identity_a)
+    lap = laplacian(grid)
     r = np.random.default_rng(n).standard_normal(grid.nnodes)
     u = torus_laplace_solver(grid)(r)
     assert np.max(np.abs(lap @ u - (r - r.mean()))) < 1e-12
@@ -364,7 +370,7 @@ def test_cell_kernels_exact_on_a_bilinear_field(xi):
     c0, c1, c2, c3 = 0.3, -1.7, 2.2, 0.9
     grid = DirichletGrid(7)
     gf = interpolate(grid, lambda x, y: c0 + c1 * x + c2 * y + c3 * x * y)
-    pts = grid.quad_points(QUAD_XI if xi is None else xi)
+    pts = quad_points(grid, QUAD_XI if xi is None else xi)
     x, y = pts[..., 0], pts[..., 1]
     vals = cell_values(grid, gf.values, xi)
     grads = cell_gradients(grid, gf.values, xi)
@@ -412,14 +418,11 @@ def test_element_kernels_match_the_einsum_contractions(grid, a_preset):
         w_q = rng.standard_normal((grid.ncells, len(QUAD_W)))
     else:
         model = make_preset(a_preset, "sine-mix")
-        pts = grid.quad_points(QUAD_XI) * 4.0
-        a_q = model.a_eval(pts[..., 0], pts[..., 1])
-        w_q = model.w_eval(pts[..., 0], pts[..., 1])
+        a_q = quad_samples(grid, lambda x1, x2: model.a_eval(4 * x1, 4 * x2))
+        w_q = quad_samples(grid, lambda x1, x2: model.w_eval(4 * x1, 4 * x2))
     pairs = [
-        (stiffness_elements(grid, a_q),
-         oracle_elements(grid, a_eval=lambda x1, x2: a_q)),
-        (weighted_mass_elements(grid, lambda x1, x2: w_q),
-         oracle_elements(grid, w_eval=lambda x1, x2: w_q)),
+        (stiffness_elements(grid, a_q), oracle_elements(grid, a=a_q)),
+        (weighted_mass_elements(grid, w_q), oracle_elements(grid, w=w_q)),
     ]
     for got, ref in pairs:
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -437,6 +440,61 @@ def test_element_kernels_match_the_einsum_contractions(grid, a_preset):
                                minlength=grid.nnodes)
         assert np.max(np.abs(got - scatter(elem))) <= (
             1e-14 * np.max(scatter(np.abs(elem))))
+
+
+def old_quad_points(grid, xi):
+    """The full coordinate arrays that the sampler's axes replace: each
+    cell's origin plus xi h, per cell and point, (ncells, nq, 2)."""
+    ix, iy = np.meshgrid(np.arange(grid.n), np.arange(grid.n), indexing="xy")
+    origin = np.column_stack([ix.ravel() * grid.h, iy.ravel() * grid.h])
+    return origin[:, None, :] + xi[None, :, :] * grid.h
+
+
+# Every preset, a non-separable field, and a matrix field shaped like its
+# first argument only.
+SCALAR_FIELDS = (
+    [make_preset("identity", w).w_eval for w in W_PRESETS]
+    + [make_preset("identity", "zero", f).f_eval for f in F_PRESETS]
+    + [lambda y1, y2: np.sin(y1 * y2)])
+SAMPLED_FIELDS = (
+    [make_preset(a).a_eval for a in A_PRESETS]
+    + [constant_matrix(np.array([[2.0, 0.3], [0.3, 1.0]]))] + SCALAR_FIELDS)
+
+
+@pytest.mark.parametrize("eps", [1.0, 1.0 / 8.0], ids=["eps1", "eps1/8"])
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("grid", [DirichletGrid(12), PeriodicGrid(12)],
+                         ids=["dirichlet", "torus"])
+def test_quad_samples_equal_the_full_coordinate_evaluation(grid, order, eps):
+    """Sampling on the tensor-product axes gives the bits of evaluating
+    the field at x / eps on the full per-point coordinate arrays."""
+    xi, _ = gauss_rule(order)
+    pts = old_quad_points(grid, xi)
+    for field in SAMPLED_FIELDS:
+        ref = np.ascontiguousarray(field(pts[..., 0] / eps, pts[..., 1] / eps))
+        got = quad_samples(grid, lambda x1, x2: field(x1 / eps, x2 / eps), xi)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("grid", [DirichletGrid(12), PeriodicGrid(12)],
+                         ids=["dirichlet", "torus"])
+def test_interpolate_equals_the_node_coordinate_evaluation(grid):
+    coords = grid.node_coords()
+    for field in SCALAR_FIELDS:
+        ref = np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
+        assert interpolate(grid, field).values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("grid", [DirichletGrid(24), PeriodicGrid(16)],
+                         ids=["dirichlet", "torus"])
+def test_vector_scatter_equals_add_at(grid):
+    """The load scatter sums in input order from zero, as ``np.add.at``
+    does, so the two agree bit for bit."""
+    elem = np.random.default_rng(11).standard_normal((grid.ncells, 4))
+    ref = np.zeros(grid.nnodes)
+    np.add.at(ref, grid.conn.ravel(), elem.ravel())
+    assert _scatter_vector(grid, elem).tobytes() == ref.tobytes()
 
 
 def test_integrate_rejects_weights_of_another_rule():
@@ -479,12 +537,12 @@ def test_boundary_flux_of_bubble():
 
 def laplace_pair(n):
     grid = DirichletGrid(n)
-    return assemble_stiffness(grid, identity_a), assemble_mass(grid)
+    return laplacian(grid), assemble_mass(grid)
 
 
 def sum_across_patterns():
     grid = PeriodicGrid(4)  # COO matrices, each on its own index arrays
-    add_scaled(assemble_stiffness(grid, identity_a), 1.0, assemble_mass(grid))
+    add_scaled(laplacian(grid), 1.0, assemble_mass(grid))
 
 
 def assemble_nan_diffusion():
@@ -493,7 +551,25 @@ def assemble_nan_diffusion():
         out[x1 > 0.75] = np.nan  # cells are numbered row by row: cell 3 first
         return out
 
-    assemble_stiffness(DirichletGrid(4), a_eval)
+    grid = DirichletGrid(4)
+    assemble_stiffness(grid, quad_samples(grid, a_eval))
+
+
+def sample_a_flat_callable():
+    # a callable written for flat coordinate arrays
+    quad_samples(PeriodicGrid(4), lambda x1, x2: np.ravel(x1 + x2))
+
+
+def sample_a_missized_callable():
+    quad_samples(PeriodicGrid(4), lambda x1, x2: np.ones((3, 1, 1, 1)))
+
+
+def sample_on_a_non_tensor_rule():
+    quad_samples(PeriodicGrid(4), identity_a, QUAD_XI[:3])
+
+
+def interpolate_a_flat_callable():
+    interpolate(PeriodicGrid(4), lambda x1, x2: np.ravel(x1 + x2))
 
 
 def eigs_pencil_within_the_basis():
@@ -515,6 +591,16 @@ ERROR_CASES = [
     (sum_across_patterns, UsageError, "same DirichletGrid pattern"),
     (assemble_nan_diffusion, AssemblyError,
      "non-finite diffusion sample in cell 3$"),
+    (sample_a_flat_callable, UsageError,
+     r"returned shape \(64,\), which does not broadcast to the grid's "
+     r"\(4, 4, 2, 2\)"),
+    (sample_a_missized_callable, UsageError,
+     r"returned shape \(3, 1, 1, 1\), which does not broadcast"),
+    (sample_on_a_non_tensor_rule, UsageError,
+     r"points of shape \(3, 2\) are not a tensor-product rule"),
+    (interpolate_a_flat_callable, UsageError,
+     r"returned shape \(16,\), which does not broadcast to the node "
+     r"grid's \(4, 4\)$"),
     (eigs_pencil_within_the_basis, ConfigurationError,
      r"a 25-DOF pencil is not larger than the 25-vector Lanczos basis for "
      r"k=12 \(hom_prime\)$"),

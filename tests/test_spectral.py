@@ -8,16 +8,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import factor, shifted_eigs
+from conftest import factor, quad_points, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import EpsProblem, constant_matrix
 from homlab.errors import ConfigurationError, SpectralError
 from homlab.fem import (
-    QUAD_XI,
     add_scaled,
     assemble_mass,
     assemble_stiffness,
     factorize,
+    quad_samples,
 )
 from homlab.grids import DirichletGrid
 from homlab.spectral import (
@@ -45,7 +45,7 @@ def identity_a(x1, x2):
 
 def laplace_pair(n):
     grid = DirichletGrid(n)
-    k = assemble_stiffness(grid, identity_a)
+    k = assemble_stiffness(grid, quad_samples(grid, identity_a))
     m = assemble_mass(grid)
     return grid, k, m
 
@@ -112,7 +112,7 @@ def test_lanczos_returns_both_members_of_an_exact_pair():
     before the iteration stops."""
     grid = DirichletGrid(64)
     a_hat = 1.7 * np.eye(2)
-    k = assemble_stiffness(grid, constant_matrix(a_hat))
+    k = assemble_stiffness(grid, quad_samples(grid, constant_matrix(a_hat)))
     m = assemble_mass(grid)
     spec = shifted_eigs(k, m, 5, sigma=-1.0)
     exact = 1.7 * exact_q1_laplace_eigs(64, 5)
@@ -249,7 +249,7 @@ def test_eps_sigma_bound_is_the_quadrature_minimum():
     for preset, eps, n in (("sine1", 0.25, 64), ("sine-mix", 0.5, 48),
                            ("zero", 0.25, 64)):
         p = EpsProblem(make_preset("identity", preset), eps, DirichletGrid(n))
-        pts = p.grid.quad_points(QUAD_XI)
+        pts = quad_points(p.grid)
         w_q = p.model.w_eval(pts[..., 0] / eps, pts[..., 1] / eps)
         assert eps_sigma_bound(p) == min(0.0, float(np.min(w_q))) / eps - 1.0
 
@@ -261,7 +261,7 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
     lambda_1."""
     grid = DirichletGrid(32)
     eps = 0.5
-    spike = grid.quad_points(QUAD_XI)[5 * 32 + 5, 3] / eps  # in cell units
+    spike = quad_points(grid)[5 * 32 + 5, 3] / eps  # in cell units
     width = 1e-4
 
     def w_eval(y1, y2):
