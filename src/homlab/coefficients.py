@@ -1,8 +1,10 @@
 """Coefficient presets: periodic diffusion matrices, mean-zero potentials, loads.
 
-All evaluators are vectorized over numpy arrays of coordinates.  The diffusion
-evaluator returns an array of shape ``y1.shape + (2, 2)``; potential and load
-evaluators return arrays of the coordinate shape.
+All evaluators are elementwise numpy on broadcastable coordinate arrays
+(see :class:`CoefficientModel`).  The diffusion evaluator returns an array
+whose shape broadcasts to the coordinates' broadcast shape followed by
+``(2, 2)``; potential and load evaluators return arrays that broadcast to
+the coordinates' broadcast shape.
 """
 
 from dataclasses import dataclass, field
@@ -71,6 +73,17 @@ class CoefficientModel:
 
     ``kappa`` is the ellipticity constant: xi.A(y)xi lies in
     [kappa, 1/kappa] for all unit xi and all y.
+
+    Each of ``a_eval``, ``w_eval`` and ``f_eval`` is called as
+    ``func(x1, x2)`` on two coordinate arrays that broadcast against each
+    other but need not have the same shape: the grid samples a field once
+    per rule on the tensor-product axes of its cells
+    (:func:`homlab.fem.quad_samples`, :func:`homlab.grids.interpolate`).
+    So a callable must be elementwise numpy on broadcastable arrays, and
+    its result must broadcast to the broadcast shape of ``x1`` and ``x2``,
+    followed by ``(2, 2)`` for ``a_eval``.  A field of ``x1`` alone may
+    return the shape of ``x1``.  A result that does not broadcast raises
+    UsageError when it is sampled.
     """
 
     a_eval: callable

@@ -6,6 +6,11 @@ faces of the unit cell (n^2 nodes, n^2 cells), ``DirichletGrid`` keeps the full
 interior.  Nodes are ordered row-major with x fastest; interior DOF come in
 the fill-reducing nested-dissection order of their block.  Cell corners
 follow the usual counterclockwise convention (0,0), (1,0), (1,1), (0,1).
+Cells are row-major too, cell ``iy n + ix`` at origin ``(ix h, iy h)``.  A
+grid keeps no coordinate arrays: a coordinate of a node or of a point in a
+cell depends on one axis index only, so fields are evaluated on
+broadcastable axes (:func:`interpolate`; :func:`homlab.fem.quad_axes` for
+the points of a quadrature rule).
 
 A ``DirichletGrid`` also owns the sparsity pattern that every interior
 matrix of a Q1 form on it shares (:class:`InteriorPattern`), built from
@@ -346,18 +351,34 @@ class GridFunction:
                 f"grid with {self.grid.nnodes} nodes")
 
 
+def full_size(vals, lead):
+    """``vals``, what a field callable returned on broadcastable coordinate
+    axes of broadcast shape ``lead``, broadcast to ``lead`` followed by the
+    value's own axes (a read-only view).  A result that does not broadcast
+    raises UsageError naming both shapes."""
+    vals = np.asarray(vals)
+    if vals.ndim < len(lead) or any(
+            v not in (1, g) for v, g in zip(vals.shape, lead)):
+        raise UsageError(
+            f"field callable returned shape {vals.shape}, which does not "
+            f"broadcast to the grid's {lead} followed by the value's own "
+            "axes")
+    shape = lead + vals.shape[len(lead):]
+    if vals.shape[0] == 1:
+        # Fill the inner axes first, a small array, so that making the
+        # result full size copies one contiguous block per leading index.
+        vals = np.ascontiguousarray(np.broadcast_to(vals, (1,) + shape[1:]))
+    return np.broadcast_to(vals, shape)
+
+
 def interpolate(grid, func):
     """Nodal interpolant of func(x1, x2) on the grid.
 
     ``func`` is called once, on the node axes ``x1`` (1, m) and ``x2``
     (m, 1), m nodes per side, so it must be elementwise numpy on
-    broadcastable arrays; a result that does not broadcast to (m, m)
-    raises UsageError.
+    broadcastable arrays (:func:`full_size`).
     """
     m = grid.n if grid.periodic else grid.n + 1
     t = np.arange(m) * grid.h
     vals = np.asarray(func(t[None, :], t[:, None]), dtype=float)
-    if vals.ndim != 2 or any(v not in (1, m) for v in vals.shape):
-        raise UsageError(f"interpolated callable returned shape {vals.shape}, "
-                         f"which does not broadcast to the node grid's {(m, m)}")
-    return GridFunction(grid, np.broadcast_to(vals, (m, m)).flatten())
+    return GridFunction(grid, full_size(vals, (m, m)).flatten())

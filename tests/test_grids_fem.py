@@ -564,10 +564,6 @@ def sample_a_missized_callable():
     quad_samples(PeriodicGrid(4), lambda x1, x2: np.ones((3, 1, 1, 1)))
 
 
-def sample_on_a_non_tensor_rule():
-    quad_samples(PeriodicGrid(4), identity_a, QUAD_XI[:3])
-
-
 def interpolate_a_flat_callable():
     interpolate(PeriodicGrid(4), lambda x1, x2: np.ravel(x1 + x2))
 
@@ -596,11 +592,9 @@ ERROR_CASES = [
      r"\(4, 4, 2, 2\)"),
     (sample_a_missized_callable, UsageError,
      r"returned shape \(3, 1, 1, 1\), which does not broadcast"),
-    (sample_on_a_non_tensor_rule, UsageError,
-     r"points of shape \(3, 2\) are not a tensor-product rule"),
     (interpolate_a_flat_callable, UsageError,
-     r"returned shape \(16,\), which does not broadcast to the node "
-     r"grid's \(4, 4\)$"),
+     r"returned shape \(16,\), which does not broadcast to the grid's "
+     r"\(4, 4\) followed"),
     (eigs_pencil_within_the_basis, ConfigurationError,
      r"a 25-DOF pencil is not larger than the 25-vector Lanczos basis for "
      r"k=12 \(hom_prime\)$"),
