@@ -45,13 +45,13 @@ the element matrices straight into the grid's read-only CSR pattern
 map, and every load vector is a ``np.bincount`` over the connectivity
 (``np.add.at`` sums in the same order, but keeps the GIL: at n = 384 on a
 2-core VM two threads ran it at 0.5-0.9 times the serial rate, and
-``np.bincount`` at 1.2 times).  All interior matrices of a grid share
-its index arrays, so :func:`add_scaled` forms ``L_eps``, the shifted
-operators and ``K + mM`` as sums of data vectors, and no full-grid matrix
-is built.  A PeriodicGrid
-assembles through COO: the cell stage builds one stiffness per run, where
-a cached slot map cannot pay for itself (it made ``homlab cell`` at
-n = 384 slower, and raised its peak RSS while it stayed alive).
+``np.bincount`` at 1.2 times).  All interior matrices of a grid share its
+index arrays, so :func:`add_scaled` forms ``L_eps``, the shifted operators
+and ``K + mM`` as sums of data vectors, and no full-grid matrix is built.
+A PeriodicGrid assembles through COO: the cell stage builds one stiffness
+per run, where a cached slot map cannot pay for itself (it made
+``homlab cell`` at n = 384 slower, and raised its peak RSS while it stayed
+alive).
 
 Fields tabulated at the points of a rule are arrays (ncells, nq, ...).  The
 kernels that make and reduce them avoid per-element loops in ``np.einsum``:
