@@ -18,9 +18,13 @@ parent's front (the *extend-add*).  A depth keeps one block per front,
 two products a solve applies: the forward sweep is one batched product
 with it, the backward sweep one with its transpose.  Nothing else of the
 numeric factor is kept, and the updates of a batch of fronts are freed as
-soon as their parents have taken them.  The symbolic part (fronts, rings,
-where each matrix entry and each update go) comes from grid arithmetic and
-is cached per block size (:func:`_symbolic`).
+soon as their parents have taken them.
+
+The symbolic part (fronts, rings, where each matrix entry and each update
+go) is cached per block size (:func:`_symbolic`).  It rests on one lookup
+per depth, where a DOF sits in a front, and reads the entries off the CSR
+rows of each front's own DOF, so the factor takes only matrices stored on
+the grid's own pattern arrays.
 
 The batched calls run on the pipeline's pool threads; ``np.linalg``'s
 gufuncs and ``matmul`` on 3-D operands release the GIL.
@@ -38,10 +42,9 @@ import scipy.sparse as sp
 from .errors import SolverError, UsageError
 from .grids import (
     coupling_pattern,
-    coupling_table,
     dissection_tree,
     nested_dissection,
-    own_positions,
+    on_pattern,
 )
 
 #: Entries of the front stack factored in one batch; bounds the transient.
@@ -49,10 +52,6 @@ _BATCH = 1 << 18
 
 # The pool's first tasks ask for the same analysis at once: one makes it.
 _ANALYSIS_LOCK = threading.Lock()
-
-# Neighbour offsets in the order of coupling_table's t = 3 (dy + 1) + dx + 1.
-_DY = np.repeat([-1, 0, 1], 3)
-_DX = np.tile([-1, 0, 1], 3)
 
 
 @dataclass(frozen=True)
@@ -103,199 +102,135 @@ class _Symbolic:
     size: int                # work-vector length, spare slot included
 
 
-def _perimeter(rows, cols):
-    """Offsets from the first node of a rows-by-cols block to the nodes
-    around it, in perimeter order: the row above and the row below (each
-    with both corners), then the column to the left and the one to the
-    right."""
-    across = np.arange(-1, cols + 1)
-    down = np.arange(rows)
-    return (np.concatenate([np.full(cols + 2, -1), np.full(cols + 2, rows),
-                            down, down]),
-            np.concatenate([across, across, np.full(rows, -1),
-                            np.full(rows, cols)]))
+def _ranges(counts):
+    """The ranges ``0 .. counts[i] - 1`` one after the other: for each item,
+    its range ``i`` and its place in it (int32)."""
+    which = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    first = (np.cumsum(counts) - counts).astype(np.int32)
+    return which, np.arange(which.size, dtype=np.int32) - first[which]
 
 
-def _perimeter_step(block, row, col):
-    """The perimeter step (:func:`_perimeter`) of the node (row, col) around
-    ``block``, one block per row of ``row`` and ``col``."""
+def _rings(block, m):
+    """The ring of each block (first row, first column, rows, columns): the
+    nodes of the m-by-m block around it, in perimeter order (the row above
+    and the row below, each with both corners, then the column to the left
+    and the one to the right), as row-major indices padded with -1."""
     r0, c0, rows, cols = (v[:, None] for v in block.T)
     wide = cols + 2
-    return np.select([row == r0 - 1, row == r0 + rows, col == c0 - 1],
-                     [col - c0 + 1, wide + col - c0 + 1,
-                      2 * wide + row - r0],
-                     2 * wide + rows + row - r0)
+    step = np.arange(int((2 * (wide + rows)).max()))
+    down = step - 2 * wide
+    sides = [step < wide, step < 2 * wide, down < rows]
+    row = np.select(sides, [r0 - 1, r0 + rows, r0 + down], r0 + down - rows)
+    col = np.select(sides, [c0 - 1 + step, c0 - 1 + step - wide, c0 - 1],
+                    c0 + cols)
+    on = ((step < 2 * (wide + rows)) & (row >= 0) & (row < m) & (col >= 0)
+          & (col < m))
+    rank = np.cumsum(on, axis=1) - 1
+    ring = np.full((len(block), int(rank[:, -1].max()) + 1), -1)
+    f, k = np.nonzero(on)
+    ring[f, rank[f, k]] = row[f, k] * m + col[f, k]
+    return ring
 
 
-def _level(node, m, slots):
-    """The rings and entry maps of one depth of the tree.
+def _front_position(node, s, ring):
+    """Where a DOF sits in a front of ``node``'s depth (own DOF padded to
+    ``s``, ``ring`` the fronts' ring DOF padded with -1): own DOF ``start +
+    k`` at ``k``, a ring DOF at ``s`` plus its rank on the ring, and a DOF
+    numbered below ``start``, a descendant's, nowhere (-1).  Returns
+    ``position(front, dof)`` on arrays of fronts and of their DOF; ring
+    ranks come from a sorted search over the (front, DOF) keys."""
+    n = int(ring.max(initial=0)) + 1    # (front, DOF) keys: front n + DOF
+    f, rank = np.nonzero(ring >= 0)
+    key = f * n + ring[f, rank]
+    order = np.argsort(key)
+    key, rank = key[order], rank[order]
+    first = node.start.astype(np.int32)
+    end = first + (node.own[:, 2] * node.own[:, 3]).astype(np.int32)
 
-    Fronts whose blocks and own nodes have one shape share one template:
-    the couplings of their own nodes with their nine neighbours, relative
-    to the block, each to an own node (an entry of F11) or to a perimeter
-    step (of F21).  A front keeps a perimeter step's entry when that node
-    lies on the grid, at the node's place among the ring nodes that do.
-    Returns the own nodes (nf, s) and the ring nodes (nf, r, in perimeter
-    order) as row-major indices of the m-by-m block, padded with -1; each
-    front's ring index by perimeter step (nf, steps); and the entry map:
-    the flat position of each kept entry in the (nf, t, t) stack, its slot
-    in the pattern (``slots[9 i + t]`` is the slot of DOF i's coupling at
-    offset t), and each front's count.
-    """
-    nf = len(node.block)
-    r0, c0, rows, cols = node.block.T
-    own = own_positions(node, m)
-    s = own.shape[1]
-    shape = np.column_stack([rows, cols, node.own[:, :2] - node.block[:, :2],
-                             node.own[:, 2:]])
-    # own rows are 1 or the block's rows, own columns 1 or its columns
-    key = (shape[:, :4] @ (m + 1) ** np.arange(4) * 4
-           + 2 * (shape[:, 4] == rows) + (shape[:, 5] == cols))
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    shapes = shape[first]
-    groups = []
-    for g, (g_rows, g_cols, g_dr, g_dc, g_orows, g_ocols) in enumerate(shapes):
-        fronts = np.flatnonzero(group == g)
-        dr, dc = _perimeter(g_rows, g_cols)
-        row, col = r0[fronts, None] + dr, c0[fronts, None] + dc
-        on = (row >= 0) & (row < m) & (col >= 0) & (col < m)
-        groups.append((fronts, row * m + col, on, np.cumsum(on, axis=1) - 1))
-    r = max(int(on.sum(axis=1).max()) for _, _, on, _ in groups)
-    t = s + r + 1
-    ring = np.full((nf, r), -1, dtype=np.int64)
-    rank = np.zeros((nf, max(len(g[2][0]) for g in groups)), dtype=np.int64)
-    entries = []
-    for (fronts, pos, on, front_rank), (g_rows, g_cols, g_dr, g_dc, g_orows,
-                                        g_ocols) in zip(groups, shapes):
-        f, step = np.nonzero(on)
-        ring[fronts[f], front_rank[f, step]] = pos[f, step]
-        rank[fronts, :front_rank.shape[1]] = front_rank
-        # the template, relative to the block's first node
-        k = np.arange(g_orows * g_ocols)
-        krow = (g_dr + k // g_ocols)[:, None] + _DY
-        kcol = (g_dc + k % g_ocols)[:, None] + _DX
-        mine = ((krow >= g_dr) & (krow < g_dr + g_orows)
-                & (kcol >= g_dc) & (kcol < g_dc + g_ocols))
-        out = (krow < 0) | (krow >= g_rows) | (kcol < 0) | (kcol >= g_cols)
-        k_own, t_own = np.nonzero(mine)
-        k_ring, t_ring = np.nonzero(out)
-        ring_step = _perimeter_step(np.array([[0, 0, g_rows, g_cols]]),
-                                    krow[out][None], kcol[out][None])[0]
-        # flat positions in the stack and in slots
-        base = fronts[:, None] * (t * t)
-        dof = node.start[fronts][:, None]
-        within = np.concatenate([
-            k_own * t + (krow[mine] - g_dr) * g_ocols + kcol[mine] - g_dc,
-            k_ring])
-        row_of = np.concatenate([
-            np.zeros((len(fronts), len(k_own)), dtype=np.int64),
-            (s + np.take(front_rank, ring_step, axis=1)) * t], axis=1)
-        entries.append((
-            fronts, base + within + row_of,
-            np.take(slots, (np.concatenate([k_own, k_ring]) + dof) * 9
-                    + np.concatenate([t_own, t_ring])),
-            np.concatenate([np.ones((len(fronts), len(k_own)), dtype=bool),
-                            np.take(on, ring_step, axis=1)], axis=1)))
-    width = max(e[1].shape[1] for e in entries)
-    pos = np.zeros((nf, width), dtype=np.int64)
-    slot = np.zeros((nf, width), dtype=np.int32)
-    kept = np.zeros((nf, width), dtype=bool)
-    for fronts, e_pos, e_slot, e_kept in entries:
-        pos[fronts, :e_pos.shape[1]] = e_pos
-        slot[fronts, :e_pos.shape[1]] = e_slot
-        kept[fronts, :e_pos.shape[1]] = e_kept
-    return own, ring, rank, (pos[kept], slot[kept], kept.sum(axis=1))
+    def position(front, dof):
+        at = dof - first[front]
+        at[at < 0] = -1
+        out = np.flatnonzero(dof >= end[front])
+        at[out] = s + rank[np.searchsorted(
+            key, front[out].astype(np.int64) * n + dof[out])]
+        return at
+
+    return position
 
 
 @lru_cache(maxsize=None)
 def _symbolic(m):
     """Fronts, rings, entry maps and extend-add maps of an m-by-m block,
-    from grid arithmetic, one depth at a time."""
-    _, _, start = coupling_table(m)
+    one depth of :func:`homlab.grids.dissection_tree` at a time, root first.
+
+    A ring is the frame of nodes around a block (:func:`_rings`); the rest
+    follows from where a DOF sits in a front (:func:`_front_position`).
+    Row ``start + k`` of the block's CSR pattern
+    (:func:`homlab.grids.coupling_pattern`) holds the couplings of own DOF
+    ``k``: the entry in column ``c``, at position ``p``, goes to F11 at (k,
+    p) when c is own and to F21 at (p, k) when c is on the ring, and one in
+    a descendant's column is left out.  ``to_parent`` is the same lookup at
+    the parent's depth.  Rings keep perimeter order, the contraction order
+    of the backward sweep's product: another order would change the bits
+    of a solve.
+    """
+    indptr, indices = coupling_pattern(m)
     tree = dissection_tree(m)
-    dof = np.empty(m * m, dtype=np.int64)
+    dof = np.empty(m * m, dtype=np.int64)     # row-major index -> DOF
     dof[nested_dissection(m)] = np.arange(m * m)
-    slots = start[:, :-1].T.ravel()
-    geometry = [_level(node, m, slots) for node in tree]
-    sizes = [own.size for own, _, _, _ in geometry]
+    counts = [node.own[:, 2] * node.own[:, 3] for node in tree]
+    sizes = [len(count) * int(count.max()) for count in counts]
     size = sum(sizes)
     los = np.cumsum([0] + sizes[::-1])[::-1][1:]   # deepest level first
     slot = np.empty(m * m, dtype=np.intp)
-    for (own, _, _, _), lo in zip(geometry, los):
-        where = lo + np.arange(own.size).reshape(own.shape)
-        slot[dof[own[own >= 0]]] = where[own >= 0]
-    levels = []
-    for d, (node, (own, ring, _, entries), lo) in enumerate(
-            zip(tree, geometry, los)):
-        nf, s = own.shape
+    levels, parent = [], None
+    for d, (node, count, lo) in enumerate(zip(tree, counts, los)):
+        nf, s = len(count), int(count.max())
+        ring = _rings(node.block, m)
+        ring = np.where(ring >= 0, dof[ring], -1)
         r = ring.shape[1]
         t = s + r + 1
-        entry_pos, entry_slot, counts = entries
+        position = _front_position(node, s, ring)
+        f, k = _ranges(count)                   # own DOF start + k of front f
+        row = node.start.astype(np.int32)[f] + k
+        slot[row] = lo + f * s + k
+        # the entry map, off the CSR rows of the own DOF
+        e, j = _ranges(indptr[row + 1] - indptr[row])
+        j += indptr[row][e]
+        front, k = f[e], k[e]
+        del f, row, e
+        at = position(front, indices[j])
+        kept = at >= 0
+        front, k, at, j = front[kept], k[kept], at[kept], j[kept]
+        mine = at < s
         entry_ptr = np.zeros(nf + 1, dtype=np.int64)
-        np.cumsum(counts, out=entry_ptr[1:])
+        np.cumsum(np.bincount(front, minlength=nf), out=entry_ptr[1:])
         index = np.int32 if nf * t * t < 2 ** 31 else np.int64
-        pad = own < 0
-        # where each ring node of this level sits in its parent's front,
-        # and batches that each feed one batch of the parents
-        to_parent = np.full((nf, r), 0, dtype=np.intp)
+        entry_pos = ((front.astype(index) * t + np.where(mine, k, at)) * t
+                     + np.where(mine, at, k))
+        # where each ring DOF sits in its parent's front, and batches that
+        # each feed one batch of the parents
+        to_parent = np.zeros((nf, r), dtype=np.int32)
         per = max(1, _BATCH // (t * t))
         if d:
             halves = 2 * np.searchsorted(tree[d - 1].split, bounds)
             bounds = np.concatenate(
                 [np.arange(c0, c1, per) for c0, c1 in zip(halves, halves[1:])]
                 + [[nf]])
-            parent_node = tree[d - 1]
-            parents = np.repeat(parent_node.split, 2)
-            p_own, p_ring, p_rank, _ = geometry[d - 1]
-            ps, pr = p_own.shape[1], p_ring.shape[1]
-            prow0, pcol0, prows, pcols = (v[parents][:, None]
-                                          for v in parent_node.own.T)
-            rrow = np.where(ring >= 0, ring // m, -1)
-            rcol = np.where(ring >= 0, ring % m, -1)
-            mine = ((rrow >= prow0) & (rrow < prow0 + prows)
-                    & (rcol >= pcol0) & (rcol < pcol0 + pcols))
-            pstep = _perimeter_step(parent_node.block[parents], rrow, rcol)
-            prank = np.take_along_axis(
-                p_rank[parents], np.clip(pstep, 0, p_rank.shape[1] - 1),
-                axis=1)
-            to_parent = np.where(ring < 0, ps + pr,
-                                 np.where(mine,
-                                          (rrow - prow0) * pcols + rcol - pcol0,
-                                          ps + prank))
+            up, up_position, spare = parent
+            at = up_position(np.repeat(up, r), ring.ravel()).reshape(nf, r)
+            to_parent[:] = np.where(ring >= 0, at, spare)
         else:
             bounds = np.append(np.arange(0, nf, per), nf)
+        parent = np.repeat(node.split, 2), position, t - 1
+        pad = np.arange(s) >= count[:, None]
         levels.append(_Level(
             lo=int(lo), nf=nf, s=s, r=r, bounds=bounds,
-            ring=np.where(ring >= 0, slot[dof[np.clip(ring, 0, None)]], size),
-            entry_ptr=entry_ptr, entry_pos=entry_pos.astype(index),
-            entry_slot=entry_slot, pad=pad if pad.any() else None,
-            split=node.split.astype(np.intp),
-            to_parent=to_parent.astype(np.int32)))
+            ring=np.where(ring >= 0, slot[ring], size),
+            entry_ptr=entry_ptr, entry_pos=entry_pos, entry_slot=j,
+            pad=pad if pad.any() else None,
+            split=node.split.astype(np.intp), to_parent=to_parent))
     return _Symbolic(levels=tuple(levels[::-1]), slot=slot, size=int(size))
-
-
-def _pattern_data(op, m):
-    """``op``'s entries as a data vector on the block's CSR pattern
-    (:func:`homlab.grids.coupling_pattern`).  An operator on that
-    pattern's own index arrays passes its data as is; any other is mapped
-    onto it, and an entry outside the 9-point pattern raises UsageError."""
-    indptr, indices = coupling_pattern(m)
-    if (isinstance(op, sp.csr_matrix) and op.indices.shape == indices.shape
-            and op.indices.ctypes.data == indices.ctypes.data
-            and op.indptr.ctypes.data == indptr.ctypes.data):
-        return op.data
-    coo = sp.coo_matrix(op)
-    n = m * m
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    keys = rows * n + indices
-    want = coo.row.astype(np.int64) * n + coo.col
-    where = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    if keys.size == 0 or np.any(keys[where] != want):
-        raise UsageError("factorize needs a matrix within the 9-point "
-                         f"pattern of a {m} x {m} Dirichlet interior block")
-    data = np.zeros(keys.size)
-    np.add.at(data, where, coo.data)
-    return data
 
 
 class CholeskyFactor:
@@ -329,10 +264,11 @@ class CholeskyFactor:
 
 
 def cholesky(op):
-    """Multifrontal Cholesky factor of ``op``, an SPD matrix within the
-    9-point pattern of an m-by-m interior block in nested-dissection order
-    (m recovered from its size).  Another shape or pattern raises
-    UsageError; a matrix that is not positive definite raises SolverError.
+    """Multifrontal Cholesky factor of ``op``, an SPD interior matrix of a
+    DirichletGrid with an m-by-m interior block (m recovered from its size),
+    stored on the grid's own pattern arrays: one the grid assembled, or an
+    :func:`homlab.fem.add_scaled` sum.  Any other matrix raises UsageError;
+    one that is not positive definite raises SolverError.
     """
     n = op.shape[0]
     m = isqrt(n)
@@ -340,7 +276,13 @@ def cholesky(op):
         raise UsageError(
             f"factorize needs the interior matrix of a Dirichlet grid, "
             f"(m^2, m^2); got shape {op.shape}")
-    data = _pattern_data(op, m)
+    if not (isinstance(op, sp.csr_matrix)
+            and on_pattern(op, *coupling_pattern(m))):
+        raise UsageError(
+            "factorize needs an interior matrix on its DirichletGrid's own "
+            "pattern arrays: one the grid assembled, or an fem.add_scaled "
+            "sum of two")
+    data = op.data
     with _ANALYSIS_LOCK:
         sym = _symbolic(m)
     blocks = []

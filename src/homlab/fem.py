@@ -80,6 +80,7 @@ from .grids import (
     PeriodicGrid,
     full_size,
     gauss_rule,
+    on_pattern,
     shape_gradients,
     shape_values,
 )
@@ -124,12 +125,6 @@ def _scatter(grid, element_mats):
                          shape=(grid.ndof, grid.ndof))
 
 
-def _same_array(x, y):
-    """Whether ``x`` and ``y`` view the same memory (scipy's constructors
-    wrap the pattern's arrays in new views, so identity is not kept)."""
-    return x.shape == y.shape and x.ctypes.data == y.ctypes.data
-
-
 def add_scaled(a, beta, b):
     """``a + beta * b`` for two interior matrices on one grid's pattern.
 
@@ -139,8 +134,7 @@ def add_scaled(a, beta, b):
     relies on such entries being dropped.  Matrices on different index
     arrays raise UsageError.
     """
-    if not (_same_array(a.indices, b.indices)
-            and _same_array(a.indptr, b.indptr)):
+    if not on_pattern(b, a.indptr, a.indices):
         raise UsageError("add_scaled needs two interior matrices on the "
                          "same DirichletGrid pattern")
     n = a.shape[0]
@@ -388,9 +382,11 @@ def factorize(op):
     Every factored operator is an SPD interior matrix of a
     :class:`~homlab.grids.DirichletGrid`, already in the grid's
     nested-dissection order, so the factor is the multifrontal Cholesky on
-    that dissection's tree (:func:`homlab.cholesky.cholesky`).  A matrix of
-    another shape or pattern raises UsageError; one that is not positive
-    definite, an exactly singular one included, raises SolverError.
+    that dissection's tree (:func:`homlab.cholesky.cholesky`).  It takes
+    the grid's assembled matrices and their :func:`add_scaled` sums, which
+    share the grid's pattern arrays; any other matrix raises UsageError.
+    One that is not positive definite, an exactly singular one included,
+    raises SolverError.
     """
     # imported on first use: ``import homlab.cli`` compiles or loads every
     # module it reaches, and no stage before the first factor needs this one

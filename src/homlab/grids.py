@@ -165,7 +165,9 @@ _CORNER_X = np.array([0, 1, 1, 0])
 _CORNER_Y = np.array([0, 0, 1, 1])
 
 
-# (indptr, indices) per block size, shared by every grid and factor of it
+# (indptr, indices) per block size, shared by every grid and factor of it;
+# coupling_table's slot table is not kept, its one reader being the grid's
+# slot map
 _PATTERNS = {}
 
 
@@ -181,8 +183,8 @@ def coupling_table(m):
     candidates below it, so no sort is needed.  The arrays are read-only;
     ``indptr`` and ``indices`` are the block's shared ones
     (:func:`coupling_pattern`), while ``start`` is made anew on every call
-    and kept by nobody: its two readers, the grid's slot map and the
-    factor's analysis, each need it once per block size.
+    and kept by nobody: its one reader, the grid's slot map
+    (:func:`_interior_pattern`), needs it once per grid.
     """
     ndof = m * m
     perm = nested_dissection(m)
@@ -221,6 +223,14 @@ def coupling_pattern(m):
     shared by every grid and factor of an m-by-m block."""
     shared = _PATTERNS.get(m)
     return shared if shared is not None else coupling_table(m)[:2]
+
+
+def on_pattern(mat, indptr, indices):
+    """Whether the CSR matrix ``mat`` is stored on the arrays ``indptr`` and
+    ``indices`` themselves.  scipy's constructors wrap such arrays in new
+    views, so identity is not kept: this compares the memory they view."""
+    return all(x.shape == y.shape and x.ctypes.data == y.ctypes.data
+               for x, y in ((mat.indptr, indptr), (mat.indices, indices)))
 
 
 def _interior_pattern(grid):

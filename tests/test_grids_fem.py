@@ -48,6 +48,8 @@ from homlab.grids import (
     DirichletGrid,
     GridFunction,
     PeriodicGrid,
+    coupling_pattern,
+    dissection_tree,
     gauss_rule,
     interpolate,
     nested_dissection,
@@ -206,7 +208,7 @@ def test_first_separator_decouples_the_halves():
 def test_factor_solves_match_a_dense_solve():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.5, DirichletGrid(32))
-    mat = p.operator - eps_sigma_bound(p) * p.mass_interior()
+    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
     lu = factorize(mat)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(p.grid.ndof),
@@ -249,6 +251,67 @@ def test_factor_solves_match_a_dense_solve_on_uneven_dissections(n, eps):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def frame(block, m):
+    """The nodes of an m-by-m block around ``block`` (first row, first
+    column, rows, columns), row-major: the row above and the row below,
+    each with both corners, then the column to the left and the one to the
+    right."""
+    r0, c0, rows, cols = (int(v) for v in block)
+    across = range(c0 - 1, c0 + cols + 1)
+    nodes = ([(r0 - 1, c) for c in across] + [(r0 + rows, c) for c in across]
+             + [(r, c0 - 1) for r in range(r0, r0 + rows)]
+             + [(r, c0 + cols) for r in range(r0, r0 + rows)])
+    return [r * m + c for r, c in nodes if 0 <= r < m and 0 <= c < m]
+
+
+@pytest.mark.parametrize("m", [5, 17, 33, 67, 71])
+def test_fronts_hold_their_own_and_ring_couplings(m):
+    """Filled through the analysis's entry maps from a random symmetric
+    matrix A on the pattern, every front is [[A[own, own], 0], [A[own,
+    ring]^T, 0]], zero elsewhere, with ``own`` its DOF range and ``ring``
+    the frame around its block from the dissection's geometry; every child
+    ring DOF sits where ``to_parent`` says in its parent's front.  Blocks
+    not of size 2^p - 1 give fronts of several shapes at one depth, and
+    leaves beside separators."""
+    n = m * m
+    indptr, indices = coupling_pattern(m)
+    rng = np.random.default_rng(m)
+    upper = sp.triu(sp.csr_matrix((rng.standard_normal(indices.size),
+                                   indices, indptr), shape=(n, n)))
+    mat = (upper + sp.triu(upper, 1).T).tocsr()
+    mat.sort_indices()
+    assert np.array_equal(mat.indices, indices)
+    dof = np.argsort(nested_dissection(m))      # row-major index -> DOF
+    tree = dissection_tree(m)
+    sym = homlab.cholesky._symbolic(m)
+    levels = sym.levels[::-1]                   # root first, as the tree
+    fronts = []                                 # each front's DOF, by depth
+    for node, lv in zip(tree, levels):
+        stack = np.zeros(lv.nf * lv.t * lv.t)
+        stack[lv.entry_pos] = mat.data[lv.entry_slot]
+        stack = stack.reshape(lv.nf, lv.t, lv.t)
+        fronts.append([])
+        for f in range(lv.nf):
+            size = int(node.own[f, 2] * node.own[f, 3])
+            own = np.arange(node.start[f], node.start[f] + size)
+            ring = dof[frame(node.block[f], m)]
+            rows = mat[own]
+            want = np.zeros((lv.t, lv.t))
+            want[:size, :size] = rows[:, own].toarray()
+            want[lv.s:lv.s + ring.size, :size] = rows[:, ring].toarray().T
+            assert np.array_equal(stack[f], want)
+            assert np.array_equal(lv.ring[f, :ring.size], sym.slot[ring])
+            fronts[-1].append(list(own) + [-1] * (lv.s - size) + list(ring))
+    for d in range(1, len(tree)):
+        parent_t = levels[d - 1].t
+        for f, front in enumerate(fronts[d]):
+            parent = fronts[d - 1][tree[d - 1].split[f // 2]]
+            ring = front[levels[d].s:]
+            want = [parent.index(c) for c in ring]
+            want += [parent_t - 1] * (levels[d].r - len(ring))
+            assert levels[d].to_parent[f].tolist() == want
+
+
 def test_factor_matches_superlu_on_an_eps_pencil():
     """At n = 256 the factor solves as SuperLU's LU of the same matrix did,
     to 1e-12 relative."""
@@ -263,30 +326,29 @@ def test_factor_matches_superlu_on_an_eps_pencil():
             <= 1e-12 * np.max(np.abs(ref)))
 
 
-def test_factorize_takes_any_matrix_within_the_pattern():
-    """A diagonal matrix and a scipy difference, on index arrays of their
-    own, factor and solve like the grid's own matrices."""
-    grid = DirichletGrid(10)
-    rng = np.random.default_rng(10)
-    diag = 1.0 + rng.random(grid.ndof)
-    rhs = rng.standard_normal(grid.ndof)
-    assert np.allclose(factorize(sp.diags(diag).tocsr()).solve(rhs),
-                       rhs / diag, rtol=1e-14, atol=0.0)
-    mass = assemble_mass(grid)
-    shifted = laplacian(grid) - (-3.0) * mass
-    assert not np.shares_memory(shifted.indices, grid.pattern.indices)
-    x = factorize(shifted).solve(rhs)
-    assert np.allclose(shifted @ x, rhs, rtol=0.0, atol=1e-12)
-
-
-def test_factorize_rejects_an_entry_outside_the_pattern():
-    grid = DirichletGrid(10)
+def _far_coupled(grid):
+    """The Laplacian with a coupling between the first and the last DOF,
+    outside the 9-point pattern."""
     op = laplacian(grid).tolil()
     far = int(np.flatnonzero(grid.interior == grid.interior.max())[0])
     near = int(np.flatnonzero(grid.interior == grid.interior.min())[0])
     op[near, far] = op[far, near] = -1e-3
-    with pytest.raises(UsageError):
-        factorize(op.tocsr())
+    return op.tocsr()
+
+
+@pytest.mark.parametrize("make", [
+    _far_coupled,
+    lambda grid: sp.diags(np.linspace(1.0, 2.0, grid.ndof)).tocsr(),
+    lambda grid: laplacian(grid) - (-3.0) * assemble_mass(grid),
+], ids=["outside-the-pattern", "diagonal", "scipy-sum"])
+def test_factorize_rejects_an_entry_outside_the_pattern(make):
+    """factorize takes only matrices on the grid's own pattern arrays: one
+    with a coupling outside the pattern, a diagonal one and a scipy sum (on
+    index arrays of their own) are refused, naming the way to build a sum
+    that is taken."""
+    mat = make(DirichletGrid(10))
+    with pytest.raises(UsageError, match="add_scaled"):
+        factorize(mat)
 
 
 def test_two_threads_solve_as_one_after_the_other():
