@@ -132,20 +132,20 @@ def _rings(block, m):
     return ring
 
 
-def _front_position(node, s, ring):
-    """Where a DOF sits in a front of ``node``'s depth (own DOF padded to
-    ``s``, ``ring`` the fronts' ring DOF padded with -1): own DOF ``start +
-    k`` at ``k``, a ring DOF at ``s`` plus its rank on the ring, and a DOF
-    numbered below ``start``, a descendant's, nowhere (-1).  Returns
-    ``position(front, dof)`` on arrays of fronts and of their DOF; ring
-    ranks come from a sorted search over the (front, DOF) keys."""
+def _front_position(start, count, s, ring):
+    """Where a DOF sits in a front of one depth (own DOF ``start .. start +
+    count - 1`` padded to ``s``, ``ring`` the ring DOF padded with -1): own
+    DOF ``start + k`` at ``k``, a ring DOF at ``s`` plus its rank on the
+    ring, and a DOF numbered below ``start``, a descendant's, nowhere (-1).
+    Returns ``position(front, dof)`` on arrays of fronts and of their DOF;
+    ring ranks come from a sorted search over the (front, DOF) keys."""
     n = int(ring.max(initial=0)) + 1    # (front, DOF) keys: front n + DOF
     f, rank = np.nonzero(ring >= 0)
     key = f * n + ring[f, rank]
     order = np.argsort(key)
     key, rank = key[order], rank[order]
-    first = node.start.astype(np.int32)
-    end = first + (node.own[:, 2] * node.own[:, 3]).astype(np.int32)
+    first = start.astype(np.int32)
+    end = first + count.astype(np.int32)
 
     def position(front, dof):
         at = dof - first[front]
@@ -190,7 +190,7 @@ def _symbolic(m):
         ring = np.where(ring >= 0, dof[ring], -1)
         r = ring.shape[1]
         t = s + r + 1
-        position = _front_position(node, s, ring)
+        position = _front_position(node.start, count, s, ring)
         f, k = _ranges(count)                   # own DOF start + k of front f
         row = node.start.astype(np.int32)[f] + k
         slot[row] = lo + f * s + k
