@@ -93,11 +93,12 @@ def build_expansion(u_eps: GridFunction,
             "some input field violates its boundary condition")
 
     diff = GridFunction(grid, u_eps.values - u_0.values)
-    h1_w = float(np.hypot(h1_seminorm(w), l2_norm(w)))
-    h1_plain = float(np.hypot(h1_seminorm(diff), l2_norm(diff)))
+    l2_w, l2_plain = l2_norm(w), l2_norm(diff)
     return CorrectorExpansion(
-        epsilon=float(epsilon), w=w, h1_w=h1_w, l2_w=float(l2_norm(w)),
-        h1_plain=h1_plain, l2_plain=float(l2_norm(diff)))
+        epsilon=float(epsilon), w=w,
+        h1_w=float(np.hypot(h1_seminorm(w), l2_w)), l2_w=l2_w,
+        h1_plain=float(np.hypot(h1_seminorm(diff), l2_plain)),
+        l2_plain=l2_plain)
 
 
 def _boundary_abs_max(gf: GridFunction) -> float:

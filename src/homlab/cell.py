@@ -180,11 +180,11 @@ def solve_cell(model, n, tol=1e-10):
     ``tol`` is the relative residual tolerance of the corrector CG solves.
     """
     grid = PeriodicGrid(n)
-    # The assembly's samples of A are freed before its scatter, the stage's
-    # memory peak, so A and W are sampled again only after it.
-    stiff = fem.assemble_stiffness(grid, fem.quad_samples(grid, model.a_eval))
-    lap_solve = fem.torus_laplace_solver(grid)
+    # One sample of A serves the assembly too: the stage's memory peak is
+    # the finer-rule cross-flux check, not the assembly's scatter.
     a = fem.quad_samples(grid, model.a_eval)
+    stiff = fem.assemble_stiffness(grid, a)
+    lap_solve = fem.torus_laplace_solver(grid)
     chi = solve_chi(grid, stiff, lap_solve, a, tol)
     a_hat = effective_matrix(grid, chi, a)
     w = fem.quad_samples(grid, model.w_eval)

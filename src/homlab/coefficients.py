@@ -159,7 +159,7 @@ def validate(model):
     n = 64  # lattice points per axis
     ys = (np.arange(n) + 0.31) / n  # avoid grid-aligned zeros
     y1, y2 = np.meshgrid(ys, ys, indexing="ij")
-    a = model.a_eval(y1, y2)
+    a, w = model.a_eval(y1, y2), model.w_eval(y1, y2)
     failures = []
 
     sym = float(np.max(np.abs(a[..., 0, 1] - a[..., 1, 0])))
@@ -178,7 +178,7 @@ def validate(model):
         a_shift = model.a_eval(y1 + z[0], y2 + z[1])
         w_shift = model.w_eval(y1 + z[0], y2 + z[1])
         per = max(per, float(np.max(np.abs(a_shift - a))),
-                  float(np.max(np.abs(w_shift - model.w_eval(y1, y2)))))
+                  float(np.max(np.abs(w_shift - w))))
     if per > 1e-12:
         failures.append(f"coefficients not unit-periodic: defect {per:.3e}")
 

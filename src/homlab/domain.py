@@ -28,7 +28,8 @@ preconditions conjugate gradients on ``L_eps`` with the factor of
 
 No eigensolve happens here.  The sign hypothesis is read off a spectrum the
 caller already has (:func:`coercivity_check`), so each operator's spectrum
-is computed once, by :mod:`homlab.spectral`.
+is computed once, by :mod:`homlab.spectral`, at the problem's own shift
+(``EpsProblem.sigma``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .errors import CoercivityError, ConfigurationError, SolverError
 from .fem import (
     add_scaled,
     apply_tensor,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
@@ -70,6 +70,7 @@ __all__ = [
     "constant_matrix",
     "homogenized_lower_bound",
     "galerkin_energy_defect",
+    "rayleigh_quadrature_defect",
 ]
 
 
@@ -91,7 +92,12 @@ class EpsProblem:
       when ``W`` is zero;
     - ``lifts``: interior loads ``-(K x_j)`` of the two corrector problems,
       ``x_j`` the nodal coordinate ``j`` (j = 1, 2), ``K`` the stiffness on
-      every node.
+      every node;
+    - ``sigma``: ``min(0, min_q W_q) / eps - 1`` over the samples ``M_W``
+      is assembled from (-1 when ``W`` is zero), strictly below the
+      spectrum of ``operator``: the diffusion part is nonnegative and
+      ``M_W - (min_q W_q) M`` is positive semidefinite, since ``M_W`` has
+      the mass's positive quadrature weights.
 
     ``A`` is sampled once at the quadrature points; the stiffness and the
     lifts both read those samples.  Since ``grad x_j = e_j``, ``K x_j`` is
@@ -122,10 +128,12 @@ class EpsProblem:
         del a  # freed before M_W is assembled
         if model.w_preset == "zero":
             self.operator = self.diffusion
+            self.sigma = -1.0
         else:
-            mw = assemble_weighted_mass(grid, quad_samples(
-                grid, _scaled(model.w_eval, self.epsilon)))
+            w = quad_samples(grid, _scaled(model.w_eval, self.epsilon))
+            mw = assemble_weighted_mass(grid, w)
             self.operator = add_scaled(self.diffusion, 1.0 / self.epsilon, mw)
+            self.sigma = min(0.0, float(np.min(w))) / self.epsilon - 1.0
         self._mass_int: Optional[sp.csr_matrix] = None
 
     def mass_interior(self) -> sp.csr_matrix:
@@ -207,8 +215,9 @@ def constant_matrix(a_hat: np.ndarray):
 
 
 def solve_eps(problem: EpsProblem, coercivity: CoercivityReport,
-              lu) -> GridFunction:
-    """Solve the oscillatory Dirichlet problem; returns the full nodal field.
+              rhs: np.ndarray, *, lu) -> GridFunction:
+    """Solve the oscillatory Dirichlet problem with the interior load
+    ``rhs``; returns the full nodal field.
 
     ``coercivity`` is the report of :func:`coercivity_check`.  A report with
     ``coercive=False`` stops the solve with :class:`CoercivityError`: the
@@ -227,8 +236,6 @@ def solve_eps(problem: EpsProblem, coercivity: CoercivityReport,
             f"first eigenvalue {coercivity.lambda_eps_1:.6g} <= 0 at "
             f"epsilon={problem.epsilon}: the bilinear form is not coercive",
             lambda_1=coercivity.lambda_eps_1)
-    rhs = problem.grid.restrict(
-        assemble_load(problem.grid, problem.model.f_eval))
     try:
         inner = cg_solve(problem.operator, rhs, tol=1e-13,
                          precond=lu.solve)
@@ -256,10 +263,11 @@ def homogenized_lower_bound(a_hat: np.ndarray) -> float:
 def solve_homogenized(a_hat: np.ndarray,
                       m_w_chi_w: float,
                       grid: DirichletGrid,
-                      f_eval: Callable[..., np.ndarray],
+                      rhs: np.ndarray,
                       *, lu) -> GridFunction:
     """Solve the effective problem  -div(a_hat grad u) + m u = f,  u = 0 on
-    the boundary, with constant ``a_hat`` and constant zeroth-order ``m``.
+    the boundary, with constant ``a_hat`` and constant zeroth-order ``m``;
+    ``rhs`` is the interior load ``(f, N_a)`` on ``grid``.
 
     ``lu`` is the caller's :func:`homlab.fem.factorize` factor of the
     interior matrix ``K + m M`` on ``grid``, ``K`` the stiffness of
@@ -277,7 +285,6 @@ def solve_homogenized(a_hat: np.ndarray,
             "the effective operator may be singular or indefinite")
     if grid.periodic:
         raise ConfigurationError("solve_homogenized needs a Dirichlet grid")
-    rhs = grid.restrict(assemble_load(grid, f_eval))
     return GridFunction(grid, grid.extend(lu.solve(rhs)))
 
 
@@ -336,3 +343,24 @@ def galerkin_energy_defect(problem: EpsProblem, u: GridFunction) -> float:
     quad = problem.quadrature_energies([u.values])[0][0]
     scale = max(abs(quad), abs(op_energy), 1e-300)
     return abs(op_energy - quad) / scale
+
+
+def rayleigh_quadrature_defect(problem: EpsProblem,
+                               spectrum: Spectrum) -> np.ndarray:
+    """Relative gap between each eigenvalue and its Rayleigh quotient
+    recomputed by direct quadrature of the fields.
+
+    Uses the assembly rule on the assembled coefficients, so this is a
+    route-consistency probe (matrix algebra vs. field integration), not a
+    discretization-error estimate; a finer rule would differ at O(h^2).
+    ``problem``'s :meth:`EpsProblem.quadrature_energies` does the
+    integration.
+    """
+    grid = problem.grid
+    integrals = problem.quadrature_energies(
+        grid.extend(spectrum.eigenvectors[:, j]) for j in range(spectrum.k))
+    defects = np.empty(spectrum.k)
+    for j, (energy, mass) in enumerate(integrals):
+        lam = spectrum.eigenvalues[j]
+        defects[j] = abs(energy / mass - lam) / max(abs(lam), 1e-30)
+    return defects

@@ -35,9 +35,8 @@ result is made full size once, by ``np.broadcast_to`` and a reshape to
 inputs as on full per-point coordinate arrays, so its bits are too.  (The
 same idea, applied to whole operators, is the sum factorization of
 tensor-product spectral elements; Orszag, J. Comput. Phys. 1980.)
-:func:`stiffness_elements`, :func:`weighted_mass_elements` and the
-assemblies built on them take samples; :func:`assemble_load` samples the
-load callable it is given.
+:func:`stiffness_elements`, :func:`weighted_mass_elements`, the
+assemblies built on them and the load vectors all take samples.
 
 On a DirichletGrid every assembled matrix is the interior one, summed from
 the element matrices straight into the grid's read-only CSR pattern
@@ -203,9 +202,7 @@ def assemble_mass(grid):
 def assemble_weighted_mass(grid, w):
     """Mass matrix weighted by a scalar field from ``w``, its samples at the
     quadrature points of every cell (:func:`quad_samples`), (ncells, nq)."""
-    elem = weighted_mass_elements(grid, w)
-    del w  # as in assemble_stiffness
-    return _scatter(grid, elem)
+    return _scatter(grid, weighted_mass_elements(grid, w))
 
 
 def weighted_mass_elements(grid, w):
@@ -222,15 +219,10 @@ def _scatter_vector(grid, element_vecs):
                        minlength=grid.nnodes)
 
 
-def assemble_load(grid, f_eval):
-    """Load vector (f, N_a) with f sampled at quadrature points."""
-    f = quad_samples(grid, f_eval)
-    _check_finite(f, "load")
-    return load_from_quad_values(grid, f)
-
-
 def load_from_quad_values(grid, qvals):
-    """Load vector (g, N_a) from values g already tabulated at quadrature points."""
+    """Load vector (g, N_a) from values g already tabulated at quadrature
+    points; a non-finite value raises AssemblyError naming its cell."""
+    _check_finite(qvals, "load")
     return _scatter_vector(grid, grid.h ** 2 * (qvals @ _LOAD))
 
 

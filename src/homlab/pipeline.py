@@ -36,8 +36,8 @@ run, by its task: after ``solve``, ``eigs`` finds them all and only adds the
 Rayleigh defects; run without ``solve``, it submits the missing spectrum
 tasks to one pool the same way.  The operators are assembled once per run
 by ``Experiment._assemble``, on the main thread before the first task
-starts: the domain grid, the interior mass, the effective stiffness and
-one :class:`EpsProblem` per scale, which assembles its operators when built;
+starts: the domain grid, the interior mass and load, the effective
+stiffness and one :class:`EpsProblem` per scale, which assembles its own;
 ``cell`` alone builds none of them.  All of them share the grid's one
 interior sparsity pattern, and no full-grid matrix is built.  No factor
 outlives its task; the freed heap goes back to the OS after the assembly,
@@ -81,6 +81,7 @@ from .domain import (
     constant_matrix,
     galerkin_energy_defect,
     homogenized_lower_bound,
+    rayleigh_quadrature_defect,
     solve_dirichlet_correctors,
     solve_eps,
     solve_homogenized,
@@ -97,6 +98,7 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     factorize,
+    load_from_quad_values,
     quad_samples,
 )
 from .grids import DirichletGrid, GridFunction, interpolate
@@ -105,9 +107,7 @@ from .spectral import (
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
-    eps_sigma_bound,
     first_eigenvalue_comparison,
-    rayleigh_quadrature_defect,
     shift_spectrum,
 )
 
@@ -274,13 +274,14 @@ class Experiment:
         # the run's domain grid and operators, built once by _assemble
         self.domain_grid: Optional[DirichletGrid] = None
         self.mass: Optional[sp.csr_matrix] = None  # interior mass
+        self.load: Optional[np.ndarray] = None  # interior load (f, N_a)
+        self.f_l2: Optional[float] = None  # ||f||, from the load's samples
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
         self.operators: Dict[str, Tuple[sp.csr_matrix, float,
                                         Optional[EpsProblem]]] = {}
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
-        self.f_l2: Optional[float] = None
         self.per_eps: Dict[float, _EpsArtifacts] = {}
         self.spectra: Dict[str, Spectrum] = {}  # keyed by csv tag
         self.rayleigh_defects: Dict[str, float] = {}
@@ -308,7 +309,8 @@ class Experiment:
     def _assemble(self) -> None:
         """Build the domain grid and every operator of the run, once: the
         interior mass, the effective stiffness ``K`` of ``a_hat`` and one
-        :class:`EpsProblem` per scale.  Needs the cell stage's ``a_hat``.
+        :class:`EpsProblem` per scale; and sample f once, for the interior
+        load every solve takes and ``f_l2``.  Needs the cell's ``a_hat``.
         Each is assembled straight into the grid's one interior pattern, so
         all share its read-only index arrays, and the shifted matrices the
         tasks factor (``op - sigma M``) and ``hom``'s ``K + mM`` are sums of
@@ -333,8 +335,8 @@ class Experiment:
           Otherwise sigma = -1, and :func:`solve_homogenized` refuses to
           solve.  ``hom``, which adds the effective potential, has no row:
           it is this spectrum moved by ``m``.
-        - ``eps:<label>``, the oscillatory operator ``L_eps``: sigma =
-          :func:`eps_sigma_bound`, one below ``min(0, min_q W_q) / eps``.
+        - ``eps:<label>``, the oscillatory operator ``L_eps``: sigma is
+          :attr:`EpsProblem.sigma`, one below ``min(0, min_q W_q) / eps``.
         - ``eps_prime:<label>``, the oscillatory diffusion ``K_eps``:
           sigma = 0.  ``K_eps`` is the Dirichlet stiffness of an SPD
           coefficient, so it is SPD.
@@ -345,6 +347,10 @@ class Experiment:
         cs = self.cell_solution
         m = float(cs.m_w_chi_w)
         self.mass = assemble_mass(grid)
+        fq = quad_samples(grid, self.model.f_eval)
+        self.load = grid.restrict(load_from_quad_values(grid, fq))
+        self.f_l2 = float(np.sqrt(grid.h ** 2
+                                  * np.einsum("q,cq->", QUAD_W, fq ** 2)))
         hom_stiffness = assemble_stiffness(
             grid, quad_samples(grid, constant_matrix(cs.a_hat)))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
@@ -355,7 +361,7 @@ class Experiment:
         for eps, problem in self.problems.items():
             label = eps_label(eps)
             self.operators[f"eps:{label}"] = (
-                problem.operator, eps_sigma_bound(problem), problem)
+                problem.operator, problem.sigma, problem)
             self.operators[f"eps_prime:{label}"] = (
                 problem.diffusion, 0.0, problem)
 
@@ -389,13 +395,12 @@ class Experiment:
         cs = self.cell_solution
         if kind == "hom_prime":
             return spectrum, solve_homogenized(
-                cs.a_hat, cs.m_w_chi_w, self.domain_grid, self.model.f_eval,
-                lu=lu)
+                cs.a_hat, cs.m_w_chi_w, self.domain_grid, self.load, lu=lu)
         if kind == "eps_prime":
             return spectrum, solve_dirichlet_correctors(problem, lu=lu)
         coercivity = coercivity_check(spectrum, cs.m_w_chi_w)
         return spectrum, (coercivity,
-                          solve_eps(problem, coercivity=coercivity, lu=lu))
+                          solve_eps(problem, coercivity, self.load, lu=lu))
 
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
@@ -489,10 +494,6 @@ class Experiment:
         cfg = self.cfg
         with _task_pool(cfg.effective_workers()) as pool:
             futures = self._submit_operator_tasks(pool, solve=True)
-            # ||f|| by the same quadrature that assembles everything else
-            fq = quad_samples(self.domain_grid, self.model.f_eval)
-            self.f_l2 = float(np.sqrt(self.domain_grid.h ** 2
-                                      * np.einsum("q,cq->", QUAD_W, fq ** 2)))
             self.u_0 = self._collect(futures, "hom_prime")
             finish = {}
             for eps, problem in self.problems.items():

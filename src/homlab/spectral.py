@@ -14,7 +14,8 @@ product, sign-fixed, and residual-checked; failures raise
 :class:`SpectralError`, naming the operator's tag and scale, rather than
 returning dubious pairs.  A spectrum shifted by a multiple of the mass
 matrix (:func:`shift_spectrum`) reuses the eigenvectors and is checked the
-same way.
+same way.  Nothing here reads a problem or its coefficients: the shift
+below an oscillatory spectrum is ``homlab.domain.EpsProblem.sigma``.
 
 Eigensolves run on the pipeline's pool threads, several at a time.  The
 two Gram-Schmidt products of a Lanczos step, each a matrix times a vector,
@@ -38,14 +39,11 @@ import scipy.sparse as sp
 
 from .config import K_MAX
 from .errors import ConfigurationError, SpectralError
-from .fem import quad_axes
 
 __all__ = [
     "Spectrum",
     "eigs",
     "shift_spectrum",
-    "eps_sigma_bound",
-    "rayleigh_quadrature_defect",
     "first_eigenvalue_comparison",
     "eigenvalue_gap_rows",
     "cluster_projection",
@@ -130,8 +128,8 @@ def eigs(op: sp.csr_matrix,
     ``seed``.  ``sigma`` is required and must lie strictly below the
     smallest eigenvalue: the iteration finds the eigenvalues nearest to it,
     so a shift above lambda_1 returns wrong pairs that still pass the
-    residual check.  Callers with scaled potentials pass
-    :func:`eps_sigma_bound`.  ``lu`` is the caller's
+    residual check; an oscillatory operator's is its problem's
+    ``EpsProblem.sigma``.  ``lu`` is the caller's
     :func:`homlab.fem.factorize` factor of ``op - sigma * mass``, the
     shift-invert operator.  ``tol`` is the relative residual each returned
     pair must meet; the iteration runs until every pair meets a tenth of
@@ -303,44 +301,6 @@ def shift_spectrum(spectrum: Spectrum, shift: float,
     return _checked_spectrum(op, mass, spectrum.eigenvalues + shift,
                              spectrum.eigenvectors, tol, tag,
                              spectrum.epsilon, solves=0)
-
-
-def eps_sigma_bound(problem) -> float:
-    """A shift strictly below the bottom of the oscillatory spectrum.
-
-    ``problem`` is an :class:`homlab.domain.EpsProblem`.  The diffusion part
-    is nonnegative, and the weighted mass is assembled from ``W`` at the
-    quadrature points by the same positive-weight rule as the mass, so
-    ``M_W - (min_q W_q) M`` is positive semidefinite.  Every eigenvalue is
-    therefore at least ``(1/epsilon) min(0, min_q W_q)``, and the shift sits
-    one below that.
-    """
-    eps = problem.epsilon
-    x1, x2 = quad_axes(problem.grid)
-    # The minimum over the samples before they are made full size: the
-    # same set of values.
-    wmin = float(np.min(problem.model.w_eval(x1 / eps, x2 / eps)))
-    return min(0.0, wmin) / eps - 1.0
-
-
-def rayleigh_quadrature_defect(problem, spectrum: Spectrum) -> np.ndarray:
-    """Relative gap between each eigenvalue and its Rayleigh quotient
-    recomputed by direct quadrature of the fields.
-
-    Uses the assembly rule on the assembled coefficients, so this is a
-    route-consistency probe (matrix algebra vs. field integration), not a
-    discretization-error estimate; a finer rule would differ at O(h^2).
-    ``problem`` is an :class:`homlab.domain.EpsProblem`, whose
-    ``quadrature_energies`` does the integration.
-    """
-    grid = problem.grid
-    integrals = problem.quadrature_energies(
-        grid.extend(spectrum.eigenvectors[:, j]) for j in range(spectrum.k))
-    defects = np.empty(spectrum.k)
-    for j, (energy, mass) in enumerate(integrals):
-        lam = spectrum.eigenvalues[j]
-        defects[j] = abs(energy / mass - lam) / max(abs(lam), 1e-30)
-    return defects
 
 
 def first_eigenvalue_comparison(epsilon: float,

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: the acceptance-criterion scoreboard, the
-factors that ``eigs`` and the domain solves take, and an independent COO
-oracle for the assembled matrices.
+factors and loads that ``eigs`` and the domain solves take, and an
+independent COO oracle for the assembled matrices.
 
 Each acceptance test records one line before asserting, so the summary block
 at the end of every run lists PASS/FAIL for all criteria regardless of where
@@ -18,11 +18,12 @@ from homlab.fem import (
     assemble_mass,
     assemble_stiffness,
     factorize,
+    load_from_quad_values,
     quad_axes,
     quad_samples,
 )
 from homlab.grids import shape_gradients, shape_values
-from homlab.spectral import eigs, eps_sigma_bound
+from homlab.spectral import eigs
 
 _ACCEPTANCE_LINES = {}
 
@@ -46,14 +47,20 @@ def effective_factor(grid, a_hat, m=0.0):
     return factor(k, assemble_mass(grid), -m)
 
 
+def interior_load(grid, f_eval):
+    """The interior load ``(f, N_a)`` of ``f_eval`` on a DirichletGrid, as
+    the pipeline hands it to the domain solves."""
+    return grid.restrict(load_from_quad_values(grid,
+                                               quad_samples(grid, f_eval)))
+
+
 def eps_factor_and_report(p):
     """What the pipeline's ``eps`` task hands :func:`solve_eps`: the factor
-    of ``L_eps - sigma M`` at :func:`eps_sigma_bound`, and the coercivity
-    report read from the first eigenvalue it finds."""
-    sigma = eps_sigma_bound(p)
+    of ``L_eps - sigma M`` at the problem's own shift ``p.sigma``, and the
+    coercivity report read from the first eigenvalue it finds."""
     op = p.operator
-    lu = factor(op, p.mass_interior(), sigma)
-    spectrum = eigs(op, p.mass_interior(), 1, sigma=sigma, lu=lu,
+    lu = factor(op, p.mass_interior(), p.sigma)
+    spectrum = eigs(op, p.mass_interior(), 1, sigma=p.sigma, lu=lu,
                     epsilon=p.epsilon)
     return lu, coercivity_check(spectrum, 0.0)
 

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import effective_factor, eps_factor_and_report, factor, shifted_eigs
+from conftest import (
+    effective_factor,
+    eps_factor_and_report,
+    factor,
+    interior_load,
+    shifted_eigs,
+)
 from homlab.analysis import (
     build_expansion,
     flux_table,
@@ -62,8 +68,9 @@ def identity_pieces():
     grid = DirichletGrid(64)
     p = EpsProblem(model, 0.25, grid)
     lu, report = eps_factor_and_report(p)
-    u_eps = solve_eps(p, coercivity=report, lu=lu)
-    u_0 = solve_homogenized(np.eye(2), 0.0, grid, model.f_eval,
+    u_eps = solve_eps(p, report, interior_load(grid, model.f_eval), lu=lu)
+    u_0 = solve_homogenized(np.eye(2), 0.0, grid,
+                            interior_load(grid, model.f_eval),
                             lu=effective_factor(grid, np.eye(2)))
     dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
     cs = solve_cell(model, 16)
@@ -90,7 +97,8 @@ def test_expansion_rejects_nonzero_trace(identity_pieces):
 def test_expansion_rejects_grid_mismatch(identity_pieces):
     model, grid, p, u_eps, u_0, dc, chi_w_s = identity_pieces
     other = DirichletGrid(32)
-    u0_other = solve_homogenized(np.eye(2), 0.0, other, model.f_eval,
+    u0_other = solve_homogenized(np.eye(2), 0.0, other,
+                                 interior_load(other, model.f_eval),
                                  lu=effective_factor(other, np.eye(2)))
     with pytest.raises(UsageError):
         build_expansion(u_eps, u0_other, dc, chi_w_s, 0.25)

@@ -187,7 +187,8 @@ def corrector_systems(model, grid):
     a = fem.quad_samples(grid, model.a_eval)
     stiff = fem.assemble_stiffness(grid, a)
     rhs = [-fem.flux_load_from_quad_values(grid, a[..., :, k]) for k in range(2)]
-    rhs.append(-fem.assemble_load(grid, model.w_eval))
+    rhs.append(-fem.load_from_quad_values(
+        grid, fem.quad_samples(grid, model.w_eval)))
     return stiff, rhs
 
 

@@ -194,9 +194,9 @@ def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
         solve_lu["hom_prime", None] = lu
         return real_homogenized(*args, lu=lu)
 
-    def solve_eps(problem, **kwargs):
-        solve_lu["eps", problem.epsilon] = kwargs["lu"]
-        return real_solve_eps(problem, **kwargs)
+    def solve_eps(problem, *args, lu):
+        solve_lu["eps", problem.epsilon] = lu
+        return real_solve_eps(problem, *args, lu=lu)
 
     monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
     monkeypatch.setattr(homlab.pipeline, "solve_dirichlet_correctors",

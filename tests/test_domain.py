@@ -9,6 +9,7 @@ from conftest import (
     effective_factor,
     eps_factor_and_report,
     factor,
+    interior_load,
     oracle_elements,
     oracle_matrix,
 )
@@ -26,7 +27,6 @@ from homlab.domain import (
 )
 from homlab.errors import CoercivityError, ConfigurationError, SolverError
 from homlab.fem import (
-    assemble_load,
     assemble_stiffness,
     cg_solve,
     l2_norm,
@@ -51,10 +51,16 @@ def eps_spectrum(p, k=1):
     return eigs(op, mass, k, sigma=-300.0, lu=lu, epsilon=p.epsilon), lu
 
 
+def f_load(p):
+    """The interior load of ``p``'s f, which the pipeline samples once per
+    run and hands to every solve."""
+    return interior_load(p.grid, p.model.f_eval)
+
+
 def solved_eps(p):
     """u_eps as the pipeline's ``eps`` task solves it."""
     lu, report = eps_factor_and_report(p)
-    return solve_eps(p, coercivity=report, lu=lu)
+    return solve_eps(p, report, f_load(p), lu=lu)
 
 
 def correctors(p):
@@ -95,7 +101,7 @@ def test_poisson_solve_second_order():
     errs = {}
     for n in (32, 64):
         grid = DirichletGrid(n)
-        u = solve_homogenized(np.eye(2), 0.0, grid, f,
+        u = solve_homogenized(np.eye(2), 0.0, grid, interior_load(grid, f),
                               lu=effective_factor(grid, np.eye(2)))
         c = grid.node_coords()
         exact = np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1])
@@ -147,7 +153,7 @@ def test_coercivity_flag_goes_false_without_raising():
     assert report.epsilon == 0.5
     assert report.lambda_eps_1 == pytest.approx(-74.718, abs=0.5)
     with pytest.raises(CoercivityError):
-        solve_eps(p, coercivity=report, lu=lu)
+        solve_eps(p, report, f_load(p), lu=lu)
 
 
 def test_coercivity_report_on_sound_problem():
@@ -159,7 +165,7 @@ def test_coercivity_report_on_sound_problem():
     assert report.epsilon == 0.25
     assert report.lambda_eps_1 == spectrum.eigenvalues[0] > 0
     assert report.m_w_chi_w == -0.006
-    u = solve_eps(p, coercivity=report, lu=lu)
+    u = solve_eps(p, report, f_load(p), lu=lu)
     assert np.isfinite(u.values).all()
 
 
@@ -172,7 +178,8 @@ def test_homogenized_sign_hypothesis_guard():
     bad_m = -(2 * np.pi ** 2) - 1.0
     # the factor the pipeline holds then: K + M, from its fallback shift -1
     with pytest.raises(ConfigurationError) as exc:
-        solve_homogenized(np.eye(2), bad_m, grid, lambda x, y: np.ones_like(x),
+        solve_homogenized(np.eye(2), bad_m, grid,
+                          interior_load(grid, lambda x, y: np.ones_like(x)),
                           lu=effective_factor(grid, np.eye(2), 1.0))
     assert "sign hypothesis" in str(exc.value)
 
@@ -255,7 +262,7 @@ def test_direct_solves_match_a_tight_cg_reference():
         return np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     u = solved_eps(p)
-    rhs = grid.restrict(assemble_load(grid, model.f_eval))
+    rhs = f_load(p)
     ref = cg_solve(p.operator, rhs, tol=1e-13)
     assert close(grid.restrict(u.values), ref)
 
@@ -283,10 +290,10 @@ def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
                    DirichletGrid(64))
     lu, report = eps_factor_and_report(p)
     assert report.coercive
-    rhs = p.grid.restrict(assemble_load(p.grid, p.model.f_eval))
+    rhs = f_load(p)
     direct = p.grid.extend(factor(p.operator).solve(rhs))
     calls = counting_cg(monkeypatch)
-    pcg = solve_eps(p, coercivity=report, lu=lu).values
+    pcg = solve_eps(p, report, rhs, lu=lu).values
     assert len(calls) == 1 and calls[0]["precond"] == lu.solve
     assert np.max(np.abs(pcg - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -297,7 +304,7 @@ def test_pcg_failure_names_epsilon(monkeypatch):
     lu, report = eps_factor_and_report(p)
     counting_cg(monkeypatch, max_iter=1)
     with pytest.raises(SolverError, match="epsilon=0.25") as exc:
-        solve_eps(p, coercivity=report, lu=lu)
+        solve_eps(p, report, f_load(p), lu=lu)
     assert exc.value.iterations == 1
 
 
@@ -312,5 +319,5 @@ def test_noncoercive_report_stops_the_solve_before_cg(monkeypatch):
     assert not report.coercive
     calls = counting_cg(monkeypatch)
     with pytest.raises(CoercivityError):
-        solve_eps(p, coercivity=report, lu=lu)
+        solve_eps(p, report, f_load(p), lu=lu)
     assert calls == []

@@ -29,6 +29,7 @@ from homlab.fem import (
     apply_tensor,
     assemble_mass,
     assemble_stiffness,
+    assemble_weighted_mass,
     boundary_flux,
     cell_gradients,
     cell_values,
@@ -56,7 +57,7 @@ from homlab.grids import (
     shape_gradients,
     shape_values,
 )
-from homlab.spectral import eps_sigma_bound, shift_spectrum
+from homlab.spectral import shift_spectrum
 
 
 def identity_a(x1, x2):
@@ -208,7 +209,7 @@ def test_first_separator_decouples_the_halves():
 def test_factor_solves_match_a_dense_solve():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.5, DirichletGrid(32))
-    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
+    mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     lu = factorize(mat)
     rng = np.random.default_rng(8)
     for rhs in (rng.standard_normal(p.grid.ndof),
@@ -240,7 +241,7 @@ def test_factor_solves_match_a_dense_solve_on_uneven_dissections(n, eps):
     separators.  The reference is a dense-band Cholesky solve."""
     model = make_preset("layered", "sine-mix")
     p = EpsProblem(model, eps, DirichletGrid(n))
-    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
+    mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     lu = factorize(mat)
     rng = np.random.default_rng(n)
     for rhs in (rng.standard_normal(p.grid.ndof),
@@ -319,7 +320,7 @@ def test_factor_matches_superlu_on_an_eps_pencil():
 
     p = EpsProblem(make_preset("smooth-iso", "sine1"), 1 / 16,
                    DirichletGrid(256))
-    mat = add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior())
+    mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     rhs = np.random.default_rng(256).standard_normal(p.grid.ndof)
     ref = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
     assert (np.max(np.abs(factorize(mat).solve(rhs) - ref))
@@ -358,7 +359,7 @@ def test_two_threads_solve_as_one_after_the_other():
     for eps in (0.5, 0.25):
         p = EpsProblem(make_preset("smooth-iso", "sine1"), eps,
                        DirichletGrid(64))
-        factors.append(factorize(add_scaled(p.operator, -eps_sigma_bound(p),
+        factors.append(factorize(add_scaled(p.operator, -p.sigma,
                                             p.mass_interior())))
         rhs.append(np.random.default_rng(64).standard_normal(
             (p.grid.ndof, 2)))
@@ -379,7 +380,7 @@ def test_threads_factoring_one_grid_size_share_one_analysis():
     not yet cached and the interpreter switching threads often: the
     analysis is made once, and every solve has the bits of a serial one."""
     p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(33))
-    mats = [add_scaled(p.operator, -eps_sigma_bound(p), p.mass_interior()),
+    mats = [add_scaled(p.operator, -p.sigma, p.mass_interior()),
             p.diffusion]
     rhs = np.random.default_rng(33).standard_normal(p.grid.ndof)
     serial = [factorize(mat).solve(rhs) for mat in mats]
@@ -617,6 +618,23 @@ def assemble_nan_diffusion():
     assemble_stiffness(grid, quad_samples(grid, a_eval))
 
 
+def nan_samples(grid, cell):
+    """Samples of a scalar field at the assembly rule, NaN in ``cell``."""
+    vals = np.ones((grid.ncells, len(QUAD_W)))
+    vals[cell, 2] = np.nan
+    return vals
+
+
+def assemble_nan_load():
+    grid = DirichletGrid(4)
+    load_from_quad_values(grid, nan_samples(grid, 5))
+
+
+def assemble_nan_weight():
+    grid = DirichletGrid(4)
+    assemble_weighted_mass(grid, nan_samples(grid, 9))
+
+
 def sample_a_flat_callable():
     # a callable written for flat coordinate arrays
     quad_samples(PeriodicGrid(4), lambda x1, x2: np.ravel(x1 + x2))
@@ -649,6 +667,9 @@ ERROR_CASES = [
     (sum_across_patterns, UsageError, "same DirichletGrid pattern"),
     (assemble_nan_diffusion, AssemblyError,
      "non-finite diffusion sample in cell 3$"),
+    (assemble_nan_load, AssemblyError, "non-finite load sample in cell 5$"),
+    (assemble_nan_weight, AssemblyError,
+     "non-finite weight sample in cell 9$"),
     (sample_a_flat_callable, UsageError,
      r"returned shape \(64,\), which does not broadcast to the grid's "
      r"\(4, 4, 2, 2\)"),

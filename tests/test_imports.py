@@ -1,7 +1,8 @@
 """Every module-level import in the package and its tests is read somewhere
 in its module, every module-level private name of the package is read
-somewhere in the package, and every name a package module lists in
-``__all__`` exists.
+somewhere in the package, every name a package module lists in
+``__all__`` exists, and :mod:`homlab.spectral` imports nothing from the
+package but ``config`` and ``errors``.
 
 No linter ships with the project, so these AST scans stand in for one on the
 rule that matters most for a package that deletes code: an import or a
@@ -131,3 +132,39 @@ def test_every_all_entry_resolves(stem):
         "homlab" if stem == "__init__" else f"homlab.{stem}")
     assert [name for name in getattr(module, "__all__", ())
             if not hasattr(module, name)] == []
+
+
+def package_imports(source):
+    """The package's modules that ``source`` imports anywhere, relative
+    (``from .fem import x``, ``from . import fem``) or absolute
+    (``import homlab.fem``, ``from homlab import fem``), by their name in
+    the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = (".".join(filter(None, ("homlab", node.module)))
+                    if node.level else node.module or "")
+            targets = ([f"{base}.{alias.name}" for alias in node.names]
+                       if base == "homlab" else [base])
+        elif isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in targets
+                  if name.startswith("homlab.")}
+    return found
+
+
+def test_spectral_reads_no_problem():
+    """The eigensolver takes matrices, shifts and factors; the grids, the
+    assembly and the problems stay out of it."""
+    source = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"config", "errors"}
+
+
+def test_the_scan_sees_a_package_import():
+    assert package_imports(
+        "import numpy\nfrom .fem import quad_axes\nfrom . import grids\n"
+        "import homlab.domain\nfrom homlab import analysis\n"
+        "def f():\n    from .cholesky import c\n"
+    ) == {"fem", "grids", "domain", "analysis", "cholesky"}

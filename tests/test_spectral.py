@@ -11,7 +11,11 @@ import scipy.sparse as sp
 
 from conftest import factor, quad_points, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
-from homlab.domain import EpsProblem, constant_matrix
+from homlab.domain import (
+    EpsProblem,
+    constant_matrix,
+    rayleigh_quadrature_defect,
+)
 from homlab.errors import ConfigurationError, SpectralError
 from homlab.fem import (
     add_scaled,
@@ -29,9 +33,7 @@ from homlab.spectral import (
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
-    eps_sigma_bound,
     first_eigenvalue_comparison,
-    rayleigh_quadrature_defect,
     shift_spectrum,
 )
 
@@ -254,7 +256,7 @@ def test_eps_sigma_bound_is_the_quadrature_minimum():
         p = EpsProblem(make_preset("identity", preset), eps, DirichletGrid(n))
         pts = quad_points(p.grid)
         w_q = p.model.w_eval(pts[..., 0] / eps, pts[..., 1] / eps)
-        assert eps_sigma_bound(p) == min(0.0, float(np.min(w_q))) / eps - 1.0
+        assert p.sigma == min(0.0, float(np.min(w_q))) / eps - 1.0
 
 
 def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
@@ -281,14 +283,14 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
                               p.mass_interior().toarray(), eigvals_only=True,
                               subset_by_index=(0, 0))[0]
     assert lam_1 < -1.0  # the lattice minimum, zero, would give -1
-    assert eps_sigma_bound(p) < lam_1
+    assert p.sigma < lam_1
 
 
 def test_rayleigh_quotients_match_direct_quadrature():
     model = make_preset("smooth-iso", "sine1")
     p = EpsProblem(model, 0.25, DirichletGrid(64))
     spec = shifted_eigs(p.operator, p.mass_interior(), 3,
-                        sigma=eps_sigma_bound(p), epsilon=0.25)
+                        sigma=p.sigma, epsilon=0.25)
     defect = rayleigh_quadrature_defect(p, spec)
     assert np.max(defect) < 1e-10
 
