@@ -180,11 +180,13 @@ def solve_cell(model, n, tol=1e-10):
     ``tol`` is the relative residual tolerance of the corrector CG solves.
     """
     grid = PeriodicGrid(n)
-    # One sample of A serves the assembly too: the stage's memory peak is
-    # the finer-rule cross-flux check, not the assembly's scatter.
-    a = fem.quad_samples(grid, model.a_eval)
-    stiff = fem.assemble_stiffness(grid, a)
+    # The assembly gets samples of A of its own, freed before its scatter:
+    # holding one sample through it raised the stage's peak RSS by 0.6 MB
+    # at n = 384 (layered + sine-mix), though tracemalloc's peak, in the
+    # finer-rule cross-flux check, stayed the same.
+    stiff = fem.assemble_stiffness(grid, fem.quad_samples(grid, model.a_eval))
     lap_solve = fem.torus_laplace_solver(grid)
+    a = fem.quad_samples(grid, model.a_eval)
     chi = solve_chi(grid, stiff, lap_solve, a, tol)
     a_hat = effective_matrix(grid, chi, a)
     w = fem.quad_samples(grid, model.w_eval)
