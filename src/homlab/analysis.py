@@ -198,8 +198,6 @@ def jacobian_check(correctors: DirichletCorrectors) -> float:
     near = (centers < correctors.epsilon) | (centers > 1.0 - correctors.epsilon)
     mask2d = near[:, None] | near[None, :]  # index [iy, ix]
     cells = np.flatnonzero(mask2d.ravel())
-    if cells.size == 0:
-        cells = np.arange(grid.ncells)  # layer thinner than one cell row
     # d1x = d(phi_1)/dx1 at the quadrature points of those cells, and so on
     (d1x, d1y), (d2x, d2y) = (
         [cell_values(grid, g.values)[cells] for g in recover_gradient(phi)]

@@ -6,8 +6,8 @@ Solves the periodic corrector problems
      div(A grad chi_w)         = W          (potential corrector)
 
 with zero-mean solutions, and derives the effective diffusion matrix and the
-effective potential constant.  Two consistency numbers go with them: the
-cell mean of the flux corrector b = a_hat - A - A grad chi, and the
+effective potential constant.  Consistency numbers go with them: the
+potential energy identity, the cross-flux identity at a finer rule, and the
 compatibility (zero-mean) defects of the right-hand sides of the auxiliary
 Laplace problems the paper builds from the correctors.  All right-hand sides
 are quadrature-sampled; compatibility (zero mean) is enforced before solving.
@@ -116,16 +116,6 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     return np.abs(flux_avg - pot_avg)
 
 
-def _flux_field(grid, chi, a_hat, xi, a):
-    """b = a_hat - A - A grad chi at the reference rule xi, where ``a`` is A
-    sampled at that rule."""
-    out = a_hat - a
-    for j in range(2):
-        g = fem.cell_gradients(grid, chi[j].values, xi)
-        out[..., :, j] -= fem.apply_tensor(a, g)
-    return out
-
-
 def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w):
     """Compatibility check of the three auxiliary Laplace problems
 
@@ -169,9 +159,7 @@ class CellSolution:
     m_w_chi_w: float
     energy_identity_residual: float
     cross_flux_defect: np.ndarray
-    flux_corrector_mean_abs: float  # max |cell mean| of the entries of b
     aux_compat_defects: np.ndarray
-    mean_abs: dict
 
 
 def solve_cell(model, n, tol=1e-10):
@@ -195,20 +183,12 @@ def solve_cell(model, n, tol=1e-10):
     m_w = effective_potential(grid, chi_w, w)
     resid = potential_energy_identity_residual(grid, chi_w, m_w, a)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
-    flux_mean = float(np.abs(fem.integrate(
-        grid, _flux_field(grid, chi, a_hat, fem.QUAD_XI, a))).max())
     compat_tol = max(10.0 * float(defect.max()), 1e-10)
     return CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
         m_w_chi_w=m_w, energy_identity_residual=resid, cross_flux_defect=defect,
-        flux_corrector_mean_abs=flux_mean,
         aux_compat_defects=solve_aux_potentials(grid, chi, chi_w, m_w,
-                                                compat_tol, a, w),
-        mean_abs={
-            "chi1": abs(float(np.mean(chi[0].values))),
-            "chi2": abs(float(np.mean(chi[1].values))),
-            "chi_w": abs(float(np.mean(chi_w.values))),
-        })
+                                                compat_tol, a, w))
 
 
 def sample_periodic(gf, x1, x2, epsilon=1.0):

@@ -452,9 +452,7 @@ class Experiment:
             "m_w_chi_w": float(cs.m_w_chi_w),
             "energy_identity_residual": float(cs.energy_identity_residual),
             "cross_flux_defect": [float(v) for v in cs.cross_flux_defect],
-            "field_mean_abs": {k: float(v) for k, v in cs.mean_abs.items()},
             "aux_compat_defects": [float(v) for v in cs.aux_compat_defects],
-            "flux_corrector_mean_abs": cs.flux_corrector_mean_abs,
             "validation": {
                 "ok": self.validation.ok,
                 "failures": list(self.validation.failures),

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .config import K_MAX
@@ -101,8 +100,7 @@ def _orthonormalize(vecs: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
             "eigenvector Gram matrix is not positive definite; "
             "the solver returned a degenerate basis") from err
     # gram = L L^T, so V L^-T is M-orthonormal: its transpose solves L X = V^T
-    return np.asarray(scipy.linalg.solve_triangular(
-        chol, vecs.T, lower=True)).T
+    return np.linalg.solve(chol, vecs.T).T
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:

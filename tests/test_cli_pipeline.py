@@ -631,18 +631,31 @@ def test_cli_pins_openblas_threads_unless_set(preset, threads):
     assert done.stdout.strip() == threads
 
 
-def test_cli_import_leaves_the_factor_module_unloaded():
-    """``import homlab.cli`` does not load ``homlab.cholesky``: the factor
-    module is imported on first use (``fem.factorize``), and the set-up
-    time of every command depends on it staying out."""
+def loaded_by_cli_import(module):
+    """``"True"`` or ``"False"``: whether a fresh ``import homlab.cli`` puts
+    ``module`` in ``sys.modules``."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(homlab.pipeline.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = "import sys, homlab.cli; print('homlab.cholesky' in sys.modules)"
+    probe = f"import sys, homlab.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_the_factor_module_unloaded():
+    """``import homlab.cli`` does not load ``homlab.cholesky``: the factor
+    module is imported on first use (``fem.factorize``), and the set-up
+    time of every command depends on it staying out."""
+    assert loaded_by_cli_import("homlab.cholesky") == "False"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    """``import homlab.cli`` does not load ``scipy.linalg``: scipy serves
+    only the sparse matrices, and numpy.linalg makes every dense
+    factorization and solve."""
+    assert loaded_by_cli_import("scipy.linalg") == "False"
 
 
 def test_benchmark_span_targets_resolve():

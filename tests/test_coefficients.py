@@ -7,7 +7,6 @@ from homlab.coefficients import (
     W_PRESETS,
     CoefficientModel,
     make_preset,
-    quadrature_mean_w,
     validate,
 )
 from homlab.errors import ConfigurationError
@@ -71,9 +70,3 @@ def test_validate_flags_broken_model_without_raising():
     joined = " ".join(report.failures)
     assert "symmetr" in joined
     assert "mean" in joined
-
-
-def test_quadrature_mean_w_vanishes_on_presets():
-    for w in W_PRESETS:
-        model = make_preset("identity", w_preset=w)
-        assert abs(quadrature_mean_w(model, 32)) < 1e-15
