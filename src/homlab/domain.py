@@ -17,19 +17,22 @@ shared sparsity pattern (:attr:`homlab.grids.DirichletGrid.pattern`), so
 ``L_eps`` is a sum of their data vectors (:func:`homlab.fem.add_scaled`);
 no full-grid matrix is built.
 
-Nothing here factors a matrix.  Every solve takes the caller's Cholesky
-factor (:func:`homlab.fem.factorize`), the one the pipeline's operator task
-made for that operator's shift-invert eigensolve:
-:func:`solve_homogenized` solves with the factor of the effective
-operator, :func:`solve_dirichlet_correctors` with the factor of the
-diffusion matrix, shared by both corrector problems, and :func:`solve_eps`
+Nothing here factors a matrix.  Every oscillatory solve takes the caller's
+Cholesky factor (:func:`homlab.fem.factorize`), the one the pipeline's
+operator task made for that operator's shift-invert eigensolve:
+:func:`solve_dirichlet_correctors` solves with the factor of the diffusion
+matrix, shared by both corrector problems, and :func:`solve_eps`
 preconditions conjugate gradients on ``L_eps`` with the factor of
-``L_eps - sigma M``.
+``L_eps - sigma M``.  The effective operator needs none: with constant
+diagonal ``a_hat`` its Q1 pencil is a Kronecker sum of 1-D pencils, so its
+eigenpairs (:func:`effective_eigenpairs`) and its solve
+(:func:`solve_homogenized`) are closed forms in the 1-D sine vectors (fast
+diagonalization: Lynch, Rice & Thomas, Numer. Math. 1964).
 
-No eigensolve happens here.  The sign hypothesis is read off a spectrum the
-caller already has (:func:`coercivity_check`), so each operator's spectrum
-is computed once, by :mod:`homlab.spectral`, at the problem's own shift
-(``EpsProblem.sigma``).
+No iterative eigensolve happens here.  The sign hypothesis is read off a
+spectrum the caller already has (:func:`coercivity_check`), so each
+oscillatory operator's spectrum is computed once, by
+:mod:`homlab.spectral`, at the problem's own shift (``EpsProblem.sigma``).
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "CoercivityReport",
     "solve_eps",
     "solve_homogenized",
+    "effective_eigenpairs",
     "solve_dirichlet_correctors",
     "coercivity_check",
     "constant_matrix",
@@ -260,21 +264,84 @@ def homogenized_lower_bound(a_hat: np.ndarray) -> float:
     return 2.0 * np.pi ** 2 * lam_min
 
 
+#: Largest |a_hat_12| or |a_hat_21|, relative to max |a_hat_ii|, that the
+#: closed forms treat as zero; every preset's a_hat is diagonal to round-off.
+_OFF_DIAGONAL_TOL = 1e-12
+
+
+def _sine_pencil(a_hat: np.ndarray, grid: DirichletGrid
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """The effective pencil ``K v = lambda M v`` in the 1-D sine basis.
+
+    ``K`` is the interior Q1 stiffness of the constant diagonal ``a_hat``
+    on ``grid`` and ``M`` the interior mass.  Both are Kronecker products
+    of the 1-D matrices ``K_1 = tridiag(-1, 2, -1) / h`` and
+    ``M_1 = h tridiag(1, 4, 1) / 6``, whose common eigenvectors are
+    ``sin(p pi x_i)``, p = 1..n-1, with eigenvalues
+    ``r_p = (12 / h^2) sin^2(p pi h / 2) / (2 + cos(p pi h))``.  The sin^2
+    form keeps full relative accuracy at small p, where
+    ``1 - cos(p pi h)`` cancels.
+
+    Returns ``lam`` with ``lam[q, p] = a_11 r_p + a_22 r_q`` (p the x_1
+    mode, q the x_2 mode) and the ``(n-1, n-1)`` matrix ``s`` whose column
+    p - 1 is ``sin(p pi x_i)`` normalized in ``M_1`` (its squared norm is
+    ``(2 + cos(p pi h)) / 6``).  An off-diagonal entry of ``a_hat`` above
+    :data:`_OFF_DIAGONAL_TOL` times ``max |a_hat_ii|`` raises
+    :class:`ConfigurationError` naming it.
+    """
+    a_hat = np.asarray(a_hat, dtype=float)
+    scale = max(abs(a_hat[0, 0]), abs(a_hat[1, 1]))
+    for i, j in ((0, 1), (1, 0)):
+        if abs(a_hat[i, j]) > _OFF_DIAGONAL_TOL * scale:
+            raise ConfigurationError(
+                f"a_hat_{i + 1}{j + 1} = {a_hat[i, j]:.6g} exceeds "
+                f"{_OFF_DIAGONAL_TOL:g} max |a_hat_ii|: the effective "
+                "operator's closed form needs a diagonal a_hat")
+    n, h = grid.n, grid.h
+    p = np.arange(1, n)
+    cos = np.cos(np.pi * h * p)
+    r = (12.0 / h ** 2) * np.sin(0.5 * np.pi * h * p) ** 2 / (2.0 + cos)
+    # sin(pi i p / n), with i p reduced modulo 2n in exact integers
+    s = np.sin(np.pi * h * (np.outer(p, p) % (2 * n))) * np.sqrt(
+        6.0 / (2.0 + cos))
+    return a_hat[1, 1] * r[:, None] + a_hat[0, 0] * r[None, :], s
+
+
+def effective_eigenpairs(a_hat: np.ndarray, grid: DirichletGrid,
+                         k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k`` Dirichlet eigenpairs of ``-div(a_hat grad .)`` on
+    ``grid``'s Q1 space, in closed form (:func:`_sine_pencil`).
+
+    Returns the eigenvalues ascending, as ``(k,)``, and the M-orthonormal
+    eigenvectors ``sin(p pi x_1) sin(q pi x_2)``, scaled, as ``(ndof, k)``
+    columns in the grid's DOF order.  Equal eigenvalues keep the order of
+    ``lam.ravel()``, so the pairs are the same on every run.
+    """
+    lam, s = _sine_pencil(a_hat, grid)
+    order = np.argsort(lam, axis=None, kind="stable")[:k]
+    q, p = np.unravel_index(order, lam.shape)
+    full = np.zeros((order.size, grid.n + 1, grid.n + 1))
+    full[:, 1:-1, 1:-1] = s[:, q].T[:, :, None] * s[:, p].T[:, None, :]
+    return lam.ravel()[order], grid.restrict(
+        full.reshape(order.size, grid.nnodes)).T
+
+
 def solve_homogenized(a_hat: np.ndarray,
                       m_w_chi_w: float,
                       grid: DirichletGrid,
-                      rhs: np.ndarray,
-                      *, lu) -> GridFunction:
+                      rhs: np.ndarray) -> GridFunction:
     """Solve the effective problem  -div(a_hat grad u) + m u = f,  u = 0 on
-    the boundary, with constant ``a_hat`` and constant zeroth-order ``m``;
-    ``rhs`` is the interior load ``(f, N_a)`` on ``grid``.
+    the boundary, with constant diagonal ``a_hat`` and constant
+    zeroth-order ``m``; ``rhs`` is the interior load ``(f, N_a)`` on
+    ``grid``.
 
-    ``lu`` is the caller's :func:`homlab.fem.factorize` factor of the
-    interior matrix ``K + m M`` on ``grid``, ``K`` the stiffness of
-    ``a_hat`` and ``M`` the mass.  The sign hypothesis is enforced up front:
-    ``m`` must exceed the negative of the first diffusion eigenvalue, for
-    which the rigorous bound ``2 pi^2 lambda_min(a_hat)`` stands in.
-    Violations raise :class:`ConfigurationError` before ``lu`` is used.
+    The interior matrix ``K + m M`` is diagonal in the M-orthonormal sine
+    basis ``S`` (:func:`_sine_pencil`), so ``u = S (S^T b S / (lam + m))
+    S^T`` on the interior nodes, ``b`` the load as an array: four dense
+    products of ``(n-1)``-square matrices.  The sign hypothesis is enforced
+    up front: ``m`` must exceed the negative of the first diffusion
+    eigenvalue, for which the rigorous bound ``2 pi^2 lambda_min(a_hat)``
+    stands in.  Violations raise :class:`ConfigurationError`.
     """
     m = float(m_w_chi_w)
     bound = homogenized_lower_bound(a_hat)
@@ -285,7 +352,10 @@ def solve_homogenized(a_hat: np.ndarray,
             "the effective operator may be singular or indefinite")
     if grid.periodic:
         raise ConfigurationError("solve_homogenized needs a Dirichlet grid")
-    return GridFunction(grid, grid.extend(lu.solve(rhs)))
+    lam, s = _sine_pencil(a_hat, grid)
+    full = grid.extend(rhs).reshape(grid.n + 1, grid.n + 1)
+    full[1:-1, 1:-1] = s @ ((s.T @ full[1:-1, 1:-1] @ s) / (lam + m)) @ s.T
+    return GridFunction(grid, full.ravel())
 
 
 @dataclass

@@ -11,14 +11,12 @@ aborts the run with that stage's exit code; the artifact being written at
 that moment keeps a ``.partial`` suffix so truncated files never masquerade
 as finished ones.
 
-The unit of parallel work is one Dirichlet operator, and one task
-(``Experiment._operator_task``) serves them all.  It factors the operator
-at its certified shift (the table that ``Experiment._assemble`` builds),
-runs the shift-invert eigensolve with that factor, does the operator's
-linear solves with the same factor (in ``solve``), and drops it:
+The unit of parallel work is one oscillatory Dirichlet operator, and one
+task (``Experiment._operator_task``) serves them all.  It factors the
+operator at its certified shift (the table that ``Experiment._assemble``
+builds), runs the shift-invert eigensolve with that factor, does the
+operator's linear solves with the same factor (in ``solve``), and drops it:
 
-- ``hom_prime``: eigensolve ``K``, then ``u_0``; ``hom`` is this spectrum
-  moved by ``m``, with no task of its own;
 - ``eps_prime:<label>``: eigensolve ``K_eps``, then the two Dirichlet
   correctors;
 - ``eps:<label>``: eigensolve ``L_eps``, then the coercivity report and
@@ -27,21 +25,28 @@ linear solves with the same factor (in ``solve``), and drops it:
   stage).
 
 This task is the only place that factors: :mod:`homlab.domain` and
-:mod:`homlab.spectral` solve with the factor it passes them.
+:mod:`homlab.spectral` solve with the factor it passes them.  The effective
+operator has no task and no factor.  Its diffusion ``K`` (tag
+``hom_prime``) has constant diagonal ``a_hat``, so its pairs and ``u_0``
+are closed forms (:func:`effective_eigenpairs`, :func:`solve_homogenized`),
+which the main thread computes before the first task is submitted; the
+pairs pass the same residual check against the assembled ``K`` as an
+eigensolve's (:func:`checked_spectrum`).  ``hom`` is that spectrum moved by
+``m``, checked against ``K + mM``; ``K`` is dropped after the two checks.
 
-``solve`` submits all ``1 + 2 |epsilons|`` tasks to one thread pool and,
-as each scale's inputs arrive, that scale's finish task (expansion,
-Jacobian, energy defect).  Each operator's spectrum is computed once per
-run, by its task: after ``solve``, ``eigs`` finds them all and only adds the
-Rayleigh defects; run without ``solve``, it submits the missing spectrum
-tasks to one pool the same way.  The operators are assembled once per run
-by ``Experiment._assemble``, on the main thread before the first task
-starts: the domain grid, the interior mass and load, the effective
-stiffness and one :class:`EpsProblem` per scale, which assembles its own;
-``cell`` alone builds none of them.  All of them share the grid's one
-interior sparsity pattern, and no full-grid matrix is built.  No factor
-outlives its task; the freed heap goes back to the OS after the assembly,
-after each factorization and after each task (:func:`_release_heap`).
+``solve`` submits all ``2 |epsilons|`` tasks to one thread pool and, as
+each scale's inputs arrive, that scale's finish task (expansion, Jacobian,
+energy defect).  Each operator's spectrum is computed once per run: after
+``solve``, ``eigs`` finds them all and only adds the Rayleigh defects; run
+without ``solve``, it computes the missing ones the same way.  The
+operators are assembled once per run by ``Experiment._assemble``, on the
+main thread before the first task starts: the domain grid, the interior
+mass and load, the effective stiffness and one :class:`EpsProblem` per
+scale, which assembles its own; ``cell`` alone builds none of them.  All of
+them share the grid's one interior sparsity pattern, and no full-grid
+matrix is built.  No factor outlives its task; the freed heap goes back to
+the OS after the assembly and the closed forms, after each factorization
+and after each task (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -79,8 +84,8 @@ from .domain import (
     EpsProblem,
     coercivity_check,
     constant_matrix,
+    effective_eigenpairs,
     galerkin_energy_defect,
-    homogenized_lower_bound,
     rayleigh_quadrature_defect,
     solve_dirichlet_correctors,
     solve_eps,
@@ -104,6 +109,7 @@ from .fem import (
 from .grids import DirichletGrid, GridFunction, interpolate
 from .spectral import (
     Spectrum,
+    checked_spectrum,
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
@@ -276,9 +282,11 @@ class Experiment:
         self.mass: Optional[sp.csr_matrix] = None  # interior mass
         self.load: Optional[np.ndarray] = None  # interior load (f, N_a)
         self.f_l2: Optional[float] = None  # ||f||, from the load's samples
+        # K of a_hat, until the effective pairs are checked against it
+        self.hom_stiffness: Optional[sp.csr_matrix] = None
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
         self.operators: Dict[str, Tuple[sp.csr_matrix, float,
-                                        Optional[EpsProblem]]] = {}
+                                        EpsProblem]] = {}
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
@@ -308,17 +316,19 @@ class Experiment:
 
     def _assemble(self) -> None:
         """Build the domain grid and every operator of the run, once: the
-        interior mass, the effective stiffness ``K`` of ``a_hat`` and one
-        :class:`EpsProblem` per scale; and sample f once, for the interior
-        load every solve takes and ``f_l2``.  Needs the cell's ``a_hat``.
-        Each is assembled straight into the grid's one interior pattern, so
-        all share its read-only index arrays, and the shifted matrices the
-        tasks factor (``op - sigma M``) and ``hom``'s ``K + mM`` are sums of
-        data vectors (:func:`add_scaled`).
+        interior mass, the effective stiffness ``K`` of ``a_hat``
+        (``hom_stiffness``, against which :meth:`_effective_spectra`
+        checks the closed-form pairs) and one :class:`EpsProblem` per
+        scale; and sample f once, for the interior load every solve takes
+        and ``f_l2``.  Needs the cell's ``a_hat``.  Each is assembled
+        straight into the grid's one interior pattern, so all share its
+        read-only index arrays, and the shifted matrices the tasks factor
+        (``op - sigma M``) and ``hom``'s ``K + mM`` are sums of data
+        vectors (:func:`add_scaled`).
 
-        ``self.operators`` tables them by spectrum tag as (operator, shift
-        sigma, its problem or None), in the order their tasks are
-        submitted.  Each shift must lie strictly below its operator's
+        ``self.operators`` tables the oscillatory operators by spectrum tag
+        as (operator, shift sigma, its problem), in the order their tasks
+        are submitted.  Each shift must lie strictly below its operator's
         spectrum, as the shift-invert eigensolve needs to find the lowest
         pairs, and each task checks that it does: the Cholesky factor of
         ``op - sigma M`` completes only if that matrix is positive
@@ -327,14 +337,6 @@ class Experiment:
         :class:`SolverError` naming the operator when it does not.  The
         shifts, and why each should pass:
 
-        - ``hom_prime``, the effective diffusion ``K``: sigma = -m, so the
-          factor is ``K + mM``, the operator ``u_0`` solves with.  Under the
-          sign guard m > -2 pi^2 lambda_min(a_hat) it lies below
-          lambda_1(K): the guard bounds the continuous lambda_1, and
-          conforming Q1 eigenvalues lie above the continuous ones.
-          Otherwise sigma = -1, and :func:`solve_homogenized` refuses to
-          solve.  ``hom``, which adds the effective potential, has no row:
-          it is this spectrum moved by ``m``.
         - ``eps:<label>``, the oscillatory operator ``L_eps``: sigma is
           :attr:`EpsProblem.sigma`, one below ``min(0, min_q W_q) / eps``.
         - ``eps_prime:<label>``, the oscillatory diffusion ``K_eps``:
@@ -345,19 +347,16 @@ class Experiment:
             return
         grid = self.domain_grid = DirichletGrid(self.cfg.domain_grid_n)
         cs = self.cell_solution
-        m = float(cs.m_w_chi_w)
         self.mass = assemble_mass(grid)
         fq = quad_samples(grid, self.model.f_eval)
         self.load = grid.restrict(load_from_quad_values(grid, fq))
         self.f_l2 = float(np.sqrt(grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
-        hom_stiffness = assemble_stiffness(
+        self.hom_stiffness = assemble_stiffness(
             grid, quad_samples(grid, constant_matrix(cs.a_hat)))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
                          for eps in self.cfg.epsilons}
-        guard = m > -homogenized_lower_bound(cs.a_hat)
-        self.operators = {"hom_prime": (hom_stiffness,
-                                        -m if guard else -1.0, None)}
+        self.operators = {}
         for eps, problem in self.problems.items():
             label = eps_label(eps)
             self.operators[f"eps:{label}"] = (
@@ -381,42 +380,64 @@ class Experiment:
         try:
             lu = factorize(add_scaled(op, -sigma, self.mass) if sigma else op)
         except SolverError as err:
-            scale = "" if problem is None else (
-                f" at epsilon={eps_label(problem.epsilon)}")
-            raise SolverError(f"shift {sigma:.6g} is not below the spectrum "
-                              f"of {kind}{scale}: {err}") from err
+            raise SolverError(
+                f"shift {sigma:.6g} is not below the spectrum of {kind} at "
+                f"epsilon={eps_label(problem.epsilon)}: {err}") from err
         # the factorization's temporaries, before the eigensolve's own
         _release_heap()
         spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
                         tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
-                        epsilon=None if problem is None else problem.epsilon)
+                        epsilon=problem.epsilon)
         if not solve:
             return spectrum, None
         cs = self.cell_solution
-        if kind == "hom_prime":
-            return spectrum, solve_homogenized(
-                cs.a_hat, cs.m_w_chi_w, self.domain_grid, self.load, lu=lu)
         if kind == "eps_prime":
             return spectrum, solve_dirichlet_correctors(problem, lu=lu)
         coercivity = coercivity_check(spectrum, cs.m_w_chi_w)
         return spectrum, (coercivity,
                           solve_eps(problem, coercivity, self.load, lu=lu))
 
+    def _effective_spectra(self) -> None:
+        """The ``hom_prime`` pairs in closed form, checked against ``K`` at
+        ``eig_tol``, and ``hom``, the same pairs moved by ``m`` (``K + mM``
+        has ``K``'s eigenvectors), checked against ``K + mM``.  Those two
+        checks are all ``K`` is assembled for, so it is dropped after
+        them rather than held through the operator tasks."""
+        cs, tol = self.cell_solution, self.cfg.eig_tol
+        stiff, m = self.hom_stiffness, float(cs.m_w_chi_w)
+        lam, vecs = effective_eigenpairs(cs.a_hat, self.domain_grid,
+                                         self.cfg.k_eigen)
+        self.spectra["hom_prime"] = checked_spectrum(
+            stiff, self.mass, lam, vecs, tol, tag="hom_prime")
+        self.spectra["hom"] = shift_spectrum(
+            self.spectra["hom_prime"], m,
+            add_scaled(stiff, m, self.mass) if m else stiff, self.mass,
+            tol=tol, tag="hom")
+        self.hom_stiffness = None
+
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
         """Submit one task per row of the operator table, in its order:
-        ``hom_prime``, then ``eps`` and ``eps_prime`` per scale (without
-        ``solve``, only those whose spectrum is missing); return the futures
-        by tag.
+        ``eps`` and ``eps_prime`` per scale (without ``solve``, only those
+        whose spectrum is missing); return the futures by tag.
 
         Every operator is assembled (:meth:`_assemble`) before the first
         task starts, and the tasks only read them.  Assembly running on this
         thread while the workers factor made peak RSS vary from run to run
         (glibc's allocator keeps a different share of the freed memory
-        resident depending on how the two interleave).  The freed heap is
-        handed back before the first submit, and each task's when it
-        returns (:func:`_released`)."""
+        resident depending on how the two interleave).  This thread then
+        computes the effective operator's closed forms: the ``hom_prime``
+        and ``hom`` pairs, if missing (:meth:`_effective_spectra`), and
+        with ``solve`` also ``u_0``, which stops the stage if ``m`` fails
+        the sign hypothesis.  The freed heap is handed back before the first
+        submit, and each task's when it returns (:func:`_released`)."""
         self._assemble()
+        if "hom_prime" not in self.spectra:
+            self._effective_spectra()
+        if solve:
+            cs = self.cell_solution
+            self.u_0 = solve_homogenized(cs.a_hat, cs.m_w_chi_w,
+                                         self.domain_grid, self.load)
         _release_heap()
         return {tag: pool.submit(_released, self._operator_task, tag, solve)
                 for tag in self.operators
@@ -492,7 +513,6 @@ class Experiment:
         cfg = self.cfg
         with _task_pool(cfg.effective_workers()) as pool:
             futures = self._submit_operator_tasks(pool, solve=True)
-            self.u_0 = self._collect(futures, "hom_prime")
             finish = {}
             for eps, problem in self.problems.items():
                 label = eps_label(eps)
@@ -531,14 +551,6 @@ class Experiment:
             for eps, defect in defects.items():
                 self.rayleigh_defects[eps_label(eps)] = float(
                     np.max(defect.result()))
-        # hom is hom_prime moved by m: K + mM has K's eigenvectors.
-        m = float(self.cell_solution.m_w_chi_w)
-        stiff = self.operators["hom_prime"][0]
-        self.spectra["hom"] = shift_spectrum(
-            self.spectra["hom_prime"], m,
-            add_scaled(stiff, m, self.mass) if m else stiff,
-            self.mass, tol=cfg.eig_tol, tag="hom")
-
         tags = ["hom", "hom_prime"] + [
             f"{kind}:{eps_label(eps)}" for eps in cfg.epsilons
             for kind in ("eps", "eps_prime")]

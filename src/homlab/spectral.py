@@ -9,12 +9,15 @@ calls.  Nothing here factors a matrix: the shift-invert operator is the
 caller's Cholesky factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
 the one the pipeline's operator task made and also solves with; that a
 Cholesky factor exists at all certifies the shift below the spectrum.
-Every returned :class:`Spectrum` is re-orthonormalized in the mass inner
-product, sign-fixed, and residual-checked; failures raise
+Every returned :class:`Spectrum` passes one check,
+:func:`checked_spectrum`: residuals and order, with failures raising
 :class:`SpectralError`, naming the operator's tag and scale, rather than
-returning dubious pairs.  A spectrum shifted by a multiple of the mass
-matrix (:func:`shift_spectrum`) reuses the eigenvectors and is checked the
-same way.  Nothing here reads a problem or its coefficients: the shift
+returning dubious pairs.  :func:`eigs` re-orthonormalizes its pairs in the
+mass inner product and fixes their signs before the check; pairs known in
+closed form (``homlab.domain.effective_eigenpairs``) go through the same
+check against the assembled matrices, and so does a spectrum shifted by a
+multiple of the mass matrix (:func:`shift_spectrum`), which reuses the
+eigenvectors.  Nothing here reads a problem or its coefficients: the shift
 below an oscillatory spectrum is ``homlab.domain.EpsProblem.sigma``.
 
 Eigensolves run on the pipeline's pool threads, several at a time.  The
@@ -42,6 +45,7 @@ from .errors import ConfigurationError, SpectralError
 __all__ = [
     "Spectrum",
     "eigs",
+    "checked_spectrum",
     "shift_spectrum",
     "first_eigenvalue_comparison",
     "eigenvalue_gap_rows",
@@ -66,7 +70,8 @@ _RESIDUAL_BLOCK = 8
 
 @dataclass
 class Spectrum:
-    """Eigenpairs of one operator, ascending, M-orthonormal, sign-fixed.
+    """Eigenpairs of one operator, ascending and M-orthonormal (sign-fixed
+    when :func:`eigs` computed them).
 
     ``epsilon`` is carried for the oscillatory operators and ``None`` for
     the effective ones.  Eigenvectors are stored column-wise on the interior
@@ -77,7 +82,7 @@ class Spectrum:
     eigenvectors: np.ndarray  # (ndof, k)
     residuals: np.ndarray  # (k,) relative residual per pair
     epsilon: Optional[float] = None
-    solves: int = 0  # shift-invert solves made; 0 for a shifted spectrum
+    solves: int = 0  # shift-invert solves made; 0 without an eigensolve
 
     def __post_init__(self):
         if self.eigenvalues.ndim != 1:
@@ -150,7 +155,8 @@ def eigs(op: sp.csr_matrix,
     lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
                                  tol / 10.0, _operator_name(tag, epsilon))
     vecs = _fix_signs(_orthonormalize(vecs, mass))
-    return _checked_spectrum(op, mass, lam, vecs, tol, tag, epsilon, solves)
+    return checked_spectrum(op, mass, lam, vecs, tol, tag=tag,
+                            epsilon=epsilon, solves=solves)
 
 
 def _basis_size(k: int) -> int:
@@ -174,7 +180,7 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     ``keep`` largest Ritz vectors and the last Lanczos vector start the next
     cycle (Wu & Simon, SIAM J. Matrix Anal. Appl. 2000).  Stops once every
     wanted pair has the cheap Ritz residual ``|beta s_last| <= rtol theta``
-    and the relative residual that :func:`_checked_spectrum` gates, checked
+    and the relative residual that :func:`checked_spectrum` gates, checked
     on the formed Ritz vectors, is at most ``rtol`` too.  Returns the
     eigenvalues ascending, the eigenvectors as ``(n, k)`` columns and the
     number of solves made; a failure names the operator by ``name``.
@@ -266,12 +272,14 @@ def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
     return out
 
 
-def _checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
-                      lam: np.ndarray, vecs: np.ndarray, tol: float,
-                      tag: str, epsilon: Optional[float],
-                      solves: int) -> Spectrum:
-    """Residual and order check every returned :class:`Spectrum` passes;
-    a failure names the operator by ``tag`` and ``epsilon``."""
+def checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
+                     lam: np.ndarray, vecs: np.ndarray, tol: float, *,
+                     tag: str, epsilon: Optional[float] = None,
+                     solves: int = 0) -> Spectrum:
+    """The pairs ``lam``, ``vecs`` of ``op v = lambda mass v`` as a
+    :class:`Spectrum`, once each has a relative residual of at most ``tol``
+    and the eigenvalues ascend; otherwise :class:`SpectralError`, naming
+    the operator by ``tag`` and ``epsilon``.  ``solves`` is what it cost."""
     residuals = _relative_residuals(op, mass, lam, vecs)
     where = f"{_operator_name(tag, epsilon)}, {op.shape[0]} DOF"
     if np.any(residuals > tol):
@@ -296,9 +304,9 @@ def shift_spectrum(spectrum: Spectrum, shift: float,
     and keeps every eigenvector, so the pairs are ``spectrum``'s with
     ``shift`` added, checked against ``op`` as :func:`eigs` checks its own.
     """
-    return _checked_spectrum(op, mass, spectrum.eigenvalues + shift,
-                             spectrum.eigenvectors, tol, tag,
-                             spectrum.epsilon, solves=0)
+    return checked_spectrum(op, mass, spectrum.eigenvalues + shift,
+                            spectrum.eigenvectors, tol, tag=tag,
+                            epsilon=spectrum.epsilon)
 
 
 def first_eigenvalue_comparison(epsilon: float,

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    effective_factor,
     eps_factor_and_report,
     factor,
     interior_load,
@@ -70,8 +69,7 @@ def identity_pieces():
     lu, report = eps_factor_and_report(p)
     u_eps = solve_eps(p, report, interior_load(grid, model.f_eval), lu=lu)
     u_0 = solve_homogenized(np.eye(2), 0.0, grid,
-                            interior_load(grid, model.f_eval),
-                            lu=effective_factor(grid, np.eye(2)))
+                            interior_load(grid, model.f_eval))
     dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
     cs = solve_cell(model, 16)
     chi_w_s = sample_cell_field(cs.chi_w, grid, 0.25)
@@ -98,8 +96,7 @@ def test_expansion_rejects_grid_mismatch(identity_pieces):
     model, grid, p, u_eps, u_0, dc, chi_w_s = identity_pieces
     other = DirichletGrid(32)
     u0_other = solve_homogenized(np.eye(2), 0.0, other,
-                                 interior_load(other, model.f_eval),
-                                 lu=effective_factor(other, np.eye(2)))
+                                 interior_load(other, model.f_eval))
     with pytest.raises(UsageError):
         build_expansion(u_eps, u0_other, dc, chi_w_s, 0.25)
 

@@ -16,7 +16,7 @@ import homlab.domain
 import homlab.fem
 import homlab.pipeline
 import homlab.spectral
-from conftest import oracle_elements, oracle_matrix
+from conftest import oracle_elements, oracle_matrix, shifted_eigs
 from homlab.cli import build_parser, main
 from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
@@ -108,10 +108,12 @@ def test_report_carries_effective_constants(tmp_path):
     assert sol["h1_w"] < sol["h1_plain"]
     assert report["flux"]["min_ratio_lower"] >= report["flux"]["lower_floor"]
     assert report["gaps"]["first_eig"][0]["d7"] < report["gaps"]["first_eig"][0]["d8"]
-    assert report["eigs"]["solves"]["hom"] == 0
     assert set(report["eigs"]["solves"]) == set(report["eigs"]["tags"])
+    # the effective pairs are closed forms, so only eps pencils cost solves
+    assert report["eigs"]["solves"]["hom"] == 0
+    assert report["eigs"]["solves"]["hom_prime"] == 0
     assert all(report["eigs"]["solves"][tag] > 0
-               for tag in ("hom_prime", "eps:1/4", "eps_prime:1/4"))
+               for tag in ("eps:1/4", "eps_prime:1/4"))
     assert set(report["timings_s"]) == set(STAGES)
     peaks = [report["peak_rss_mb"][stage] for stage in STAGES]
     assert all(p > 0 for p in peaks) and peaks == sorted(peaks)
@@ -148,16 +150,16 @@ def test_each_spectrum_is_computed_once(tmp_path, monkeypatch):
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, overrides={"seed": 3}, out=io.StringIO()) == 0
     pencils = [(tag, eps) for tag, eps, _, _ in calls]
-    assert len(pencils) == len(set(pencils))
-    assert set(pencils) == {("hom_prime", None)} | {
+    assert len(pencils) == len(set(pencils)) == 2 * 2
+    assert set(pencils) == {
         (tag, eps) for tag in ("eps", "eps_prime") for eps in (0.5, 0.25)}
     assert {(k, seed) for _, _, k, seed in calls} == {(2, 3)}
 
 
 def test_one_factorization_per_operator(tmp_path, monkeypatch):
-    """One factor for hom_prime and, per scale, one each for eps_prime and
-    eps, whose factor also serves solve_eps: 2 |epsilons| + 1 in a full
-    run."""
+    """Per scale, one factor each for eps_prime and eps, whose factor also
+    serves solve_eps: 2 |epsilons| in a full run.  The effective operator
+    is solved in closed form, with no factor."""
     made = []
     real = homlab.fem.factorize
 
@@ -172,11 +174,11 @@ def test_one_factorization_per_operator(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "factorize", counting_factorize)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, out=io.StringIO()) == 0
-    assert len(made) == 2 * 2 + 1
+    assert len(made) == 2 * 2
 
 
 def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
-    eig_lu, solve_lu = {}, {}
+    eig_lu, solve_lu, homogenized_calls = {}, {}, []
     real_eigs = homlab.pipeline.eigs
     real_correctors = homlab.pipeline.solve_dirichlet_correctors
     real_homogenized = homlab.pipeline.solve_homogenized
@@ -190,9 +192,9 @@ def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
         solve_lu["eps_prime", problem.epsilon] = lu
         return real_correctors(problem, lu=lu)
 
-    def homogenized(*args, lu):
-        solve_lu["hom_prime", None] = lu
-        return real_homogenized(*args, lu=lu)
+    def homogenized(*args):
+        homogenized_calls.append(args)
+        return real_homogenized(*args)
 
     def solve_eps(problem, *args, lu):
         solve_lu["eps", problem.epsilon] = lu
@@ -205,21 +207,23 @@ def test_eigensolve_and_solves_share_one_factor(tmp_path, monkeypatch):
     monkeypatch.setattr(homlab.pipeline, "solve_eps", solve_eps)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, upto="solve", out=io.StringIO()) == 0
-    assert set(solve_lu) == {("hom_prime", None), ("eps_prime", 0.5),
-                             ("eps_prime", 0.25), ("eps", 0.5), ("eps", 0.25)}
+    assert set(solve_lu) == set(eig_lu) == {
+        ("eps_prime", 0.5), ("eps_prime", 0.25), ("eps", 0.5), ("eps", 0.25)}
     for key, lu in solve_lu.items():
         assert lu is not None and eig_lu[key] is lu, key
+    assert len(homogenized_calls) == 1  # u_0, in closed form
 
 
 def test_hom_prime_shift_follows_the_sign_guard(tmp_path, monkeypatch):
-    """sigma = -m when m > -2 pi^2 lambda_min(a_hat), so the factor is
-    K + mM; otherwise sigma = -1, the spectrum is unchanged and the solve
-    stage stops at the sign hypothesis."""
-    sigmas = {}
+    """The sign guard m > -2 pi^2 lambda_min(a_hat) no longer picks a
+    shift: hom_prime is never eigensolved, its closed-form pairs are the
+    same bits whatever m is, and when the guard fails the solve stage stops
+    at the sign hypothesis."""
+    tags = []
     real_eigs = homlab.pipeline.eigs
 
     def eigs(op, mass, k, **kwargs):
-        sigmas[kwargs["tag"]] = kwargs["sigma"]
+        tags.append(kwargs["tag"])
         return real_eigs(op, mass, k, **kwargs)
 
     monkeypatch.setattr(homlab.pipeline, "eigs", eigs)
@@ -233,37 +237,35 @@ def test_hom_prime_shift_follows_the_sign_guard(tmp_path, monkeypatch):
         m = 3.0 if held else -bound - 1.0
         exp.cell_solution.m_w_chi_w = m
         exp.run_stage("eigs")
-        spectra.append(exp.spectra["hom_prime"].eigenvalues)
-        assert sigmas["hom_prime"] == (-m if held else -1.0)
+        spectra.append(exp.spectra["hom_prime"])
         if not held:
             with pytest.raises(ConfigurationError, match="sign hypothesis"):
                 exp.run_stage("solve")
-    assert np.max(np.abs(spectra[0] - spectra[1]) / spectra[0]) < 1e-10
+    assert sorted(tags) == ["eps", "eps", "eps_prime", "eps_prime"]
+    assert spectra[0].solves == spectra[1].solves == 0
+    assert np.array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
+    assert np.array_equal(spectra[0].eigenvectors, spectra[1].eigenvectors)
 
 
 def test_effective_spectra_match_the_closed_form(tmp_path):
-    """For diagonal a_hat the Q1 pencil is a Kronecker sum of 1D pencils:
-    lambda = a11 mu_i + a22 mu_j (+ m for hom), mu_i the 1D Q1 values."""
+    """The closed-form hom_prime pairs against the Lanczos eigensolve of
+    the assembled K-hat, on a factor of K-hat + M; hom is them moved by m,
+    with the same eigenvectors."""
     cfg = RunConfig(cell_grid_n=16, domain_grid_n=68, epsilons=[0.25],
                     output_dir=str(tmp_path))
     exp = Experiment(cfg, out=io.StringIO())
     exp.run_stage("cell")
-    a_hat = exp.cell_solution.a_hat
     m = float(exp.cell_solution.m_w_chi_w)
-    assert abs(a_hat[0, 1]) < 1e-12 and abs(a_hat[1, 0]) < 1e-12
-
-    n = cfg.domain_grid_n
-    h = 1.0 / n
-    c = np.cos(np.arange(1, n) * np.pi * h)
-    mu = (6.0 / h ** 2) * (1.0 - c) / (2.0 + c)
-    exact = np.sort((a_hat[0, 0] * mu[:, None]
-                     + a_hat[1, 1] * mu[None, :]).ravel())[:cfg.k_eigen]
-
+    exp._assemble()
+    stiffness = exp.hom_stiffness
     exp.run_stage("eigs")
+    assert exp.hom_stiffness is None  # dropped once the pairs are checked
+    oracle = shifted_eigs(stiffness, exp.mass, cfg.k_eigen,
+                          sigma=-1.0, tol=cfg.eig_tol).eigenvalues
     hom_prime, hom = exp.spectra["hom_prime"], exp.spectra["hom"]
-    assert np.max(np.abs(hom_prime.eigenvalues - exact) / exact) < 1e-10
-    assert np.max(np.abs(hom.eigenvalues - (exact + m))
-                  / np.abs(exact + m)) < 1e-10
+    assert np.max(np.abs(hom_prime.eigenvalues - oracle) / oracle) < 1e-10
+    assert np.max(np.abs(hom.eigenvalues - (oracle + m))
+                  / np.abs(oracle + m)) < 1e-10
     assert np.array_equal(hom.eigenvectors, hom_prime.eigenvectors)
     assert np.max(hom.residuals) < cfg.eig_tol
 
@@ -287,11 +289,11 @@ def test_smallest_grid_gives_k_max_pairs(tmp_path):
 @pytest.mark.parametrize("upto", ["report", "eigs"])
 def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
                                                        upto):
-    """Once after the operators are assembled, before the first task starts,
-    and twice in each operator task, after its factorization and as it
-    returns: 1 + 2 |epsilons| tasks in a stage that submits them all.  In a
-    full run ``eigs`` submits none, since ``solve`` has every spectrum, but
-    still passes its assembly."""
+    """Once after the operators are assembled and the effective closed forms
+    computed, before the first task starts, and twice in each operator
+    task, after its factorization and as it returns: 2 |epsilons| tasks in
+    a stage that submits them all.  In a full run ``eigs`` submits none,
+    since ``solve`` has every spectrum, but still passes its assembly."""
     events = []
     real = Experiment._submit_operator_tasks
 
@@ -315,7 +317,7 @@ def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
     starts = [i for i, event in enumerate(events) if event == "submit"]
     assert len(starts) == rounds
     assert all(events[i + 1] == "release" for i in starts)
-    assert events.count("task") == 1 + 2 * 2
+    assert events.count("task") == 2 * 2
     assert events.count("release") == rounds + 2 * events.count("task")
 
 
@@ -468,7 +470,7 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
             grid, quad_samples(grid, constant_matrix(
                 exp.cell_solution.a_hat)))),
     }
-    mats = {"mass": exp.mass, "hom_prime": exp.operators["hom_prime"][0]}
+    mats = {"mass": exp.mass, "hom_prime": exp.hom_stiffness}
     for eps, problem in exp.problems.items():
         def scaled(field, eps=eps):
             return quad_samples(grid, lambda x1, x2: field(x1 / eps, x2 / eps))

@@ -19,6 +19,7 @@ from homlab.domain import (
     EpsProblem,
     coercivity_check,
     constant_matrix,
+    effective_eigenpairs,
     galerkin_energy_defect,
     homogenized_lower_bound,
     solve_dirichlet_correctors,
@@ -27,6 +28,7 @@ from homlab.domain import (
 )
 from homlab.errors import CoercivityError, ConfigurationError, SolverError
 from homlab.fem import (
+    assemble_mass,
     assemble_stiffness,
     cg_solve,
     l2_norm,
@@ -101,8 +103,7 @@ def test_poisson_solve_second_order():
     errs = {}
     for n in (32, 64):
         grid = DirichletGrid(n)
-        u = solve_homogenized(np.eye(2), 0.0, grid, interior_load(grid, f),
-                              lu=effective_factor(grid, np.eye(2)))
+        u = solve_homogenized(np.eye(2), 0.0, grid, interior_load(grid, f))
         c = grid.node_coords()
         exact = np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1])
         errs[n] = l2_norm(GridFunction(grid, u.values - exact))
@@ -176,12 +177,77 @@ def test_homogenized_lower_bound_identity():
 def test_homogenized_sign_hypothesis_guard():
     grid = DirichletGrid(32)
     bad_m = -(2 * np.pi ** 2) - 1.0
-    # the factor the pipeline holds then: K + M, from its fallback shift -1
     with pytest.raises(ConfigurationError) as exc:
         solve_homogenized(np.eye(2), bad_m, grid,
-                          interior_load(grid, lambda x, y: np.ones_like(x)),
-                          lu=effective_factor(grid, np.eye(2), 1.0))
+                          interior_load(grid, lambda x, y: np.ones_like(x)))
     assert "sign hypothesis" in str(exc.value)
+
+
+def dense_pencil_pairs(grid, a_hat):
+    """Every eigenpair of the assembled K v = lambda M v by a dense solve:
+    M = L L^T, then ``np.linalg.eigh`` of L^-1 K L^-T; the vectors are
+    returned as L^T v, orthonormal in the Euclidean sense, with L."""
+    k = assemble_stiffness(grid, quad_samples(
+        grid, constant_matrix(a_hat))).toarray()
+    chol = np.linalg.cholesky(assemble_mass(grid).toarray())
+    half = np.linalg.solve(chol, np.linalg.solve(chol, k).T)  # L^-1 K L^-T
+    lam, vecs = np.linalg.eigh(0.5 * (half + half.T))
+    return lam, vecs, chol
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("a_hat", [np.diag([np.sqrt(3.0), 2.0]),
+                                   1.7 * np.eye(2)])
+def test_effective_eigenpairs_match_a_dense_eigensolve(n, a_hat):
+    """All (n-1)^2 closed-form pairs against the dense generalized
+    eigensolve of the assembled pencil: the eigenvalues to 1e-13 relative,
+    and the plane of each exact pair among the lowest 32 (sin p x sin q y
+    and sin q x sin p y, for isotropic a_hat) to a largest principal angle
+    of 1e-12.  Higher up, pairs sit within 2 of their neighbours while
+    ||L^-1 K L^-T|| is about 6600, so the dense eigenvectors themselves
+    are only good to about 1e-16 * 6600 / 2 (measured 8e-13)."""
+    grid = DirichletGrid(n)
+    lam, vecs = effective_eigenpairs(a_hat, grid, grid.ndof)
+    ref, ref_vecs, chol = dense_pencil_pairs(grid, a_hat)
+    assert np.max(np.abs(lam - ref) / ref) <= 1e-13
+    ortho = chol.T @ vecs  # L^T v: M-orthonormal becomes orthonormal
+    assert np.max(np.abs(ortho.T @ ortho - np.eye(grid.ndof))) < 1e-13
+    pairs = np.flatnonzero(np.diff(lam[:32]) <= 1e-12 * lam[1:32])
+    assert pairs.size > 0 if a_hat[0, 0] == a_hat[1, 1] else pairs.size == 0
+    for j in pairs:
+        mine, theirs = ortho[:, j:j + 2], ref_vecs[:, j:j + 2]
+        away = mine - theirs @ (theirs.T @ mine)
+        assert np.linalg.norm(away, 2) <= 1e-12, j
+
+
+def test_homogenized_solve_matches_the_factor():
+    """u_0 by sine products against the Cholesky solve of K + m M."""
+    grid = DirichletGrid(64)
+    a_hat = np.diag([np.sqrt(3.0), 2.0])
+    rhs = interior_load(grid, make_preset("identity", f_preset="sine-sine")
+                        .f_eval)
+    for m in (3.0, -20.0):
+        u = solve_homogenized(a_hat, m, grid, rhs).values
+        ref = grid.extend(effective_factor(grid, a_hat, m).solve(rhs))
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref)), m
+
+
+@pytest.mark.parametrize("entry, index", [("a_hat_12", (0, 1)),
+                                          ("a_hat_21", (1, 0))])
+def test_closed_forms_refuse_an_off_diagonal_a_hat(entry, index):
+    """Both closed forms need a diagonal a_hat: an off-diagonal entry of
+    1e-6 raises ConfigurationError naming it, while 1e-13 passes."""
+    grid = DirichletGrid(16)
+    rhs = interior_load(grid, lambda x, y: np.ones_like(x))
+    a_hat = np.eye(2)
+    a_hat[index] = 1e-6
+    with pytest.raises(ConfigurationError, match=f"^{entry} = 1e-06 "):
+        effective_eigenpairs(a_hat, grid, 3)
+    with pytest.raises(ConfigurationError, match=f"^{entry} = 1e-06 "):
+        solve_homogenized(a_hat, 0.0, grid, rhs)
+    a_hat[index] = 1e-13
+    assert np.array_equal(effective_eigenpairs(a_hat, grid, 3)[0],
+                          effective_eigenpairs(np.eye(2), grid, 3)[0])
 
 
 def test_identity_boundary_correctors_are_coordinates():

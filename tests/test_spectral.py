@@ -61,8 +61,9 @@ def exact_laplace_eigs(count):
 def exact_q1_laplace_eigs(n, count):
     """The Q1 pencil is a Kronecker sum of 1D pencils: mu_i + mu_j."""
     h = 1.0 / n
-    c = np.cos(np.arange(1, n) * np.pi * h)
-    mu = (6.0 / h ** 2) * (1.0 - c) / (2.0 + c)
+    t = np.arange(1, n) * np.pi * h
+    # 2 sin^2(t/2), not 1 - cos t, which cancels at small t
+    mu = (12.0 / h ** 2) * np.sin(0.5 * t) ** 2 / (2.0 + np.cos(t))
     return np.sort((mu[:, None] + mu[None, :]).ravel())[:count]
 
 
