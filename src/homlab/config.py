@@ -73,6 +73,14 @@ class RunConfig:
                         ("domain_grid_n", self.domain_grid_n)):
             if n < 4:
                 raise ConfigurationError(f"{name} must be at least 4, got {n}")
+        if self.cell_grid_n % 2:
+            # The half-period reflections that make every preset's a_hat
+            # diagonal map cell nodes onto nodes only on an even grid; on
+            # an odd one smooth-iso's a_hat_12 is of discretization size
+            # (4e-5 at n = 5), which the effective closed forms refuse.
+            raise ConfigurationError(
+                f"cell_grid_n must be even, got {self.cell_grid_n}: an odd "
+                "cell grid breaks the symmetry that makes a_hat diagonal")
         if not self.epsilons:
             raise ConfigurationError("epsilons must not be empty")
         for eps in self.epsilons:

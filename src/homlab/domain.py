@@ -265,7 +265,8 @@ def homogenized_lower_bound(a_hat: np.ndarray) -> float:
 
 
 #: Largest |a_hat_12| or |a_hat_21|, relative to max |a_hat_ii|, that the
-#: closed forms treat as zero; every preset's a_hat is diagonal to round-off.
+#: closed forms treat as zero; every preset's a_hat is diagonal to round-off
+#: on the even cell grids that :class:`homlab.config.RunConfig` accepts.
 _OFF_DIAGONAL_TOL = 1e-12
 
 

@@ -29,10 +29,11 @@ This task is the only place that factors: :mod:`homlab.domain` and
 operator has no task and no factor.  Its diffusion ``K`` (tag
 ``hom_prime``) has constant diagonal ``a_hat``, so its pairs and ``u_0``
 are closed forms (:func:`effective_eigenpairs`, :func:`solve_homogenized`),
-which the main thread computes before the first task is submitted; the
-pairs pass the same residual check against the assembled ``K`` as an
-eigensolve's (:func:`checked_spectrum`).  ``hom`` is that spectrum moved by
-``m``, checked against ``K + mM``; ``K`` is dropped after the two checks.
+which the main thread computes before the first task is submitted: the
+pairs with the assembly, where they pass the same residual check against
+the assembled ``K`` as an eigensolve's (:func:`checked_spectrum`).
+``hom`` is that spectrum moved by ``m``, checked against ``K + mM``; ``K``
+is not kept after the two checks.
 
 ``solve`` submits all ``2 |epsilons|`` tasks to one thread pool and, as
 each scale's inputs arrive, that scale's finish task (expansion, Jacobian,
@@ -282,8 +283,6 @@ class Experiment:
         self.mass: Optional[sp.csr_matrix] = None  # interior mass
         self.load: Optional[np.ndarray] = None  # interior load (f, N_a)
         self.f_l2: Optional[float] = None  # ||f||, from the load's samples
-        # K of a_hat, until the effective pairs are checked against it
-        self.hom_stiffness: Optional[sp.csr_matrix] = None
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
         self.operators: Dict[str, Tuple[sp.csr_matrix, float,
                                         EpsProblem]] = {}
@@ -316,15 +315,18 @@ class Experiment:
 
     def _assemble(self) -> None:
         """Build the domain grid and every operator of the run, once: the
-        interior mass, the effective stiffness ``K`` of ``a_hat``
-        (``hom_stiffness``, against which :meth:`_effective_spectra`
-        checks the closed-form pairs) and one :class:`EpsProblem` per
-        scale; and sample f once, for the interior load every solve takes
-        and ``f_l2``.  Needs the cell's ``a_hat``.  Each is assembled
-        straight into the grid's one interior pattern, so all share its
-        read-only index arrays, and the shifted matrices the tasks factor
-        (``op - sigma M``) and ``hom``'s ``K + mM`` are sums of data
-        vectors (:func:`add_scaled`).
+        interior mass and one :class:`EpsProblem` per scale; and sample f
+        once, for the interior load every solve takes and ``f_l2``.  Then
+        the effective spectra, in closed form: the ``hom_prime`` pairs
+        (:func:`effective_eigenpairs`), checked against the assembled
+        stiffness ``K`` of ``a_hat`` at ``eig_tol``, and ``hom``, the same
+        pairs moved by ``m`` (``K + mM`` has ``K``'s eigenvectors), checked
+        against ``K + mM``.  Those two checks are all ``K`` is assembled
+        for, so it is not kept.  Needs the cell's ``a_hat`` and ``m``.
+        Each matrix is assembled straight into the grid's one interior
+        pattern, so all share its read-only index arrays, and the shifted
+        matrices the tasks factor (``op - sigma M``) and ``K + mM`` are
+        sums of data vectors (:func:`add_scaled`).
 
         ``self.operators`` tables the oscillatory operators by spectrum tag
         as (operator, shift sigma, its problem), in the order their tasks
@@ -352,8 +354,6 @@ class Experiment:
         self.load = grid.restrict(load_from_quad_values(grid, fq))
         self.f_l2 = float(np.sqrt(grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
-        self.hom_stiffness = assemble_stiffness(
-            grid, quad_samples(grid, constant_matrix(cs.a_hat)))
         self.problems = {eps: EpsProblem(self.model, eps, grid)
                          for eps in self.cfg.epsilons}
         self.operators = {}
@@ -363,6 +363,16 @@ class Experiment:
                 problem.operator, problem.sigma, problem)
             self.operators[f"eps_prime:{label}"] = (
                 problem.diffusion, 0.0, problem)
+        tol, m = self.cfg.eig_tol, float(cs.m_w_chi_w)
+        stiff = assemble_stiffness(
+            grid, quad_samples(grid, constant_matrix(cs.a_hat)))
+        lam, vecs = effective_eigenpairs(cs.a_hat, grid, self.cfg.k_eigen)
+        self.spectra["hom_prime"] = checked_spectrum(
+            stiff, self.mass, lam, vecs, tol, tag="hom_prime")
+        self.spectra["hom"] = shift_spectrum(
+            self.spectra["hom_prime"], m,
+            add_scaled(stiff, m, self.mass) if m else stiff, self.mass,
+            tol=tol, tag="hom")
 
     def _operator_task(self, tag: str,
                        solve: bool) -> Tuple[Spectrum, object]:
@@ -397,24 +407,6 @@ class Experiment:
         return spectrum, (coercivity,
                           solve_eps(problem, coercivity, self.load, lu=lu))
 
-    def _effective_spectra(self) -> None:
-        """The ``hom_prime`` pairs in closed form, checked against ``K`` at
-        ``eig_tol``, and ``hom``, the same pairs moved by ``m`` (``K + mM``
-        has ``K``'s eigenvectors), checked against ``K + mM``.  Those two
-        checks are all ``K`` is assembled for, so it is dropped after
-        them rather than held through the operator tasks."""
-        cs, tol = self.cell_solution, self.cfg.eig_tol
-        stiff, m = self.hom_stiffness, float(cs.m_w_chi_w)
-        lam, vecs = effective_eigenpairs(cs.a_hat, self.domain_grid,
-                                         self.cfg.k_eigen)
-        self.spectra["hom_prime"] = checked_spectrum(
-            stiff, self.mass, lam, vecs, tol, tag="hom_prime")
-        self.spectra["hom"] = shift_spectrum(
-            self.spectra["hom_prime"], m,
-            add_scaled(stiff, m, self.mass) if m else stiff, self.mass,
-            tol=tol, tag="hom")
-        self.hom_stiffness = None
-
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
         """Submit one task per row of the operator table, in its order:
@@ -425,15 +417,13 @@ class Experiment:
         task starts, and the tasks only read them.  Assembly running on this
         thread while the workers factor made peak RSS vary from run to run
         (glibc's allocator keeps a different share of the freed memory
-        resident depending on how the two interleave).  This thread then
-        computes the effective operator's closed forms: the ``hom_prime``
-        and ``hom`` pairs, if missing (:meth:`_effective_spectra`), and
-        with ``solve`` also ``u_0``, which stops the stage if ``m`` fails
-        the sign hypothesis.  The freed heap is handed back before the first
-        submit, and each task's when it returns (:func:`_released`)."""
+        resident depending on how the two interleave).  The assembly
+        brings the effective spectra, and with ``solve`` this thread then
+        computes ``u_0`` in closed form, which stops the stage if ``m``
+        fails the sign hypothesis.  The freed heap is handed back before
+        the first submit, and each task's when it returns
+        (:func:`_released`)."""
         self._assemble()
-        if "hom_prime" not in self.spectra:
-            self._effective_spectra()
         if solve:
             cs = self.cell_solution
             self.u_0 = solve_homogenized(cs.a_hat, cs.m_w_chi_w,

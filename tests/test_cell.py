@@ -50,6 +50,23 @@ def test_smooth_iso_effective_matrix_is_isotropic_and_bounded():
     assert 1.5 < cs.a_hat[0, 0] < 2.0
 
 
+@pytest.mark.parametrize("a_preset", A_PRESETS)
+def test_a_hat_is_diagonal_on_even_cell_grids_only(a_preset):
+    """Why RunConfig demands an even cell_grid_n: there every preset's
+    a_hat is diagonal to round-off, as the effective closed forms need,
+    while on an odd grid smooth-iso's a_hat_12 is of discretization size,
+    since the reflection y1 -> 1/2 - y1 that forces it to zero no longer
+    maps nodes onto nodes."""
+    for n in (4, 6, 10, 16):
+        a_hat = solve_cell(make_preset(a_preset), n, tol=1e-12).a_hat
+        scale = max(abs(a_hat[0, 0]), abs(a_hat[1, 1]))
+        assert max(abs(a_hat[0, 1]), abs(a_hat[1, 0])) < 1e-15 * scale, n
+    if a_preset == "smooth-iso":
+        for n in (5, 7):
+            a_hat = solve_cell(make_preset(a_preset), n, tol=1e-12).a_hat
+            assert abs(a_hat[0, 1]) > 1e-7 * abs(a_hat[0, 0]), n
+
+
 def test_effective_potential_identity_sine1():
     cs = solve_cell(make_preset("identity", "sine1"), 64)
     # frozen numeric value at n=64 plus the analytic target

@@ -22,7 +22,8 @@ from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig
 from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
 from homlab.errors import ConfigurationError, SolverError
-from homlab.fem import quad_samples, stiffness_elements, weighted_mass_elements
+from homlab.fem import (assemble_stiffness, quad_samples, stiffness_elements,
+                        weighted_mass_elements)
 from homlab.grids import DirichletGrid
 from homlab.pipeline import (
     SQUARE_DOMAIN_CAVEAT,
@@ -256,10 +257,10 @@ def test_effective_spectra_match_the_closed_form(tmp_path):
     exp = Experiment(cfg, out=io.StringIO())
     exp.run_stage("cell")
     m = float(exp.cell_solution.m_w_chi_w)
-    exp._assemble()
-    stiffness = exp.hom_stiffness
     exp.run_stage("eigs")
-    assert exp.hom_stiffness is None  # dropped once the pairs are checked
+    grid = exp.domain_grid
+    stiffness = assemble_stiffness(grid, quad_samples(
+        grid, constant_matrix(exp.cell_solution.a_hat)))
     oracle = shifted_eigs(stiffness, exp.mass, cfg.k_eigen,
                           sigma=-1.0, tol=cfg.eig_tol).eigenvalues
     hom_prime, hom = exp.spectra["hom_prime"], exp.spectra["hom"]
@@ -470,7 +471,8 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
             grid, quad_samples(grid, constant_matrix(
                 exp.cell_solution.a_hat)))),
     }
-    mats = {"mass": exp.mass, "hom_prime": exp.hom_stiffness}
+    mats = {"mass": exp.mass, "hom_prime": assemble_stiffness(
+        grid, quad_samples(grid, constant_matrix(exp.cell_solution.a_hat)))}
     for eps, problem in exp.problems.items():
         def scaled(field, eps=eps):
             return quad_samples(grid, lambda x1, x2: field(x1 / eps, x2 / eps))

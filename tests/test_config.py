@@ -87,6 +87,12 @@ def test_k_eigen_bounds():
             parse_config(text)
 
 
+def test_odd_cell_grid_rejected():
+    with pytest.raises(ConfigurationError, match="cell_grid_n must be even"):
+        parse_config("cell_grid_n = 17\n")
+    RunConfig(cell_grid_n=18, domain_grid_n=65, epsilons=[0.25]).validate()
+
+
 def test_bad_preset_rejected():
     with pytest.raises(ConfigurationError) as exc:
         parse_config("A_preset = checkerboard\n")
