@@ -18,9 +18,11 @@ preconditioned by the exact FFT solve of the Laplacian on the torus
 contrast of A and does not grow with the grid.  :func:`solve_cell` is the
 one route to the cell operators: it assembles the A-stiffness and builds the
 FFT solve once, samples A and W at the assembly rule once, and hands them to
-:func:`solve_chi` and :func:`solve_chi_w`.
+:func:`solve_chi` and :func:`solve_chi_w`, which run at once on two threads
+when it is given two workers.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,10 @@ import numpy as np
 from . import fem
 from .errors import ConsistencyError
 from .grids import GridFunction, PeriodicGrid, gauss_rule
+
+#: Cell rows per band of the finer-rule cross-flux check
+#: (:func:`cross_flux_identity_defect`).
+CROSS_FLUX_BAND_ROWS = 32
 
 
 def solve_chi(grid, stiff, lap_solve, a, tol):
@@ -101,18 +107,23 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     with an independent 3x3 Gauss rule (finer than the 2x2 assembly rule), so
     the number reflects genuine discretization error rather than the
     algebraic identity satisfied by the discrete solutions.
+
+    The finer-rule samples are made and integrated one band of
+    ``CROSS_FLUX_BAND_ROWS`` cell rows at a time, and the band integrals are
+    summed in band order, so none of them is full size: A alone would be
+    42 MB at n = 384, the largest array of the cell stage.
     """
     xi, wq = gauss_rule(3)
-    # One finer-rule sample lives at a time: they are the largest arrays of
-    # the cell stage.
-    w = fem.quad_samples(grid, model.w_eval, xi)
-    pot_avg = np.array([
-        fem.integrate(grid, w * fem.cell_values(grid, chi[i].values, xi), wq)
-        for i in range(2)])
-    del w
-    a = fem.quad_samples(grid, model.a_eval, xi)
-    gw = fem.cell_gradients(grid, chi_w.values, xi)
-    flux_avg = fem.integrate(grid, fem.apply_tensor(a, gw), wq)
+    pot_avg = np.zeros(2)
+    flux_avg = np.zeros(2)
+    for lo in range(0, grid.n, CROSS_FLUX_BAND_ROWS):
+        rows = slice(lo, lo + CROSS_FLUX_BAND_ROWS)
+        w = fem.quad_samples(grid, model.w_eval, xi, rows)
+        pot_avg += [fem.integrate(grid, w * fem.cell_values(
+            grid, chi[i].values, xi, rows), wq) for i in range(2)]
+        a = fem.quad_samples(grid, model.a_eval, xi, rows)
+        gw = fem.cell_gradients(grid, chi_w.values, xi, rows)
+        flux_avg += fem.integrate(grid, fem.apply_tensor(a, gw), wq)
     return np.abs(flux_avg - pot_avg)
 
 
@@ -162,24 +173,34 @@ class CellSolution:
     aux_compat_defects: np.ndarray
 
 
-def solve_cell(model, n, tol=1e-10):
+def solve_cell(model, n, tol=1e-10, workers=1):
     """Run the full cell stage on an n-by-n periodic grid.
 
     ``tol`` is the relative residual tolerance of the corrector CG solves.
+    With ``workers`` > 1, one helper thread solves chi_w while the calling
+    thread solves chi_1 and chi_2 (the same bits as one after the other);
+    with 1 no thread is started.  One helper only: each further thread's
+    glibc arena kept memory of its own and raised the stage's peak RSS.
     """
     grid = PeriodicGrid(n)
     # The assembly gets samples of A of its own, freed before its scatter:
     # holding one sample through it raised the stage's peak RSS by 0.6 MB
-    # at n = 384 (layered + sine-mix), though tracemalloc's peak, in the
-    # finer-rule cross-flux check, stayed the same.
+    # at n = 384 (layered + sine-mix).
     stiff = fem.assemble_stiffness(grid, fem.quad_samples(grid, model.a_eval))
     lap_solve = fem.torus_laplace_solver(grid)
     a = fem.quad_samples(grid, model.a_eval)
-    chi = solve_chi(grid, stiff, lap_solve, a, tol)
-    a_hat = effective_matrix(grid, chi, a)
     w = fem.quad_samples(grid, model.w_eval)
-    chi_w = solve_chi_w(grid, stiff, lap_solve, w, tol)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            pending = helper.submit(solve_chi_w, grid, stiff, lap_solve, w,
+                                    tol)
+            chi = solve_chi(grid, stiff, lap_solve, a, tol)
+            chi_w = pending.result()
+    else:
+        chi = solve_chi(grid, stiff, lap_solve, a, tol)
+        chi_w = solve_chi_w(grid, stiff, lap_solve, w, tol)
     del stiff  # freed before the finer-rule checks below allocate
+    a_hat = effective_matrix(grid, chi, a)
     m_w = effective_potential(grid, chi_w, w)
     resid = potential_energy_identity_residual(grid, chi_w, m_w, a)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)

@@ -159,7 +159,7 @@ def quad_axes(grid, xi=QUAD_XI):
     return x1, x2
 
 
-def quad_samples(grid, func, xi=QUAD_XI):
+def quad_samples(grid, func, xi=QUAD_XI, rows=slice(None)):
     """``func(x1, x2)`` at the reference points xi of every cell:
     (ncells, nq, ...).
 
@@ -167,11 +167,14 @@ def quad_samples(grid, func, xi=QUAD_XI):
     elementwise numpy on broadcastable arrays: its result must broadcast to
     the grid's (n, n, o, o) (:func:`~homlab.grids.full_size`), and it is
     made full size once.  The samples may be a read-only view of it.
+    ``rows``, a slice of cell rows, restricts the samples to that band's
+    cells (x2 is sliced before ``func`` sees it).
     """
     x1, x2 = quad_axes(grid, xi)
+    x2 = x2[rows]
     lead = np.broadcast_shapes(x1.shape, x2.shape)
     full = full_size(func(x1, x2), lead)
-    return full.reshape((grid.ncells, len(xi)) + full.shape[len(lead):])
+    return full.reshape((-1, len(xi)) + full.shape[len(lead):])
 
 
 def assemble_stiffness(grid, a):
@@ -232,19 +235,29 @@ def flux_load_from_quad_values(grid, qvecs):
     return _scatter_vector(grid, grid.h * elem)
 
 
-def cell_values(grid, nodal, xi=None):
-    """Evaluate a nodal field at reference points xi in every cell: (ncells, nq)."""
+def _band_conn(grid, rows):
+    """The connectivity of the cells in the slice ``rows`` of cell rows (a
+    view: cells are row-major)."""
+    lo, hi, _ = rows.indices(grid.n)
+    return grid.conn[lo * grid.n:hi * grid.n]
+
+
+def cell_values(grid, nodal, xi=None, rows=slice(None)):
+    """Evaluate a nodal field at reference points xi in every cell of the
+    cell rows ``rows``: (ncells, nq)."""
     n = _N if xi is None else shape_values(xi)
-    return nodal[grid.conn] @ n.T
+    return nodal[_band_conn(grid, rows)] @ n.T
 
 
-def cell_gradients(grid, nodal, xi=None):
-    """Physical gradients of a nodal field at reference points: (ncells, nq, 2)."""
+def cell_gradients(grid, nodal, xi=None, rows=slice(None)):
+    """Physical gradients of a nodal field at reference points in every cell
+    of the cell rows ``rows``: (ncells, nq, 2)."""
     g = _G if xi is None else shape_gradients(xi)
     nq = g.shape[0]
     # (ncells, 4) corner values times (4, nq * 2) gradients: one GEMM.
-    grads = nodal[grid.conn] @ g.transpose(1, 0, 2).reshape(4, 2 * nq)
-    return grads.reshape(grid.ncells, nq, 2) / grid.h
+    grads = nodal[_band_conn(grid, rows)] @ g.transpose(1, 0, 2).reshape(
+        4, 2 * nq)
+    return grads.reshape(-1, nq, 2) / grid.h
 
 
 def apply_tensor(a, g):
@@ -258,11 +271,13 @@ def integrate(grid, vals, wq=QUAD_W):
     """Quadrature integral ``h^2 sum_c sum_q wq[q] vals[c, q, ...]``.
 
     ``vals`` is a field tabulated at the points of the rule with weights
-    ``wq`` in every cell of ``grid``, shape (ncells, nq, ...); the result has
-    the trailing shape ``...`` (a 0-d array for a scalar field).
+    ``wq`` in every cell of ``grid``, or of a band of its cell rows, shape
+    (ncells, nq, ...); the result has the trailing shape ``...`` (a 0-d
+    array for a scalar field).
     """
+    ncells = len(vals)
     # np.dot, not @: matmul keeps the GIL on a vector-matrix product
-    cell_sums = np.dot(np.ones(grid.ncells), vals.reshape(grid.ncells, -1))
+    cell_sums = np.dot(np.ones(ncells), vals.reshape(ncells, -1))
     return grid.h ** 2 * (wq @ cell_sums.reshape(vals.shape[1], -1)).reshape(vals.shape[2:])
 
 

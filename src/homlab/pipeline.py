@@ -453,7 +453,8 @@ class Experiment:
         cfg = self.cfg
         self.validation = validate(self.model)
         self.cell_solution = solve_cell(self.model, cfg.cell_grid_n,
-                                        tol=cfg.cg_tol)
+                                        tol=cfg.cg_tol,
+                                        workers=cfg.effective_workers())
         cs = self.cell_solution
         payload = {
             "a_preset": cfg.a_preset,

@@ -6,13 +6,14 @@ identity diffusion with W = sin(2 pi y1) gives chi_w = -sin(2 pi y1)/(4 pi^2)
 and effective potential -1/(8 pi^2); the sine-mix potential doubles it.
 """
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import quad_points
-from homlab import fem
+from homlab import cell, fem
 from homlab.cell import solve_aux_potentials, solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, make_preset
 from homlab.errors import ConsistencyError
@@ -94,6 +95,64 @@ def test_cross_flux_identity_desymmetrized_decay():
         defects[n] = np.max(solve_cell(model, n, tol=1e-12).cross_flux_defect)
     assert defects[64] < 3e-9          # measured 2.362e-9
     assert defects[64] / defects[128] > 8.0  # measured ratio 16 (fourth order)
+
+
+def full_size_cross_flux_defect(model, grid, chi, chi_w):
+    """The cross-flux defect with every finer-rule array at full size: the
+    reference for the banded check."""
+    xi, wq = gauss_rule(3)
+    w = fem.quad_samples(grid, model.w_eval, xi)
+    pot_avg = np.array([
+        fem.integrate(grid, w * fem.cell_values(grid, chi[i].values, xi), wq)
+        for i in range(2)])
+    a = fem.quad_samples(grid, model.a_eval, xi)
+    gw = fem.cell_gradients(grid, chi_w.values, xi)
+    flux_avg = fem.integrate(grid, fem.apply_tensor(a, gw), wq)
+    return np.abs(flux_avg - pot_avg)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_banded_cross_flux_check_matches_the_full_size_formula(n,
+                                                               monkeypatch):
+    monkeypatch.setattr(cell, "CROSS_FLUX_BAND_ROWS", 24)  # divides no n
+    model = desymmetrized_model()
+    cs = solve_cell(model, n, tol=1e-12)
+    reference = full_size_cross_flux_defect(model, cs.grid, cs.chi, cs.chi_w)
+    # only the summation order differs (measured up to 4.5e-16)
+    np.testing.assert_allclose(cs.cross_flux_defect, reference, rtol=0.0,
+                               atol=1e-15)
+
+
+def cell_outputs(cs):
+    return [cs.chi[0].values, cs.chi[1].values, cs.chi_w.values, cs.a_hat,
+            cs.m_w_chi_w, cs.energy_identity_residual, cs.cross_flux_defect,
+            cs.aux_compat_defects]
+
+
+def test_two_workers_give_the_bits_of_one():
+    model = desymmetrized_model()
+    one = cell_outputs(solve_cell(model, 48, workers=1))
+    two = cell_outputs(solve_cell(model, 48, workers=2))
+    for x, y in zip(one, two):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_cell_solves_start_one_helper_thread_at_most(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    model = make_preset("layered", "sine-mix")
+    solve_cell(model, 16, workers=1)
+    assert started == []
+    solve_cell(model, 16, workers=4)
+    assert len(started) == 1
+    started[0].join(timeout=10.0)
+    assert not started[0].is_alive()
 
 
 # Battery of periodic test functions (value, gradient_x, gradient_y) used to

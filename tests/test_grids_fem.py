@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import homlab.cholesky
 from conftest import oracle_elements, oracle_matrix, quad_points, shifted_eigs
+from homlab.cell import sample_periodic
 from homlab.coefficients import A_PRESETS, F_PRESETS, W_PRESETS, make_preset
 from homlab.domain import EpsProblem, constant_matrix
 from homlab.errors import (
@@ -663,6 +664,23 @@ def flux_on_the_torus():
     boundary_flux(GridFunction(grid, np.zeros(grid.nnodes)))
 
 
+def periodic_grid_of_one_cell():
+    PeriodicGrid(1)
+
+
+def dirichlet_grid_of_one_cell():
+    DirichletGrid(1)
+
+
+def grid_function_of_the_wrong_shape():
+    GridFunction(DirichletGrid(4), np.zeros(16))  # 25 nodes
+
+
+def sample_a_dirichlet_field():
+    grid = DirichletGrid(4)
+    sample_periodic(GridFunction(grid, np.zeros(grid.nnodes)), 0.3, 0.6)
+
+
 ERROR_CASES = [
     (sum_across_patterns, UsageError, "same DirichletGrid pattern"),
     (assemble_nan_diffusion, AssemblyError,
@@ -684,6 +702,13 @@ ERROR_CASES = [
     (shift_checked_against_unshifted_operator, SpectralError,
      r"residual .* \(hom, 49 DOF\)$"),
     (flux_on_the_torus, UsageError, "DirichletGrid"),
+    (periodic_grid_of_one_cell, ValueError, "^PeriodicGrid needs n >= 2$"),
+    (dirichlet_grid_of_one_cell, ValueError, "^DirichletGrid needs n >= 2$"),
+    (grid_function_of_the_wrong_shape, ValueError,
+     r"^GridFunction values shape \(16,\) does not match grid with 25 "
+     r"nodes$"),
+    (sample_a_dirichlet_field, ValueError,
+     "^sample_periodic needs a field on a PeriodicGrid$"),
 ]
 
 
