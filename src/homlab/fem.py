@@ -47,10 +47,20 @@ map, and every load vector is a ``np.bincount`` over the connectivity
 ``np.bincount`` at 1.2 times).  All interior matrices of a grid share its
 index arrays, so :func:`add_scaled` forms ``L_eps``, the shifted operators
 and ``K + mM`` as sums of data vectors, and no full-grid matrix is built.
-A PeriodicGrid assembles through COO: the cell stage builds one stiffness
-per run, where a cached slot map cannot pay for itself (it made
-``homlab cell`` at n = 384 slower, and raised its peak RSS while it stayed
-alive).
+A PeriodicGrid's matrix is built straight in CSR from the 9-point
+stencil, with no cached pattern (the cell stage builds one stiffness per
+run, and a cached slot map made ``homlab cell`` at n = 384 slower and
+raised its peak RSS while it stayed alive).  Node (y, x) is corner a of
+cell (y - oy_a, x - ox_a), so each of the 16 local pairs (a, b) is one
+plane of the (n, n, 4, 4) element array shifted by o_a, and the coupling
+at offset o_b - o_a sums its pairs (:func:`_offset_sums`).  Each row holds
+9 entries, with int32 columns and ``indptr = 9 i``, so no triplets are
+made and nothing is sorted.  The bits are those of a COO assembly
+converted to CSR: the diagonal sums its four terms in ascending cell
+index, and each row lists its columns in ascending order, which sets the
+bits of a product with the matrix (scipy sums a row in stored order).
+That order differs from the stencil's only at the first and last node of
+a grid line, where a neighbour wraps round.
 
 Fields tabulated at the points of a rule are arrays (ncells, nq, ...).  The
 kernels that make and reduce them avoid per-element loops in ``np.einsum``:
@@ -76,7 +86,6 @@ import scipy.sparse as sp
 from .errors import AssemblyError, SolverError, UsageError
 from .grids import (
     GridFunction,
-    PeriodicGrid,
     full_size,
     gauss_rule,
     on_pattern,
@@ -103,20 +112,93 @@ def _check_finite(vals, what):
     raise AssemblyError(f"non-finite {what} sample in cell {cell}")
 
 
+# The (row, column) position of each local corner in its cell.
+_CORNER_OFFSETS = ((0, 0), (0, 1), (1, 1), (1, 0))
+# Where the offsets -1, 0, +1 go in a sorted row at the first and the last
+# node of a grid line, where one neighbour wraps round.
+_WRAP_ORDER = ((0, [1, 2, 0]), (-1, [2, 0, 1]))
+
+
+def _shifted(oy, ox):
+    """(dst, src) pairs of 2-D slices with ``dst[y, x] = src[y - oy, x - ox]``
+    (indices mod n) for shifts ``oy``, ``ox`` in {0, 1}."""
+    by_axis = {0: [(slice(None), slice(None))],
+               1: [(slice(1, None), slice(None, -1)),
+                   (slice(0, 1), slice(-1, None))]}
+    return [((dy, dx), (sy, sx)) for dy, sy in by_axis[oy]
+            for dx, sx in by_axis[ox]]
+
+
+def _offset_sums(elem):
+    """The 9-point stencil of every node of an n-by-n torus, (n, n, 3, 3)
+    indexed ``[y, x, dy + 1, dx + 1]``, from its element matrices ``elem``,
+    (n, n, 4, 4) indexed ``[cell row, cell column, a, b]``.
+
+    Node (y, x) is corner a of cell (y - oy_a, x - ox_a), so the entry
+    (a, b) of that cell couples it to its neighbour at offset o_b - o_a:
+    each local pair is one plane of ``elem``, shifted by o_a in slice
+    copies.  An offset off the diagonal sums one or two pairs, in any
+    order; the diagonal sums its four in ascending cell index, the order
+    in which COO's conversion to CSR sums them.
+    """
+    n = elem.shape[0]
+    out = np.empty((n, n, 3, 3))
+    # the diagonal's terms [y, x, r, c], from cell (y - 1 + r, x - 1 + c)
+    diag = np.empty((n, n, 2, 2))
+    filled = set()
+    for a, (ay, ax) in enumerate(_CORNER_OFFSETS):
+        for b, (by, bx) in enumerate(_CORNER_OFFSETS):
+            if a == b:
+                dst, add = diag[:, :, 1 - ay, 1 - ax], False
+            else:
+                slot = (by - ay + 1, bx - ax + 1)
+                dst, add = out[:, :, slot[0], slot[1]], slot in filled
+                filled.add(slot)
+            for to, fro in _shifted(ay, ax):
+                if add:
+                    dst[to] += elem[fro + (a, b)]
+                else:
+                    dst[to] = elem[fro + (a, b)]
+    # In the first row (column) the cells above (left of) a node wrap round
+    # to the last, so they come second.
+    diag[0] = diag[0][:, [1, 0]]
+    diag[:, 0] = diag[:, 0][:, :, [1, 0]]
+    center = out[:, :, 1, 1]
+    np.add(diag[..., 0, 0], diag[..., 0, 1], out=center)
+    center += diag[..., 1, 0]
+    center += diag[..., 1, 1]
+    return out
+
+
 def _scatter(grid, element_mats):
     """Sum (ncells,4,4) element matrices into a sparse matrix.
 
     On a DirichletGrid the result is the interior matrix, on the grid's
     shared read-only pattern (:attr:`~homlab.grids.DirichletGrid.pattern`);
-    on a PeriodicGrid it is the full matrix, through COO.
+    on a PeriodicGrid it is the full matrix, 9 entries a row from
+    :func:`_offset_sums`.  Its columns are put in ascending order by
+    reordering the rows and columns of the first and last node of each grid
+    line, so its bits are those of COO's conversion to CSR (module
+    docstring).  At n = 2 offsets -1 and +1 name the same node, and their
+    entries are summed.
     """
     if grid.periodic:
-        conn = grid.conn
-        rows = np.repeat(conn, 4, axis=1).ravel()
-        cols = np.tile(conn, (1, 4)).ravel()
-        mat = sp.coo_matrix((element_mats.ravel(), (rows, cols)),
-                            shape=(grid.nnodes, grid.nnodes))
-        return mat.tocsr()
+        n = grid.n
+        data = _offset_sums(element_mats.reshape(n, n, 4, 4))
+        lines = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
+        for t, order in _WRAP_ORDER:
+            data[t] = data[t][:, order]
+            data[:, t] = data[:, t][:, :, order]
+            lines[t] = lines[t][order]
+        lines = lines.astype(np.int32)
+        cols = lines[:, None, :, None] * np.int32(n) + lines[None, :, None, :]
+        mat = sp.csr_matrix(
+            (data.ravel(), cols.ravel(),
+             np.arange(0, 9 * grid.nnodes + 1, 9, dtype=np.int32)),
+            shape=(grid.nnodes, grid.nnodes))
+        if n == 2:
+            mat.sum_duplicates()
+        return mat
     pattern = grid.pattern
     data = np.bincount(pattern.slots, weights=element_mats.ravel(),
                        minlength=pattern.nnz + 1)[:pattern.nnz]
@@ -357,20 +439,23 @@ def torus_laplace_solver(grid):
     Returns ``solve(r)``, the zero-mean nodal u with ``K u = r - mean(r)``
     for the stiffness K of the identity tensor on ``grid``.  K is a circular
     convolution with its 3x3 stencil, which does not depend on h in 2D, so
-    the stencil comes from the assembled stiffness of a 3x3 torus and K itself
-    is never assembled.  Stencil offsets -1 and +1 coincide when n = 2, hence
-    the accumulation.  The inverse symbol is zero on the constant mode.
+    the stencil is the per-offset sums (:func:`_offset_sums`) of one
+    identity element matrix, and K itself is never assembled.  Stencil
+    offsets -1 and +1 coincide when n = 2, hence the accumulation.  The
+    inverse symbol is zero on the constant mode.
     """
     n = grid.n
-    stencil_grid = PeriodicGrid(3)
-    col = assemble_stiffness(stencil_grid, quad_samples(
-        stencil_grid, lambda x1, x2: np.broadcast_to(
-            np.eye(2), np.shape(x1) + (2, 2))))[:, 0]
-    stencil = col.toarray().reshape(3, 3)          # [dy % 3, dx % 3]
+    # The stencil of a node of a 2x2 torus.  Its four element matrices are
+    # one product, as the assembly's are: a product of one row takes
+    # another BLAS path, whose bits differ.
+    identity = np.broadcast_to(np.eye(2), (4, len(QUAD_W), 2, 2))
+    elem = stiffness_elements(grid, identity).reshape(2, 2, 4, 4)
+    stencil = _offset_sums(elem)[0, 0]            # [dy + 1, dx + 1]
+    # the convolution kernel at d is the coupling to the neighbour at -d
     kernel = np.zeros((n, n))
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
-            kernel[dy % n, dx % n] += stencil[dy % 3, dx % 3]
+            kernel[dy % n, dx % n] += stencil[1 - dy, 1 - dx]
     symbol = np.fft.rfft2(kernel).real
     symbol[0, 0] = 1.0
     inverse = 1.0 / symbol

@@ -147,3 +147,25 @@ def test_scales_that_share_a_label_are_duplicates():
 def test_negative_seed_rejected():
     with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
         parse_config("seed = -1\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("W_preset = sine3\n", r"^unknown W_preset 'sine3'; choose from \("),
+    ("f_preset = bump\n", r"^unknown f_preset 'bump'; choose from \("),
+    ("domain_grid_n = 2\n", "^domain_grid_n must be at least 4, got 2$"),
+    ("cg_tol = 0\n", r"^cg_tol must lie in \(0, 1\), got 0\.0$"),
+    ("eig_tol = 1\n", r"^eig_tol must lie in \(0, 1\), got 1\.0$"),
+    ("workers = -1\n", "^workers must be nonnegative$"),
+    ("seed = 1\nA_preset layered\n",
+     "^config line 2 is not a key = value assignment: 'A_preset layered'$"),
+    ("epsilons = ,\n", "^epsilons list is empty$"),
+])
+def test_config_error_branches(text, match):
+    with pytest.raises(ConfigurationError, match=match):
+        parse_config(text)
+
+
+def test_empty_epsilons_rejected_by_validate():
+    with pytest.raises(ConfigurationError,
+                       match="^epsilons must not be empty$"):
+        RunConfig(epsilons=[]).validate()

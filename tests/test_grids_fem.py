@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import homlab.cholesky
 from conftest import oracle_elements, oracle_matrix, quad_points, shifted_eigs
+from homlab.analysis import _boundary_abs_max
 from homlab.cell import sample_periodic
 from homlab.coefficients import A_PRESETS, F_PRESETS, W_PRESETS, make_preset
-from homlab.domain import EpsProblem, constant_matrix
+from homlab.domain import EpsProblem, constant_matrix, solve_homogenized
 from homlab.errors import (
     AssemblyError,
     ConfigurationError,
@@ -25,6 +26,7 @@ from homlab.errors import (
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
+    _scatter,
     _scatter_vector,
     add_scaled,
     apply_tensor,
@@ -58,7 +60,13 @@ from homlab.grids import (
     shape_gradients,
     shape_values,
 )
-from homlab.spectral import shift_spectrum
+from homlab.pipeline import stages_for
+from homlab.spectral import (
+    Spectrum,
+    _orthonormalize,
+    checked_spectrum,
+    shift_spectrum,
+)
 
 
 def identity_a(x1, x2):
@@ -429,6 +437,64 @@ def test_fft_laplace_solve_inverts_the_assembled_laplacian(n):
     assert abs(u.mean()) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 17, 64])
+def test_fft_laplace_symbol_has_the_assembled_stencils_bits(n):
+    """The FFT solve inverts the symbol of the assembled Laplacian itself:
+    its kernel at offset d is row 0's coupling to node -d, bit for bit, so
+    the solve equals one by that kernel's FFT."""
+    grid = PeriodicGrid(n)
+    row = laplacian(grid)[[0]].toarray().reshape(n, n)
+    kernel = np.roll(row[::-1, ::-1], 1, axis=(0, 1))    # row[-d mod n]
+    symbol = np.fft.rfft2(kernel).real
+    symbol[0, 0] = 1.0
+    inverse = 1.0 / symbol
+    inverse[0, 0] = 0.0
+    r = np.random.default_rng(n).standard_normal((n, n))
+    ref = np.fft.irfft2(np.fft.rfft2(r) * inverse, s=(n, n)).ravel()
+    assert torus_laplace_solver(grid)(r.ravel()).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 16, 64])
+def test_periodic_assembly_equals_the_coo_route(n):
+    """The periodic stiffness, mass and weighted mass, built from the
+    9-point stencil, are the COO oracle's matrices for the same element
+    arrays: randomly scaled stiffness elements and the read-only broadcast
+    mass element included.  For n >= 3 ``data``, ``indices`` and
+    ``indptr`` are equal bit for bit; at n = 2, where offsets -1 and +1
+    name the same node, each column holds one entry, the sum of up to
+    four terms in another order."""
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    pairs = []
+    for preset in ("layered", "smooth-iso"):
+        a_q = quad_samples(grid, make_preset(preset).a_eval)
+        pairs.append((assemble_stiffness(grid, a_q),
+                      stiffness_elements(grid, a_q)))
+    scaled = stiffness_elements(
+        grid, rng.standard_normal((grid.ncells, len(QUAD_W), 2, 2)))
+    scaled *= rng.uniform(0.5, 2.0, (grid.ncells, 1, 1))
+    pairs.append((_scatter(grid, scaled), scaled))
+    mass_elem = oracle_elements(grid)
+    assert not mass_elem.flags.writeable
+    pairs.append((assemble_mass(grid), mass_elem))
+    pairs.append((_scatter(grid, mass_elem), mass_elem))
+    w_q = quad_samples(grid, make_preset("identity", "sine-mix").w_eval)
+    pairs.append((assemble_weighted_mass(grid, w_q),
+                  weighted_mass_elements(grid, w_q)))
+    for got, elem in pairs:
+        ref = oracle_matrix(grid, elem, full=True)
+        assert got.has_canonical_format and ref.has_canonical_format
+        assert got.nnz == min(9, n * n) * grid.nnodes
+        for name in ("indptr", "indices"):
+            assert getattr(got, name).dtype == np.int32
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        if n == 2:
+            assert np.max(np.abs(got.data - ref.data)) <= (
+                1e-15 * np.max(np.abs(ref.data)))
+        else:
+            assert got.data.tobytes() == ref.data.tobytes()
+
+
 @pytest.mark.parametrize("xi", [None, gauss_rule(3)[0]], ids=["assembly", "order3"])
 def test_cell_kernels_exact_on_a_bilinear_field(xi):
     c0, c1, c2, c3 = 0.3, -1.7, 2.2, 0.9
@@ -605,7 +671,7 @@ def laplace_pair(n):
 
 
 def sum_across_patterns():
-    grid = PeriodicGrid(4)  # COO matrices, each on its own index arrays
+    grid = PeriodicGrid(4)  # each periodic matrix on its own index arrays
     add_scaled(laplacian(grid), 1.0, assemble_mass(grid))
 
 
@@ -681,6 +747,49 @@ def sample_a_dirichlet_field():
     sample_periodic(GridFunction(grid, np.zeros(grid.nnodes)), 0.3, 0.6)
 
 
+def spectrum_of_a_matrix_of_eigenvalues():
+    Spectrum(eigenvalues=np.eye(2), eigenvectors=np.eye(2),
+             residuals=np.zeros(2))
+
+
+def spectrum_with_a_missing_eigenvector():
+    Spectrum(eigenvalues=np.ones(3), eigenvectors=np.eye(3)[:, :2],
+             residuals=np.zeros(3))
+
+
+def orthonormalize_a_degenerate_basis():
+    _orthonormalize(np.ones((5, 2)), sp.identity(5, format="csr"))
+
+
+def check_descending_eigenvalues():
+    op = sp.diags([1.0, 2.0, 3.0, 4.0]).tocsr()
+    # exact pairs (residuals 0) of op, listed largest first
+    checked_spectrum(op, sp.identity(4, format="csr"), np.array([3.0, 2.0]),
+                     np.eye(4)[:, [2, 1]], 1e-8, tag="eps", epsilon=0.25)
+
+
+def eps_problem_on_the_torus():
+    EpsProblem(make_preset("identity"), 0.25, PeriodicGrid(64))
+
+
+def homogenized_solve_on_the_torus():
+    grid = PeriodicGrid(4)
+    solve_homogenized(np.eye(2), 0.0, grid, np.zeros(grid.ndof))
+
+
+def boundary_trace_on_the_torus():
+    grid = PeriodicGrid(4)
+    _boundary_abs_max(GridFunction(grid, np.zeros(grid.nnodes)))
+
+
+def factorize_a_non_square_matrix():
+    factorize(sp.csr_matrix((4, 9)))
+
+
+def stages_for_an_unknown_stage():
+    stages_for("cell", "sweep")
+
+
 ERROR_CASES = [
     (sum_across_patterns, UsageError, "same DirichletGrid pattern"),
     (assemble_nan_diffusion, AssemblyError,
@@ -709,6 +818,27 @@ ERROR_CASES = [
      r"nodes$"),
     (sample_a_dirichlet_field, ValueError,
      "^sample_periodic needs a field on a PeriodicGrid$"),
+    (spectrum_of_a_matrix_of_eigenvalues, SpectralError,
+     "^eigenvalues must be a flat array$"),
+    (spectrum_with_a_missing_eigenvector, SpectralError,
+     "^eigenvector count does not match eigenvalues$"),
+    (orthonormalize_a_degenerate_basis, SpectralError,
+     "^eigenvector Gram matrix is not positive definite; the solver "
+     "returned a degenerate basis$"),
+    (check_descending_eigenvalues, SpectralError,
+     r"^eigenvalues not returned in ascending order \(eps at "
+     r"epsilon=0.25, 4 DOF\)$"),
+    (eps_problem_on_the_torus, ConfigurationError,
+     "^EpsProblem needs a Dirichlet grid$"),
+    (homogenized_solve_on_the_torus, ConfigurationError,
+     "^solve_homogenized needs a Dirichlet grid$"),
+    (boundary_trace_on_the_torus, UsageError,
+     "^boundary trace is only defined on a Dirichlet grid$"),
+    (factorize_a_non_square_matrix, UsageError,
+     r"^factorize needs the interior matrix of a Dirichlet grid, "
+     r"\(m\^2, m\^2\); got shape \(4, 9\)$"),
+    (stages_for_an_unknown_stage, ConfigurationError,
+     "^unknown stage 'sweep'$"),
 ]
 
 
