@@ -38,29 +38,28 @@ tensor-product spectral elements; Orszag, J. Comput. Phys. 1980.)
 :func:`stiffness_elements`, :func:`weighted_mass_elements`, the
 assemblies built on them and the load vectors all take samples.
 
-On a DirichletGrid every assembled matrix is the interior one, summed from
-the element matrices straight into the grid's read-only CSR pattern
-(:class:`~homlab.grids.InteriorPattern`) by ``np.bincount`` over its slot
-map, and every load vector is a ``np.bincount`` over the connectivity
-(``np.add.at`` sums in the same order, but keeps the GIL: at n = 384 on a
-2-core VM two threads ran it at 0.5-0.9 times the serial rate, and
-``np.bincount`` at 1.2 times).  All interior matrices of a grid share its
-index arrays, so :func:`add_scaled` forms ``L_eps``, the shifted operators
-and ``K + mM`` as sums of data vectors, and no full-grid matrix is built.
-A PeriodicGrid's matrix is built straight in CSR from the 9-point
-stencil, with no cached pattern (the cell stage builds one stiffness per
-run, and a cached slot map made ``homlab cell`` at n = 384 slower and
-raised its peak RSS while it stayed alive).  Node (y, x) is corner a of
-cell (y - oy_a, x - ox_a), so each of the 16 local pairs (a, b) is one
-plane of the (n, n, 4, 4) element array shifted by o_a, and the coupling
-at offset o_b - o_a sums its pairs (:func:`_offset_sums`).  Each row holds
-9 entries, with int32 columns and ``indptr = 9 i``, so no triplets are
-made and nothing is sorted.  The bits are those of a COO assembly
-converted to CSR: the diagonal sums its four terms in ascending cell
-index, and each row lists its columns in ascending order, which sets the
-bits of a product with the matrix (scipy sums a row in stored order).
-That order differs from the stencil's only at the first and last node of
-a grid line, where a neighbour wraps round.
+Every matrix is assembled from the 9-point stencil (:func:`_offset_sums`).
+Element matrices are plane-major, (4, 4, ncells), and node (y, x) is
+corner a of cell (y - oy_a, x - ox_a), so each local pair (a, b) is one
+plane shifted by o_a, and the coupling at offset o_b - o_a sums its pairs.
+On a DirichletGrid the shifts are plain slices, and the interior matrix's
+data are the stencil entries that the grid's read-only CSR pattern
+(:class:`~homlab.grids.InteriorPattern`) takes.  All interior matrices of
+a grid share its index arrays, so :func:`add_scaled` forms ``L_eps``, the
+shifted operators and ``K + mM`` as sums of data vectors, and no full-grid
+matrix is built.  On a PeriodicGrid the shifts wrap round, and the matrix
+is the stencil made node-major, with int32 columns and ``indptr = 9 i``
+and no cached pattern (the cell stage builds one stiffness per run, and a
+cached slot map made ``homlab cell`` at n = 384 slower and raised its peak
+RSS while it stayed alive).  No triplets are made and nothing is sorted.
+The bits are those of a COO assembly converted to CSR: the diagonal sums
+its four terms in ascending cell index, and each row lists its columns in
+ascending order, which sets the bits of a product with the matrix (scipy
+sums a row in stored order); on the torus that order differs from the
+stencil's at the first and last node of a grid line.  Every load vector
+is a ``np.bincount`` over the connectivity (``np.add.at`` sums in the same
+order, but keeps the GIL: at n = 384 on a 2-core VM two threads ran it at
+0.5-0.9 times the serial rate, and ``np.bincount`` at 1.2 times).
 
 Fields tabulated at the points of a rule are arrays (ncells, nq, ...).  The
 kernels that make and reduce them avoid per-element loops in ``np.einsum``:
@@ -69,10 +68,11 @@ gathered corner values with the tabulated shape functions,
 :func:`apply_tensor` is the 2x2 product ``A g`` written out, and
 :func:`integrate` sums over cells with a matrix-vector product before it
 applies the weights.  The element matrices and load vectors of the
-assembly are one GEMM each: the samples, one row of ``nq`` (or ``4 nq``,
-``2 nq``) values per cell, times a precomputed kernel that holds the
+assembly are one GEMM each of the samples, one row of ``nq`` (or ``4 nq``,
+``2 nq``) values per cell, and a precomputed kernel that holds the
 weights and shape functions, such as ``K[qij, ab] = w_q G_qai G_qbj`` for
-the stiffness.
+the stiffness; an element matrix GEMM puts the kernel first, so that its
+result is plane-major.
 
 :func:`integrate` also runs on the pipeline's pool threads, so its cell
 sum, a vector times a tall matrix, is ``np.dot``, not ``@``: numpy's
@@ -96,8 +96,9 @@ from .grids import (
 QUAD_XI, QUAD_W = gauss_rule(2)
 _N = shape_values(QUAD_XI)          # (4, 4)
 _G = shape_gradients(QUAD_XI)       # (4, 4, 2)
-# Element kernels: stacked element matrices and vectors are the samples at
-# the quadrature points, one row per cell, times these.
+# Element kernels: stacked element vectors are the samples at the quadrature
+# points, one row per cell, times these; plane-major element matrices are
+# these, transposed, times the samples, one column per cell.
 _STIFFNESS = np.einsum("q,qai,qbj->qijab", QUAD_W, _G, _G).reshape(16, 16)
 _MASS = np.einsum("q,qa,qb->qab", QUAD_W, _N, _N).reshape(4, 16)
 _LOAD = QUAD_W[:, None] * _N                                    # (4, 4)
@@ -119,91 +120,100 @@ _CORNER_OFFSETS = ((0, 0), (0, 1), (1, 1), (1, 0))
 _WRAP_ORDER = ((0, [1, 2, 0]), (-1, [2, 0, 1]))
 
 
-def _shifted(oy, ox):
-    """(dst, src) pairs of 2-D slices with ``dst[y, x] = src[y - oy, x - ox]``
-    (indices mod n) for shifts ``oy``, ``ox`` in {0, 1}."""
-    by_axis = {0: [(slice(None), slice(None))],
-               1: [(slice(1, None), slice(None, -1)),
-                   (slice(0, 1), slice(-1, None))]}
+def _shifted(oy, ox, n, periodic):
+    """(dst, src) pairs of 2-D slices that give each node its cell at shift
+    (oy, ox) in {0, 1}^2: ``dst[y, x] = src[y - oy, x - ox]`` mod n on the
+    torus, and on a Dirichlet grid cells ``[1 - o : n - o]`` per axis."""
+    if periodic:
+        by_axis = {0: [(slice(None), slice(None))],
+                   1: [(slice(1, None), slice(None, -1)),
+                       (slice(0, 1), slice(-1, None))]}
+    else:
+        by_axis = {o: [(slice(None), slice(1 - o, n - o))] for o in (0, 1)}
     return [((dy, dx), (sy, sx)) for dy, sy in by_axis[oy]
             for dx, sx in by_axis[ox]]
 
 
-def _offset_sums(elem):
-    """The 9-point stencil of every node of an n-by-n torus, (n, n, 3, 3)
-    indexed ``[y, x, dy + 1, dx + 1]``, from its element matrices ``elem``,
-    (n, n, 4, 4) indexed ``[cell row, cell column, a, b]``.
+def _offset_sums(elem, periodic):
+    """The 9-point stencil, (3, 3, N, N) indexed ``[dy + 1, dx + 1, y, x]``,
+    of the N^2 nodes of a torus (``periodic``, N = n) or the interior nodes
+    of a Dirichlet grid (N = n - 1), from element matrices ``elem``,
+    (4, 4, n, n) indexed ``[a, b, cell row, cell column]``.
 
     Node (y, x) is corner a of cell (y - oy_a, x - ox_a), so the entry
     (a, b) of that cell couples it to its neighbour at offset o_b - o_a:
     each local pair is one plane of ``elem``, shifted by o_a in slice
-    copies.  An offset off the diagonal sums one or two pairs, in any
-    order; the diagonal sums its four in ascending cell index, the order
-    in which COO's conversion to CSR sums them.
+    copies (:func:`_shifted`).  An offset off the diagonal sums one or two
+    pairs, in any order; the diagonal sums its four in ascending cell
+    index, the order in which COO's conversion to CSR sums them.
     """
-    n = elem.shape[0]
-    out = np.empty((n, n, 3, 3))
-    # the diagonal's terms [y, x, r, c], from cell (y - 1 + r, x - 1 + c)
-    diag = np.empty((n, n, 2, 2))
+    n = elem.shape[-1]
+    size = n if periodic else n - 1
+    out = np.empty((3, 3, size, size))
+    # the diagonal's terms [r, c, y, x], from cell (y - 1 + r, x - 1 + c)
+    diag = np.empty((2, 2, size, size))
     filled = set()
     for a, (ay, ax) in enumerate(_CORNER_OFFSETS):
         for b, (by, bx) in enumerate(_CORNER_OFFSETS):
             if a == b:
-                dst, add = diag[:, :, 1 - ay, 1 - ax], False
+                dst, add = diag[1 - ay, 1 - ax], False
             else:
                 slot = (by - ay + 1, bx - ax + 1)
-                dst, add = out[:, :, slot[0], slot[1]], slot in filled
+                dst, add = out[slot], slot in filled
                 filled.add(slot)
-            for to, fro in _shifted(ay, ax):
+            for to, fro in _shifted(ay, ax, n, periodic):
                 if add:
-                    dst[to] += elem[fro + (a, b)]
+                    dst[to] += elem[a, b][fro]
                 else:
-                    dst[to] = elem[fro + (a, b)]
-    # In the first row (column) the cells above (left of) a node wrap round
-    # to the last, so they come second.
-    diag[0] = diag[0][:, [1, 0]]
-    diag[:, 0] = diag[:, 0][:, :, [1, 0]]
-    center = out[:, :, 1, 1]
-    np.add(diag[..., 0, 0], diag[..., 0, 1], out=center)
-    center += diag[..., 1, 0]
-    center += diag[..., 1, 1]
+                    dst[to] = elem[a, b][fro]
+    if periodic:
+        # In the first row (column) the cells above (left of) a node wrap
+        # round to the last, so they come second.
+        diag[:, :, 0] = diag[::-1, :, 0]
+        diag[:, :, :, 0] = diag[:, ::-1, :, 0]
+    center = out[1, 1]
+    np.add(diag[0, 0], diag[0, 1], out=center)
+    center += diag[1, 0]
+    center += diag[1, 1]
     return out
 
 
 def _scatter(grid, element_mats):
-    """Sum (ncells,4,4) element matrices into a sparse matrix.
+    """Sum (4, 4, ncells) element matrices into a sparse matrix through
+    their stencil (:func:`_offset_sums`).
 
-    On a DirichletGrid the result is the interior matrix, on the grid's
-    shared read-only pattern (:attr:`~homlab.grids.DirichletGrid.pattern`);
-    on a PeriodicGrid it is the full matrix, 9 entries a row from
-    :func:`_offset_sums`.  Its columns are put in ascending order by
-    reordering the rows and columns of the first and last node of each grid
-    line, so its bits are those of COO's conversion to CSR (module
-    docstring).  At n = 2 offsets -1 and +1 name the same node, and their
-    entries are summed.
+    On a DirichletGrid the result is the interior matrix on the grid's
+    shared read-only pattern (:attr:`~homlab.grids.DirichletGrid.pattern`),
+    its data the stencil entries that ``pattern.take`` picks.  On a
+    PeriodicGrid it is the full matrix, the stencil made node-major, 9
+    entries a row; its columns are put in ascending order by reordering the
+    rows and columns of the first and last node of each grid line, so its
+    bits are those of COO's conversion to CSR (module docstring).  At n = 2
+    offsets -1 and +1 name the same node, and their entries are summed.
     """
-    if grid.periodic:
-        n = grid.n
-        data = _offset_sums(element_mats.reshape(n, n, 4, 4))
-        lines = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
-        for t, order in _WRAP_ORDER:
-            data[t] = data[t][:, order]
-            data[:, t] = data[:, t][:, :, order]
-            lines[t] = lines[t][order]
-        lines = lines.astype(np.int32)
-        cols = lines[:, None, :, None] * np.int32(n) + lines[None, :, None, :]
-        mat = sp.csr_matrix(
-            (data.ravel(), cols.ravel(),
-             np.arange(0, 9 * grid.nnodes + 1, 9, dtype=np.int32)),
-            shape=(grid.nnodes, grid.nnodes))
-        if n == 2:
-            mat.sum_duplicates()
-        return mat
-    pattern = grid.pattern
-    data = np.bincount(pattern.slots, weights=element_mats.ravel(),
-                       minlength=pattern.nnz + 1)[:pattern.nnz]
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(grid.ndof, grid.ndof))
+    n = grid.n
+    stencil = _offset_sums(element_mats.reshape(4, 4, n, n), grid.periodic)
+    if not grid.periodic:
+        pattern = grid.pattern
+        return sp.csr_matrix(
+            (np.take(stencil, pattern.take), pattern.indices, pattern.indptr),
+            shape=(grid.ndof, grid.ndof))
+    data = np.ascontiguousarray(stencil.transpose(2, 3, 0, 1))
+    del stencil
+    lines = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
+    for t, order in _WRAP_ORDER:
+        data[t] = data[t][:, order]
+        data[:, t] = data[:, t][:, :, order]
+        lines[t] = lines[t][order]
+    lines = lines.astype(np.int32)
+    cols = lines[:, None, :, None] * np.int32(n) + lines[None, :, None, :]
+    mat = sp.csr_matrix(
+        (data.ravel(), cols.ravel(),
+         np.arange(0, 9 * grid.nnodes + 1, 9, dtype=np.int32)),
+        shape=(grid.nnodes, grid.nnodes))
+    if n == 2:
+        mat.sum_duplicates()
+    return mat
 
 
 def add_scaled(a, beta, b):
@@ -271,17 +281,18 @@ def assemble_stiffness(grid, a):
 
 
 def stiffness_elements(grid, a):
-    """The (ncells, 4, 4) element matrices of :func:`assemble_stiffness`:
-    the samples ``a`` of A, one row of ``4 nq`` values per cell, times the
-    kernel ``K[qij, ab] = w_q G_qai G_qbj``."""
+    """The (4, 4, ncells) element matrices of :func:`assemble_stiffness`:
+    the kernel ``K[qij, ab] = w_q G_qai G_qbj``, transposed, times the
+    samples ``a`` of A, one column of ``4 nq`` values per cell."""
     _check_finite(a, "diffusion")
-    return (a.reshape(len(a), -1) @ _STIFFNESS).reshape(-1, 4, 4)
+    return (_STIFFNESS.T @ a.reshape(len(a), -1).T).reshape(4, 4, -1)
 
 
 def assemble_mass(grid):
     """Consistent mass matrix."""
     elem = grid.h ** 2 * np.einsum("q,qa,qb->ab", QUAD_W, _N, _N)
-    return _scatter(grid, np.broadcast_to(elem, (grid.ncells, 4, 4)))
+    return _scatter(grid, np.broadcast_to(elem[:, :, None],
+                                          (4, 4, grid.ncells)))
 
 
 def assemble_weighted_mass(grid, w):
@@ -291,12 +302,12 @@ def assemble_weighted_mass(grid, w):
 
 
 def weighted_mass_elements(grid, w):
-    """The (ncells, 4, 4) element matrices of
-    :func:`assemble_weighted_mass`: ``h^2`` times the samples ``w`` of the
-    weight, one row of ``nq`` values per cell, times
-    ``K[q, ab] = w_q N_qa N_qb``."""
+    """The (4, 4, ncells) element matrices of
+    :func:`assemble_weighted_mass`: ``h^2`` times the kernel
+    ``K[q, ab] = w_q N_qa N_qb``, transposed, times the samples ``w`` of
+    the weight, one column of ``nq`` values per cell."""
     _check_finite(w, "weight")
-    return (grid.h ** 2 * (w @ _MASS)).reshape(-1, 4, 4)
+    return (grid.h ** 2 * (_MASS.T @ w.T)).reshape(4, 4, -1)
 
 
 def _scatter_vector(grid, element_vecs):
@@ -449,8 +460,8 @@ def torus_laplace_solver(grid):
     # one product, as the assembly's are: a product of one row takes
     # another BLAS path, whose bits differ.
     identity = np.broadcast_to(np.eye(2), (4, len(QUAD_W), 2, 2))
-    elem = stiffness_elements(grid, identity).reshape(2, 2, 4, 4)
-    stencil = _offset_sums(elem)[0, 0]            # [dy + 1, dx + 1]
+    elem = stiffness_elements(grid, identity).reshape(4, 4, 2, 2)
+    stencil = _offset_sums(elem, True)[:, :, 0, 0]    # [dy + 1, dx + 1]
     # the convolution kernel at d is the coupling to the neighbour at -d
     kernel = np.zeros((n, n))
     for dy in (-1, 0, 1):

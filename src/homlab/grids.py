@@ -143,31 +143,26 @@ class InteriorPattern:
     Row and column ``i`` are interior DOF ``i`` (``grid.interior[i]``); row
     ``i`` lists the DOF of the up to nine interior nodes of the 3x3 block
     around it, in increasing order, so every CSR matrix built on
-    ``indptr``/``indices`` is canonical.  ``slots`` maps the entry ``(c, a,
-    b)`` of a stack of (ncells, 4, 4) element matrices, flattened, to its
-    position in ``data``; an entry whose row or column node lies on the
-    boundary maps to ``nnz``, one past the last position, so
-    ``np.bincount(slots, weights, minlength=nnz + 1)[:nnz]`` sums the
-    element matrices into ``data`` in cell order and drops the boundary.
+    ``indptr``/``indices`` is canonical.  ``take`` maps each position in
+    ``data`` to the entry of the interior nodes' flattened 9-point
+    stencil, (3, 3, m, m) indexed ``[dy + 1, dx + 1, y, x]`` over the
+    row-major m-by-m interior block, that holds its value, so
+    ``np.take(stencil, take)`` is the matrix's ``data``
+    (:func:`homlab.fem._scatter`).
     """
 
     indptr: np.ndarray   # (ndof + 1,) int32
     indices: np.ndarray  # (nnz,) int32
-    slots: np.ndarray    # (16 ncells,) int32
+    take: np.ndarray     # (nnz,) int32
 
     @property
     def nnz(self):
         return int(self.indices.size)
 
 
-# Reference-cell coordinates (x, y) of the four local corners.
-_CORNER_X = np.array([0, 1, 1, 0])
-_CORNER_Y = np.array([0, 0, 1, 1])
-
-
 # (indptr, indices) per block size, shared by every grid and factor of it;
-# coupling_table's slot table is not kept, its one reader being the grid's
-# slot map
+# coupling_table's ``start`` is not kept, its one reader being the grid's
+# ``take`` (:func:`_interior_pattern`)
 _PATTERNS = {}
 
 
@@ -178,12 +173,11 @@ def coupling_table(m):
     offsets (dy, dx), or ``ndof`` for a neighbour off the block; returns
     ``(indptr, indices, start)`` with ``start[t, i]`` the slot in ``data``
     of DOF ``i``'s coupling at offset ``t = 3 (dy + 1) + dx + 1``, or
-    ``nnz`` off the block (its last column, for a boundary node, reads
-    ``nnz`` too).  A neighbour's position in its row is the number of
-    candidates below it, so no sort is needed.  The arrays are read-only;
-    ``indptr`` and ``indices`` are the block's shared ones
+    ``nnz`` off the block.  A neighbour's position in its row is the
+    number of candidates below it, so no sort is needed.  The arrays are
+    read-only; ``indptr`` and ``indices`` are the block's shared ones
     (:func:`coupling_pattern`), while ``start`` is made anew on every call
-    and kept by nobody: its one reader, the grid's slot map
+    and kept by nobody: its one reader, the grid's ``take``
     (:func:`_interior_pattern`), needs it once per grid.
     """
     ndof = m * m
@@ -201,17 +195,16 @@ def coupling_table(m):
     np.cumsum(inside.sum(axis=0), out=indptr[1:])
     nnz = int(indptr[-1])
     # Candidates on the block are distinct, so each pair is compared once.
-    start = np.empty((9, ndof + 1), dtype=np.int32)
-    start[:, :-1] = indptr[:-1]
+    start = np.empty((9, ndof), dtype=np.int32)
+    start[:] = indptr[:-1]
     for t in range(9):
         for u in range(t + 1, 9):
             below = candidates[u] < candidates[t]
-            start[t, :-1] += below
-            start[u, :-1] += ~below
-    start[:, :-1][~inside] = nnz
-    start[:, -1] = nnz
+            start[t] += below
+            start[u] += ~below
+    start[~inside] = nnz
     indices = np.empty(nnz + 1, dtype=np.int32)
-    indices[start[:, :-1]] = candidates
+    indices[start] = candidates
     indices = indices[:nnz]
     for arr in (indptr, indices, start):
         arr.flags.writeable = False
@@ -235,24 +228,19 @@ def on_pattern(mat, indptr, indices):
 
 def _interior_pattern(grid):
     """Build the :class:`InteriorPattern` of ``grid`` from grid arithmetic
-    (:func:`coupling_table` of its m-by-m interior block, m = n - 1).  The
-    offset of a local pair (a, b) is the same in every cell, so the slot of
-    element entry (c, a, b) is ``start[offset(a, b), row]``, ``row`` the
-    DOF of corner a of cell c.
+    (:func:`coupling_table` of its m-by-m interior block, m = n - 1): the
+    coupling of DOF ``i`` at offset ``t`` sits at ``start[t, i]`` in
+    ``data`` and at ``t m^2 + perm[i]`` in the flattened stencil, ``perm``
+    the block's :func:`nested_dissection` order.
     """
-    indptr, indices, start = coupling_table(grid.n - 1)
-    corner_dof = np.full(grid.nnodes, -1, dtype=np.int32)
-    corner_dof[grid.interior] = np.arange(grid.ndof, dtype=np.int32)
-    rows = corner_dof[grid.conn]              # (ncells, 4)
-    offset = (3 * (_CORNER_Y[None, :] - _CORNER_Y[:, None] + 1)
-              + _CORNER_X[None, :] - _CORNER_X[:, None] + 1)   # [a, b]
-    slots = np.empty((4, 4, grid.ncells), dtype=np.int32)
-    for a in range(4):
-        for b in range(4):
-            np.take(start[offset[a, b]], rows[:, a], out=slots[a, b])
-    slots = np.ascontiguousarray(slots.transpose(2, 0, 1)).reshape(-1)
-    slots.flags.writeable = False
-    return InteriorPattern(indptr=indptr, indices=indices, slots=slots)
+    m = grid.n - 1
+    indptr, indices, start = coupling_table(m)
+    # one spare position takes the couplings off the block, as in indices
+    take = np.empty(indices.size + 1, dtype=np.int32)
+    take[start] = np.arange(9)[:, None] * (m * m) + nested_dissection(m)
+    take = take[:-1]
+    take.flags.writeable = False
+    return InteriorPattern(indptr=indptr, indices=indices, take=take)
 
 
 @dataclass(frozen=True)

@@ -73,29 +73,29 @@ def quad_points(grid, xi=QUAD_XI):
 
 
 def oracle_elements(grid, a=None, w=None):
-    """(ncells, 4, 4) element matrices by the assembly rule: the stiffness
-    of the samples ``a`` of A, else the mass weighted by the samples ``w``,
-    else the mass.  Each is the four-operand contraction of weights, shape
-    functions and samples, independent of the assembly's precomputed
-    kernels."""
+    """(4, 4, ncells) element matrices by the assembly rule, plane-major as
+    the assembly's: the stiffness of the samples ``a`` of A, else the mass
+    weighted by the samples ``w``, else the mass.  Each is the
+    four-operand contraction of weights, shape functions and samples,
+    independent of the assembly's precomputed kernels."""
     n_q, g_q = shape_values(QUAD_XI), shape_gradients(QUAD_XI)
     if a is not None:
-        return np.einsum("q,qai,cqij,qbj->cab", QUAD_W, g_q, a, g_q,
+        return np.einsum("q,qai,cqij,qbj->abc", QUAD_W, g_q, a, g_q,
                          optimize=True)
     if w is not None:
-        return grid.h ** 2 * np.einsum("q,cq,qa,qb->cab", QUAD_W, w, n_q,
+        return grid.h ** 2 * np.einsum("q,cq,qa,qb->abc", QUAD_W, w, n_q,
                                        n_q, optimize=True)
     elem = grid.h ** 2 * np.einsum("q,qa,qb->ab", QUAD_W, n_q, n_q)
-    return np.broadcast_to(elem, (grid.ncells, 4, 4))
+    return np.broadcast_to(elem[:, :, None], (4, 4, grid.ncells))
 
 
 def oracle_matrix(grid, elem, full=False):
-    """COO assembly of ``elem`` on every node of ``grid``, the route the
-    grid's interior pattern replaces; without ``full``, its interior block
-    in the grid's DOF order, with sorted columns."""
+    """COO assembly of the (4, 4, ncells) element matrices ``elem`` on
+    every node of ``grid``, its triplets in cell order; without ``full``,
+    its interior block in the grid's DOF order, with sorted columns."""
     rows = np.repeat(grid.conn, 4, axis=1).ravel()
     cols = np.tile(grid.conn, (1, 4)).ravel()
-    mat = sp.coo_matrix((np.ravel(elem), (rows, cols)),
+    mat = sp.coo_matrix((np.moveaxis(elem, -1, 0).ravel(), (rows, cols)),
                         shape=(grid.nnodes, grid.nnodes)).tocsr()
     if full:
         return mat

@@ -457,13 +457,15 @@ def assembled(tmp_path, a_preset, w_preset, n, epsilons):
 def test_interior_matrices_share_one_canonical_symmetric_pattern(
         tmp_path, a_preset, w_preset, n, epsilons):
     """The mass, K-hat and each scale's K_eps and L_eps sit on the grid's
-    one pattern: shared, canonical, read-only index arrays, exactly
+    one pattern, whose ``take`` index is read-only too: shared, canonical,
+    read-only index arrays, exactly
     symmetric matrices, and data equal bit for bit to the COO route's on
     the same element matrices.  (The element matrices themselves are
     checked against the einsum contractions in test_grids_fem.)"""
     exp = assembled(tmp_path, a_preset, w_preset, n, epsilons)
     grid = exp.domain_grid
     pattern = grid.pattern
+    assert not pattern.take.flags.writeable
     model = exp.model
     oracles = {
         "mass": oracle_matrix(grid, oracle_elements(grid)),
@@ -527,14 +529,14 @@ def test_pattern_survives_a_run(tmp_path, monkeypatch, upto):
             kept["pattern"] = self.domain_grid.pattern
             kept["bytes"] = [arr.tobytes() for arr in (
                 kept["pattern"].indptr, kept["pattern"].indices,
-                kept["pattern"].slots)]
+                kept["pattern"].take)]
 
     monkeypatch.setattr(Experiment, "_assemble", assemble)
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, upto=upto, out=io.StringIO()) == 0
     pattern = kept["pattern"]
     assert [arr.tobytes() for arr in (
-        pattern.indptr, pattern.indices, pattern.slots)] == kept["bytes"]
+        pattern.indptr, pattern.indices, pattern.take)] == kept["bytes"]
 
 
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):
