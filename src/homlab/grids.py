@@ -155,10 +155,6 @@ class InteriorPattern:
     indices: np.ndarray  # (nnz,) int32
     take: np.ndarray     # (nnz,) int32
 
-    @property
-    def nnz(self):
-        return int(self.indices.size)
-
 
 # (indptr, indices) per block size, shared by every grid and factor of it;
 # coupling_table's ``start`` is not kept, its one reader being the grid's
