@@ -461,7 +461,7 @@ def torus_laplace_solver(grid):
     # another BLAS path, whose bits differ.
     identity = np.broadcast_to(np.eye(2), (4, len(QUAD_W), 2, 2))
     elem = stiffness_elements(grid, identity).reshape(4, 4, 2, 2)
-    stencil = _offset_sums(elem, True)[:, :, 0, 0]    # [dy + 1, dx + 1]
+    stencil = _offset_sums(elem, periodic=True)[:, :, 0, 0]  # [dy+1, dx+1]
     # the convolution kernel at d is the coupling to the neighbour at -d
     kernel = np.zeros((n, n))
     for dy in (-1, 0, 1):
