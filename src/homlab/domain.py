@@ -10,18 +10,23 @@ Scale separation is written as ``x / epsilon``: coefficient fields from
 :mod:`homlab.coefficients` are unit-periodic, so the oscillatory operator
 samples them at ``y = x / epsilon``.
 
-Each scale's operators are assembled once, when its :class:`EpsProblem` is
-built, and kept as plain attributes; reading them assembles nothing, so
-threads can share a problem.  They are interior matrices on the grid's one
-shared sparsity pattern (:attr:`homlab.grids.DirichletGrid.pattern`), so
-``L_eps`` is a sum of their data vectors (:func:`homlab.fem.add_scaled`);
-no full-grid matrix is built.
+Each scale's operators are assembled once and kept as plain attributes:
+the diffusion ``K_eps`` and the corrector loads when its
+:class:`DiffusionProblem` is built, ``L_eps`` when the :class:`EpsProblem`
+is built on it.  Reading them assembles nothing, so threads can share a
+problem, and each matrix has one owner: the problem does not keep the
+diffusion problem, so a caller that drops it frees ``K_eps`` and the loads
+(with ``W`` zero, ``L_eps`` is ``K_eps`` and keeps it).  They are interior
+matrices on the grid's one shared sparsity pattern
+(:attr:`homlab.grids.DirichletGrid.pattern`), so ``L_eps`` is a sum of
+their data vectors (:func:`homlab.fem.add_scaled`); no full-grid matrix is
+built.
 
 Nothing here factors a matrix.  Every oscillatory solve takes the caller's
 Cholesky factor (:func:`homlab.fem.factorize`), the one the pipeline's
 operator task made for that operator's shift-invert eigensolve:
-:func:`solve_dirichlet_correctors` solves with the factor of the diffusion
-matrix, shared by both corrector problems, and :func:`solve_eps`
+:func:`solve_dirichlet_correctors` solves with the factor of ``K_eps``,
+shared by both corrector problems, and :func:`solve_eps`
 preconditions conjugate gradients on ``L_eps`` with the factor of
 ``L_eps - sigma M``.  The effective operator needs none: with constant
 diagonal ``a_hat`` its Q1 pencil is a Kronecker sum of 1-D pencils, so its
@@ -63,6 +68,7 @@ from .grids import DirichletGrid, GridFunction
 from .spectral import Spectrum
 
 __all__ = [
+    "DiffusionProblem",
     "EpsProblem",
     "DirichletCorrectors",
     "CoercivityReport",
@@ -86,22 +92,15 @@ def _scaled(field: Callable[..., np.ndarray], epsilon: float):
     return scaled
 
 
-class EpsProblem:
-    """Oscillatory Dirichlet problem at a fixed scale, assembled on
-    construction:
+class DiffusionProblem:
+    """Oscillatory diffusion ``-div(A(x/eps) grad .)`` with Dirichlet data
+    at a fixed scale, assembled on construction:
 
-    - ``diffusion``: interior stiffness ``K_eps`` of ``-div(A(x/eps) grad .)``;
-    - ``operator``: interior matrix of ``-div(A(x/eps) grad .) + (1/eps)
-      W(x/eps)``, i.e. ``diffusion + (1/eps) M_W``, or ``diffusion`` itself
-      when ``W`` is zero;
-    - ``lifts``: interior loads ``-(K x_j)`` of the two corrector problems,
-      ``x_j`` the nodal coordinate ``j`` (j = 1, 2), ``K`` the stiffness on
-      every node;
-    - ``sigma``: ``min(0, min_q W_q) / eps - 1`` over the samples ``M_W``
-      is assembled from (-1 when ``W`` is zero), strictly below the
-      spectrum of ``operator``: the diffusion part is nonnegative and
-      ``M_W - (min_q W_q) M`` is positive semidefinite, since ``M_W`` has
-      the mass's positive quadrature weights.
+    - ``stiffness``: its interior stiffness ``K_eps``, the matrix of the
+      ``eps_prime`` pencil and of both corrector problems;
+    - ``lifts``: interior loads ``-(K x_j)`` of the two corrector problems
+      (:func:`solve_dirichlet_correctors`), ``x_j`` the nodal coordinate
+      ``j`` (j = 1, 2), ``K`` the stiffness on every node.
 
     ``A`` is sampled once at the quadrature points; the stiffness and the
     lifts both read those samples.  Since ``grad x_j = e_j``, ``K x_j`` is
@@ -114,7 +113,7 @@ class EpsProblem:
         if epsilon <= 0.0:
             raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         if grid.periodic:
-            raise ConfigurationError("EpsProblem needs a Dirichlet grid")
+            raise ConfigurationError("DiffusionProblem needs a Dirichlet grid")
         if grid.h > epsilon / MIN_CELLS_PER_PERIOD + 1e-14:
             raise ConfigurationError(
                 f"grid too coarse for epsilon={epsilon}: h={grid.h:.6g} exceeds "
@@ -125,18 +124,44 @@ class EpsProblem:
         self.epsilon = float(epsilon)
         self.grid = grid
         a = quad_samples(grid, _scaled(model.a_eval, self.epsilon))
-        self.diffusion = assemble_stiffness(grid, a)
+        self.stiffness = assemble_stiffness(grid, a)
         self.lifts: Tuple[np.ndarray, np.ndarray] = tuple(
             -grid.restrict(flux_load_from_quad_values(grid, a[..., :, j]))
             for j in (0, 1))
-        del a  # freed before M_W is assembled
+
+
+class EpsProblem:
+    """Oscillatory Dirichlet problem at ``diffusion``'s scale and grid,
+    assembled on construction:
+
+    - ``operator``: interior matrix of ``-div(A(x/eps) grad .) + (1/eps)
+      W(x/eps)``, i.e. ``diffusion.stiffness + (1/eps) M_W``, or that
+      stiffness itself when ``W`` is zero;
+    - ``sigma``: ``min(0, min_q W_q) / eps - 1`` over the samples ``M_W``
+      is assembled from (-1 when ``W`` is zero), strictly below the
+      spectrum of ``operator``: the diffusion part is nonnegative and
+      ``M_W - (min_q W_q) M`` is positive semidefinite, since ``M_W`` has
+      the mass's positive quadrature weights.
+
+    The problem keeps ``diffusion``'s model, scale and grid but not
+    ``diffusion`` itself: ``K_eps`` and the corrector loads live as long as
+    their :class:`DiffusionProblem`, except that with ``W`` zero
+    ``operator`` is ``K_eps``.
+    """
+
+    def __init__(self, diffusion: DiffusionProblem):
+        model, grid = diffusion.model, diffusion.grid
+        self.model = model
+        self.epsilon = diffusion.epsilon
+        self.grid = grid
         if model.w_preset == "zero":
-            self.operator = self.diffusion
+            self.operator = diffusion.stiffness
             self.sigma = -1.0
         else:
             w = quad_samples(grid, _scaled(model.w_eval, self.epsilon))
             mw = assemble_weighted_mass(grid, w)
-            self.operator = add_scaled(self.diffusion, 1.0 / self.epsilon, mw)
+            self.operator = add_scaled(diffusion.stiffness,
+                                       1.0 / self.epsilon, mw)
             self.sigma = min(0.0, float(np.min(w))) / self.epsilon - 1.0
         self._mass_int: Optional[sp.csr_matrix] = None
 
@@ -378,7 +403,7 @@ class DirichletCorrectors:
         return max(float(np.max(np.abs(d.values))) for d in self.deviation)
 
 
-def solve_dirichlet_correctors(problem: EpsProblem,
+def solve_dirichlet_correctors(problem: DiffusionProblem,
                                lu) -> DirichletCorrectors:
     """Solve the two corrector problems for ``problem``'s scale and grid.
 
@@ -387,7 +412,7 @@ def solve_dirichlet_correctors(problem: EpsProblem,
     interior (``problem.lifts``); the boundary nodes of the returned field
     therefore carry ``x_j`` exactly (bit for bit), not merely up to solver
     tolerance.  Both problems solve with ``lu``, the caller's factor of
-    ``problem.diffusion``.
+    ``problem.stiffness``.
     """
     grid = problem.grid
     coords = grid.node_coords()

@@ -18,11 +18,14 @@ builds), runs the shift-invert eigensolve with that factor, does the
 operator's linear solves with the same factor (in ``solve``), and drops it:
 
 - ``eps_prime:<label>``: eigensolve ``K_eps``, then the two Dirichlet
-  correctors;
+  correctors; it returns the spectrum without eigenvectors (eigenvalues,
+  residuals and ``solves``), since nothing reads them after their residual
+  check, and the correctors;
 - ``eps:<label>``: eigensolve ``L_eps``, then the coercivity report and
   ``u_eps`` (:func:`solve_eps`: conjugate gradients on ``L_eps``
   preconditioned by that factor; a form that is not coercive stops the
-  stage).
+  stage); it returns the spectrum with its eigenvectors, which ``eigs``
+  and ``flux`` read, the report and ``u_eps``.
 
 This task is the only place that factors: :mod:`homlab.domain` and
 :mod:`homlab.spectral` solve with the factor it passes them.  The effective
@@ -39,15 +42,24 @@ is not kept after the two checks.
 each scale's inputs arrive, that scale's finish task (expansion, Jacobian,
 energy defect).  Each operator's spectrum is computed once per run: after
 ``solve``, ``eigs`` finds them all and only adds the Rayleigh defects; run
-without ``solve``, it computes the missing ones the same way.  The
+without ``solve``, it computes them the same way.  The
 operators are assembled once per run by ``Experiment._assemble``, on the
 main thread before the first task starts: the domain grid, the interior
-mass and load, the effective stiffness and one :class:`EpsProblem` per
-scale, which assembles its own; ``cell`` alone builds none of them.  All of
-them share the grid's one interior sparsity pattern, and no full-grid
-matrix is built.  No factor outlives its task; the freed heap goes back to
-the OS after the assembly and the closed forms, after each factorization
-and after each task (:func:`_release_heap`).
+mass and load, the effective stiffness and, per scale, a
+:class:`DiffusionProblem` (``K_eps`` and the corrector loads) and the
+:class:`EpsProblem` built on it (``L_eps``); ``cell`` alone builds none of
+them.  All of them share the grid's one interior sparsity pattern, and no
+full-grid matrix is built.
+
+The run keeps only what a later stage reads.  No factor outlives its task.
+A scale's ``K_eps`` and corrector loads have one owner, the ``eps_prime``
+row of the operator table, which goes when that task is collected, in
+``solve`` or, without it, in ``eigs``; with ``W`` zero, ``K_eps`` is
+``L_eps`` and stays.  ``L_eps`` and the mass live through the run, since
+``solve``'s finish tasks (the energy defect) and ``gaps`` (the cluster
+projection) read them after the pool.  The freed heap goes back to the OS
+after the assembly and the closed forms, after each factorization and
+after each task (:func:`_release_heap`).
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -63,7 +75,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -81,6 +94,7 @@ from .coefficients import make_preset, validate
 from .config import RunConfig, eps_label, load_config
 from .domain import (
     CoercivityReport,
+    DiffusionProblem,
     DirichletCorrectors,
     EpsProblem,
     coercivity_check,
@@ -284,8 +298,9 @@ class Experiment:
         self.load: Optional[np.ndarray] = None  # interior load (f, N_a)
         self.f_l2: Optional[float] = None  # ||f||, from the load's samples
         self.problems: Dict[float, EpsProblem] = {}  # one per scale
-        self.operators: Dict[str, Tuple[sp.csr_matrix, float,
-                                        EpsProblem]] = {}
+        # each uncollected task's (operator, shift, problem), by tag
+        self.operators: Dict[str, Tuple[
+            sp.csr_matrix, float, Union[EpsProblem, DiffusionProblem]]] = {}
         self.cell_solution: Optional[CellSolution] = None
         self.validation = None
         self.u_0: Optional[GridFunction] = None
@@ -315,7 +330,8 @@ class Experiment:
 
     def _assemble(self) -> None:
         """Build the domain grid and every operator of the run, once: the
-        interior mass and one :class:`EpsProblem` per scale; and sample f
+        interior mass and, per scale, a :class:`DiffusionProblem` and the
+        :class:`EpsProblem` built on it; and sample f
         once, for the interior load every solve takes and ``f_l2``.  Then
         the effective spectra, in closed form: the ``hom_prime`` pairs
         (:func:`effective_eigenpairs`), checked against the assembled
@@ -330,7 +346,13 @@ class Experiment:
 
         ``self.operators`` tables the oscillatory operators by spectrum tag
         as (operator, shift sigma, its problem), in the order their tasks
-        are submitted.  Each shift must lie strictly below its operator's
+        are submitted, and a row leaves it when its task is collected
+        (:meth:`_collect`).  The ``eps_prime`` row is the one owner of its
+        :class:`DiffusionProblem`, which the :class:`EpsProblem` does not
+        keep, so ``K_eps`` and the corrector loads go with the row (with
+        ``W`` zero, ``K_eps`` is ``L_eps`` and stays).  The ``eps`` row's
+        ``L_eps`` stays with its problem in ``self.problems``, which later
+        stages read.  Each shift must lie strictly below its operator's
         spectrum, as the shift-invert eigensolve needs to find the lowest
         pairs, and each task checks that it does: the Cholesky factor of
         ``op - sigma M`` completes only if that matrix is positive
@@ -354,15 +376,16 @@ class Experiment:
         self.load = grid.restrict(load_from_quad_values(grid, fq))
         self.f_l2 = float(np.sqrt(grid.h ** 2
                                   * np.einsum("q,cq->", QUAD_W, fq ** 2)))
-        self.problems = {eps: EpsProblem(self.model, eps, grid)
-                         for eps in self.cfg.epsilons}
+        self.problems = {}
         self.operators = {}
-        for eps, problem in self.problems.items():
+        for eps in self.cfg.epsilons:
             label = eps_label(eps)
+            diffusion = DiffusionProblem(self.model, eps, grid)
+            problem = self.problems[eps] = EpsProblem(diffusion)
             self.operators[f"eps:{label}"] = (
                 problem.operator, problem.sigma, problem)
             self.operators[f"eps_prime:{label}"] = (
-                problem.diffusion, 0.0, problem)
+                diffusion.stiffness, 0.0, diffusion)
         tol, m = self.cfg.eig_tol, float(cs.m_w_chi_w)
         stiff = assemble_stiffness(
             grid, quad_samples(grid, constant_matrix(cs.a_hat)))
@@ -383,7 +406,11 @@ class Experiment:
         shift.
 
         Returns (spectrum, what the solves produced, or None without
-        ``solve``).  Reads the shared operators, writes no shared state.
+        ``solve``).  An ``eps_prime`` spectrum comes back without its
+        eigenvectors once they have passed their residual check
+        (:func:`checked_spectrum`, in :func:`eigs`): no reader needs them,
+        and each scale's would otherwise be held for the whole run.  Reads
+        the shared operators, writes no shared state.
         """
         op, sigma, problem = self.operators[tag]
         kind = tag.partition(":")[0]
@@ -398,6 +425,8 @@ class Experiment:
         spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
                         tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
                         epsilon=problem.epsilon)
+        if kind == "eps_prime":  # no reader after the residual check
+            spectrum = replace(spectrum, eigenvectors=None)
         if not solve:
             return spectrum, None
         cs = self.cell_solution
@@ -410,8 +439,9 @@ class Experiment:
     def _submit_operator_tasks(self, pool: ThreadPoolExecutor,
                                solve: bool) -> Dict[str, Future]:
         """Submit one task per row of the operator table, in its order:
-        ``eps`` and ``eps_prime`` per scale (without ``solve``, only those
-        whose spectrum is missing); return the futures by tag.
+        ``eps`` and ``eps_prime`` per scale; return the futures by tag.
+        A collected task's row has left the table, so after ``solve``
+        ``eigs`` submits none.
 
         Every operator is assembled (:meth:`_assemble`) before the first
         task starts, and the tasks only read them.  Assembly running on this
@@ -430,12 +460,14 @@ class Experiment:
                                          self.domain_grid, self.load)
         _release_heap()
         return {tag: pool.submit(_released, self._operator_task, tag, solve)
-                for tag in self.operators
-                if solve or tag not in self.spectra}
+                for tag in self.operators}
 
     def _collect(self, futures: Dict[str, Future], tag: str):
-        """Wait for ``tag``'s task, keep its spectrum, return the rest."""
+        """Wait for ``tag``'s task, keep its spectrum, return the rest, and
+        drop the task's row of the operator table: for ``eps_prime`` that
+        row is the last reference to ``K_eps`` and the corrector loads."""
         self.spectra[tag], solved = futures[tag].result()
+        del self.operators[tag]
         return solved
 
     def run_stage(self, stage: str, dump_fields: bool = False) -> None:
@@ -532,13 +564,14 @@ class Experiment:
             futures = self._submit_operator_tasks(pool, solve=False)
             defects = {}
             for eps, problem in self.problems.items():
-                tag = f"eps:{eps_label(eps)}"
+                tag, prime = (f"{kind}:{eps_label(eps)}"
+                              for kind in ("eps", "eps_prime"))
                 if tag in futures:
                     self._collect(futures, tag)
                 defects[eps] = pool.submit(rayleigh_quadrature_defect,
                                            problem, self.spectra[tag])
-            for tag in futures:
-                self._collect(futures, tag)
+                if prime in futures:
+                    self._collect(futures, prime)
             for eps, defect in defects.items():
                 self.rayleigh_defects[eps_label(eps)] = float(
                     np.max(defect.result()))

@@ -75,11 +75,14 @@ class Spectrum:
 
     ``epsilon`` is carried for the oscillatory operators and ``None`` for
     the effective ones.  Eigenvectors are stored column-wise on the interior
-    degrees of freedom; ``grid.extend`` turns one into a nodal field.
+    degrees of freedom; ``grid.extend`` turns one into a nodal field.  They
+    are ``None`` on a spectrum whose vectors no reader needs once the pairs
+    have passed :func:`checked_spectrum`: the pipeline keeps only the
+    eigenvalues, residuals and ``solves`` of each ``eps_prime`` spectrum.
     """
 
     eigenvalues: np.ndarray  # (k,)
-    eigenvectors: np.ndarray  # (ndof, k)
+    eigenvectors: Optional[np.ndarray]  # (ndof, k), or None once dropped
     residuals: np.ndarray  # (k,) relative residual per pair
     epsilon: Optional[float] = None
     solves: int = 0  # shift-invert solves made; 0 without an eigensolve
@@ -87,7 +90,8 @@ class Spectrum:
     def __post_init__(self):
         if self.eigenvalues.ndim != 1:
             raise SpectralError("eigenvalues must be a flat array")
-        if self.eigenvectors.shape[1] != self.eigenvalues.size:
+        if (self.eigenvectors is not None
+                and self.eigenvectors.shape[1] != self.eigenvalues.size):
             raise SpectralError("eigenvector count does not match eigenvalues")
 
     @property

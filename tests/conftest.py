@@ -10,7 +10,12 @@ pytest stops printing captured output.
 import numpy as np
 import scipy.sparse as sp
 
-from homlab.domain import coercivity_check, constant_matrix
+from homlab.domain import (
+    DiffusionProblem,
+    EpsProblem,
+    coercivity_check,
+    constant_matrix,
+)
 from homlab.fem import (
     QUAD_W,
     QUAD_XI,
@@ -52,6 +57,13 @@ def interior_load(grid, f_eval):
     the pipeline hands it to the domain solves."""
     return grid.restrict(load_from_quad_values(grid,
                                                quad_samples(grid, f_eval)))
+
+
+def eps_problem(model, epsilon, grid):
+    """The :class:`EpsProblem` at ``epsilon`` on ``grid``, without its
+    :class:`DiffusionProblem`, which only the correctors and the
+    ``eps_prime`` pencil read."""
+    return EpsProblem(DiffusionProblem(model, epsilon, grid))
 
 
 def eps_factor_and_report(p):

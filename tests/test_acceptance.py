@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import factor, record_criterion, shifted_eigs
+from conftest import eps_problem, factor, record_criterion, shifted_eigs
 from homlab.analysis import jacobian_check
 from homlab.cell import solve_cell
 from homlab.coefficients import A_PRESETS, W_PRESETS, CoefficientModel, make_preset
 from homlab.config import RunConfig
-from homlab.domain import EpsProblem, solve_dirichlet_correctors
+from homlab.domain import DiffusionProblem, solve_dirichlet_correctors
 from homlab.fem import assemble_mass, assemble_stiffness, quad_samples
 from homlab.grids import DirichletGrid
 from homlab.pipeline import Experiment, run_experiment, stages_for
@@ -125,9 +125,9 @@ def test_criterion_03_cross_flux_identity_decay():
 
 
 def test_criterion_04_boundary_correctors(layered_run):
-    p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
+    d = DiffusionProblem(make_preset("identity"), 0.25, DirichletGrid(64))
     id_sup = solve_dirichlet_correctors(
-        p, lu=factor(p.diffusion)).sup_deviation()
+        d, lu=factor(d.stiffness)).sup_deviation()
 
     pts = [(eps, float(np.max(np.abs(
         layered_run.per_eps[eps].correctors.deviation[0].values))))
@@ -219,7 +219,7 @@ def test_criterion_10_flux_trends(default_run, layered_run):
     FLOOR = 0.5  # frozen calibration floor; measured global min 1.44
 
     model = make_preset("identity")
-    p = EpsProblem(model, 0.25, DirichletGrid(128))
+    p = eps_problem(model, 0.25, DirichletGrid(128))
     spec = shifted_eigs(p.operator, p.mass_interior(), 1,
                         sigma=-1.0)
     from homlab.analysis import flux_table
@@ -247,10 +247,10 @@ def test_criterion_11_boundary_layer_jacobian(default_run, layered_run):
         mins[name] = min(exp.per_eps[e].jacobian_min for e in EPS_SWEEP)
     grid = DirichletGrid(256)
     model = make_preset("identity")
-    problems = (EpsProblem(model, e, grid) for e in EPS_SWEEP)
+    problems = (DiffusionProblem(model, e, grid) for e in EPS_SWEEP)
     mins["identity"] = min(
         jacobian_check(solve_dirichlet_correctors(
-            p, lu=factor(p.diffusion))) for p in problems)
+            d, lu=factor(d.stiffness))) for d in problems)
     ok = all(v > 0.0 for v in mins.values())
     record_criterion(11, ok,
                      "min boundary-layer det(grad Phi): "

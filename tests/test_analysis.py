@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     eps_factor_and_report,
+    eps_problem,
     factor,
     interior_load,
     shifted_eigs,
@@ -18,7 +19,8 @@ from homlab.analysis import (
 )
 from homlab.cell import solve_cell
 from homlab.coefficients import make_preset
-from homlab.domain import EpsProblem, solve_dirichlet_correctors, solve_eps, solve_homogenized
+from homlab.domain import (DiffusionProblem, EpsProblem, solve_dirichlet_correctors,
+                           solve_eps, solve_homogenized)
 from homlab.errors import InsufficientDataError, UsageError
 from homlab.grids import DirichletGrid, GridFunction
 
@@ -65,12 +67,13 @@ def test_rate_fit_flat_data_keeps_r2_defined():
 def identity_pieces():
     model = make_preset("identity", "zero", "sine-sine")
     grid = DirichletGrid(64)
-    p = EpsProblem(model, 0.25, grid)
+    d = DiffusionProblem(model, 0.25, grid)
+    p = EpsProblem(d)
     lu, report = eps_factor_and_report(p)
     u_eps = solve_eps(p, report, interior_load(grid, model.f_eval), lu=lu)
     u_0 = solve_homogenized(np.eye(2), 0.0, grid,
                             interior_load(grid, model.f_eval))
-    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
+    dc = solve_dirichlet_correctors(d, lu=factor(d.stiffness))
     cs = solve_cell(model, 16)
     chi_w_s = sample_cell_field(cs.chi_w, grid, 0.25)
     return model, grid, p, u_eps, u_0, dc, chi_w_s
@@ -116,7 +119,7 @@ def test_sample_cell_field_constant_passthrough():
 
 def test_identity_flux_ratio_near_four():
     model = make_preset("identity", "zero")
-    p = EpsProblem(model, 0.25, DirichletGrid(128))
+    p = eps_problem(model, 0.25, DirichletGrid(128))
     spec = shifted_eigs(p.operator, p.mass_interior(), 1,
                         sigma=-1.0, epsilon=0.25)
     records = flux_table(p, spec)
@@ -127,7 +130,7 @@ def test_identity_flux_ratio_near_four():
 
 def test_flux_regime_flags():
     model = make_preset("identity", "zero")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    p = eps_problem(model, 0.25, DirichletGrid(64))
     spec = shifted_eigs(p.operator, p.mass_interior(), 2,
                         sigma=-1.0)
     records = flux_table(p, spec)
@@ -140,6 +143,6 @@ def test_flux_regime_flags():
 # --------------------------------------------------------------- jacobian
 
 def test_jacobian_check_wraps_correctors():
-    p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
-    dc = solve_dirichlet_correctors(p, lu=factor(p.diffusion))
+    d = DiffusionProblem(make_preset("layered"), 0.25, DirichletGrid(64))
+    dc = solve_dirichlet_correctors(d, lu=factor(d.stiffness))
     assert jacobian_check(dc) > 0.2

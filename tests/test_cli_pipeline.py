@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ import homlab.domain
 import homlab.fem
 import homlab.pipeline
 import homlab.spectral
-from conftest import oracle_elements, oracle_matrix, shifted_eigs
+from conftest import eps_problem, oracle_elements, oracle_matrix, shifted_eigs
 from homlab.cli import build_parser, main
 from homlab.coefficients import make_preset
-from homlab.config import K_MAX, RunConfig
-from homlab.domain import EpsProblem, constant_matrix, homogenized_lower_bound
+from homlab.config import K_MAX, RunConfig, eps_label
+from homlab.domain import constant_matrix, homogenized_lower_bound
 from homlab.errors import ConfigurationError, SolverError
 from homlab.fem import (assemble_stiffness, quad_samples, stiffness_elements,
                         weighted_mass_elements)
@@ -280,7 +281,7 @@ def test_smallest_grid_gives_k_max_pairs(tmp_path):
     rows = open(tmp_path / "spectrum_E.csv").read().splitlines()[1:]
     lam = np.array([float(row.split(",")[2]) for row in rows
                     if row.startswith("eps:1,")])
-    p = EpsProblem(make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset),
+    p = eps_problem(make_preset(cfg.a_preset, cfg.w_preset, cfg.f_preset),
                    1.0, DirichletGrid(16))
     ref = scipy.linalg.eigh(p.operator.toarray(), p.mass_interior().toarray(),
                             eigvals_only=True, subset_by_index=(0, K_MAX - 1))
@@ -486,7 +487,8 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
             l_eps = k_eps + (1.0 / eps) * oracle_matrix(
                 grid, weighted_mass_elements(grid, scaled(model.w_eval)))
         oracles[f"eps_prime:{eps}"], oracles[f"eps:{eps}"] = k_eps, l_eps
-        mats[f"eps_prime:{eps}"] = problem.diffusion
+        mats[f"eps_prime:{eps}"] = exp.operators[
+            f"eps_prime:{eps_label(eps)}"][0]
         mats[f"eps:{eps}"] = problem.operator
     for name, mat in mats.items():
         for part in ("indptr", "indices"):
@@ -537,6 +539,51 @@ def test_pattern_survives_a_run(tmp_path, monkeypatch, upto):
     pattern = kept["pattern"]
     assert [arr.tobytes() for arr in (
         pattern.indptr, pattern.indices, pattern.take)] == kept["bytes"]
+
+
+@pytest.mark.parametrize("upto, w_preset", [
+    ("report", "sine1"), ("flux", "sine1"), ("report", "zero")])
+def test_each_scale_drops_k_eps_and_its_corrector_loads(tmp_path, monkeypatch,
+                                                        upto, w_preset):
+    """Once a scale's ``eps_prime`` task is collected, nothing holds its
+    K_eps or its corrector loads, and its spectrum keeps no vectors: after
+    the pool's stage (``solve``, or ``eigs`` when the run has no ``solve``)
+    every weak reference taken at assembly is dead.  With W zero, K_eps is
+    L_eps, which ``gaps`` still reads, so it stays alive, and only the
+    loads go."""
+    refs = {}  # tag -> weak references to K_eps and the two loads
+    alive = {}  # stage -> tag -> which of them are alive after the stage
+    spectra = {}
+    real_assemble, real_run_stage = Experiment._assemble, Experiment.run_stage
+
+    def assemble(self):
+        real_assemble(self)
+        for tag, (op, _, problem) in self.operators.items():
+            if tag.startswith("eps_prime:") and tag not in refs:
+                refs[tag] = [weakref.ref(op)] + [
+                    weakref.ref(lift) for lift in problem.lifts]
+
+    def run_stage(self, stage, dump_fields=False):
+        real_run_stage(self, stage, dump_fields)
+        alive[stage] = {tag: [ref() is not None for ref in held]
+                        for tag, held in refs.items()}
+        spectra.update(self.spectra)
+
+    monkeypatch.setattr(Experiment, "_assemble", assemble)
+    monkeypatch.setattr(Experiment, "run_stage", run_stage)
+    cfg, _ = write_cfg(tmp_path, body=TWO_EPS.replace(
+        "W_preset = sine1", f"W_preset = {w_preset}"))
+    assert run_experiment(cfg, upto=upto, out=io.StringIO()) == 0
+    assert sorted(refs) == ["eps_prime:1/2", "eps_prime:1/4"]
+    for tag, spectrum in spectra.items():
+        assert (spectrum.eigenvectors is None) == tag.startswith(
+            "eps_prime:"), tag
+    pool_stage = "solve" if upto == "report" else "eigs"
+    later = STAGES[STAGES.index(pool_stage):STAGES.index(upto) + 1]
+    for stage in (s for s in later if s in alive):
+        for tag, (k_eps, *lifts) in alive[stage].items():
+            assert lifts == [False, False], (stage, tag)
+            assert k_eps == (w_preset == "zero"), (stage, tag)
 
 
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):

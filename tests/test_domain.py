@@ -8,6 +8,7 @@ import homlab.domain
 from conftest import (
     effective_factor,
     eps_factor_and_report,
+    eps_problem,
     factor,
     interior_load,
     oracle_elements,
@@ -16,6 +17,7 @@ from conftest import (
 from homlab.analysis import jacobian_check
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
+    DiffusionProblem,
     EpsProblem,
     coercivity_check,
     constant_matrix,
@@ -65,22 +67,22 @@ def solved_eps(p):
     return solve_eps(p, report, f_load(p), lu=lu)
 
 
-def correctors(p):
+def correctors(d):
     """The Dirichlet correctors with the factor of the diffusion matrix."""
-    return solve_dirichlet_correctors(p, lu=factor(p.diffusion))
+    return solve_dirichlet_correctors(d, lu=factor(d.stiffness))
 
 
 def test_resolution_guard():
     model = make_preset("identity")
     with pytest.raises(ConfigurationError) as exc:
-        EpsProblem(model, 1.0 / 16.0, DirichletGrid(64))
+        eps_problem(model, 1.0 / 16.0, DirichletGrid(64))
     assert "too coarse" in str(exc.value)
-    EpsProblem(model, 1.0 / 4.0, DirichletGrid(64))  # h = eps/16 exactly: fine
+    eps_problem(model, 1.0 / 4.0, DirichletGrid(64))  # h = eps/16 exactly: fine
 
 
 def test_epsilon_must_be_positive():
     with pytest.raises(ConfigurationError):
-        EpsProblem(make_preset("identity"), 0.0, DirichletGrid(64))
+        eps_problem(make_preset("identity"), 0.0, DirichletGrid(64))
 
 
 def test_identity_solution_is_scale_free():
@@ -90,7 +92,7 @@ def test_identity_solution_is_scale_free():
     grid = DirichletGrid(128)
     sols = []
     for eps in (0.25, 0.125):
-        p = EpsProblem(model, eps, grid)
+        p = eps_problem(model, eps, grid)
         sols.append(solved_eps(p).values)
     assert np.array_equal(sols[0], sols[1])
 
@@ -116,7 +118,7 @@ def test_identity_homogenized_equals_eps_solve():
     is, bit for bit, the effective one with a_hat = I and m = 0, so both
     problems are the same linear system."""
     grid = DirichletGrid(64)
-    p = EpsProblem(make_preset("identity", "zero", "sine-sine"), 0.25, grid)
+    p = eps_problem(make_preset("identity", "zero", "sine-sine"), 0.25, grid)
     op = p.operator
     k_hat = assemble_stiffness(grid, quad_samples(grid, constant_matrix(np.eye(2))))
     for part in ("indptr", "indices", "data"):
@@ -125,7 +127,7 @@ def test_identity_homogenized_equals_eps_solve():
 
 def test_galerkin_energy_defect_small():
     model = make_preset("smooth-iso", "sine1", "sine-sine")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    p = eps_problem(model, 0.25, DirichletGrid(64))
     u = solved_eps(p)
     assert galerkin_energy_defect(p, u) < 1e-10
 
@@ -133,7 +135,7 @@ def test_galerkin_energy_defect_small():
 def test_quadrature_energies_match_the_assembled_forms():
     # galerkin_energy_defect compares exactly these two routes: u^T L u and
     # u^T M u against direct quadrature of the fields.
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.25, DirichletGrid(64))
+    p = eps_problem(make_preset("smooth-iso", "sine1"), 0.25, DirichletGrid(64))
     inner = np.random.default_rng(5).standard_normal(p.grid.ndof)
     energy, mass = p.quadrature_energies([p.grid.extend(inner)])[0]
     assert energy == pytest.approx(
@@ -147,7 +149,7 @@ def test_coercivity_flag_goes_false_without_raising():
         a_eval=base.a_eval,
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
-    p = EpsProblem(strong, 0.5, DirichletGrid(32))
+    p = eps_problem(strong, 0.5, DirichletGrid(32))
     spectrum, lu = eps_spectrum(p)
     report = coercivity_check(spectrum, 0.0)
     assert not report.coercive
@@ -159,7 +161,7 @@ def test_coercivity_flag_goes_false_without_raising():
 
 def test_coercivity_report_on_sound_problem():
     model = make_preset("smooth-iso", "sine1")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    p = eps_problem(model, 0.25, DirichletGrid(64))
     spectrum, lu = eps_spectrum(p, k=3)
     report = coercivity_check(spectrum, -0.006)
     assert report.coercive
@@ -251,8 +253,8 @@ def test_closed_forms_refuse_an_off_diagonal_a_hat(entry, index):
 
 
 def test_identity_boundary_correctors_are_coordinates():
-    p = EpsProblem(make_preset("identity"), 0.25, DirichletGrid(64))
-    dc = correctors(p)
+    dc = correctors(DiffusionProblem(make_preset("identity"), 0.25,
+                                     DirichletGrid(64)))
     assert dc.sup_deviation() < 1e-12
     assert jacobian_check(dc) > 1.0 - 1e-9
 
@@ -262,7 +264,7 @@ def test_layered_boundary_correctors_scale_linearly():
     grid = DirichletGrid(128)
     sup = {}
     for eps in (0.25, 0.125):
-        dc = correctors(EpsProblem(model, eps, grid))
+        dc = correctors(DiffusionProblem(model, eps, grid))
         sup[eps] = dc.sup_deviation()
         assert jacobian_check(dc) > 0.2  # frozen floor, measured ~0.56
     assert sup[0.25] == pytest.approx(3.8937884e-2, rel=1e-5)
@@ -271,9 +273,9 @@ def test_layered_boundary_correctors_scale_linearly():
 
 
 def test_corrector_boundary_values_pin_to_coordinates():
-    p = EpsProblem(make_preset("layered"), 0.25, DirichletGrid(64))
-    dc = correctors(p)
-    grid = p.grid
+    d = DiffusionProblem(make_preset("layered"), 0.25, DirichletGrid(64))
+    dc = correctors(d)
+    grid = d.grid
     coords = grid.node_coords()
     wall = ~grid.is_interior
     for j in range(2):
@@ -285,14 +287,16 @@ def test_problem_keeps_lifts_instead_of_the_full_stiffness():
     loads -(K x_j) of the full stiffness K.  The problem forms them as the
     loads (A e_j, grad N_a), without K, so they match K x_j up to round-off
     in its sum: 1e-13 of the largest row of |K| |x_j|."""
-    p = EpsProblem(make_preset("layered", "sine1"), 0.25, DirichletGrid(64))
-    grid = p.grid
-    held = [v for v in vars(p).values() if sp.issparse(v)]
-    assert held
+    d = DiffusionProblem(make_preset("layered", "sine1"), 0.25,
+                         DirichletGrid(64))
+    grid = d.grid
+    held = [v for obj in (d, EpsProblem(d)) for v in vars(obj).values()
+            if sp.issparse(v)]
+    assert len(held) == 2
     assert all(m.shape == (grid.ndof, grid.ndof) for m in held)
-    k_full = full_stiffness(p)
+    k_full = full_stiffness(d)
     coords = grid.node_coords()
-    lifts = p.lifts
+    lifts = d.lifts
     assert len(lifts) == 2
     for j in 0, 1:
         ref = -grid.restrict(k_full @ coords[:, j])
@@ -303,7 +307,9 @@ def test_problem_keeps_lifts_instead_of_the_full_stiffness():
 def test_problem_is_assembled_once_on_construction(monkeypatch):
     """After construction nothing assembles: reading the operators, solving
     the correctors and the energy probe use what the problem holds."""
-    p = EpsProblem(make_preset("layered", "sine1"), 0.25, DirichletGrid(64))
+    d = DiffusionProblem(make_preset("layered", "sine1"), 0.25,
+                         DirichletGrid(64))
+    p = EpsProblem(d)
 
     def refuse(*args, **kwargs):
         raise AssertionError("assembled after construction")
@@ -312,16 +318,17 @@ def test_problem_is_assembled_once_on_construction(monkeypatch):
                  "assemble_mass"):
         monkeypatch.setattr(homlab.domain, name, refuse)
     ndof = p.grid.ndof
-    assert p.operator.shape == p.diffusion.shape == (ndof, ndof)
-    assert p.operator is not p.diffusion  # W is not zero
-    assert [lift.shape for lift in p.lifts] == [(ndof,), (ndof,)]
-    dc = correctors(p)
+    assert p.operator.shape == d.stiffness.shape == (ndof, ndof)
+    assert p.operator is not d.stiffness  # W is not zero
+    assert [lift.shape for lift in d.lifts] == [(ndof,), (ndof,)]
+    dc = correctors(d)
     assert galerkin_energy_defect(p, dc.deviation[0]) < 1e-10
 
 
 def test_direct_solves_match_a_tight_cg_reference():
     model = make_preset("smooth-iso", "sine1", "sine-sine")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    d = DiffusionProblem(model, 0.25, DirichletGrid(64))
+    p = EpsProblem(d)
     grid = p.grid
 
     def close(x, ref):
@@ -332,11 +339,11 @@ def test_direct_solves_match_a_tight_cg_reference():
     ref = cg_solve(p.operator, rhs, tol=1e-13)
     assert close(grid.restrict(u.values), ref)
 
-    dc = correctors(p)
+    dc = correctors(d)
     coords = grid.node_coords()
     for j in 0, 1:
-        load = -grid.restrict(full_stiffness(p).dot(coords[:, j]))
-        ref = cg_solve(p.diffusion, load, tol=1e-13)
+        load = -grid.restrict(full_stiffness(d).dot(coords[:, j]))
+        ref = cg_solve(d.stiffness, load, tol=1e-13)
         assert close(grid.restrict(dc.deviation[j].values), ref)
 
 
@@ -352,7 +359,7 @@ def counting_cg(monkeypatch, **fixed):
 
 
 def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
-    p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
+    p = eps_problem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
                    DirichletGrid(64))
     lu, report = eps_factor_and_report(p)
     assert report.coercive
@@ -365,7 +372,7 @@ def test_pcg_with_the_shifted_factor_matches_the_direct_solve(monkeypatch):
 
 
 def test_pcg_failure_names_epsilon(monkeypatch):
-    p = EpsProblem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
+    p = eps_problem(make_preset("smooth-iso", "sine1", "sine-sine"), 0.25,
                    DirichletGrid(64))
     lu, report = eps_factor_and_report(p)
     counting_cg(monkeypatch, max_iter=1)
@@ -380,7 +387,7 @@ def test_noncoercive_report_stops_the_solve_before_cg(monkeypatch):
         a_eval=base.a_eval,
         w_eval=lambda y1, y2: 100.0 * base.w_eval(y1, y2),
         f_eval=base.f_eval, kappa=0.999)
-    p = EpsProblem(strong, 0.5, DirichletGrid(32))
+    p = eps_problem(strong, 0.5, DirichletGrid(32))
     lu, report = eps_factor_and_report(p)
     assert not report.coercive
     calls = counting_cg(monkeypatch)

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homlab.cholesky
-from conftest import oracle_elements, oracle_matrix, quad_points, shifted_eigs
+from conftest import (eps_problem, oracle_elements, oracle_matrix, quad_points,
+                      shifted_eigs)
 from homlab.analysis import _boundary_abs_max
 from homlab.cell import sample_periodic
 from homlab.coefficients import A_PRESETS, F_PRESETS, W_PRESETS, make_preset
-from homlab.domain import EpsProblem, constant_matrix, solve_homogenized
+from homlab.domain import (DiffusionProblem, EpsProblem, constant_matrix,
+                           solve_homogenized)
 from homlab.errors import (
     AssemblyError,
     ConfigurationError,
@@ -217,7 +219,7 @@ def test_first_separator_decouples_the_halves():
 
 def test_factor_solves_match_a_dense_solve():
     model = make_preset("smooth-iso", "sine1")
-    p = EpsProblem(model, 0.5, DirichletGrid(32))
+    p = eps_problem(model, 0.5, DirichletGrid(32))
     mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     lu = factorize(mat)
     rng = np.random.default_rng(8)
@@ -249,7 +251,7 @@ def test_factor_solves_match_a_dense_solve_on_uneven_dissections(n, eps):
     trees have fronts of several shapes at one depth, and leaves beside
     separators.  The reference is a dense-band Cholesky solve."""
     model = make_preset("layered", "sine-mix")
-    p = EpsProblem(model, eps, DirichletGrid(n))
+    p = eps_problem(model, eps, DirichletGrid(n))
     mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     lu = factorize(mat)
     rng = np.random.default_rng(n)
@@ -327,7 +329,7 @@ def test_factor_matches_superlu_on_an_eps_pencil():
     to 1e-12 relative."""
     from scipy.sparse.linalg import splu
 
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 1 / 16,
+    p = eps_problem(make_preset("smooth-iso", "sine1"), 1 / 16,
                    DirichletGrid(256))
     mat = add_scaled(p.operator, -p.sigma, p.mass_interior())
     rhs = np.random.default_rng(256).standard_normal(p.grid.ndof)
@@ -366,7 +368,7 @@ def test_two_threads_solve_as_one_after_the_other():
     one after the other."""
     factors, rhs = [], []
     for eps in (0.5, 0.25):
-        p = EpsProblem(make_preset("smooth-iso", "sine1"), eps,
+        p = eps_problem(make_preset("smooth-iso", "sine1"), eps,
                        DirichletGrid(64))
         factors.append(factorize(add_scaled(p.operator, -p.sigma,
                                             p.mass_interior())))
@@ -388,9 +390,10 @@ def test_threads_factoring_one_grid_size_share_one_analysis():
     """Four threads factor at once, with the analysis of their grid size
     not yet cached and the interpreter switching threads often: the
     analysis is made once, and every solve has the bits of a serial one."""
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(33))
-    mats = [add_scaled(p.operator, -p.sigma, p.mass_interior()),
-            p.diffusion]
+    d = DiffusionProblem(make_preset("smooth-iso", "sine1"), 0.5,
+                         DirichletGrid(33))
+    p = EpsProblem(d)
+    mats = [add_scaled(p.operator, -p.sigma, p.mass_interior()), d.stiffness]
     rhs = np.random.default_rng(33).standard_normal(p.grid.ndof)
     serial = [factorize(mat).solve(rhs) for mat in mats]
     homlab.cholesky._symbolic.cache_clear()
@@ -781,7 +784,7 @@ def check_descending_eigenvalues():
 
 
 def eps_problem_on_the_torus():
-    EpsProblem(make_preset("identity"), 0.25, PeriodicGrid(64))
+    eps_problem(make_preset("identity"), 0.25, PeriodicGrid(64))
 
 
 def homogenized_solve_on_the_torus():
@@ -841,7 +844,7 @@ ERROR_CASES = [
      r"^eigenvalues not returned in ascending order \(eps at "
      r"epsilon=0.25, 4 DOF\)$"),
     (eps_problem_on_the_torus, ConfigurationError,
-     "^EpsProblem needs a Dirichlet grid$"),
+     "^DiffusionProblem needs a Dirichlet grid$"),
     (homogenized_solve_on_the_torus, ConfigurationError,
      "^solve_homogenized needs a Dirichlet grid$"),
     (boundary_trace_on_the_torus, UsageError,

@@ -9,9 +9,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from conftest import factor, quad_points, shifted_eigs
+from conftest import eps_problem, factor, quad_points, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
+    DiffusionProblem,
     EpsProblem,
     constant_matrix,
     rayleigh_quadrature_defect,
@@ -158,7 +159,7 @@ def test_blocked_residuals_match_the_one_shot_formula(k, order):
     """A block boundary inside and at the end of the columns keeps the bits
     of ``||op V - lam M V|| / (|lam| ||M V||)`` formed in one go."""
     grid = DirichletGrid(32)
-    op = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, grid).operator
+    op = eps_problem(make_preset("smooth-iso", "sine1"), 0.5, grid).operator
     mass = assemble_mass(grid)
     rng = np.random.default_rng(k)
     lam = rng.uniform(-5.0, 500.0, k)
@@ -247,14 +248,14 @@ def test_minmax_probe_never_beats_lowest_eigenvalue():
 
 def test_zero_potential_makes_both_operators_identical():
     model = make_preset("identity", "zero")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
-    assert p.operator is p.diffusion
+    d = DiffusionProblem(model, 0.25, DirichletGrid(64))
+    assert EpsProblem(d).operator is d.stiffness
 
 
 def test_eps_sigma_bound_is_the_quadrature_minimum():
     for preset, eps, n in (("sine1", 0.25, 64), ("sine-mix", 0.5, 48),
                            ("zero", 0.25, 64)):
-        p = EpsProblem(make_preset("identity", preset), eps, DirichletGrid(n))
+        p = eps_problem(make_preset("identity", preset), eps, DirichletGrid(n))
         pts = quad_points(p.grid)
         w_q = p.model.w_eval(pts[..., 0] / eps, pts[..., 1] / eps)
         assert p.sigma == min(0.0, float(np.min(w_q))) / eps - 1.0
@@ -279,7 +280,7 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
     base = make_preset("identity", "zero")
     model = CoefficientModel(a_eval=base.a_eval, w_eval=w_eval,
                              f_eval=base.f_eval, kappa=base.kappa)
-    p = EpsProblem(model, eps, grid)
+    p = eps_problem(model, eps, grid)
     lam_1 = scipy.linalg.eigh(p.operator.toarray(),
                               p.mass_interior().toarray(), eigvals_only=True,
                               subset_by_index=(0, 0))[0]
@@ -289,7 +290,7 @@ def test_eps_sigma_bound_sees_a_minimum_between_lattice_points():
 
 def test_rayleigh_quotients_match_direct_quadrature():
     model = make_preset("smooth-iso", "sine1")
-    p = EpsProblem(model, 0.25, DirichletGrid(64))
+    p = eps_problem(model, 0.25, DirichletGrid(64))
     spec = shifted_eigs(p.operator, p.mass_interior(), 3,
                         sigma=p.sigma, epsilon=0.25)
     defect = rayleigh_quadrature_defect(p, spec)
@@ -303,13 +304,14 @@ def test_first_eigenvalue_comparison_arithmetic():
 
 
 def test_a_failed_check_names_the_operator_and_its_scale():
-    p = EpsProblem(make_preset("smooth-iso", "sine1"), 0.5, DirichletGrid(32))
-    mass = p.mass_interior()
-    spec = shifted_eigs(p.diffusion, mass, 3, sigma=0.0, tag="eps_prime",
+    d = DiffusionProblem(make_preset("smooth-iso", "sine1"), 0.5,
+                         DirichletGrid(32))
+    mass = assemble_mass(d.grid)
+    spec = shifted_eigs(d.stiffness, mass, 3, sigma=0.0, tag="eps_prime",
                         epsilon=0.5)
     with pytest.raises(SpectralError,
                        match=r"\(eps_prime at epsilon=0\.5, 961 DOF\)$"):
-        shift_spectrum(spec, 1.0, p.diffusion, mass, tag="eps_prime")
+        shift_spectrum(spec, 1.0, d.stiffness, mass, tag="eps_prime")
 
 
 def test_gap_rows_normalization():
