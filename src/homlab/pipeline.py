@@ -564,8 +564,8 @@ class Experiment:
             futures = self._submit_operator_tasks(pool, solve=False)
             defects = {}
             for eps, problem in self.problems.items():
-                tag, prime = (f"{kind}:{eps_label(eps)}"
-                              for kind in ("eps", "eps_prime"))
+                label = eps_label(eps)
+                tag, prime = f"eps:{label}", f"eps_prime:{label}"
                 if tag in futures:
                     self._collect(futures, tag)
                 defects[eps] = pool.submit(rayleigh_quadrature_defect,
