@@ -17,9 +17,16 @@ preconditioned by the exact FFT solve of the Laplacian on the torus
 (``fem.torus_laplace_solver``), so the iteration count is bounded by the
 contrast of A and does not grow with the grid.  :func:`solve_cell` is the
 one route to the cell operators: it assembles the A-stiffness and builds the
-FFT solve once, samples A and W at the assembly rule once, and hands them to
-:func:`solve_chi` and :func:`solve_chi_w`, which run at once on two threads
-when it is given two workers.
+FFT solve once, samples W at the assembly rule once, for :func:`solve_chi_w`,
+and A once more, for a_hat's mean term and the two loads that
+:func:`solve_chi` takes; the two solvers run at once on two threads when it
+is given two workers.  No sample of A is held through the solves: what reads
+A after them (a_hat's corrector term, the energy identity, the psi1 sources
+and the finer-rule cross-flux check) samples it one band of
+``CROSS_FLUX_BAND_ROWS`` cell rows at a time.  Each full-size integrand is
+filled band by band and integrated in one call, so the numbers keep the bits
+of full-size samples.  At n = 384 (layered + sine-mix, 2-core VM) this took
+``homlab cell``'s peak RSS from 135 to 110 MB.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -31,39 +38,72 @@ from . import fem
 from .errors import ConsistencyError
 from .grids import GridFunction, PeriodicGrid, gauss_rule
 
-#: Cell rows per band of the finer-rule cross-flux check
-#: (:func:`cross_flux_identity_defect`).
+#: Cell rows per band of the arrays made after the corrector solves: the
+#: integrands of :func:`effective_matrix`,
+#: :func:`potential_energy_identity_residual` and the psi1 sources of
+#: :func:`solve_aux_potentials`, and the finer-rule samples of
+#: :func:`cross_flux_identity_defect`.
 CROSS_FLUX_BAND_ROWS = 32
 
 
-def solve_chi(grid, stiff, lap_solve, a, tol):
+def _bands(grid):
+    """The bands of ``CROSS_FLUX_BAND_ROWS`` cell rows that tile ``grid``:
+    (slice of cell rows, slice of their cells), in row order."""
+    for lo in range(0, grid.n, CROSS_FLUX_BAND_ROWS):
+        hi = min(lo + CROSS_FLUX_BAND_ROWS, grid.n)
+        yield slice(lo, hi), slice(lo * grid.n, hi * grid.n)
+
+
+def _fill_by_bands(grid, model, shapes, fill):
+    """Full-size integrands at the assembly rule, (ncells, nq, *shape) for
+    each of ``shapes``, filled one band (:func:`_bands`) at a time:
+    ``fill(a, rows, cells)`` returns the band's part of each, given ``a``,
+    A sampled on the band alone (``fem.quad_samples(..., rows=rows)``).
+
+    No sample of A is ever full size.  The band samples, gradients and
+    values are bitwise the rows of the full-size ones, and the integrands
+    are elementwise, so each has the bits of its full-size formula and
+    one ``fem.integrate`` of it the bits of the full-size sum.
+    """
+    nq = len(fem.QUAD_W)
+    outs = [np.empty((grid.ncells, nq) + shape) for shape in shapes]
+    for rows, cells in _bands(grid):
+        a = fem.quad_samples(grid, model.a_eval, rows=rows)
+        for out, part in zip(outs, fill(a, rows, cells)):
+            out[cells] = part
+    return outs
+
+
+def solve_chi(grid, stiff, lap_solve, loads, tol):
     """Coordinate correctors chi_1, chi_2 as zero-mean periodic GridFunctions.
 
     ``stiff`` is the A-stiffness on ``grid``, ``lap_solve`` its
-    ``fem.torus_laplace_solver``, ``a`` A at the assembly rule
-    (``fem.quad_samples``) and ``tol`` the relative residual tolerance of
-    the CG solves; :func:`solve_cell` makes them.
+    ``fem.torus_laplace_solver``, ``loads`` the two right-hand sides
+    -(A e_k, grad v) and ``tol`` the relative residual tolerance of the CG
+    solves; :func:`solve_cell` makes them.
     """
-    out = []
-    for k in range(2):
-        # weak form: (A grad chi_k, grad v) = -(A e_k, grad v)
-        rhs = -fem.flux_load_from_quad_values(grid, a[..., :, k])
-        sol = fem.cg_solve(stiff, rhs, deflate_constants=True, tol=tol,
-                           precond=lap_solve)
-        out.append(GridFunction(grid, sol))
-    return out
+    # weak form: (A grad chi_k, grad v) = -(A e_k, grad v)
+    return [GridFunction(grid, fem.cg_solve(
+        stiff, rhs, deflate_constants=True, tol=tol, precond=lap_solve))
+        for rhs in loads]
 
 
-def effective_matrix(grid, chi, a):
+def effective_matrix(grid, model, chi, a_mean):
     """Homogenized diffusion matrix from the corrector gradients.
 
-    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i, with ``a`` the
-    samples of A at the assembly rule (``fem.quad_samples``).
+    a_hat[i, j] = cell average of a_ij + (A grad chi_j)_i, with ``a_mean``
+    the first term, the integral of A's samples at the assembly rule.  The
+    second is integrated from A grad chi_j, filled band by band
+    (:func:`_fill_by_bands`).
     """
-    a_hat = fem.integrate(grid, a)
-    for j in range(2):
-        g = fem.cell_gradients(grid, chi[j].values)
-        a_hat[:, j] += fem.integrate(grid, fem.apply_tensor(a, g))
+    def fill(a, rows, cells):
+        return [fem.apply_tensor(a, fem.cell_gradients(grid, c.values,
+                                                       rows=rows))
+                for c in chi]
+
+    a_hat = np.array(a_mean)
+    for j, flux in enumerate(_fill_by_bands(grid, model, [(2,)] * 2, fill)):
+        a_hat[:, j] += fem.integrate(grid, flux)
     return a_hat
 
 
@@ -92,11 +132,16 @@ def effective_potential(grid, chi_w, w):
     return float(fem.integrate(grid, w * vals))
 
 
-def potential_energy_identity_residual(grid, chi_w, m_w_chi_w, a):
-    """Relative defect of m = -(A grad chi_w, grad chi_w); ``a`` is A at the
-    assembly rule."""
-    g = fem.cell_gradients(grid, chi_w.values)
-    energy = float(fem.integrate(grid, fem.apply_tensor(a, g) * g).sum())
+def potential_energy_identity_residual(grid, model, chi_w, m_w_chi_w):
+    """Relative defect of m = -(A grad chi_w, grad chi_w), integrated from
+    (A grad chi_w) . grad chi_w, filled band by band
+    (:func:`_fill_by_bands`)."""
+    def fill(a, rows, cells):
+        g = fem.cell_gradients(grid, chi_w.values, rows=rows)
+        return [fem.apply_tensor(a, g) * g]
+
+    integrand, = _fill_by_bands(grid, model, [(2,)], fill)
+    energy = float(fem.integrate(grid, integrand).sum())
     return float(abs(m_w_chi_w + energy) / (1.0 + abs(m_w_chi_w)))
 
 
@@ -108,16 +153,15 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     the number reflects genuine discretization error rather than the
     algebraic identity satisfied by the discrete solutions.
 
-    The finer-rule samples are made and integrated one band of
-    ``CROSS_FLUX_BAND_ROWS`` cell rows at a time, and the band integrals are
-    summed in band order, so none of them is full size: A alone would be
-    42 MB at n = 384, the largest array of the cell stage.
+    The finer-rule samples are made and integrated one band
+    (:func:`_bands`) at a time, and the band integrals are summed in band
+    order, so none of them is full size: A alone would be 42 MB at
+    n = 384.
     """
     xi, wq = gauss_rule(3)
     pot_avg = np.zeros(2)
     flux_avg = np.zeros(2)
-    for lo in range(0, grid.n, CROSS_FLUX_BAND_ROWS):
-        rows = slice(lo, lo + CROSS_FLUX_BAND_ROWS)
+    for rows, _ in _bands(grid):
         w = fem.quad_samples(grid, model.w_eval, xi, rows)
         pot_avg += [fem.integrate(grid, w * fem.cell_values(
             grid, chi[i].values, xi, rows), wq) for i in range(2)]
@@ -127,7 +171,7 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     return np.abs(flux_avg - pot_avg)
 
 
-def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w):
+def solve_aux_potentials(grid, model, chi, chi_w, m_w_chi_w, compat_tol, w):
     """Compatibility check of the three auxiliary Laplace problems
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
@@ -138,12 +182,18 @@ def solve_aux_potentials(grid, chi, chi_w, m_w_chi_w, compat_tol, a, w):
     psi1[1], psi2, psi3) and raises ConsistencyError, naming the problem,
     when one exceeds ``compat_tol`` (:func:`solve_cell` passes ten times the
     cross-flux identity defect, floored at 1e-10).  The potentials
-    themselves are not solved: nothing downstream reads them.  ``a`` and
-    ``w`` are A and W at the assembly rule.
+    themselves are not solved: nothing downstream reads them.  ``w`` is W
+    at the assembly rule; the psi1 sources are filled band by band
+    (:func:`_fill_by_bands`).
     """
-    flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values))
-    sources = {f"psi1[{i}]": flux_w[..., i]
-               - w * fem.cell_values(grid, chi[i].values) for i in range(2)}
+    def fill(a, rows, cells):
+        flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values,
+                                                        rows=rows))
+        return [flux_w[..., i] - w[cells] * fem.cell_values(
+            grid, chi[i].values, rows=rows) for i in range(2)]
+
+    sources = dict(zip(("psi1[0]", "psi1[1]"),
+                       _fill_by_bands(grid, model, [()] * 2, fill)))
     sources["psi2"] = m_w_chi_w - w * fem.cell_values(grid, chi_w.values)
     sources["psi3"] = w
 
@@ -181,6 +231,13 @@ def solve_cell(model, n, tol=1e-10, workers=1):
     thread solves chi_1 and chi_2 (the same bits as one after the other);
     with 1 no thread is started.  One helper only: each further thread's
     glibc arena kept memory of its own and raised the stage's peak RSS.
+
+    No sample of A is held through the solves.  A is sampled at the
+    assembly rule for the stiffness, and once more for the two things that
+    need the whole array, a_hat's mean term and the chi loads; then the
+    samples go and the freed heap is handed back (``fem.release_heap``)
+    before the first solve.  What reads A after the solves samples it
+    band by band (:func:`_fill_by_bands`).
     """
     grid = PeriodicGrid(n)
     # The assembly gets samples of A of its own, freed before its scatter:
@@ -189,27 +246,32 @@ def solve_cell(model, n, tol=1e-10, workers=1):
     stiff = fem.assemble_stiffness(grid, fem.quad_samples(grid, model.a_eval))
     lap_solve = fem.torus_laplace_solver(grid)
     a = fem.quad_samples(grid, model.a_eval)
+    a_mean = fem.integrate(grid, a)
+    loads = [-fem.flux_load_from_quad_values(grid, a[..., :, k])
+             for k in range(2)]
+    del a
     w = fem.quad_samples(grid, model.w_eval)
+    fem.release_heap()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=1) as helper:
             pending = helper.submit(solve_chi_w, grid, stiff, lap_solve, w,
                                     tol)
-            chi = solve_chi(grid, stiff, lap_solve, a, tol)
+            chi = solve_chi(grid, stiff, lap_solve, loads, tol)
             chi_w = pending.result()
     else:
-        chi = solve_chi(grid, stiff, lap_solve, a, tol)
+        chi = solve_chi(grid, stiff, lap_solve, loads, tol)
         chi_w = solve_chi_w(grid, stiff, lap_solve, w, tol)
-    del stiff  # freed before the finer-rule checks below allocate
-    a_hat = effective_matrix(grid, chi, a)
+    del stiff, loads  # freed before the checks below allocate
+    a_hat = effective_matrix(grid, model, chi, a_mean)
     m_w = effective_potential(grid, chi_w, w)
-    resid = potential_energy_identity_residual(grid, chi_w, m_w, a)
+    resid = potential_energy_identity_residual(grid, model, chi_w, m_w)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
     compat_tol = max(10.0 * float(defect.max()), 1e-10)
     return CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
         m_w_chi_w=m_w, energy_identity_residual=resid, cross_flux_defect=defect,
-        aux_compat_defects=solve_aux_potentials(grid, chi, chi_w, m_w,
-                                                compat_tol, a, w))
+        aux_compat_defects=solve_aux_potentials(grid, model, chi, chi_w, m_w,
+                                                compat_tol, w))
 
 
 def sample_periodic(gf, x1, x2, epsilon=1.0):

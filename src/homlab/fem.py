@@ -498,6 +498,26 @@ def factorize(op):
     return cholesky(op)
 
 
+def release_heap():
+    """Hand the C heap's free pages back to the OS: glibc's
+    ``malloc_trim(0)``, and nothing where the C library lacks it.
+
+    glibc keeps freed blocks below its (dynamic) mmap threshold resident, so
+    the memory of finished samples, assemblies, factors and eigensolves
+    would otherwise stack under the next peak; the cell stage and the
+    pipeline's tasks call it once such memory is freed.  ``ctypes`` is
+    imported here, not at module top, to keep it out of the CLI's start-up.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def h1_seminorm(gf):
     """Broken H1 seminorm via the assembly quadrature (exact for Q1 fields)."""
     grads = cell_gradients(gf.grid, gf.values)

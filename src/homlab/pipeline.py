@@ -58,8 +58,10 @@ row of the operator table, which goes when that task is collected, in
 ``L_eps`` and stays.  ``L_eps`` and the mass live through the run, since
 ``solve``'s finish tasks (the energy defect) and ``gaps`` (the cluster
 projection) read them after the pool.  The freed heap goes back to the OS
-after the assembly and the closed forms, after each factorization and
-after each task (:func:`_release_heap`).
+(:func:`~homlab.fem.release_heap`) in ``cell`` once the cell stage has
+dropped its samples of A, before the corrector solves
+(:func:`~homlab.cell.solve_cell`), and here after the assembly and the
+closed forms, after each factorization and after each task.
 
 All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
 written with LF endings, so identical configurations and seeds reproduce the
@@ -111,6 +113,7 @@ from .errors import (
     HomlabError,
     InsufficientDataError,
     SolverError,
+    UsageError,
 )
 from .fem import (
     QUAD_W,
@@ -120,6 +123,7 @@ from .fem import (
     factorize,
     load_from_quad_values,
     quad_samples,
+    release_heap,
 )
 from .grids import DirichletGrid, GridFunction, interpolate
 from .spectral import (
@@ -231,29 +235,11 @@ def _task_pool(workers: int) -> Iterator[ThreadPoolExecutor]:
         pool.shutdown(cancel_futures=True)
 
 
-def _release_heap() -> None:
-    """Hand the C heap's free pages back to the OS: glibc's
-    ``malloc_trim(0)``, and nothing where the C library lacks it.
-
-    glibc keeps freed blocks below its (dynamic) mmap threshold resident, so
-    the memory of finished assemblies, factors and eigensolves would
-    otherwise stack under the next task's peak.  ``ctypes`` is imported here,
-    not at module top, to keep it out of the CLI's start-up.
-    """
-    import ctypes
-
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim(0)
-
-
 def _released(task, *args):
     """Run ``task``; once its frame, and with it its factor, is gone, give
-    the freed heap back (:func:`_release_heap`)."""
+    the freed heap back (:func:`~homlab.fem.release_heap`)."""
     result = task(*args)
-    _release_heap()
+    release_heap()
     return result
 
 
@@ -421,7 +407,7 @@ class Experiment:
                 f"shift {sigma:.6g} is not below the spectrum of {kind} at "
                 f"epsilon={eps_label(problem.epsilon)}: {err}") from err
         # the factorization's temporaries, before the eigensolve's own
-        _release_heap()
+        release_heap()
         spectrum = eigs(op, self.mass, self.cfg.k_eigen, seed=self.cfg.seed,
                         tol=self.cfg.eig_tol, sigma=sigma, tag=kind, lu=lu,
                         epsilon=problem.epsilon)
@@ -450,15 +436,22 @@ class Experiment:
         resident depending on how the two interleave).  The assembly
         brings the effective spectra, and with ``solve`` this thread then
         computes ``u_0`` in closed form, which stops the stage if ``m``
-        fails the sign hypothesis.  The freed heap is handed back before
-        the first submit, and each task's when it returns
-        (:func:`_released`)."""
+        fails the sign hypothesis, and then raises :class:`UsageError`,
+        before any submit, if an earlier stage has collected a task that
+        ``solve`` needs (``eigs`` run first, or ``solve`` twice).  The
+        freed heap is handed back before the first submit, and each task's
+        when it returns (:func:`_released`)."""
         self._assemble()
         if solve:
             cs = self.cell_solution
             self.u_0 = solve_homogenized(cs.a_hat, cs.m_w_chi_w,
                                          self.domain_grid, self.load)
-        _release_heap()
+            if len(self.operators) < 2 * len(self.problems):
+                raise UsageError(
+                    "stage 'solve' must run before 'eigs' (the order of "
+                    "STAGE_TABLE) and once: its operator tasks were already "
+                    "collected on this Experiment")
+        release_heap()
         return {tag: pool.submit(_released, self._operator_task, tag, solve)
                 for tag in self.operators}
 

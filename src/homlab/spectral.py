@@ -26,9 +26,9 @@ are ``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL through a
 single matrix-vector product, while ``np.dot`` releases it and gives the
 same bits.  Inner products of two vectors keep ``@``, since at these sizes
 ``np.dot`` does not make them overlap.  The residual check
-(:func:`_relative_residuals`) works on blocks of :data:`_RESIDUAL_BLOCK`
-columns, so its temporaries stay a few blocks in size while tasks run side
-by side.
+(:func:`_relative_residuals`) works in place on blocks of columns that
+fit :data:`_RESIDUAL_BYTES`, so its temporaries stay small beside the
+Lanczos basis while tasks run side by side.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ _BREAKDOWN = 1e-12
 #: Basis columns recombined at a time on a thick restart, so the restart
 #: needs a (keep x chunk) temporary rather than a second basis.
 _RESTART_CHUNK = 4096
-#: Eigenvectors residual-checked at a time, so a check holds a few
-#: (n x 8) temporaries rather than (n x k) ones.
-_RESIDUAL_BLOCK = 8
+#: Bytes of one (n x width) block of the residual check, which holds three
+#: such blocks rather than (n x k) temporaries.  The width is at least 2
+#: columns (or k): 8 on a 128-cell domain grid (16129 DOF), 2 from 256 up.
+_RESIDUAL_BYTES = 1 << 20
 
 
 @dataclass
@@ -116,7 +117,8 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vecs), axis=0)
     signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
     signs[signs == 0.0] = 1.0
-    return vecs * signs
+    vecs *= signs
+    return vecs
 
 
 def eigs(op: sp.csr_matrix,
@@ -258,21 +260,28 @@ def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
                         lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """``||op v - lambda mass v|| / (|lambda| ||mass v||)`` per pair.
 
-    Runs on C-ordered blocks of :data:`_RESIDUAL_BLOCK` columns.  The last
-    block is as wide as the others, overlapping the one before if need be:
-    numpy sums a one-column block pairwise but the columns of a wider one
-    in row order, so a narrower block would change the bits.
+    Runs on C-ordered blocks of ``min(k, max(2, _RESIDUAL_BYTES // 8n))``
+    columns, formed in place.  The last block is as wide as the others,
+    overlapping the one before if need be: numpy sums a one-column block
+    pairwise but the columns of a wider one in row order, so a narrower
+    block would change the bits.
     """
     k = lam.size
-    width = min(k, _RESIDUAL_BLOCK)
+    width = min(k, max(2, _RESIDUAL_BYTES // (8 * op.shape[0])))
     out = np.empty(k)
     for start in range(0, k, width):
         cols = slice(min(start, k - width), min(start + width, k))
         block = np.ascontiguousarray(vecs[:, cols])
         mv = mass.dot(block)
-        res_abs = np.linalg.norm(op.dot(block) - lam[None, cols] * mv, axis=0)
-        out[cols] = res_abs / (np.maximum(np.abs(lam[cols]), 1e-30)
-                               * np.linalg.norm(mv, axis=0))
+        mv_norm = np.linalg.norm(mv, axis=0)
+        mv *= lam[cols]
+        res = op.dot(block)
+        del block
+        res -= mv
+        del mv
+        res *= res  # np.linalg.norm's square and sum, in place
+        out[cols] = np.sqrt(np.add.reduce(res, axis=0)) / (
+            np.maximum(np.abs(lam[cols]), 1e-30) * mv_norm)
     return out
 
 

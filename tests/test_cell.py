@@ -7,6 +7,7 @@ and effective potential -1/(8 pi^2); the sine-mix potential doubles it.
 """
 
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,68 @@ def test_banded_cross_flux_check_matches_the_full_size_formula(n,
                                atol=1e-15)
 
 
+def full_size_cell_numbers(model, cs):
+    """a_hat, m, the energy residual and the aux defects from full-size
+    samples of A and W at the assembly rule: the reference for the
+    band-filled integrands."""
+    grid = cs.grid
+    a = fem.quad_samples(grid, model.a_eval)
+    w = fem.quad_samples(grid, model.w_eval)
+    a_hat = fem.integrate(grid, a)
+    for j in range(2):
+        g = fem.cell_gradients(grid, cs.chi[j].values)
+        a_hat[:, j] += fem.integrate(grid, fem.apply_tensor(a, g))
+    m = float(fem.integrate(grid, w * fem.cell_values(grid, cs.chi_w.values)))
+    gw = fem.cell_gradients(grid, cs.chi_w.values)
+    flux_w = fem.apply_tensor(a, gw)
+    energy = float(fem.integrate(grid, flux_w * gw).sum())
+    resid = float(abs(m + energy) / (1.0 + abs(m)))
+    sources = [flux_w[..., i] - w * fem.cell_values(grid, cs.chi[i].values)
+               for i in range(2)]
+    sources += [m - w * fem.cell_values(grid, cs.chi_w.values), w]
+    defects = [abs(float(fem.integrate(grid, g))) for g in sources]
+    return [a_hat, m, resid, np.array(defects)]
+
+
+@pytest.mark.parametrize("a_preset", ["layered", "smooth-iso"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_band_filled_cell_numbers_keep_the_full_size_bits(n, a_preset,
+                                                          monkeypatch):
+    monkeypatch.setattr(cell, "CROSS_FLUX_BAND_ROWS", 24)  # divides no n
+    model = make_preset(a_preset, "sine-mix")
+    cs = solve_cell(model, n)
+    got = [cs.a_hat, cs.m_w_chi_w, cs.energy_identity_residual,
+           cs.aux_compat_defects]
+    for x, y in zip(got, full_size_cell_numbers(model, cs)):
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_full_size_sample_of_a_lives_through_the_solves(workers,
+                                                           monkeypatch):
+    """Every full-size sample of A that the cell stage makes, and the array
+    it views, is dead by the time a corrector solve starts."""
+    grid = PeriodicGrid(32)
+    refs = []
+    quad_samples, cg_solve = fem.quad_samples, fem.cg_solve
+
+    def sampled(grid_, func, *args, **kwargs):
+        out = quad_samples(grid_, func, *args, **kwargs)
+        if out.ndim == 4 and len(out) == grid.ncells:
+            refs.extend(weakref.ref(x) for x in (out, out.base)
+                        if x is not None)
+        return out
+
+    def solve(*args, **kwargs):
+        assert refs and all(ref() is None for ref in refs)
+        return cg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "quad_samples", sampled)
+    monkeypatch.setattr(fem, "cg_solve", solve)
+    solve_cell(make_preset("layered", "sine-mix"), grid.n, workers=workers)
+    assert len(refs) >= 2
+
+
 def cell_outputs(cs):
     return [cs.chi[0].values, cs.chi[1].values, cs.chi_w.values, cs.a_hat,
             cs.m_w_chi_w, cs.energy_identity_residual, cs.cross_flux_defect,
@@ -235,9 +298,9 @@ def _aux_check(grid, m_shift=0.0, w_shift=0.0):
     effective potential or the sampled W moved off its true value."""
     model = desymmetrized_model()
     cs = solve_cell(model, grid.n)
-    a, w = (fem.quad_samples(cs.grid, f) for f in (model.a_eval, model.w_eval))
-    solve_aux_potentials(cs.grid, cs.chi, cs.chi_w, cs.m_w_chi_w + m_shift,
-                         1e-10, a, w + w_shift)
+    w = fem.quad_samples(cs.grid, model.w_eval)
+    solve_aux_potentials(cs.grid, model, cs.chi, cs.chi_w,
+                         cs.m_w_chi_w + m_shift, 1e-10, w + w_shift)
 
 
 @pytest.mark.parametrize("trigger, message", [

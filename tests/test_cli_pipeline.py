@@ -22,7 +22,7 @@ from homlab.cli import build_parser, main
 from homlab.coefficients import make_preset
 from homlab.config import K_MAX, RunConfig, eps_label
 from homlab.domain import constant_matrix, homogenized_lower_bound
-from homlab.errors import ConfigurationError, SolverError
+from homlab.errors import ConfigurationError, SolverError, UsageError
 from homlab.fem import (assemble_stiffness, quad_samples, stiffness_elements,
                         weighted_mass_elements)
 from homlab.grids import DirichletGrid
@@ -311,7 +311,7 @@ def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
 
     monkeypatch.setattr(Experiment, "_operator_task", task)
     monkeypatch.setattr(Experiment, "_submit_operator_tasks", submit)
-    monkeypatch.setattr(homlab.pipeline, "_release_heap",
+    monkeypatch.setattr(homlab.pipeline, "release_heap",
                         lambda: events.append("release"))
     cfg, _ = write_cfg(tmp_path, body=TWO_EPS)
     assert run_experiment(cfg, upto=upto, out=io.StringIO()) == 0
@@ -321,6 +321,30 @@ def test_heap_is_released_after_assembly_and_each_task(tmp_path, monkeypatch,
     assert all(events[i + 1] == "release" for i in starts)
     assert events.count("task") == 2 * 2
     assert events.count("release") == rounds + 2 * events.count("task")
+
+
+def test_solve_after_eigs_names_the_stage_order(tmp_path, monkeypatch):
+    """``eigs`` collects every operator task, so a ``solve`` after it has
+    none to collect: it stops with a UsageError before it submits one."""
+    tasks = []
+    real_task = Experiment._operator_task
+
+    def task(self, *args):
+        tasks.append(args)
+        return real_task(self, *args)
+
+    monkeypatch.setattr(Experiment, "_operator_task", task)
+    cfg = RunConfig(cell_grid_n=16, domain_grid_n=68, epsilons=[0.25],
+                    k_eigen=2, output_dir=str(tmp_path))
+    exp = Experiment(cfg, out=io.StringIO())
+    exp.run_stage("cell")
+    exp.run_stage("eigs")
+    assert len(tasks) == 2
+    with pytest.raises(UsageError,
+                       match=r"stage 'solve' must run before 'eigs'"):
+        exp.run_stage("solve")
+    assert len(tasks) == 2
+    assert exp.per_eps == {}
 
 
 def test_release_heap_without_malloc_trim_is_a_silent_no_op(monkeypatch):
@@ -336,7 +360,7 @@ def test_release_heap_without_malloc_trim_is_a_silent_no_op(monkeypatch):
 
     for loader in (lambda name: NoTrim(), no_library):
         monkeypatch.setattr(ctypes, "CDLL", loader)
-        assert homlab.pipeline._release_heap() is None
+        assert homlab.fem.release_heap() is None
 
 
 def test_two_runs_are_byte_identical(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import homlab.spectral
+
 from conftest import eps_problem, factor, quad_points, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
@@ -155,9 +157,10 @@ def test_lanczos_gives_up_after_the_restart_cap():
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 32, 64])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_blocked_residuals_match_the_one_shot_formula(k, order):
+def test_blocked_residuals_match_the_one_shot_formula(k, order, monkeypatch):
     """A block boundary inside and at the end of the columns keeps the bits
-    of ``||op V - lam M V|| / (|lam| ||M V||)`` formed in one go."""
+    of ``||op V - lam M V|| / (|lam| ||M V||)`` formed in one go, for blocks
+    of 2, 3 and 8 columns (the byte budget set to that many of 961 DOF)."""
     grid = DirichletGrid(32)
     op = eps_problem(make_preset("smooth-iso", "sine1"), 0.5, grid).operator
     mass = assemble_mass(grid)
@@ -168,7 +171,12 @@ def test_blocked_residuals_match_the_one_shot_formula(k, order):
     one_shot = (np.linalg.norm(op.dot(vecs) - lam[None, :] * mv, axis=0)
                 / (np.maximum(np.abs(lam), 1e-30)
                    * np.linalg.norm(mv, axis=0)))
-    assert np.array_equal(_relative_residuals(op, mass, lam, vecs), one_shot)
+    assert op.shape[0] == 961
+    for width in (2, 3, 8):
+        monkeypatch.setattr(homlab.spectral, "_RESIDUAL_BYTES",
+                            8 * 961 * width)
+        assert np.array_equal(_relative_residuals(op, mass, lam, vecs),
+                              one_shot), width
 
 
 def test_orthonormalize_gives_an_m_orthonormal_basis_of_the_same_span():
