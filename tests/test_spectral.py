@@ -10,7 +10,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import homlab.spectral
-
 from conftest import eps_problem, factor, quad_points, shifted_eigs
 from homlab.coefficients import CoefficientModel, make_preset
 from homlab.domain import (
