@@ -21,9 +21,10 @@ FFT solve once, samples W at the assembly rule once, for :func:`solve_chi_w`,
 and A once more, for a_hat's mean term and the two loads that
 :func:`solve_chi` takes; the two solvers run at once on two threads when it
 is given two workers.  No sample of A is held through the solves: what reads
-A after them (a_hat's corrector term, the energy identity, the psi1 sources
-and the finer-rule cross-flux check) samples it one band of
-``CROSS_FLUX_BAND_ROWS`` cell rows at a time.  Each full-size integrand is
+A after them samples it one band of ``CROSS_FLUX_BAND_ROWS`` cell rows at a
+time, in two passes at the assembly rule (a_hat's corrector term, then
+everything that reads A grad chi_w: the energy identity and the psi1
+sources) and the finer-rule cross-flux check.  Each full-size integrand is
 filled band by band and integrated in one call, so the numbers keep the bits
 of full-size samples.  At n = 384 (layered + sine-mix, 2-core VM) this took
 ``homlab cell``'s peak RSS from 135 to 110 MB.
@@ -39,10 +40,8 @@ from .errors import ConsistencyError
 from .grids import GridFunction, PeriodicGrid, gauss_rule
 
 #: Cell rows per band of the arrays made after the corrector solves: the
-#: integrands of :func:`effective_matrix`,
-#: :func:`potential_energy_identity_residual` and the psi1 sources of
-#: :func:`solve_aux_potentials`, and the finer-rule samples of
-#: :func:`cross_flux_identity_defect`.
+#: integrands of :func:`effective_matrix` and :func:`_chi_w_integrands`,
+#: and the finer-rule samples of :func:`cross_flux_identity_defect`.
 CROSS_FLUX_BAND_ROWS = 32
 
 
@@ -125,26 +124,6 @@ def solve_chi_w(grid, stiff, lap_solve, w, tol):
     return GridFunction(grid, sol)
 
 
-def effective_potential(grid, chi_w, w):
-    """Cell average of W * chi_w (a nonpositive constant); ``w`` is W at the
-    assembly rule."""
-    vals = fem.cell_values(grid, chi_w.values)
-    return float(fem.integrate(grid, w * vals))
-
-
-def potential_energy_identity_residual(grid, model, chi_w, m_w_chi_w):
-    """Relative defect of m = -(A grad chi_w, grad chi_w), integrated from
-    (A grad chi_w) . grad chi_w, filled band by band
-    (:func:`_fill_by_bands`)."""
-    def fill(a, rows, cells):
-        g = fem.cell_gradients(grid, chi_w.values, rows=rows)
-        return [fem.apply_tensor(a, g) * g]
-
-    integrand, = _fill_by_bands(grid, model, [(2,)], fill)
-    energy = float(fem.integrate(grid, integrand).sum())
-    return float(abs(m_w_chi_w + energy) / (1.0 + abs(m_w_chi_w)))
-
-
 def cross_flux_identity_defect(model, grid, chi, chi_w):
     """Defect of the compatibility identity between corrector fluxes.
 
@@ -171,32 +150,35 @@ def cross_flux_identity_defect(model, grid, chi, chi_w):
     return np.abs(flux_avg - pot_avg)
 
 
-def solve_aux_potentials(grid, model, chi, chi_w, m_w_chi_w, compat_tol, w):
-    """Compatibility check of the three auxiliary Laplace problems
+def _chi_w_integrands(grid, model, chi, chi_w, w):
+    """Everything that reads A grad chi_w, filled band by band
+    (:func:`_fill_by_bands`) in one pass: the energy integrand
+    (A grad chi_w) . grad chi_w, (ncells, nq, 2), and the psi1 sources
+    (A grad chi_w)_i - W chi_i of :func:`solve_aux_potentials`,
+    (ncells, nq) each.  ``w`` is W at the assembly rule."""
+    def fill(a, rows, cells):
+        g = fem.cell_gradients(grid, chi_w.values, rows=rows)
+        flux_w = fem.apply_tensor(a, g)
+        return [flux_w * g] + [flux_w[..., i] - w[cells] * fem.cell_values(
+            grid, chi[i].values, rows=rows) for i in range(2)]
+
+    return _fill_by_bands(grid, model, [(2,), (), ()], fill)
+
+
+def solve_aux_potentials(grid, sources, compat_tol):
+    """Compatibility check of the auxiliary Laplace problems
 
         lap psi1_i = (A grad chi_w)_i - W chi_i
         lap psi2   = m_w_chi_w - W chi_w
         lap psi3   = W
 
-    Returns the absolute quadrature mean of each right-hand side (psi1[0],
-    psi1[1], psi2, psi3) and raises ConsistencyError, naming the problem,
-    when one exceeds ``compat_tol`` (:func:`solve_cell` passes ten times the
-    cross-flux identity defect, floored at 1e-10).  The potentials
-    themselves are not solved: nothing downstream reads them.  ``w`` is W
-    at the assembly rule; the psi1 sources are filled band by band
-    (:func:`_fill_by_bands`).
+    ``sources`` maps each problem's name to its right-hand side at the
+    assembly rule.  Returns the absolute quadrature mean of each, in order,
+    and raises ConsistencyError, naming the problem, when one exceeds
+    ``compat_tol`` (:func:`solve_cell` passes ten times the cross-flux
+    identity defect, floored at 1e-10).  The potentials themselves are not
+    solved: nothing downstream reads them.
     """
-    def fill(a, rows, cells):
-        flux_w = fem.apply_tensor(a, fem.cell_gradients(grid, chi_w.values,
-                                                        rows=rows))
-        return [flux_w[..., i] - w[cells] * fem.cell_values(
-            grid, chi[i].values, rows=rows) for i in range(2)]
-
-    sources = dict(zip(("psi1[0]", "psi1[1]"),
-                       _fill_by_bands(grid, model, [()] * 2, fill)))
-    sources["psi2"] = m_w_chi_w - w * fem.cell_values(grid, chi_w.values)
-    sources["psi3"] = w
-
     defects = np.empty(len(sources))
     for idx, (lab, g) in enumerate(sources.items()):
         mean = float(fem.integrate(grid, g))
@@ -237,7 +219,9 @@ def solve_cell(model, n, tol=1e-10, workers=1):
     need the whole array, a_hat's mean term and the chi loads; then the
     samples go and the freed heap is handed back (``fem.release_heap``)
     before the first solve.  What reads A after the solves samples it
-    band by band (:func:`_fill_by_bands`).
+    band by band: :func:`effective_matrix`, the finer-rule cross-flux check
+    and :func:`_chi_w_integrands`, in that order, so no psi1 source is held
+    through the finer check.
     """
     grid = PeriodicGrid(n)
     # The assembly gets samples of A of its own, freed before its scatter:
@@ -263,15 +247,19 @@ def solve_cell(model, n, tol=1e-10, workers=1):
         chi_w = solve_chi_w(grid, stiff, lap_solve, w, tol)
     del stiff, loads  # freed before the checks below allocate
     a_hat = effective_matrix(grid, model, chi, a_mean)
-    m_w = effective_potential(grid, chi_w, w)
-    resid = potential_energy_identity_residual(grid, model, chi_w, m_w)
     defect = cross_flux_identity_defect(model, grid, chi, chi_w)
-    compat_tol = max(10.0 * float(defect.max()), 1e-10)
+    energy, *psi1 = _chi_w_integrands(grid, model, chi, chi_w, w)
+    energy = float(fem.integrate(grid, energy).sum())
+    w_chi_w = w * fem.cell_values(grid, chi_w.values)
+    m_w = float(fem.integrate(grid, w_chi_w))
+    aux = solve_aux_potentials(grid, {
+        "psi1[0]": psi1[0], "psi1[1]": psi1[1], "psi2": m_w - w_chi_w,
+        "psi3": w}, max(10.0 * float(defect.max()), 1e-10))
     return CellSolution(
         model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
-        m_w_chi_w=m_w, energy_identity_residual=resid, cross_flux_defect=defect,
-        aux_compat_defects=solve_aux_potentials(grid, model, chi, chi_w, m_w,
-                                                compat_tol, w))
+        m_w_chi_w=m_w, energy_identity_residual=float(
+            abs(m_w + energy) / (1.0 + abs(m_w))),
+        cross_flux_defect=defect, aux_compat_defects=aux)
 
 
 def sample_periodic(gf, x1, x2, epsilon=1.0):

@@ -24,7 +24,8 @@ The symbolic part (fronts, rings, where each matrix entry and each update
 go) is cached per block size (:func:`_symbolic`).  It rests on one lookup
 per depth, where a DOF sits in a front, and reads the entries off the CSR
 rows of each front's own DOF, so the factor takes only matrices stored on
-the grid's own pattern arrays.
+the block's one pattern (:func:`homlab.grids.interior_pattern`), the
+arrays every grid of that size holds.
 
 The batched calls run on the pipeline's pool threads; ``np.linalg``'s
 gufuncs and ``matmul`` on 3-D operands release the GIL.
@@ -41,8 +42,8 @@ import scipy.sparse as sp
 
 from .errors import SolverError, UsageError
 from .grids import (
-    coupling_pattern,
     dissection_tree,
+    interior_pattern,
     nested_dissection,
     on_pattern,
 )
@@ -166,7 +167,7 @@ def _symbolic(m):
     A ring is the frame of nodes around a block (:func:`_rings`); the rest
     follows from where a DOF sits in a front (:func:`_front_position`).
     Row ``start + k`` of the block's CSR pattern
-    (:func:`homlab.grids.coupling_pattern`) holds the couplings of own DOF
+    (:func:`homlab.grids.interior_pattern`) holds the couplings of own DOF
     ``k``: the entry in column ``c``, at position ``p``, goes to F11 at (k,
     p) when c is own and to F21 at (p, k) when c is on the ring, and one in
     a descendant's column is left out.  ``to_parent`` is the same lookup at
@@ -174,7 +175,8 @@ def _symbolic(m):
     of the backward sweep's product: another order would change the bits
     of a solve.
     """
-    indptr, indices = coupling_pattern(m)
+    pattern = interior_pattern(m)
+    indptr, indices = pattern.indptr, pattern.indices
     tree = dissection_tree(m)
     dof = np.empty(m * m, dtype=np.int64)     # row-major index -> DOF
     dof[nested_dissection(m)] = np.arange(m * m)
@@ -276,8 +278,9 @@ def cholesky(op):
         raise UsageError(
             f"factorize needs the interior matrix of a Dirichlet grid, "
             f"(m^2, m^2); got shape {op.shape}")
+    pattern = interior_pattern(m)
     if not (isinstance(op, sp.csr_matrix)
-            and on_pattern(op, *coupling_pattern(m))):
+            and on_pattern(op, pattern.indptr, pattern.indices)):
         raise UsageError(
             "factorize needs an interior matrix on its DirichletGrid's own "
             "pattern arrays: one the grid assembled, or an fem.add_scaled "

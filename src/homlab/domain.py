@@ -15,9 +15,8 @@ the diffusion ``K_eps`` and the corrector loads when its
 :class:`DiffusionProblem` is built, ``L_eps`` when the :class:`EpsProblem`
 is built on it.  Reading them assembles nothing, so threads can share a
 problem, and each matrix has one owner: the problem does not keep the
-diffusion problem, so a caller that drops it frees ``K_eps`` and the loads
-(with ``W`` zero, ``L_eps`` is ``K_eps`` and keeps it).  They are interior
-matrices on the grid's one shared sparsity pattern
+diffusion problem, so a caller that drops it frees ``K_eps`` and the loads.
+They are interior matrices on the grid's one shared sparsity pattern
 (:attr:`homlab.grids.DirichletGrid.pattern`), so ``L_eps`` is a sum of
 their data vectors (:func:`homlab.fem.add_scaled`); no full-grid matrix is
 built.
@@ -135,18 +134,16 @@ class EpsProblem:
     assembled on construction:
 
     - ``operator``: interior matrix of ``-div(A(x/eps) grad .) + (1/eps)
-      W(x/eps)``, i.e. ``diffusion.stiffness + (1/eps) M_W``, or that
-      stiffness itself when ``W`` is zero;
+      W(x/eps)``, i.e. ``diffusion.stiffness + (1/eps) M_W``;
     - ``sigma``: ``min(0, min_q W_q) / eps - 1`` over the samples ``M_W``
-      is assembled from (-1 when ``W`` is zero), strictly below the
-      spectrum of ``operator``: the diffusion part is nonnegative and
-      ``M_W - (min_q W_q) M`` is positive semidefinite, since ``M_W`` has
-      the mass's positive quadrature weights.
+      is assembled from, strictly below the spectrum of ``operator``: the
+      diffusion part is nonnegative and ``M_W - (min_q W_q) M`` is
+      positive semidefinite, since ``M_W`` has the mass's positive
+      quadrature weights.
 
     The problem keeps ``diffusion``'s model, scale and grid but not
     ``diffusion`` itself: ``K_eps`` and the corrector loads live as long as
-    their :class:`DiffusionProblem`, except that with ``W`` zero
-    ``operator`` is ``K_eps``.
+    their :class:`DiffusionProblem`.
     """
 
     def __init__(self, diffusion: DiffusionProblem):
@@ -154,15 +151,10 @@ class EpsProblem:
         self.model = model
         self.epsilon = diffusion.epsilon
         self.grid = grid
-        if model.w_preset == "zero":
-            self.operator = diffusion.stiffness
-            self.sigma = -1.0
-        else:
-            w = quad_samples(grid, _scaled(model.w_eval, self.epsilon))
-            mw = assemble_weighted_mass(grid, w)
-            self.operator = add_scaled(diffusion.stiffness,
-                                       1.0 / self.epsilon, mw)
-            self.sigma = min(0.0, float(np.min(w))) / self.epsilon - 1.0
+        w = quad_samples(grid, _scaled(model.w_eval, self.epsilon))
+        self.operator = add_scaled(diffusion.stiffness, 1.0 / self.epsilon,
+                                   assemble_weighted_mass(grid, w))
+        self.sigma = min(0.0, float(np.min(w))) / self.epsilon - 1.0
         self._mass_int: Optional[sp.csr_matrix] = None
 
     def mass_interior(self) -> sp.csr_matrix:
@@ -183,17 +175,14 @@ class EpsProblem:
         """
         grid = self.grid
         a = quad_samples(grid, _scaled(self.model.a_eval, self.epsilon))
-        has_w = self.model.w_preset != "zero"
-        if has_w:
-            w = quad_samples(grid, _scaled(self.model.w_eval, self.epsilon))
+        w = quad_samples(grid, _scaled(self.model.w_eval, self.epsilon))
         out = []
         for u in fields:
             grads = cell_gradients(grid, u)  # (ncells, nq, 2)
             vals = cell_values(grid, u)  # (ncells, nq)
             energy = integrate(grid, apply_tensor(a, grads) * grads).sum()
             sq = vals * vals
-            if has_w:
-                energy += integrate(grid, w * sq) / self.epsilon
+            energy += integrate(grid, w * sq) / self.epsilon
             out.append((float(energy), float(integrate(grid, sq))))
         return out
 

@@ -12,9 +12,9 @@ cell depends on one axis index only, so fields are evaluated on
 broadcastable axes (:func:`interpolate`; :func:`homlab.fem.quad_axes` for
 the points of a quadrature rule).
 
-A ``DirichletGrid`` also owns the sparsity pattern that every interior
+A ``DirichletGrid`` also holds the sparsity pattern that every interior
 matrix of a Q1 form on it shares (:class:`InteriorPattern`), built from
-grid arithmetic with the grid.
+grid arithmetic once per block size (:func:`interior_pattern`).
 """
 
 from dataclasses import dataclass
@@ -90,7 +90,8 @@ class DirichletGrid:
 
     ``interior`` lists the (n-1)^2 nodes strictly inside, in the
     :func:`nested_dissection` order of their row-major block, and
-    ``pattern`` is the :class:`InteriorPattern` of their couplings.
+    ``pattern`` is their couplings' :class:`InteriorPattern`, the one
+    object :func:`interior_pattern` keeps for every grid of this n.
     """
 
     periodic = False
@@ -117,7 +118,7 @@ class DirichletGrid:
         self.interior = np.flatnonzero(self.is_interior)[
             nested_dissection(self.n - 1)]
         self.ndof = self.interior.size
-        self.pattern = _interior_pattern(self)
+        self.pattern = interior_pattern(self.n - 1)
 
     def node_coords(self):
         t = np.arange(self.n + 1) * self.h
@@ -156,26 +157,27 @@ class InteriorPattern:
     take: np.ndarray     # (nnz,) int32
 
 
-# (indptr, indices) per block size, shared by every grid and factor of it;
-# coupling_table's ``start`` is not kept, its one reader being the grid's
-# ``take`` (:func:`_interior_pattern`)
-_PATTERNS = {}
+# one InteriorPattern per block size, for the life of the process
+_INTERIOR_PATTERNS = {}
 
 
-def coupling_table(m):
-    """Where the couplings of an m-by-m interior block go in its CSR pattern.
+def interior_pattern(m):
+    """The :class:`InteriorPattern` of an m-by-m interior block, shared by
+    every grid and Cholesky factor of it: built once per m, from grid
+    arithmetic, and kept.  Threads that build the same m at once get one
+    object (``dict.setdefault``), as :func:`on_pattern` compares memory.
 
     The candidate columns of a DOF are the DOF of its nine neighbours at
-    offsets (dy, dx), or ``ndof`` for a neighbour off the block; returns
-    ``(indptr, indices, start)`` with ``start[t, i]`` the slot in ``data``
-    of DOF ``i``'s coupling at offset ``t = 3 (dy + 1) + dx + 1``, or
-    ``nnz`` off the block.  A neighbour's position in its row is the
-    number of candidates below it, so no sort is needed.  The arrays are
-    read-only; ``indptr`` and ``indices`` are the block's shared ones
-    (:func:`coupling_pattern`), while ``start`` is made anew on every call
-    and kept by nobody: its one reader, the grid's ``take``
-    (:func:`_interior_pattern`), needs it once per grid.
+    offsets (dy, dx), or ``ndof`` for a neighbour off the block, and
+    ``start[t, i]`` is the slot in ``data`` of DOF ``i``'s coupling at
+    offset ``t = 3 (dy + 1) + dx + 1``, or ``nnz`` off the block.  A
+    neighbour's position in its row is the number of candidates below it,
+    so no sort is needed.  That coupling sits at ``t m^2 + perm[i]`` in the
+    flattened stencil, ``perm`` the block's :func:`nested_dissection`
+    order, which gives ``take``.
     """
+    if m in _INTERIOR_PATTERNS:  # entries are never removed
+        return _INTERIOR_PATTERNS[m]
     ndof = m * m
     perm = nested_dissection(m)
     dof = np.empty(ndof, dtype=np.int32)     # row-major block index -> DOF
@@ -199,19 +201,16 @@ def coupling_table(m):
             start[t] += below
             start[u] += ~below
     start[~inside] = nnz
+    # one spare position takes the couplings off the block
     indices = np.empty(nnz + 1, dtype=np.int32)
     indices[start] = candidates
-    indices = indices[:nnz]
-    for arr in (indptr, indices, start):
+    take = np.empty(nnz + 1, dtype=np.int32)
+    take[start] = np.arange(9)[:, None] * ndof + perm
+    pattern = InteriorPattern(indptr=indptr, indices=indices[:nnz],
+                              take=take[:nnz])
+    for arr in (pattern.indptr, pattern.indices, pattern.take):
         arr.flags.writeable = False
-    return _PATTERNS.setdefault(m, (indptr, indices)) + (start,)
-
-
-def coupling_pattern(m):
-    """The read-only ``(indptr, indices)`` of :func:`coupling_table`,
-    shared by every grid and factor of an m-by-m block."""
-    shared = _PATTERNS.get(m)
-    return shared if shared is not None else coupling_table(m)[:2]
+    return _INTERIOR_PATTERNS.setdefault(m, pattern)
 
 
 def on_pattern(mat, indptr, indices):
@@ -220,23 +219,6 @@ def on_pattern(mat, indptr, indices):
     views, so identity is not kept: this compares the memory they view."""
     return all(x.shape == y.shape and x.ctypes.data == y.ctypes.data
                for x, y in ((mat.indptr, indptr), (mat.indices, indices)))
-
-
-def _interior_pattern(grid):
-    """Build the :class:`InteriorPattern` of ``grid`` from grid arithmetic
-    (:func:`coupling_table` of its m-by-m interior block, m = n - 1): the
-    coupling of DOF ``i`` at offset ``t`` sits at ``start[t, i]`` in
-    ``data`` and at ``t m^2 + perm[i]`` in the flattened stencil, ``perm``
-    the block's :func:`nested_dissection` order.
-    """
-    m = grid.n - 1
-    indptr, indices, start = coupling_table(m)
-    # one spare position takes the couplings off the block, as in indices
-    take = np.empty(indices.size + 1, dtype=np.int32)
-    take[start] = np.arange(9)[:, None] * (m * m) + nested_dissection(m)
-    take = take[:-1]
-    take.flags.writeable = False
-    return InteriorPattern(indptr=indptr, indices=indices, take=take)
 
 
 @dataclass(frozen=True)

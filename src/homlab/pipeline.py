@@ -54,12 +54,11 @@ full-grid matrix is built.
 The run keeps only what a later stage reads.  No factor outlives its task.
 A scale's ``K_eps`` and corrector loads have one owner, the ``eps_prime``
 row of the operator table, which goes when that task is collected, in
-``solve`` or, without it, in ``eigs``; with ``W`` zero, ``K_eps`` is
-``L_eps`` and stays.  ``L_eps`` and the mass live through the run, since
-``solve``'s finish tasks (the energy defect) and ``gaps`` (the cluster
-projection) read them after the pool.  The freed heap goes back to the OS
-(:func:`~homlab.fem.release_heap`) in ``cell`` once the cell stage has
-dropped its samples of A, before the corrector solves
+``solve`` or, without it, in ``eigs``.  ``L_eps`` and the mass live through
+the run, since ``solve``'s finish tasks (the energy defect) and ``gaps``
+(the cluster projection) read them after the pool.  The freed heap goes
+back to the OS (:func:`~homlab.fem.release_heap`) in ``cell`` once the cell
+stage has dropped its samples of A, before the corrector solves
 (:func:`~homlab.cell.solve_cell`), and here after the assembly and the
 closed forms, after each factorization and after each task.
 
@@ -335,14 +334,13 @@ class Experiment:
         are submitted, and a row leaves it when its task is collected
         (:meth:`_collect`).  The ``eps_prime`` row is the one owner of its
         :class:`DiffusionProblem`, which the :class:`EpsProblem` does not
-        keep, so ``K_eps`` and the corrector loads go with the row (with
-        ``W`` zero, ``K_eps`` is ``L_eps`` and stays).  The ``eps`` row's
-        ``L_eps`` stays with its problem in ``self.problems``, which later
-        stages read.  Each shift must lie strictly below its operator's
-        spectrum, as the shift-invert eigensolve needs to find the lowest
-        pairs, and each task checks that it does: the Cholesky factor of
-        ``op - sigma M`` completes only if that matrix is positive
-        definite, that is, only if sigma < lambda_1 (up to the
+        keep, so ``K_eps`` and the corrector loads go with the row.  The
+        ``eps`` row's ``L_eps`` stays with its problem in ``self.problems``,
+        which later stages read.  Each shift must lie strictly below its
+        operator's spectrum, as the shift-invert eigensolve needs to find
+        the lowest pairs, and each task checks that it does: the Cholesky
+        factor of ``op - sigma M`` completes only if that matrix is
+        positive definite, that is, only if sigma < lambda_1 (up to the
         factorization's backward error), and :meth:`_operator_task` raises
         :class:`SolverError` naming the operator when it does not.  The
         shifts, and why each should pass:
@@ -380,7 +378,7 @@ class Experiment:
             stiff, self.mass, lam, vecs, tol, tag="hom_prime")
         self.spectra["hom"] = shift_spectrum(
             self.spectra["hom_prime"], m,
-            add_scaled(stiff, m, self.mass) if m else stiff, self.mass,
+            add_scaled(stiff, m, self.mass), self.mass,
             tol=tol, tag="hom")
 
     def _operator_task(self, tag: str,

@@ -160,6 +160,25 @@ def test_band_filled_cell_numbers_keep_the_full_size_bits(n, a_preset,
         np.testing.assert_array_equal(x, y)
 
 
+def test_cell_stage_reads_a_in_two_band_passes_and_the_finer_check(
+        monkeypatch):
+    """At n = 64 in bands of 24 rows (3 bands), A is evaluated twice at
+    full size (the assembly's samples; a_hat's mean term and the chi
+    loads), once a band in each of the two passes at the assembly rule
+    (a_hat's corrector term; everything that reads A grad chi_w) and once
+    a band in the finer-rule cross-flux check: 2 + 2 * 3 + 3 = 11."""
+    monkeypatch.setattr(cell, "CROSS_FLUX_BAND_ROWS", 24)
+    model = make_preset("layered", "sine-mix")
+    calls = []
+
+    def a_eval(y1, y2):
+        calls.append(np.shape(y1))
+        return model.a_eval(y1, y2)
+
+    solve_cell(replace(model, a_eval=a_eval), 64)
+    assert len(calls) == 11
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_full_size_sample_of_a_lives_through_the_solves(workers,
                                                            monkeypatch):
@@ -294,13 +313,15 @@ def _chi_w_of_shifted_w(grid):
 
 
 def _aux_check(grid, m_shift=0.0, w_shift=0.0):
-    """solve_aux_potentials on the desymmetrized correctors, with the
-    effective potential or the sampled W moved off its true value."""
+    """solve_aux_potentials on the psi2 and psi3 sources of the
+    desymmetrized correctors, with the effective potential or the sampled W
+    moved off its true value."""
     model = desymmetrized_model()
     cs = solve_cell(model, grid.n)
-    w = fem.quad_samples(cs.grid, model.w_eval)
-    solve_aux_potentials(cs.grid, model, cs.chi, cs.chi_w,
-                         cs.m_w_chi_w + m_shift, 1e-10, w + w_shift)
+    w = fem.quad_samples(cs.grid, model.w_eval) + w_shift
+    w_chi_w = w * fem.cell_values(cs.grid, cs.chi_w.values)
+    solve_aux_potentials(cs.grid, {"psi2": cs.m_w_chi_w + m_shift - w_chi_w,
+                                   "psi3": w}, 1e-10)
 
 
 @pytest.mark.parametrize("trigger, message", [

@@ -572,9 +572,7 @@ def test_each_scale_drops_k_eps_and_its_corrector_loads(tmp_path, monkeypatch,
     """Once a scale's ``eps_prime`` task is collected, nothing holds its
     K_eps or its corrector loads, and its spectrum keeps no vectors: after
     the pool's stage (``solve``, or ``eigs`` when the run has no ``solve``)
-    every weak reference taken at assembly is dead.  With W zero, K_eps is
-    L_eps, which ``gaps`` still reads, so it stays alive, and only the
-    loads go."""
+    every weak reference taken at assembly is dead, with W zero too."""
     refs = {}  # tag -> weak references to K_eps and the two loads
     alive = {}  # stage -> tag -> which of them are alive after the stage
     spectra = {}
@@ -606,8 +604,7 @@ def test_each_scale_drops_k_eps_and_its_corrector_loads(tmp_path, monkeypatch,
     later = STAGES[STAGES.index(pool_stage):STAGES.index(upto) + 1]
     for stage in (s for s in later if s in alive):
         for tag, (k_eps, *lifts) in alive[stage].items():
-            assert lifts == [False, False], (stage, tag)
-            assert k_eps == (w_preset == "zero"), (stage, tag)
+            assert [k_eps] + lifts == [False] * 3, (stage, tag)
 
 
 def test_uncreatable_output_dir_is_a_config_error(tmp_path):

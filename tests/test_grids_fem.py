@@ -1,6 +1,7 @@
 """Grid bookkeeping and the bilinear-element kernel."""
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homlab.cholesky
+import homlab.grids
 from conftest import (eps_problem, oracle_elements, oracle_matrix, quad_points,
                       shifted_eigs)
 from homlab.analysis import _boundary_abs_max
@@ -54,9 +56,9 @@ from homlab.grids import (
     DirichletGrid,
     GridFunction,
     PeriodicGrid,
-    coupling_pattern,
     dissection_tree,
     gauss_rule,
+    interior_pattern,
     interpolate,
     nested_dissection,
     shape_gradients,
@@ -276,6 +278,32 @@ def frame(block, m):
     return [r * m + c for r, c in nodes if 0 <= r < m and 0 <= c < m]
 
 
+def test_grids_of_one_size_share_the_one_interior_pattern():
+    first, second = DirichletGrid(20), DirichletGrid(20)
+    assert first.pattern is second.pattern
+    assert first.pattern is interior_pattern(19)
+    assert DirichletGrid(21).pattern is not first.pattern
+
+
+def test_threads_that_build_one_pattern_at_once_get_one_object(monkeypatch):
+    """Both threads build the pattern of a fresh block size (they meet at a
+    barrier inside the build), and both get the one object that is kept:
+    the factor tells a matrix on the pattern by the memory it views."""
+    monkeypatch.setattr(homlab.grids, "_INTERIOR_PATTERNS", {})
+    barrier = threading.Barrier(2, timeout=10.0)
+    order = homlab.grids.nested_dissection
+
+    def meeting(m):
+        barrier.wait()
+        return order(m)
+
+    monkeypatch.setattr(homlab.grids, "nested_dissection", meeting)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        built = list(pool.map(interior_pattern, [23, 23]))
+    assert built[0] is built[1]
+    assert built[0] is interior_pattern(23)
+
+
 @pytest.mark.parametrize("m", [5, 17, 33, 67, 71])
 def test_fronts_hold_their_own_and_ring_couplings(m):
     """Filled through the analysis's entry maps from a random symmetric
@@ -286,7 +314,8 @@ def test_fronts_hold_their_own_and_ring_couplings(m):
     not of size 2^p - 1 give fronts of several shapes at one depth, and
     leaves beside separators."""
     n = m * m
-    indptr, indices = coupling_pattern(m)
+    pattern = interior_pattern(m)
+    indptr, indices = pattern.indptr, pattern.indices
     rng = np.random.default_rng(m)
     upper = sp.triu(sp.csr_matrix((rng.standard_normal(indices.size),
                                    indices, indptr), shape=(n, n)))

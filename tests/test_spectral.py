@@ -254,9 +254,14 @@ def test_minmax_probe_never_beats_lowest_eigenvalue():
 
 
 def test_zero_potential_makes_both_operators_identical():
+    """With W zero, L_eps = K_eps + M_W / eps is a matrix of its own with
+    K_eps's bits, and sigma is -1."""
     model = make_preset("identity", "zero")
     d = DiffusionProblem(model, 0.25, DirichletGrid(64))
-    assert EpsProblem(d).operator is d.stiffness
+    p = EpsProblem(d)
+    assert p.operator is not d.stiffness
+    assert p.operator.data.tobytes() == d.stiffness.data.tobytes()
+    assert p.sigma == -1.0
 
 
 def test_eps_sigma_bound_is_the_quadrature_minimum():
