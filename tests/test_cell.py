@@ -176,7 +176,7 @@ def test_cell_stage_reads_a_in_two_band_passes_and_the_finer_check(
         return model.a_eval(y1, y2)
 
     solve_cell(replace(model, a_eval=a_eval), 64)
-    assert len(calls) == 11
+    assert len(calls) == 11, calls
 
 
 @pytest.mark.parametrize("workers", [1, 2])
