@@ -43,7 +43,6 @@ class CorrectorExpansion:
     term.  ``w`` vanishes on the boundary because each term does.
     """
 
-    epsilon: float
     w: GridFunction
     h1_w: float
     l2_w: float
@@ -95,8 +94,7 @@ def build_expansion(u_eps: GridFunction,
     diff = GridFunction(grid, u_eps.values - u_0.values)
     l2_w, l2_plain = l2_norm(w), l2_norm(diff)
     return CorrectorExpansion(
-        epsilon=float(epsilon), w=w,
-        h1_w=float(np.hypot(h1_seminorm(w), l2_w)), l2_w=l2_w,
+        w=w, h1_w=float(np.hypot(h1_seminorm(w), l2_w)), l2_w=l2_w,
         h1_plain=float(np.hypot(h1_seminorm(diff), l2_plain)),
         l2_plain=l2_plain)
 

@@ -194,7 +194,6 @@ def solve_aux_potentials(grid, sources, compat_tol):
 class CellSolution:
     """Everything the downstream stages need from the unit cell."""
 
-    model: object
     grid: PeriodicGrid
     chi: list
     chi_w: GridFunction
@@ -256,7 +255,7 @@ def solve_cell(model, n, tol=1e-10, workers=1):
         "psi1[0]": psi1[0], "psi1[1]": psi1[1], "psi2": m_w - w_chi_w,
         "psi3": w}, max(10.0 * float(defect.max()), 1e-10))
     return CellSolution(
-        model=model, grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
+        grid=grid, chi=chi, chi_w=chi_w, a_hat=a_hat,
         m_w_chi_w=m_w, energy_identity_residual=float(
             abs(m_w + energy) / (1.0 + abs(m_w))),
         cross_flux_defect=defect, aux_compat_defects=aux)

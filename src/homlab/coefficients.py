@@ -102,7 +102,6 @@ class ValidationReport:
     rayleigh_max: float
     periodicity_defect: float
     w_mean_abs: float
-    kappa: float
     failures: list = field(default_factory=list)
 
     @property
@@ -176,4 +175,4 @@ def validate(model):
 
     return ValidationReport(symmetry_defect=sym, rayleigh_min=rmin, rayleigh_max=rmax,
                             periodicity_defect=per, w_mean_abs=wmean,
-                            kappa=model.kappa, failures=failures)
+                            failures=failures)

@@ -193,18 +193,14 @@ class CoercivityReport:
 
     ``lambda_eps_1`` is the first Dirichlet eigenvalue of the full operator
     (diffusion plus scaled potential), read from its spectrum; the form is
-    coercive iff it is positive.  The effective potential constant is kept
-    for context.
+    coercive iff it is positive.
     """
 
-    epsilon: float
     lambda_eps_1: float
-    m_w_chi_w: float
     coercive: bool
 
 
-def coercivity_check(spectrum: Spectrum,
-                     m_w_chi_w: float) -> CoercivityReport:
+def coercivity_check(spectrum: Spectrum) -> CoercivityReport:
     """Decide the sign hypothesis from the oscillatory operator's spectrum
     (tag ``eps``), already computed; only its first eigenvalue is read.
 
@@ -212,12 +208,7 @@ def coercivity_check(spectrum: Spectrum,
     and :func:`solve_eps` refuses to solve.
     """
     lam_eps = float(spectrum.eigenvalues[0])
-    return CoercivityReport(
-        epsilon=spectrum.epsilon,
-        lambda_eps_1=lam_eps,
-        m_w_chi_w=float(m_w_chi_w),
-        coercive=lam_eps > 0.0,
-    )
+    return CoercivityReport(lambda_eps_1=lam_eps, coercive=lam_eps > 0.0)
 
 
 def constant_matrix(a_hat: np.ndarray):

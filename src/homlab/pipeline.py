@@ -5,11 +5,10 @@ constants), ``solve`` (boundary-value solves, boundary-adapted correctors,
 corrected-difference norms), ``eigs`` (all four spectra), ``gaps``
 (eigenvalue comparisons), ``rates`` (log-log fits), ``flux`` (boundary-flux
 table), ``report`` (everything as JSON), as :data:`STAGE_TABLE` orders
-them.  Its rows also give :mod:`homlab.cli` its subcommands and options,
+them.  Stage ``<key>`` is run by the method ``Experiment.stage_<key>``.
+The table's rows also give :mod:`homlab.cli` its subcommands and options,
 and their order the exit codes (:data:`STAGE_EXIT`).  A stage failure
-aborts the run with that stage's exit code; the artifact being written at
-that moment keeps a ``.partial`` suffix so truncated files never masquerade
-as finished ones.
+aborts the run with that stage's exit code.
 
 The unit of parallel work is one oscillatory Dirichlet operator, and one
 task (``Experiment._operator_task``) serves them all.  It factors the
@@ -62,9 +61,13 @@ stage has dropped its samples of A, before the corrector solves
 (:func:`~homlab.cell.solve_cell`), and here after the assembly and the
 closed forms, after each factorization and after each task.
 
-All CSV content is formatted with shortest-roundtrip ``repr`` on floats and
-written with LF endings, so identical configurations and seeds reproduce the
-files byte for byte.
+Every artifact goes out through one writer, ``Experiment._write``, which
+writes ``<name>.partial`` and renames it into place, so a truncated file
+never masquerades as a finished one.  ``_write_csv`` formats floats with
+shortest-roundtrip ``repr`` and ends lines with LF, so identical configs and
+seeds reproduce the files byte for byte.  The stage that writes an artifact
+lists its rows, columns and keys once (``report.json`` in ``stage_report``);
+``rates.csv`` and ``rates.svg`` keep the order ``stage_rates`` fits in.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -154,7 +157,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Stage:
-    method: str  # the ``Experiment`` method that runs it
+    """Row ``<key>`` of :data:`STAGE_TABLE`, run by ``stage_<key>``."""
+
     deps: Tuple[str, ...]  # stages it depends on
     help: str  # its CLI subcommand's help
     options: Tuple[str, ...] = ()  # CLI options it takes (``homlab.cli``)
@@ -162,20 +166,16 @@ class Stage:
 
 #: Every stage, in run order.
 STAGE_TABLE = {
-    "cell": Stage("stage_cell", (),
-                  "periodic cell problems and effective constants",
+    "cell": Stage((), "periodic cell problems and effective constants",
                   ("dump_fields",)),
-    "solve": Stage("stage_solve", ("cell",),
-                   "boundary-value solves and corrected-difference norms",
-                   ("epsilon", "dump_fields")),
-    "eigs": Stage("stage_eigs", ("cell",), "oscillatory and effective spectra",
+    "solve": Stage(("cell",), "boundary-value solves and corrected-difference "
+                   "norms", ("epsilon", "dump_fields")),
+    "eigs": Stage(("cell",), "oscillatory and effective spectra",
                   ("epsilon", "k", "seed")),
-    "gaps": Stage("stage_gaps", ("eigs",), "eigenvalue gap table (gaps.csv)"),
-    "rates": Stage("stage_rates", ("solve", "gaps"),
-                   "log-log rate fits (rates.csv)"),
-    "flux": Stage("stage_flux", ("eigs",),
-                  "boundary-flux diagnostics (flux.csv)"),
-    "report": Stage("stage_report", ("solve", "gaps", "rates", "flux"),
+    "gaps": Stage(("eigs",), "eigenvalue gap table (gaps.csv)"),
+    "rates": Stage(("solve", "gaps"), "log-log rate fits (rates.csv)"),
+    "flux": Stage(("eigs",), "boundary-flux diagnostics (flux.csv)"),
+    "report": Stage(("solve", "gaps", "rates", "flux"),
                     "full pipeline through report.json"),
 }
 
@@ -195,10 +195,6 @@ SQUARE_DOMAIN_CAVEAT = (
     "corners fall outside that hypothesis, so flux rows are trend "
     "diagnostics, not certified bounds.")
 
-_RATE_QUANTITIES = ("h1_expansion", "l2_gap", "eig_gap_k1", "eig_gap_k2",
-                    "eig_gap_k3", "eig_gap_k4", "eig_gap_k5", "thm21_d8",
-                    "phi_supnorm")
-
 
 def _fmt(value) -> str:
     """CSV cell formatting: shortest-roundtrip for floats, plain for ints."""
@@ -209,18 +205,16 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".partial"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _cell_record(cs: CellSolution) -> dict:
+    """The cell numbers that ``cell_solution.json`` and ``report.json``
+    both record: a_hat, m, the energy-identity residual and the cross-flux
+    defect."""
+    return {
+        "a_hat": [[float(cs.a_hat[i, j]) for j in (0, 1)] for i in (0, 1)],
+        "m_w_chi_w": float(cs.m_w_chi_w),
+        "energy_identity_residual": float(cs.energy_identity_residual),
+        "cross_flux_defect": [float(v) for v in cs.cross_flux_defect],
+    }
 
 
 @contextmanager
@@ -259,7 +253,6 @@ def _peak_rss_mb() -> Optional[float]:
 class _EpsArtifacts:
     """Everything computed for one scale."""
 
-    epsilon: float
     label: str
     coercivity: CoercivityReport
     u_eps: GridFunction
@@ -303,13 +296,30 @@ class Experiment:
         self.timings: Dict[str, float] = {}
         self.peak_rss_mb: Dict[str, Optional[float]] = {}
 
-    # -- shared pieces -------------------------------------------------
+    # -- the writer ----------------------------------------------------
 
-    def _outpath(self, name: str) -> str:
-        return os.path.join(self.cfg.output_dir, name)
+    def _write(self, name: str, text: str) -> None:
+        """Write artifact ``name`` of the output directory: to
+        ``<name>.partial`` first, then renamed into place."""
+        path = os.path.join(self.cfg.output_dir, name)
+        with open(path + ".partial", "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+        os.replace(path + ".partial", path)
 
-    def _say(self, text: str) -> None:
-        print(text, file=self.out)
+    def _write_csv(self, name: str, header: Sequence[str],
+                   rows: Sequence[Sequence]) -> None:
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        self._write(name, "\n".join(lines) + "\n")
+
+    def _write_fields(self, name: str, header: Sequence[str],
+                      nodal: Sequence[GridFunction]) -> None:
+        """Dump ``nodal`` fields of one grid, a row per node: its two
+        coordinates, then each field's value, under ``header``."""
+        coords = nodal[0].grid.node_coords()
+        self._write_csv(name, header, np.column_stack(
+            [coords[:, 0], coords[:, 1], *(f.values for f in nodal)]))
 
     # -- per-operator tasks ---------------------------------------------
 
@@ -413,10 +423,9 @@ class Experiment:
             spectrum = replace(spectrum, eigenvectors=None)
         if not solve:
             return spectrum, None
-        cs = self.cell_solution
         if kind == "eps_prime":
             return spectrum, solve_dirichlet_correctors(problem, lu=lu)
-        coercivity = coercivity_check(spectrum, cs.m_w_chi_w)
+        coercivity = coercivity_check(spectrum)
         return spectrum, (coercivity,
                           solve_eps(problem, coercivity, self.load, lu=lu))
 
@@ -463,9 +472,8 @@ class Experiment:
 
     def run_stage(self, stage: str, dump_fields: bool = False) -> None:
         """Run ``stage``; ``dump_fields`` reaches the stages that take it."""
-        row = STAGE_TABLE[stage]
-        method = getattr(self, row.method)
-        if dump_fields and "dump_fields" in row.options:
+        method = getattr(self, f"stage_{stage}")
+        if dump_fields and "dump_fields" in STAGE_TABLE[stage].options:
             method(dump_fields=True)
         else:
             method()
@@ -483,30 +491,17 @@ class Experiment:
             "a_preset": cfg.a_preset,
             "w_preset": cfg.w_preset,
             "cell_grid_n": cfg.cell_grid_n,
-            "a_hat": [[float(cs.a_hat[i, j]) for j in (0, 1)] for i in (0, 1)],
-            "m_w_chi_w": float(cs.m_w_chi_w),
-            "energy_identity_residual": float(cs.energy_identity_residual),
-            "cross_flux_defect": [float(v) for v in cs.cross_flux_defect],
+            **_cell_record(cs),
             "aux_compat_defects": [float(v) for v in cs.aux_compat_defects],
-            "validation": {
-                "ok": self.validation.ok,
-                "failures": list(self.validation.failures),
-                "symmetry_defect": self.validation.symmetry_defect,
-                "rayleigh_min": self.validation.rayleigh_min,
-                "rayleigh_max": self.validation.rayleigh_max,
-                "periodicity_defect": self.validation.periodicity_defect,
-                "w_mean_abs": self.validation.w_mean_abs,
-            },
+            "validation": {"ok": self.validation.ok,
+                           **asdict(self.validation)},
         }
-        _write_atomic(self._outpath("cell_solution.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self._write("cell_solution.json",
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n")
         if dump_fields:
-            coords = cs.grid.node_coords()
-            rows = np.column_stack([
-                coords[:, 0], coords[:, 1],
-                cs.chi[0].values, cs.chi[1].values, cs.chi_w.values])
-            _write_atomic(self._outpath("cell_fields.csv"), _csv(
-                ("y1", "y2", "chi1", "chi2", "chi_w"), rows))
+            self._write_fields("cell_fields.csv",
+                               ("y1", "y2", "chi1", "chi2", "chi_w"),
+                               [*cs.chi, cs.chi_w])
 
     def _finish_eps(self, problem: EpsProblem, coercivity: CoercivityReport,
                     u_eps: GridFunction,
@@ -517,7 +512,7 @@ class Experiment:
         expansion = build_expansion(u_eps, self.u_0, correctors,
                                     chi_w_sampled, eps)
         return _EpsArtifacts(
-            epsilon=eps, label=eps_label(eps), coercivity=coercivity,
+            label=eps_label(eps), coercivity=coercivity,
             u_eps=u_eps, correctors=correctors, expansion=expansion,
             jacobian_min=jacobian_check(correctors),
             energy_defect=galerkin_energy_defect(problem, u_eps),
@@ -538,16 +533,12 @@ class Experiment:
                 self.per_eps[eps] = finish[eps].result()
 
         if dump_fields:
-            coords = self.domain_grid.node_coords()
             for eps in cfg.epsilons:
                 art = self.per_eps[eps]
-                rows = np.column_stack([
-                    coords[:, 0], coords[:, 1], art.u_eps.values,
-                    self.u_0.values, art.correctors.phi[0].values,
-                    art.correctors.phi[1].values])
-                name = "solve_fields_" + art.label.replace("/", "_") + ".csv"
-                _write_atomic(self._outpath(name), _csv(
-                    ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"), rows))
+                self._write_fields(
+                    "solve_fields_" + art.label.replace("/", "_") + ".csv",
+                    ("x1", "x2", "u_eps", "u_0", "phi1", "phi2"),
+                    [art.u_eps, self.u_0, *art.correctors.phi])
 
     def stage_eigs(self) -> None:
         cfg = self.cfg
@@ -571,8 +562,7 @@ class Experiment:
             for kind in ("eps", "eps_prime")]
         rows = [(tag, j, float(lam)) for tag in tags
                 for j, lam in enumerate(self.spectra[tag].eigenvalues, 1)]
-        text = _csv(("tag", "k", "lambda"), rows)
-        _write_atomic(self._outpath("spectrum_E.csv"), text)
+        self._write_csv("spectrum_E.csv", ("tag", "k", "lambda"), rows)
 
     def stage_gaps(self) -> None:
         cfg = self.cfg
@@ -613,16 +603,14 @@ class Experiment:
         ordered = sorted(cfg.epsilons, reverse=True)
         gap_at = self._gap_index()
         for k_idx in range(1, min(cfg.k_eigen, 5) + 1):
-            gaps = [gap_at[eps, k_idx] for eps in ordered
-                    if (eps, k_idx) in gap_at]
+            gaps = [gap_at[eps, k_idx] for eps in ordered]
             self.continuity_flags[k_idx] = bool(
                 any(b > a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:])))
 
-        rows = [(r["epsilon"], r["k"], r["lambda_eps"], r["lambda_0"],
-                 r["gap"], r["normalized_const"]) for r in self.gap_rows]
-        text = _csv(("epsilon", "k", "lambda_eps", "lambda_0", "gap",
-                     "normalized_const"), rows)
-        _write_atomic(self._outpath("gaps.csv"), text)
+        header = ("epsilon", "k", "lambda_eps", "lambda_0", "gap",
+                  "normalized_const")
+        self._write_csv("gaps.csv", header,
+                        [[r[key] for key in header] for r in self.gap_rows])
 
     def _gap_index(self) -> Dict[Tuple[float, int], float]:
         """Gap of each ``gap_rows`` entry by (epsilon, k)."""
@@ -639,8 +627,7 @@ class Experiment:
         gap_at = self._gap_index()
         for k_idx in range(1, min(cfg.k_eigen, 5) + 1):
             points[f"eig_gap_k{k_idx}"] = [
-                (e, gap_at[e, k_idx]) for e in eps_list
-                if (e, k_idx) in gap_at]
+                (e, gap_at[e, k_idx]) for e in eps_list]
         points["thm21_d8"] = [(rec["epsilon"], rec["d8"])
                               for rec in self.first_eig]
         points["phi_supnorm"] = [
@@ -648,10 +635,7 @@ class Experiment:
 
         self.rates = {}
         self.rate_notes = []
-        for name in _RATE_QUANTITIES:
-            pts = points.get(name)
-            if pts is None:
-                continue
+        for name, pts in points.items():
             try:
                 rep = rate_fit(pts, name)
             except InsufficientDataError as err:
@@ -665,13 +649,11 @@ class Experiment:
                 "slope": rep.slope, "intercept": rep.intercept,
                 "r2": rep.r2, "points": rep.points,
             }
-        rows = [(name, self.rates[name]["slope"],
-                 self.rates[name]["intercept"], self.rates[name]["r2"])
-                for name in _RATE_QUANTITIES if name in self.rates]
-        text = _csv(("quantity", "slope", "intercept", "r2"), rows)
-        _write_atomic(self._outpath("rates.csv"), text)
+        self._write_csv("rates.csv", ("quantity", "slope", "intercept", "r2"),
+                        [(name, r["slope"], r["intercept"], r["r2"])
+                         for name, r in self.rates.items()])
         if cfg.emit_svg:
-            _write_atomic(self._outpath("rates.svg"), self._render_svg())
+            self._write("rates.svg", self._render_svg())
 
     def stage_flux(self) -> None:
         cfg = self.cfg
@@ -681,9 +663,8 @@ class Experiment:
                 self.problems[eps], self.spectra[f"eps:{eps_label(eps)}"]))
         rows = [(r.epsilon, r.k, r.lam, r.flux, r.ratio_upper, r.ratio_lower)
                 for r in self.flux_records]
-        text = _csv(("epsilon", "k", "lambda", "flux", "ratio_upper",
-                     "ratio_lower"), rows)
-        _write_atomic(self._outpath("flux.csv"), text)
+        self._write_csv("flux.csv", ("epsilon", "k", "lambda", "flux",
+                                     "ratio_upper", "ratio_lower"), rows)
 
         lowers = [r.ratio_lower for r in self.flux_records]
         uppers_regime = [r.ratio_upper for r in self.flux_records
@@ -701,11 +682,10 @@ class Experiment:
             "smallest_eps_lambda_floor_held": min(held) if held else None,
             "caveat": SQUARE_DOMAIN_CAVEAT,
         }
-        self._say(SQUARE_DOMAIN_CAVEAT)
+        print(SQUARE_DOMAIN_CAVEAT, file=self.out)
 
     def stage_report(self) -> None:
         started = time.perf_counter()
-        cs = self.cell_solution
         payload = {
             "config": {
                 "A_preset": self.cfg.a_preset,
@@ -720,12 +700,7 @@ class Experiment:
                 "seed": self.cfg.seed,
             },
             "cell": {
-                "a_hat": [[float(cs.a_hat[i, j]) for j in (0, 1)]
-                          for i in (0, 1)],
-                "m_w_chi_w": float(cs.m_w_chi_w),
-                "energy_identity_residual": float(
-                    cs.energy_identity_residual),
-                "cross_flux_defect": [float(v) for v in cs.cross_flux_defect],
+                **_cell_record(self.cell_solution),
                 "validation_failures": list(self.validation.failures),
             },
             "solve": {
@@ -765,8 +740,8 @@ class Experiment:
         self.peak_rss_mb["report"] = _peak_rss_mb()
         payload["timings_s"] = {k: round(v, 3) for k, v in self.timings.items()}
         payload["peak_rss_mb"] = self.peak_rss_mb
-        _write_atomic(self._outpath("report.json"),
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self._write("report.json",
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     # -- svg ------------------------------------------------------------
 
@@ -774,8 +749,8 @@ class Experiment:
         width, height = 720, 540
         ml, mr, mt, mb = 70, 180, 30, 50
         pw, ph = width - ml - mr, height - mt - mb
-        series = [(name, self.rates[name]["points"], self.rates[name]["slope"])
-                  for name in _RATE_QUANTITIES if name in self.rates]
+        series = [(name, r["points"], r["slope"])
+                  for name, r in self.rates.items()]
         xs = [np.log10(e) for _, pts, _ in series for e, _ in pts]
         ys = [np.log10(v) for _, pts, _ in series for _, v in pts]
         if not xs:

@@ -388,7 +388,6 @@ class ClusterProjection:
     members: List[int]  # 1-based indices into the spectrum
     s: np.ndarray
     r: np.ndarray
-    coefficients: np.ndarray  # <phi_k, f>_M per member
     truncated: bool
     s_norm: float  # ||s||_M
     f_norm: float  # ||f||_M
@@ -423,11 +422,9 @@ def cluster_projection(spectrum: Spectrum,
         raise SpectralError("cluster probe function is identically zero")
     s = np.zeros_like(f)
     r = np.zeros_like(f)
-    coeffs = []
     for j in np.flatnonzero(in_window):
         phi = spectrum.eigenvectors[:, j]
         c = float(phi @ mf)
-        coeffs.append(c)
         s += c * phi
         r += (float(spectrum.eigenvalues[j]) - lam) * c * phi
     s_norm = float(np.sqrt(s @ mass.dot(s)))
@@ -435,8 +432,7 @@ def cluster_projection(spectrum: Spectrum,
     grad_energy = float(np.sqrt(max(s @ op.dot(s), 0.0)))
     scale = root * f_norm
     return ClusterProjection(
-        lam=float(lam), members=members, s=s, r=r,
-        coefficients=np.array(coeffs), truncated=truncated,
+        lam=float(lam), members=members, s=s, r=r, truncated=truncated,
         s_norm=s_norm, f_norm=f_norm,
         grad_constant=grad_energy / scale,
         residual_constant=r_norm / scale)

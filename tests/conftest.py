@@ -1,15 +1,32 @@
-"""Shared pytest plumbing: the acceptance-criterion scoreboard, the
-factors and loads that ``eigs`` and the domain solves take, and an
-independent COO oracle for the assembled matrices.
+"""Shared pytest plumbing: the acceptance-criterion scoreboard, the raise
+guard, the factors and loads that ``eigs`` and the domain solves take, and
+an independent COO oracle for the assembled matrices.
 
 Each acceptance test records one line before asserting, so the summary block
 at the end of every run lists PASS/FAIL for all criteria regardless of where
 pytest stops printing captured output.
+
+The raise guard keeps every error branch of the package under test.  It
+finds each ``raise`` statement in ``homlab`` with :mod:`ast` and, from
+``pytest_configure`` on, records with a line tracer (``sys.settrace`` and
+``threading.settrace``, so the pipeline's worker threads count) which of them
+run.  A run that ran every test of every ``tests/test_*.py`` fails and names
+the file:line of each raise that never ran.  Runs of a subset (``-k``, one
+file, ``-x`` stopping early) give no verdict, and neither does a run under
+another tracer (a debugger or coverage), which the guard leaves alone.
 """
 
+import ast
+import glob
+import os
+import sys
+import threading
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+import homlab
 from homlab.domain import (
     DiffusionProblem,
     EpsProblem,
@@ -31,6 +48,75 @@ from homlab.grids import shape_gradients, shape_values
 from homlab.spectral import eigs
 
 _ACCEPTANCE_LINES = {}
+
+_PACKAGE = os.path.dirname(homlab.__file__)
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+# file -> {line of a raise statement -> "homlab/<file>:<first line>"}
+_RAISE_LINES = {}
+_RAISES_RUN = set()
+_GUARD = {"deselected": False, "unreached": None}
+
+
+def _raise_lines():
+    """Each line of each ``raise`` statement in the package, by file."""
+    table = {}
+    for path in sorted(glob.glob(os.path.join(_PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        name = "homlab/" + os.path.basename(path)
+        table[path] = {
+            line: f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            for line in range(node.lineno, node.end_lineno + 1)}
+    return table
+
+
+def _trace_raises(frame, event, arg):
+    if event == "line":
+        key = _RAISE_LINES[frame.f_code.co_filename].get(frame.f_lineno)
+        if key is not None:
+            _RAISES_RUN.add(key)
+    return _trace_raises
+
+
+def _trace_calls(frame, event, arg):
+    if frame.f_code.co_filename in _RAISE_LINES:
+        return _trace_raises
+    return None
+
+
+def pytest_configure(config):
+    if sys.gettrace() is not None:
+        return
+    _RAISE_LINES.update(_raise_lines())
+    threading.settrace(_trace_calls)
+    sys.settrace(_trace_calls)
+
+
+def pytest_deselected(items):
+    _GUARD["deselected"] = True
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if not _RAISE_LINES:
+        return
+    traced = sys.gettrace() is _trace_calls
+    sys.settrace(None)
+    threading.settrace(None)
+    ran = {os.path.realpath(item.path) for item in session.items}
+    every = {os.path.realpath(path) for path
+             in glob.glob(os.path.join(_TESTS, "test_*.py"))}
+    if (not traced or _GUARD["deselected"] or session.shouldstop
+            or session.shouldfail or not every <= ran):
+        return
+    raises = {key for lines in _RAISE_LINES.values()
+              for key in lines.values()}
+    _GUARD["unreached"] = sorted(
+        raises - _RAISES_RUN,
+        key=lambda key: (key.partition(":")[0], int(key.partition(":")[2])))
+    _GUARD["total"] = len(raises)
+    if _GUARD["unreached"]:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 def factor(op, mass=None, sigma=0.0):
@@ -74,7 +160,7 @@ def eps_factor_and_report(p):
     lu = factor(op, p.mass_interior(), p.sigma)
     spectrum = eigs(op, p.mass_interior(), 1, sigma=p.sigma, lu=lu,
                     epsilon=p.epsilon)
-    return lu, coercivity_check(spectrum, 0.0)
+    return lu, coercivity_check(spectrum)
 
 
 def quad_points(grid, xi=QUAD_XI):
@@ -122,6 +208,13 @@ def record_criterion(num: int, ok: bool, detail: str) -> None:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    unreached = _GUARD["unreached"]
+    if unreached is not None:
+        terminalreporter.section("raise guard")
+        terminalreporter.write_line(
+            f"FAIL — {len(unreached)} of {_GUARD['total']} raise statements "
+            "in homlab never ran: " + ", ".join(unreached) if unreached else
+            f"PASS — all {_GUARD['total']} raise statements in homlab ran")
     if not _ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")

@@ -84,7 +84,6 @@ def test_expansion_vanishes_for_constant_coefficients(identity_pieces):
     ex = build_expansion(u_eps, u_0, dc, chi_w_s, 0.25)
     assert np.max(np.abs(ex.w.values)) < 1e-10
     assert ex.h1_w < 1e-9
-    assert ex.epsilon == 0.25
 
 
 def test_expansion_rejects_nonzero_trace(identity_pieces):

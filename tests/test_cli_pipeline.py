@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -95,6 +96,45 @@ def test_single_epsilon_rate_fits_are_skipped_with_note(tmp_path):
     assert any("at least 3" in note for note in report["rate_notes"])
     rates = open(os.path.join(out, "rates.csv")).read()
     assert rates == "quantity,slope,intercept,r2\n"
+
+
+RATES = """
+cell_grid_n = 16
+domain_grid_n = 64
+epsilons = 1, 1/2, 1/4
+k_eigen = 2
+output_dir = {out}
+emit_svg = true
+"""
+
+
+@pytest.fixture(scope="module")
+def rates_run(tmp_path_factory):
+    """Output directory of a full run that fits every rate quantity."""
+    tmp_path = tmp_path_factory.mktemp("rates")
+    cfg, out = write_cfg(tmp_path, body=RATES)
+    assert run_experiment(cfg, out=io.StringIO()) == 0
+    return out
+
+
+def test_rate_quantities_keep_their_order_in_csv_and_svg(rates_run):
+    order = ["h1_expansion", "l2_gap", "eig_gap_k1", "eig_gap_k2",
+             "thm21_d8", "phi_supnorm"]
+    rows = open(os.path.join(rates_run, "rates.csv")).read().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == order
+    svg = open(os.path.join(rates_run, "rates.svg")).read()
+    assert re.findall(r"font-size='12'>(\S+) \(slope", svg) == order
+
+
+def test_cell_record_is_the_same_in_both_json_artifacts(rates_run):
+    cell = json.load(open(os.path.join(rates_run, "cell_solution.json")))
+    report = json.load(open(os.path.join(rates_run, "report.json")))
+    for key in ("a_hat", "m_w_chi_w", "energy_identity_residual",
+                "cross_flux_defect"):
+        assert cell[key] == report["cell"][key], key
+    assert set(cell["validation"]) == {
+        "ok", "failures", "symmetry_defect", "rayleigh_min", "rayleigh_max",
+        "periodicity_defect", "w_mean_abs"}
 
 
 def test_report_carries_effective_constants(tmp_path):
@@ -485,8 +525,10 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
     one pattern, whose ``take`` index is read-only too: shared, canonical,
     read-only index arrays, exactly
     symmetric matrices, and data equal bit for bit to the COO route's on
-    the same element matrices.  (The element matrices themselves are
-    checked against the einsum contractions in test_grids_fem.)"""
+    the same element matrices.  L_eps's oracle is K_eps + M_W / eps for
+    every preset, so with W zero this also checks that M_W adds exactly
+    nothing.  (The element matrices themselves are checked against the
+    einsum contractions in test_grids_fem.)"""
     exp = assembled(tmp_path, a_preset, w_preset, n, epsilons)
     grid = exp.domain_grid
     pattern = grid.pattern
@@ -506,10 +548,8 @@ def test_interior_matrices_share_one_canonical_symmetric_pattern(
 
         k_eps = oracle_matrix(grid, stiffness_elements(
             grid, scaled(model.a_eval)))
-        l_eps = k_eps
-        if w_preset != "zero":
-            l_eps = k_eps + (1.0 / eps) * oracle_matrix(
-                grid, weighted_mass_elements(grid, scaled(model.w_eval)))
+        l_eps = k_eps + (1.0 / eps) * oracle_matrix(
+            grid, weighted_mass_elements(grid, scaled(model.w_eval)))
         oracles[f"eps_prime:{eps}"], oracles[f"eps:{eps}"] = k_eps, l_eps
         mats[f"eps_prime:{eps}"] = exp.operators[
             f"eps_prime:{eps_label(eps)}"][0]

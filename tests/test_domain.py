@@ -151,9 +151,8 @@ def test_coercivity_flag_goes_false_without_raising():
         f_eval=base.f_eval, kappa=0.999)
     p = eps_problem(strong, 0.5, DirichletGrid(32))
     spectrum, lu = eps_spectrum(p)
-    report = coercivity_check(spectrum, 0.0)
+    report = coercivity_check(spectrum)
     assert not report.coercive
-    assert report.epsilon == 0.5
     assert report.lambda_eps_1 == pytest.approx(-74.718, abs=0.5)
     with pytest.raises(CoercivityError):
         solve_eps(p, report, f_load(p), lu=lu)
@@ -163,11 +162,9 @@ def test_coercivity_report_on_sound_problem():
     model = make_preset("smooth-iso", "sine1")
     p = eps_problem(model, 0.25, DirichletGrid(64))
     spectrum, lu = eps_spectrum(p, k=3)
-    report = coercivity_check(spectrum, -0.006)
+    report = coercivity_check(spectrum)
     assert report.coercive
-    assert report.epsilon == 0.25
     assert report.lambda_eps_1 == spectrum.eigenvalues[0] > 0
-    assert report.m_w_chi_w == -0.006
     u = solve_eps(p, report, f_load(p), lu=lu)
     assert np.isfinite(u.values).all()
 
