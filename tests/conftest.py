@@ -8,9 +8,9 @@ pytest stops printing captured output.
 
 The raise guard keeps every error branch of the package under test.  It
 finds each ``raise`` statement in ``homlab`` with :mod:`ast` and, from
-``pytest_configure`` on, records with a line tracer (``sys.settrace`` and
+``pytest_configure`` on, records with a tracer (``sys.settrace`` and
 ``threading.settrace``, so the pipeline's worker threads count) which of them
-run.  A run that ran every test of every ``tests/test_*.py`` fails and names
+run: a raise ran when an exception event fires on one of its lines.  A run that ran every test of every ``tests/test_*.py`` fails and names
 the file:line of each raise that never ran.  Runs of a subset (``-k``, one
 file, ``-x`` stopping early) give no verdict, and neither does a run under
 another tracer (a debugger or coverage), which the guard leaves alone.
@@ -51,10 +51,10 @@ _ACCEPTANCE_LINES = {}
 
 _PACKAGE = os.path.dirname(homlab.__file__)
 _TESTS = os.path.dirname(os.path.abspath(__file__))
-# file -> {line of a raise statement -> "homlab/<file>:<first line>"}
+# file -> {line of a raise statement -> ("homlab/<file>", its first line)}
 _RAISE_LINES = {}
 _RAISES_RUN = set()
-_GUARD = {"deselected": False, "unreached": None}
+_GUARD = {"deselected": False, "unreached": None, "total": 0}
 
 
 def _raise_lines():
@@ -65,14 +65,14 @@ def _raise_lines():
             tree = ast.parse(fh.read(), path)
         name = "homlab/" + os.path.basename(path)
         table[path] = {
-            line: f"{name}:{node.lineno}" for node in ast.walk(tree)
+            line: (name, node.lineno) for node in ast.walk(tree)
             if isinstance(node, ast.Raise)
             for line in range(node.lineno, node.end_lineno + 1)}
     return table
 
 
 def _trace_raises(frame, event, arg):
-    if event == "line":
+    if event == "exception":
         key = _RAISE_LINES[frame.f_code.co_filename].get(frame.f_lineno)
         if key is not None:
             _RAISES_RUN.add(key)
@@ -80,9 +80,12 @@ def _trace_raises(frame, event, arg):
 
 
 def _trace_calls(frame, event, arg):
-    if frame.f_code.co_filename in _RAISE_LINES:
-        return _trace_raises
-    return None
+    """Trace the package's frames for exception events only: line events
+    in its loops would cost the suite seconds."""
+    if frame.f_code.co_filename not in _RAISE_LINES:
+        return None
+    frame.f_trace_lines = False
+    return _trace_raises
 
 
 def pytest_configure(config):
@@ -111,9 +114,8 @@ def pytest_sessionfinish(session, exitstatus):
         return
     raises = {key for lines in _RAISE_LINES.values()
               for key in lines.values()}
-    _GUARD["unreached"] = sorted(
-        raises - _RAISES_RUN,
-        key=lambda key: (key.partition(":")[0], int(key.partition(":")[2])))
+    _GUARD["unreached"] = [f"{name}:{line}" for name, line
+                           in sorted(raises - _RAISES_RUN)]
     _GUARD["total"] = len(raises)
     if _GUARD["unreached"]:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
