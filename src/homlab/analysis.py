@@ -15,11 +15,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .cell import sample_periodic
 from .domain import DirichletCorrectors, EpsProblem
 from .errors import InsufficientDataError, UsageError
 from .fem import boundary_flux, cell_values, h1_seminorm, l2_norm, recover_gradient
-from .grids import GridFunction
+from .grids import GridFunction, interpolate
 from .spectral import Spectrum
 
 __all__ = [
@@ -51,10 +50,24 @@ class CorrectorExpansion:
 
 
 def sample_cell_field(cell_gf: GridFunction, grid, epsilon: float) -> GridFunction:
-    """Sample a periodic cell field at ``x / epsilon`` on domain-grid nodes."""
-    coords = grid.node_coords()
-    vals = sample_periodic(cell_gf, coords[:, 0], coords[:, 1], epsilon=epsilon)
-    return GridFunction(grid, vals)
+    """Sample a periodic cell field at ``x / epsilon`` on domain-grid nodes:
+    its bilinear interpolant, through :func:`homlab.grids.interpolate` on
+    the node axes, with floor, wrap and fraction taken per axis."""
+    if not cell_gf.grid.periodic:
+        raise UsageError("sample_cell_field needs a field on a PeriodicGrid")
+    n = cell_gf.grid.n
+    v = cell_gf.values.reshape(n, n)  # v[iy, ix]
+
+    def bilinear(x1, x2):
+        s, t = x1 / epsilon * n, x2 / epsilon * n
+        j1, j2 = np.floor(s).astype(np.int64), np.floor(t).astype(np.int64)
+        f1, f2 = s - j1, t - j2
+        j1, j2 = j1 % n, j2 % n
+        k1, k2 = (j1 + 1) % n, (j2 + 1) % n
+        return ((1 - f1) * (1 - f2) * v[j2, j1] + f1 * (1 - f2) * v[j2, k1]
+                + f1 * f2 * v[k2, k1] + (1 - f1) * f2 * v[k2, j1])
+
+    return interpolate(grid, bilinear)
 
 
 #: Largest boundary value the corrected difference may carry: every term of

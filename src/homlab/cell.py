@@ -260,25 +260,3 @@ def solve_cell(model, n, tol=1e-10, workers=1):
             abs(m_w + energy) / (1.0 + abs(m_w))),
         cross_flux_defect=defect, aux_compat_defects=aux)
 
-
-def sample_periodic(gf, x1, x2, epsilon=1.0):
-    """Evaluate a periodic GridFunction at points x/epsilon (bilinear, wrapped)."""
-    grid = gf.grid
-    if not grid.periodic:
-        raise ValueError("sample_periodic needs a field on a PeriodicGrid")
-    n = grid.n
-    y1 = np.asarray(x1, dtype=float) / epsilon
-    y2 = np.asarray(x2, dtype=float) / epsilon
-    s = y1 * n
-    t = y2 * n
-    j1 = np.floor(s).astype(np.int64)
-    j2 = np.floor(t).astype(np.int64)
-    f1 = s - j1
-    f2 = t - j2
-    j1 %= n
-    j2 %= n
-    k1 = (j1 + 1) % n
-    k2 = (j2 + 1) % n
-    v = gf.values.reshape(n, n)  # v[iy, ix]
-    return ((1 - f1) * (1 - f2) * v[j2, j1] + f1 * (1 - f2) * v[j2, k1]
-            + f1 * f2 * v[k2, k1] + (1 - f1) * f2 * v[k2, j1])

@@ -90,9 +90,6 @@ class CoefficientModel:
     w_eval: callable
     f_eval: callable
     kappa: float
-    a_preset: str = "custom"
-    w_preset: str = "custom"
-    f_preset: str = "custom"
 
 
 @dataclass
@@ -126,8 +123,7 @@ def make_preset(a_preset, w_preset="zero", f_preset="one"):
             f"unknown f_preset {f_preset!r}; expected one of {', '.join(F_PRESETS)}")
     a_eval, kappa = _A_TABLE[a_preset]
     return CoefficientModel(a_eval=a_eval, w_eval=_W_TABLE[w_preset],
-                            f_eval=_F_TABLE[f_preset], kappa=kappa,
-                            a_preset=a_preset, w_preset=w_preset, f_preset=f_preset)
+                            f_eval=_F_TABLE[f_preset], kappa=kappa)
 
 
 _DIRECTIONS = np.array([[1.0, 0.0],

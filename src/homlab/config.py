@@ -205,9 +205,7 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: Optional[str]) -> RunConfig:
     """Load and validate a config file; ``None`` gives the defaults."""
     if path is None:
-        cfg = RunConfig()
-        cfg.validate()
-        return cfg
+        return parse_config("")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -42,10 +42,9 @@ oscillatory operator's spectrum is computed once, by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import CoefficientModel
 from .config import MIN_CELLS_PER_PERIOD
@@ -65,6 +64,11 @@ from .fem import (
 )
 from .grids import DirichletGrid, GridFunction
 from .spectral import Spectrum
+
+# For annotations only: homlab.fem must stay the first importer of
+# scipy.sparse on ``import homlab.cli``, or set-up slows (as in pipeline).
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DiffusionProblem",

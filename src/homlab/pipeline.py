@@ -135,7 +135,6 @@ from .spectral import (
     eigenvalue_gap_rows,
     eigs,
     first_eigenvalue_comparison,
-    shift_spectrum,
 )
 
 # For annotations only: importing scipy.sparse here, ahead of homlab.fem,
@@ -386,10 +385,9 @@ class Experiment:
         lam, vecs = effective_eigenpairs(cs.a_hat, grid, self.cfg.k_eigen)
         self.spectra["hom_prime"] = checked_spectrum(
             stiff, self.mass, lam, vecs, tol, tag="hom_prime")
-        self.spectra["hom"] = shift_spectrum(
-            self.spectra["hom_prime"], m,
-            add_scaled(stiff, m, self.mass), self.mass,
-            tol=tol, tag="hom")
+        self.spectra["hom"] = checked_spectrum(
+            add_scaled(stiff, m, self.mass), self.mass, lam + m, vecs, tol,
+            tag="hom")
 
     def _operator_task(self, tag: str,
                        solve: bool) -> Tuple[Spectrum, object]:

@@ -13,12 +13,12 @@ Every returned :class:`Spectrum` passes one check,
 :func:`checked_spectrum`: residuals and order, with failures raising
 :class:`SpectralError`, naming the operator's tag and scale, rather than
 returning dubious pairs.  :func:`eigs` re-orthonormalizes its pairs in the
-mass inner product and fixes their signs before the check; pairs known in
+mass inner product before the check and sets no sign: every reader of an
+eigenvector is quadratic in it or reads ``<phi, f>_M phi``.  Pairs known in
 closed form (``homlab.domain.effective_eigenpairs``) go through the same
-check against the assembled matrices, and so does a spectrum shifted by a
-multiple of the mass matrix (:func:`shift_spectrum`), which reuses the
-eigenvectors.  Nothing here reads a problem or its coefficients: the shift
-below an oscillatory spectrum is ``homlab.domain.EpsProblem.sigma``.
+check against the assembled matrices.  Nothing here reads a problem or its
+coefficients: the shift below an oscillatory spectrum is
+``homlab.domain.EpsProblem.sigma``.
 
 Eigensolves run on the pipeline's pool threads, several at a time.  The
 two Gram-Schmidt products of a Lanczos step, each a matrix times a vector,
@@ -46,7 +46,6 @@ __all__ = [
     "Spectrum",
     "eigs",
     "checked_spectrum",
-    "shift_spectrum",
     "first_eigenvalue_comparison",
     "eigenvalue_gap_rows",
     "cluster_projection",
@@ -71,21 +70,19 @@ _RESIDUAL_BYTES = 1 << 20
 
 @dataclass
 class Spectrum:
-    """Eigenpairs of one operator, ascending and M-orthonormal (sign-fixed
-    when :func:`eigs` computed them).
+    """Eigenpairs of one operator, ascending and M-orthonormal, with no
+    sign convention.
 
-    ``epsilon`` is carried for the oscillatory operators and ``None`` for
-    the effective ones.  Eigenvectors are stored column-wise on the interior
-    degrees of freedom; ``grid.extend`` turns one into a nodal field.  They
-    are ``None`` on a spectrum whose vectors no reader needs once the pairs
-    have passed :func:`checked_spectrum`: the pipeline keeps only the
-    eigenvalues, residuals and ``solves`` of each ``eps_prime`` spectrum.
+    Eigenvectors are stored column-wise on the interior degrees of freedom;
+    ``grid.extend`` turns one into a nodal field.  They are ``None`` on a
+    spectrum whose vectors no reader needs once the pairs have passed
+    :func:`checked_spectrum`: the pipeline keeps only the eigenvalues,
+    residuals and ``solves`` of each ``eps_prime`` spectrum.
     """
 
     eigenvalues: np.ndarray  # (k,)
     eigenvectors: Optional[np.ndarray]  # (ndof, k), or None once dropped
     residuals: np.ndarray  # (k,) relative residual per pair
-    epsilon: Optional[float] = None
     solves: int = 0  # shift-invert solves made; 0 without an eigensolve
 
     def __post_init__(self):
@@ -113,14 +110,6 @@ def _orthonormalize(vecs: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
     return np.linalg.solve(chol, vecs.T).T
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0.0] = 1.0
-    vecs *= signs
-    return vecs
-
-
 def eigs(op: sp.csr_matrix,
          mass: sp.csr_matrix,
          k: int,
@@ -142,9 +131,9 @@ def eigs(op: sp.csr_matrix,
     :func:`homlab.fem.factorize` factor of ``op - sigma * mass``, the
     shift-invert operator.  ``tol`` is the relative residual each returned
     pair must meet; the iteration runs until every pair meets a tenth of
-    it.  ``epsilon`` is kept on the spectrum, and with ``tag`` it names the
-    operator in errors.  The pencil must have more degrees of freedom than
-    the Lanczos basis (:func:`_basis_size`).
+    it.  ``tag`` and ``epsilon`` name the operator in errors.  The pencil
+    must have more degrees of freedom than the Lanczos basis
+    (:func:`_basis_size`).
     """
     n = op.shape[0]
     if k < 1:
@@ -160,7 +149,7 @@ def eigs(op: sp.csr_matrix,
     v0 = np.random.default_rng(seed).standard_normal(n)
     lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
                                  tol / 10.0, _operator_name(tag, epsilon))
-    vecs = _fix_signs(_orthonormalize(vecs, mass))
+    vecs = _orthonormalize(vecs, mass)
     return checked_spectrum(op, mass, lam, vecs, tol, tag=tag,
                             epsilon=epsilon, solves=solves)
 
@@ -304,22 +293,7 @@ def checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
         raise SpectralError(
             f"eigenvalues not returned in ascending order ({where})")
     return Spectrum(eigenvalues=lam, eigenvectors=vecs, residuals=residuals,
-                    epsilon=epsilon, solves=solves)
-
-
-def shift_spectrum(spectrum: Spectrum, shift: float,
-                   op: sp.csr_matrix, mass: sp.csr_matrix,
-                   tol: float = 1e-8, tag: str = "hom") -> Spectrum:
-    """Spectrum of ``op``, which is ``spectrum``'s operator plus
-    ``shift * mass``, without a second eigensolve.
-
-    Adding a multiple of the mass matrix moves every eigenvalue by ``shift``
-    and keeps every eigenvector, so the pairs are ``spectrum``'s with
-    ``shift`` added, checked against ``op`` as :func:`eigs` checks its own.
-    """
-    return checked_spectrum(op, mass, spectrum.eigenvalues + shift,
-                            spectrum.eigenvectors, tol, tag=tag,
-                            epsilon=spectrum.epsilon)
+                    solves=solves)
 
 
 def first_eigenvalue_comparison(epsilon: float,

@@ -1,3 +1,5 @@
+from dataclasses import astuple, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,13 @@ from homlab.analysis import (
 )
 from homlab.cell import solve_cell
 from homlab.coefficients import make_preset
-from homlab.domain import (DiffusionProblem, EpsProblem, solve_dirichlet_correctors,
-                           solve_eps, solve_homogenized)
+from homlab.domain import (DiffusionProblem, EpsProblem,
+                           rayleigh_quadrature_defect,
+                           solve_dirichlet_correctors, solve_eps,
+                           solve_homogenized)
 from homlab.errors import InsufficientDataError, UsageError
-from homlab.grids import DirichletGrid, GridFunction
+from homlab.grids import DirichletGrid, GridFunction, PeriodicGrid, interpolate
+from homlab.spectral import cluster_projection
 
 
 # ---------------------------------------------------------------- rate_fit
@@ -105,13 +110,50 @@ def test_expansion_rejects_grid_mismatch(identity_pieces):
 
 def test_sample_cell_field_constant_passthrough():
     grid = DirichletGrid(32)
-    from homlab.grids import PeriodicGrid
-
     cell_grid = PeriodicGrid(8)
     const = GridFunction(cell_grid, np.full(cell_grid.nnodes, 2.5))
     sampled = sample_cell_field(const, grid, 0.125)
     assert sampled.grid is grid
     assert np.max(np.abs(sampled.values - 2.5)) < 1e-13
+
+
+def point_sampler(gf, x1, x2, epsilon):
+    """The bilinear periodic sampler at flat arrays of points
+    ``x / epsilon`` that :func:`sample_cell_field` used before it sampled
+    on node axes."""
+    n = gf.grid.n
+    y1 = np.asarray(x1, dtype=float) / epsilon
+    y2 = np.asarray(x2, dtype=float) / epsilon
+    s = y1 * n
+    t = y2 * n
+    j1 = np.floor(s).astype(np.int64)
+    j2 = np.floor(t).astype(np.int64)
+    f1 = s - j1
+    f2 = t - j2
+    j1 %= n
+    j2 %= n
+    k1 = (j1 + 1) % n
+    k2 = (j2 + 1) % n
+    v = gf.values.reshape(n, n)  # v[iy, ix]
+    return ((1 - f1) * (1 - f2) * v[j2, j1] + f1 * (1 - f2) * v[j2, k1]
+            + f1 * f2 * v[k2, k1] + (1 - f1) * f2 * v[k2, j1])
+
+
+@pytest.mark.parametrize("cell_n", [16, 128])
+@pytest.mark.parametrize("domain_n", [64, 72, 256])
+def test_sample_cell_field_keeps_the_point_sampler_bits(cell_n, domain_n):
+    """Sampling on the node axes gives every node the point sampler's
+    float operations, so the bits too, also where 1/epsilon is not an
+    integer and the period does not divide the domain."""
+    cell_grid = PeriodicGrid(cell_n)
+    rng = np.random.default_rng(cell_n)
+    field = GridFunction(cell_grid, rng.standard_normal(cell_grid.nnodes))
+    grid = DirichletGrid(domain_n)
+    coords = grid.node_coords()
+    for epsilon in (1 / 2, 1 / 4, 1 / 16, 4 / 33, 2 / 17):
+        expected = point_sampler(field, coords[:, 0], coords[:, 1], epsilon)
+        sampled = sample_cell_field(field, grid, epsilon)
+        assert np.array_equal(sampled.values, expected), epsilon
 
 
 # ------------------------------------------------------------------- flux
@@ -125,6 +167,31 @@ def test_identity_flux_ratio_near_four():
     assert len(records) == 1
     assert records[0].ratio_lower == pytest.approx(4.0, rel=0.02)
     assert records[0].k == 1
+
+
+@pytest.mark.parametrize("a_preset, w_preset", [
+    ("smooth-iso", "sine1"), ("layered", "sine-mix"), ("identity", "zero")])
+def test_no_eigenvector_reader_sees_a_sign(a_preset, w_preset):
+    """Negating every eigenvector leaves the flux table, the cluster
+    projection and the Rayleigh defects bitwise equal: each is quadratic
+    in an eigenvector or reads it as c phi with c = <phi, f>_M, so the
+    spectral layer needs no sign convention."""
+    model = make_preset(a_preset, w_preset)
+    p = eps_problem(model, 0.25, DirichletGrid(64))
+    mass = p.mass_interior()
+    spec = shifted_eigs(p.operator, mass, 6, sigma=p.sigma, epsilon=0.25)
+    flipped = replace(spec, eigenvectors=-spec.eigenvectors)
+    f = p.grid.restrict(interpolate(p.grid, model.f_eval).values)
+
+    def outputs(s):
+        cp = cluster_projection(s, float(s.eigenvalues[0]), f, p.operator,
+                                mass)
+        return ([np.asarray(astuple(r)).tobytes() for r in flux_table(p, s)],
+                [np.asarray(getattr(cp, fld.name)).tobytes()
+                 for fld in fields(cp)],
+                rayleigh_quadrature_defect(p, s).tobytes())
+
+    assert outputs(flipped) == outputs(spec)
 
 
 def test_flux_regime_flags():

@@ -772,6 +772,40 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert loaded_by_cli_import("scipy.linalg") == "False"
 
 
+_FIRST_IMPORTER_PROBE = """
+import builtins, sys
+first = []
+plain = builtins.__import__
+
+def recording(name, globals=None, locals=None, fromlist=(), level=0):
+    before = "scipy.sparse" in sys.modules
+    module = plain(name, globals, locals, fromlist, level)
+    if not before and not first and "scipy.sparse" in sys.modules:
+        first.append((globals or {}).get("__name__"))
+    return module
+
+builtins.__import__ = recording
+import homlab.cli
+print(first[0] if first else None)
+"""
+
+
+def test_cli_import_loads_scipy_sparse_from_fem_first():
+    """The first import of ``scipy.sparse`` on ``import homlab.cli`` is
+    ``homlab.fem``'s.  Moving it to another module (``homlab.pipeline``
+    or ``homlab.domain``, with the same set of loaded modules) made the
+    CLI's set-up 3-18% slower in interleaved runs on a 2-core VM, so the
+    modules that use ``scipy.sparse`` in annotations only import it under
+    ``TYPE_CHECKING``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(homlab.pipeline.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", _FIRST_IMPORTER_PROBE],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "homlab.fem"
+
+
 def test_benchmark_span_targets_resolve():
     """Every name the traced benchmark wraps still exists in the package,
     so a refactor that drops one fails here and not only in a traced run."""

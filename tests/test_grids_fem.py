@@ -15,8 +15,7 @@ import homlab.cholesky
 import homlab.grids
 from conftest import (eps_problem, oracle_elements, oracle_matrix, quad_points,
                       shifted_eigs)
-from homlab.analysis import _boundary_abs_max
-from homlab.cell import sample_periodic
+from homlab.analysis import _boundary_abs_max, sample_cell_field
 from homlab.coefficients import A_PRESETS, F_PRESETS, W_PRESETS, make_preset
 from homlab.domain import (DiffusionProblem, EpsProblem, constant_matrix,
                            solve_homogenized)
@@ -69,7 +68,6 @@ from homlab.spectral import (
     Spectrum,
     _orthonormalize,
     checked_spectrum,
-    shift_spectrum,
 )
 
 
@@ -766,7 +764,9 @@ def eigs_pencil_within_the_basis():
 
 def shift_checked_against_unshifted_operator():
     k, m = laplace_pair(8)
-    shift_spectrum(shifted_eigs(k, m, 3, sigma=-1.0), 5.0, k, m)  # not k + 5 m
+    spec = shifted_eigs(k, m, 3, sigma=-1.0)
+    checked_spectrum(k, m, spec.eigenvalues + 5.0, spec.eigenvectors, 1e-8,
+                     tag="hom")  # not k + 5 m
 
 
 def flux_on_the_torus():
@@ -788,7 +788,7 @@ def grid_function_of_the_wrong_shape():
 
 def sample_a_dirichlet_field():
     grid = DirichletGrid(4)
-    sample_periodic(GridFunction(grid, np.zeros(grid.nnodes)), 0.3, 0.6)
+    sample_cell_field(GridFunction(grid, np.zeros(grid.nnodes)), grid, 0.3)
 
 
 def spectrum_of_a_matrix_of_eigenvalues():
@@ -860,8 +860,8 @@ ERROR_CASES = [
     (grid_function_of_the_wrong_shape, ValueError,
      r"^GridFunction values shape \(16,\) does not match grid with 25 "
      r"nodes$"),
-    (sample_a_dirichlet_field, ValueError,
-     "^sample_periodic needs a field on a PeriodicGrid$"),
+    (sample_a_dirichlet_field, UsageError,
+     "^sample_cell_field needs a field on a PeriodicGrid$"),
     (spectrum_of_a_matrix_of_eigenvalues, SpectralError,
      "^eigenvalues must be a flat array$"),
     (spectrum_with_a_missing_eigenvector, SpectralError,

@@ -32,11 +32,11 @@ from homlab.spectral import (
     _lanczos,
     _orthonormalize,
     _relative_residuals,
+    checked_spectrum,
     cluster_projection,
     eigenvalue_gap_rows,
     eigs,
     first_eigenvalue_comparison,
-    shift_spectrum,
 )
 
 
@@ -323,13 +323,14 @@ def test_a_failed_check_names_the_operator_and_its_scale():
                         epsilon=0.5)
     with pytest.raises(SpectralError,
                        match=r"\(eps_prime at epsilon=0\.5, 961 DOF\)$"):
-        shift_spectrum(spec, 1.0, d.stiffness, mass, tag="eps_prime")
+        checked_spectrum(d.stiffness, mass, spec.eigenvalues + 1.0,
+                         spec.eigenvectors, 1e-8, tag="eps_prime",
+                         epsilon=0.5)
 
 
 def test_gap_rows_normalization():
     sa = Spectrum(eigenvalues=np.array([4.0, 9.0]),
-                  eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2),
-                  epsilon=0.5)
+                  eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2))
     sb = Spectrum(eigenvalues=np.array([4.5, 8.0]),
                   eigenvectors=np.zeros((1, 2)), residuals=np.zeros(2))
     rows = eigenvalue_gap_rows(0.5, sa, sb)
