@@ -20,12 +20,16 @@ check against the assembled matrices.  Nothing here reads a problem or its
 coefficients: the shift below an oscillatory spectrum is
 ``homlab.domain.EpsProblem.sigma``.
 
-Eigensolves run on the pipeline's pool threads, several at a time.  The
-two Gram-Schmidt products of a Lanczos step, each a matrix times a vector,
-are ``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL through a
-single matrix-vector product, while ``np.dot`` releases it and gives the
-same bits.  Inner products of two vectors keep ``@``, since at these sizes
-``np.dot`` does not make them overlap.  The residual check
+Eigensolves run on the pipeline's pool threads, several at a time.  A
+Lanczos step makes one solve with the factor, two sparse mass products and
+one Gram-Schmidt pass of two matrix-vector products over the basis; the
+first step and the step after each thick restart make three mass products
+and two passes.  The mass products and the Gram-Schmidt products release
+the GIL, and the solve does outside its scatter.  The Gram-Schmidt
+products are ``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL
+through a single matrix-vector product, while ``np.dot`` releases it and
+gives the same bits.  Inner products of two vectors keep ``@``, since at
+these sizes ``np.dot`` does not make them overlap.  The residual check
 (:func:`_relative_residuals`) works in place on blocks of columns that
 fit :data:`_RESIDUAL_BYTES`, so its temporaries stay small beside the
 Lanczos basis while tasks run side by side.
@@ -106,8 +110,8 @@ def _orthonormalize(vecs: np.ndarray, mass: sp.csr_matrix) -> np.ndarray:
         raise SpectralError(
             "eigenvector Gram matrix is not positive definite; "
             "the solver returned a degenerate basis") from err
-    # gram = L L^T, so V L^-T is M-orthonormal: its transpose solves L X = V^T
-    return np.linalg.solve(chol, vecs.T).T
+    # gram = L L^T, so V L^-T = (L^-1 V^T)^T is M-orthonormal
+    return (np.linalg.inv(chol) @ vecs.T).T
 
 
 def eigs(op: sp.csr_matrix,
@@ -168,10 +172,21 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     """Thick-restart Lanczos for the ``k`` eigenvalues nearest ``shift``.
 
     Runs on ``C = (op - shift mass)^-1 mass``, which is self-adjoint in the
-    mass inner product, with eigenvalues ``1 / (lambda - shift)``; a step is
-    one ``lu.solve`` of ``mass v`` and two passes of classical Gram-Schmidt
-    against the whole basis (Ericsson & Ruhe, Math. Comp. 1980).  Only the
-    ``ncv + 1`` basis vectors are stored.  When the basis is full, the
+    mass inner product, with eigenvalues ``1 / (lambda - shift)`` (Ericsson
+    & Ruhe, Math. Comp. 1980), in the B-orthogonal form of Nour-Omid,
+    Parlett, Ericsson & Jensen (Math. Comp. 1987).  A step solves
+    ``w = lu.solve(mass v_j)``.  Since ``C`` is self-adjoint, ``w`` couples
+    only to ``v_j`` and ``v_{j-1}``: the three-term step takes ``alpha = w .
+    mass v_j`` from the right-hand side, with no mass product, subtracts
+    ``alpha v_j + beta_{j-1} v_{j-1}``, and one pass of classical
+    Gram-Schmidt against the whole basis removes what rounding left on the
+    rest ("twice is enough": Parlett, *The Symmetric Eigenvalue Problem*,
+    1980).  The first step, and the step right after each thick restart,
+    where ``v_j`` couples to every kept Ritz vector, make two full passes
+    instead.  Breakdown is ``beta`` at most ``_BREAKDOWN ||C v_j||_M``; a
+    three-term step has that norm from Pythagoras, ``alpha^2 +
+    beta_{j-1}^2 + ||w||_M^2`` after the subtraction.  Only the ``ncv + 1``
+    basis vectors are stored.  When the basis is full, the
     ``keep`` largest Ritz vectors and the last Lanczos vector start the next
     cycle (Wu & Simon, SIAM J. Matrix Anal. Appl. 2000).  Stops once every
     wanted pair has the cheap Ritz residual ``|beta s_last| <= rtol theta``
@@ -200,10 +215,22 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     while True:
         w = lu.solve(mv)
         solves += 1
-        mw = mass.dot(w)
-        size = np.sqrt(w @ mw)
         coef = np.zeros(j + 1)
-        for _ in range(2):
+        if j == 0 or (restarts and j == keep):
+            # v_j couples to every basis vector: two full passes
+            mw = mass.dot(w)
+            size = np.sqrt(w @ mw)
+            passes = 2
+        else:
+            # C v_j couples only to v_j and v_{j-1}; what rounding leaves
+            # on the rest of the basis goes in one pass
+            alpha = w @ mv
+            coef[j - 1:] = beta, alpha
+            w -= np.dot(coef[j - 1:], basis[j - 1:j + 1])
+            mw = mass.dot(w)
+            size = np.sqrt(alpha * alpha + beta * beta + w @ mw)
+            passes = 1
+        for _ in range(passes):
             # np.dot, not @: matmul keeps the GIL on a matrix-vector product
             h = np.dot(basis[:j + 1], mw)
             w -= np.dot(h, basis[:j + 1])

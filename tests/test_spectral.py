@@ -29,6 +29,7 @@ from homlab.grids import DirichletGrid
 from homlab.spectral import (
     MAX_RESTARTS,
     Spectrum,
+    _basis_size,
     _lanczos,
     _orthonormalize,
     _relative_residuals,
@@ -69,10 +70,19 @@ def exact_q1_laplace_eigs(n, count):
     return np.sort((mu[:, None] + mu[None, :]).ravel())[:count]
 
 
-def test_smallest_pencil_matches_separation_of_variables():
-    _, k, m = laplace_pair(16)  # 225 dof, the smallest grid a config allows
-    spec = shifted_eigs(k, m, 5, sigma=-1.0)
-    exact = exact_q1_laplace_eigs(16, 5)
+@pytest.mark.parametrize("k", [5, 32, 64])
+def test_smallest_pencil_matches_separation_of_variables(k):
+    """225 DOF, the smallest grid a config allows, against every k up to the
+    cap: the basis fills and restarts, and the Ritz vectors ``_lanczos``
+    returns are M-orthonormal before ``_orthonormalize`` touches them."""
+    _, stiff, m = laplace_pair(16)
+    v0 = np.random.default_rng(0).standard_normal(stiff.shape[0])
+    _, vecs, solves = _lanczos(stiff, m, k, -1.0, v0, factor(stiff, m, -1.0),
+                               1e-9, "eps")
+    assert solves > _basis_size(k)
+    assert np.max(np.abs(vecs.T @ m.dot(vecs) - np.eye(k))) < 1e-12
+    spec = shifted_eigs(stiff, m, k, sigma=-1.0)
+    exact = exact_q1_laplace_eigs(16, k)
     assert np.max(np.abs(spec.eigenvalues - exact) / exact) < 1e-10
 
 
@@ -178,13 +188,18 @@ def test_blocked_residuals_match_the_one_shot_formula(k, order, monkeypatch):
                               one_shot), width
 
 
-def test_orthonormalize_gives_an_m_orthonormal_basis_of_the_same_span():
+@pytest.mark.parametrize("k", [5, 32])
+def test_orthonormalize_gives_an_m_orthonormal_basis_of_the_same_span(k):
     rng = np.random.default_rng(6)
-    mixing = np.triu(rng.uniform(0.5, 3.0, (5, 5)))  # far from orthonormal
-    vecs = rng.standard_normal((200, 5)) @ mixing
+    mixing = np.triu(rng.uniform(0.5, 3.0, (k, k)))  # far from orthonormal
+    # a random triangular matrix's condition grows like 2^k; scaled this
+    # way it stays near 20 at k = 5, 32 and 64
+    mixing[np.triu_indices(k, 1)] *= 5.0 / k
+    vecs = rng.standard_normal((200, k)) @ mixing
     mass = sp.diags(rng.uniform(0.5, 2.0, 200), format="csr")
     basis = _orthonormalize(vecs, mass)
-    assert np.max(np.abs(basis.T @ mass.dot(basis) - np.eye(5))) < 1e-12
+    assert basis.flags.f_contiguous
+    assert np.max(np.abs(basis.T @ mass.dot(basis) - np.eye(k))) < 1e-12
     coef = np.linalg.lstsq(vecs, basis, rcond=None)[0]
     assert np.max(np.abs(vecs @ coef - basis)) < 1e-12
 

@@ -13,11 +13,18 @@ compared byte for byte, and so are its stdout and stderr, except
 run and are dropped before the rest is compared.
 
 Prints one line per compared file, ``same`` or ``DIFF`` (or ``ONLY`` with
-the side that has it), and exits 1 on any difference.  The runs take about
-half a minute per side on a 2-core machine.
+the side that has it), and exits 1 on any difference.  A ``DIFF`` line of a
+CSV or JSON file also gives the largest relative difference
+``|a - b| / max(|a|, |b|)`` over its numbers (CSV cells, and the numbers of
+a JSON file, ``report.json`` without the keys above) and where it sits, or
+says that the two sides' text or layout differs, so that a deliberate
+round-off move is bounded by the same command.  The runs take about half a
+minute per side on a 2-core machine.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import pathlib
@@ -86,6 +93,64 @@ def comparable(path):
     return json.dumps(payload).encode()
 
 
+def cells(path):
+    """``(where, value)`` for each CSV cell or JSON key and leaf of
+    ``path``, in file order, numbers as floats; None for other files."""
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        out = []
+        for r, row in enumerate(rows):
+            for c, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = cell
+                out.append((f"row {r} {rows[0][c] if c < len(rows[0]) else c}",
+                            value))
+        return out
+    if path.suffix != ".json":
+        return None
+    out = []
+
+    def walk(where, node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                out.append((where, key))
+                walk(f"{where}.{key}" if where else key, value)
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(f"{where}[{i}]", value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.append((where, float(node)))
+        else:
+            out.append((where, node))
+
+    walk("", json.loads(comparable(path)))
+    return out
+
+
+def largest_move(a, b):
+    """What a DIFF line adds for files ``a`` and ``b``: the largest relative
+    difference over their numbers and where it sits, or why there is none."""
+    left, right = cells(a), cells(b)
+    if left is None:
+        return ""
+    if len(left) != len(right):
+        return "  (layout differs)"
+    worst, where = 0.0, None
+    for (place, x), (_, y) in zip(left, right):
+        if isinstance(x, float) and isinstance(y, float):
+            if x != y and not (x != x and y != y):  # NaN on both sides
+                move = abs(x - y) / max(abs(x), abs(y))
+                if not move <= worst:
+                    worst, where = move, place
+        elif x != y:
+            return f"  (text differs at {place})"
+    if where is None:
+        return "  (same numbers)"
+    return f"  (max rel diff {worst:.1e} at {where})"
+
+
 def compare(parent_dir, change_dir):
     """Print one line per file of either side; return the number that
     differ or exist on one side only."""
@@ -101,7 +166,7 @@ def compare(parent_dir, change_dir):
             print(f"ONLY {'parent' if a.exists() else 'change'}  {shown}")
         elif comparable(a) != comparable(b):
             bad += 1
-            print(f"DIFF  {shown}")
+            print(f"DIFF  {shown}{largest_move(a, b)}")
         else:
             print(f"same  {shown}")
     return bad
