@@ -247,16 +247,14 @@ def solve_eps(problem: EpsProblem, coercivity: CoercivityReport,
     if not coercivity.coercive:
         raise CoercivityError(
             f"first eigenvalue {coercivity.lambda_eps_1:.6g} <= 0 at "
-            f"epsilon={problem.epsilon}: the bilinear form is not coercive",
-            lambda_1=coercivity.lambda_eps_1)
+            f"epsilon={problem.epsilon}: the bilinear form is not coercive")
     try:
         inner = cg_solve(problem.operator, rhs, tol=1e-13,
                          precond=lu.solve)
     except SolverError as err:
         raise SolverError(
             f"u_eps at epsilon={problem.epsilon}: {err}",
-            residual=err.residual, iterations=err.iterations,
-            breakdown=err.breakdown) from err
+            iterations=err.iterations, breakdown=err.breakdown) from err
     return GridFunction(problem.grid, problem.grid.extend(inner))
 
 

@@ -16,9 +16,8 @@ class AssemblyError(HomlabError):
 class SolverError(HomlabError):
     """Iterative solver failed to reach the requested tolerance."""
 
-    def __init__(self, message, residual=None, iterations=None, breakdown=False):
+    def __init__(self, message, iterations=None, breakdown=False):
         super().__init__(message)
-        self.residual = residual
         self.iterations = iterations
         self.breakdown = breakdown
 
@@ -30,17 +29,9 @@ class ConsistencyError(HomlabError):
 class CoercivityError(HomlabError):
     """The oscillatory operator is not positive definite for this epsilon."""
 
-    def __init__(self, message, lambda_1=None):
-        super().__init__(message)
-        self.lambda_1 = lambda_1
-
 
 class SpectralError(HomlabError):
     """Eigenvalue solve failed or returned pairs above the residual tolerance."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 class InsufficientDataError(HomlabError):

@@ -422,8 +422,7 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
             raise SolverError(
                 f"CG breakdown at iteration {it}: curvature {pap:.3e} "
                 "(operator not positive definite on the search space)",
-                residual=float(np.sqrt(rr) / bnorm), iterations=it,
-                breakdown=True)
+                iterations=it, breakdown=True)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -441,7 +440,7 @@ def cg_solve(op, rhs, deflate_constants=False, tol=1e-10, max_iter=None,
     raise SolverError(
         f"CG did not converge in {max_iter} iterations: "
         f"relative residual {np.sqrt(rr) / bnorm:.3e} > {tol:.1e}",
-        residual=float(np.sqrt(rr) / bnorm), iterations=max_iter)
+        iterations=max_iter)
 
 
 def torus_laplace_solver(grid):

@@ -32,8 +32,9 @@ operator has no task and no factor.  Its diffusion ``K`` (tag
 ``hom_prime``) has constant diagonal ``a_hat``, so its pairs and ``u_0``
 are closed forms (:func:`effective_eigenpairs`, :func:`solve_homogenized`),
 which the main thread computes before the first task is submitted: the
-pairs with the assembly, where they pass the same residual check against
-the assembled ``K`` as an eigensolve's (:func:`checked_spectrum`).
+pairs with the assembly, where they pass a residual check against the
+assembled ``K`` (:func:`checked_spectrum`), the relative residual an
+eigensolve's stop test measures.
 ``hom`` is that spectrum moved by ``m``, checked against ``K + mM``; ``K``
 is not kept after the two checks.
 
@@ -399,10 +400,10 @@ class Experiment:
 
         Returns (spectrum, what the solves produced, or None without
         ``solve``).  An ``eps_prime`` spectrum comes back without its
-        eigenvectors once they have passed their residual check
-        (:func:`checked_spectrum`, in :func:`eigs`): no reader needs them,
-        and each scale's would otherwise be held for the whole run.  Reads
-        the shared operators, writes no shared state.
+        eigenvectors once they have passed their residual check in
+        :func:`eigs`: no reader needs them, and each scale's would otherwise
+        be held for the whole run.  Reads the shared operators, writes no
+        shared state.
         """
         op, sigma, problem = self.operators[tag]
         kind = tag.partition(":")[0]

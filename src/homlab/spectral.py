@@ -9,30 +9,29 @@ calls.  Nothing here factors a matrix: the shift-invert operator is the
 caller's Cholesky factor of ``K - sigma M`` (:func:`homlab.fem.factorize`),
 the one the pipeline's operator task made and also solves with; that a
 Cholesky factor exists at all certifies the shift below the spectrum.
-Every returned :class:`Spectrum` passes one check,
-:func:`checked_spectrum`: residuals and order, with failures raising
-:class:`SpectralError`, naming the operator's tag and scale, rather than
-returning dubious pairs.  :func:`eigs` re-orthonormalizes its pairs in the
-mass inner product before the check and sets no sign: every reader of an
-eigenvector is quadratic in it or reads ``<phi, f>_M phi``.  Pairs known in
-closed form (``homlab.domain.effective_eigenpairs``) go through the same
-check against the assembled matrices.  Nothing here reads a problem or its
+Every returned :class:`Spectrum` has its residuals measured once, on the
+pairs it holds: :func:`eigs` returns the M-orthonormalized Ritz pairs whose
+residuals passed the Lanczos stop test, and pairs known in closed form
+(``homlab.domain.effective_eigenpairs``) pass :func:`checked_spectrum`,
+residuals and order, against the assembled matrices.  A failure raises
+:class:`SpectralError`, naming the operator, rather than returning dubious
+pairs.  No sign is set: every reader of an eigenvector is quadratic in it
+or reads ``<phi, f>_M phi``.  Nothing here reads a problem or its
 coefficients: the shift below an oscillatory spectrum is
 ``homlab.domain.EpsProblem.sigma``.
 
-Eigensolves run on the pipeline's pool threads, several at a time.  A
+Eigensolves run on the pipeline's pool threads, several at a time.  Every
 Lanczos step makes one solve with the factor, two sparse mass products and
-one Gram-Schmidt pass of two matrix-vector products over the basis; the
-first step and the step after each thick restart make three mass products
-and two passes.  The mass products and the Gram-Schmidt products release
-the GIL, and the solve does outside its scatter.  The Gram-Schmidt
-products are ``np.dot``, not ``@``: numpy's ``matmul`` keeps the GIL
-through a single matrix-vector product, while ``np.dot`` releases it and
-gives the same bits.  Inner products of two vectors keep ``@``, since at
-these sizes ``np.dot`` does not make them overlap.  The residual check
-(:func:`_relative_residuals`) works in place on blocks of columns that
-fit :data:`_RESIDUAL_BYTES`, so its temporaries stay small beside the
-Lanczos basis while tasks run side by side.
+one Gram-Schmidt pass of two matrix-vector products over the basis.  The
+mass products and the Gram-Schmidt products release the GIL, and the solve
+does outside its scatter.  The Gram-Schmidt products are ``np.dot``, not
+``@``: numpy's ``matmul`` keeps the GIL through a single matrix-vector
+product, while ``np.dot`` releases it and gives the same bits.  Inner
+products of two vectors keep ``@``, since at these sizes ``np.dot`` does
+not make them overlap.  The residual check (:func:`_relative_residuals`)
+works in place on blocks of columns that fit :data:`_RESIDUAL_BYTES`, so
+its temporaries stay small beside the Lanczos basis while tasks run side
+by side.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class Spectrum:
     Eigenvectors are stored column-wise on the interior degrees of freedom;
     ``grid.extend`` turns one into a nodal field.  They are ``None`` on a
     spectrum whose vectors no reader needs once the pairs have passed
-    :func:`checked_spectrum`: the pipeline keeps only the eigenvalues,
+    their residual check: the pipeline keeps only the eigenvalues,
     residuals and ``solves`` of each ``eps_prime`` spectrum.
     """
 
@@ -134,9 +133,10 @@ def eigs(op: sp.csr_matrix,
     ``EpsProblem.sigma``.  ``lu`` is the caller's
     :func:`homlab.fem.factorize` factor of ``op - sigma * mass``, the
     shift-invert operator.  ``tol`` is the relative residual each returned
-    pair must meet; the iteration runs until every pair meets a tenth of
-    it.  ``tag`` and ``epsilon`` name the operator in errors.  The pencil
-    must have more degrees of freedom than the Lanczos basis
+    pair must meet; the iteration runs until every pair, M-orthonormalized
+    as returned, meets a tenth of it, and those residuals are the
+    spectrum's.  ``tag`` and ``epsilon`` name the operator in errors.  The
+    pencil must have more degrees of freedom than the Lanczos basis
     (:func:`_basis_size`).
     """
     n = op.shape[0]
@@ -151,11 +151,11 @@ def eigs(op: sp.csr_matrix,
             f"basis for k={k} ({_operator_name(tag, epsilon)})")
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    lam, vecs, solves = _lanczos(op, mass, k, float(sigma), v0, lu,
-                                 tol / 10.0, _operator_name(tag, epsilon))
-    vecs = _orthonormalize(vecs, mass)
-    return checked_spectrum(op, mass, lam, vecs, tol, tag=tag,
-                            epsilon=epsilon, solves=solves)
+    lam, vecs, residuals, solves = _lanczos(
+        op, mass, k, float(sigma), v0, lu, tol / 10.0,
+        _operator_name(tag, epsilon))
+    return Spectrum(eigenvalues=lam, eigenvectors=vecs, residuals=residuals,
+                    solves=solves)
 
 
 def _basis_size(k: int) -> int:
@@ -174,26 +174,26 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     Runs on ``C = (op - shift mass)^-1 mass``, which is self-adjoint in the
     mass inner product, with eigenvalues ``1 / (lambda - shift)`` (Ericsson
     & Ruhe, Math. Comp. 1980), in the B-orthogonal form of Nour-Omid,
-    Parlett, Ericsson & Jensen (Math. Comp. 1987).  A step solves
-    ``w = lu.solve(mass v_j)``.  Since ``C`` is self-adjoint, ``w`` couples
-    only to ``v_j`` and ``v_{j-1}``: the three-term step takes ``alpha = w .
-    mass v_j`` from the right-hand side, with no mass product, subtracts
-    ``alpha v_j + beta_{j-1} v_{j-1}``, and one pass of classical
-    Gram-Schmidt against the whole basis removes what rounding left on the
-    rest ("twice is enough": Parlett, *The Symmetric Eigenvalue Problem*,
-    1980).  The first step, and the step right after each thick restart,
-    where ``v_j`` couples to every kept Ritz vector, make two full passes
-    instead.  Breakdown is ``beta`` at most ``_BREAKDOWN ||C v_j||_M``; a
-    three-term step has that norm from Pythagoras, ``alpha^2 +
-    beta_{j-1}^2 + ||w||_M^2`` after the subtraction.  Only the ``ncv + 1``
-    basis vectors are stored.  When the basis is full, the
-    ``keep`` largest Ritz vectors and the last Lanczos vector start the next
-    cycle (Wu & Simon, SIAM J. Matrix Anal. Appl. 2000).  Stops once every
+    Parlett, Ericsson & Jensen (Math. Comp. 1987).  Every step is the same.
+    It solves ``w = lu.solve(mass v_j)``, whose couplings to ``basis[:j]``
+    are known since ``C`` is self-adjoint: none on the first step,
+    ``beta_{j-1}`` to ``v_{j-1}`` on a three-term step, and ``beta s[-1,
+    i]`` to each kept Ritz vector ``y_i`` right after a thick restart (Wu &
+    Simon, SIAM J. Matrix Anal. Appl. 2000).  It subtracts those and
+    ``alpha v_j``, with ``alpha = w . mass v_j`` from the right-hand side,
+    and one pass of classical Gram-Schmidt against the whole basis removes
+    what rounding left ("twice is enough": Parlett, *The Symmetric
+    Eigenvalue Problem*, 1980).  Breakdown is ``beta`` at most ``_BREAKDOWN
+    ||C v_j||_M``, that norm from Pythagoras: the squared couplings and
+    ``||w||_M^2`` after the subtraction.  Only the ``ncv + 1`` basis vectors
+    are stored; when the basis is full, the ``keep`` largest Ritz vectors
+    and the last Lanczos vector start the next cycle.  Stops once every
     wanted pair has the cheap Ritz residual ``|beta s_last| <= rtol theta``
-    and the relative residual that :func:`checked_spectrum` gates, checked
-    on the formed Ritz vectors, is at most ``rtol`` too.  Returns the
-    eigenvalues ascending, the eigenvectors as ``(n, k)`` columns and the
-    number of solves made; a failure names the operator by ``name``.
+    and, formed and M-orthonormalized (:func:`_orthonormalize`), a relative
+    residual (:func:`_relative_residuals`) of at most ``rtol`` too.
+    Returns those pairs, the eigenvalues ascending and the eigenvectors as
+    ``(n, k)`` columns, their residuals and the number of solves made; a
+    failure names the operator by ``name``.
     """
     n = op.shape[0]
     ncv = _basis_size(k)
@@ -204,7 +204,8 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
     norm = np.sqrt(v0 @ mv)
     basis[0] = v0 / norm
     mv /= norm
-    j = solves = restarts = 0
+    j = lo = solves = restarts = 0
+    known = np.empty(0)  # the couplings of C v_j to basis[lo:j]
     gate = rtol
 
     def failure(what: str) -> SpectralError:
@@ -216,26 +217,17 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
         w = lu.solve(mv)
         solves += 1
         coef = np.zeros(j + 1)
-        if j == 0 or (restarts and j == keep):
-            # v_j couples to every basis vector: two full passes
-            mw = mass.dot(w)
-            size = np.sqrt(w @ mw)
-            passes = 2
-        else:
-            # C v_j couples only to v_j and v_{j-1}; what rounding leaves
-            # on the rest of the basis goes in one pass
-            alpha = w @ mv
-            coef[j - 1:] = beta, alpha
-            w -= np.dot(coef[j - 1:], basis[j - 1:j + 1])
-            mw = mass.dot(w)
-            size = np.sqrt(alpha * alpha + beta * beta + w @ mw)
-            passes = 1
-        for _ in range(passes):
-            # np.dot, not @: matmul keeps the GIL on a matrix-vector product
-            h = np.dot(basis[:j + 1], mw)
-            w -= np.dot(h, basis[:j + 1])
-            coef += h
-            mw = mass.dot(w)
+        coef[lo:j] = known
+        coef[j] = w @ mv
+        w -= np.dot(coef[lo:], basis[lo:j + 1])
+        mw = mass.dot(w)
+        size = np.sqrt(coef[lo:] @ coef[lo:] + w @ mw)
+        # one pass removes what rounding left on the basis; np.dot, not @:
+        # matmul keeps the GIL on a matrix-vector product
+        h = np.dot(basis[:j + 1], mw)
+        w -= np.dot(h, basis[:j + 1])
+        coef += h
+        mw = mass.dot(w)
         beta = np.sqrt(max(float(w @ mw), 0.0))
         proj[:j + 1, j] = proj[j, :j + 1] = coef
         m = j + 1
@@ -244,11 +236,14 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
             theta, s = theta[::-1], s[:, ::-1]
             estimate = np.max(np.abs(beta * s[-1, :k]) / theta[:k])
             if estimate <= gate:
-                vecs = (s[:, :k].T @ basis[:m]).T
+                # C-ordered, so the mass product copies no (n x k) block
+                vecs = _orthonormalize(basis[:m].T @ s[:, :k], mass)
                 lam = shift + 1.0 / theta[:k]
-                worst = np.max(_relative_residuals(op, mass, lam, vecs))
+                residuals = _relative_residuals(op, mass, lam, vecs)
+                worst = np.max(residuals)
                 if worst <= rtol:
-                    return lam, vecs, solves
+                    return lam, vecs, residuals, solves
+                del vecs  # not held beside the next pass's block
                 # The true residual runs ahead of the estimate by a nearly
                 # steady factor: form the vectors again only once the
                 # estimate has closed the gap just measured.
@@ -265,8 +260,11 @@ def _lanczos(op: sp.csr_matrix, mass: sp.csr_matrix, k: int, shift: float,
                 basis[:keep, cols] = s[:, :keep].T @ basis[:ncv, cols]
             proj[:] = 0.0
             proj[:keep, :keep] = np.diag(theta[:keep])
+            # C y_i = theta_i y_i + beta s[-1, i] v_m for each kept y_i
+            lo, known = 0, beta * s[-1, :keep]
             j = keep
         else:
+            lo, known = j, beta
             j = m
         basis[j] = w / beta
         mv = mw / beta
@@ -303,24 +301,22 @@ def _relative_residuals(op: sp.csr_matrix, mass: sp.csr_matrix,
 
 def checked_spectrum(op: sp.csr_matrix, mass: sp.csr_matrix,
                      lam: np.ndarray, vecs: np.ndarray, tol: float, *,
-                     tag: str, epsilon: Optional[float] = None,
-                     solves: int = 0) -> Spectrum:
-    """The pairs ``lam``, ``vecs`` of ``op v = lambda mass v`` as a
-    :class:`Spectrum`, once each has a relative residual of at most ``tol``
-    and the eigenvalues ascend; otherwise :class:`SpectralError`, naming
-    the operator by ``tag`` and ``epsilon``.  ``solves`` is what it cost."""
+                     tag: str) -> Spectrum:
+    """The closed-form pairs ``lam``, ``vecs`` of ``op v = lambda mass v``
+    as a :class:`Spectrum`, once each has a relative residual of at most
+    ``tol`` and the eigenvalues ascend; otherwise :class:`SpectralError`,
+    naming the operator by ``tag``."""
     residuals = _relative_residuals(op, mass, lam, vecs)
-    where = f"{_operator_name(tag, epsilon)}, {op.shape[0]} DOF"
+    where = f"{tag}, {op.shape[0]} DOF"
     if np.any(residuals > tol):
         worst = int(np.argmax(residuals))
         raise SpectralError(
             f"eigenpair {worst + 1} residual {residuals[worst]:.3e} exceeds "
-            f"tolerance {tol:.1e} ({where})", residuals=residuals)
+            f"tolerance {tol:.1e} ({where})")
     if np.any(np.diff(lam) < -tol * np.maximum(np.abs(lam[:-1]), 1.0)):
         raise SpectralError(
             f"eigenvalues not returned in ascending order ({where})")
-    return Spectrum(eigenvalues=lam, eigenvectors=vecs, residuals=residuals,
-                    solves=solves)
+    return Spectrum(eigenvalues=lam, eigenvectors=vecs, residuals=residuals)
 
 
 def first_eigenvalue_comparison(epsilon: float,

@@ -18,8 +18,11 @@ CSV or JSON file also gives the largest relative difference
 ``|a - b| / max(|a|, |b|)`` over its numbers (CSV cells, and the numbers of
 a JSON file, ``report.json`` without the keys above) and where it sits, or
 says that the two sides' text or layout differs, so that a deliberate
-round-off move is bounded by the same command.  The runs take about half a
-minute per side on a 2-core machine.
+round-off move is bounded by the same command.  On ``report.json`` it also
+lists every integer that differs, as ``where a -> b``, or says ``solves
+same``: the largest relative move there is a round-off probe, which would
+hide a changed solve count.  The runs take about half a minute per side on
+a 2-core machine.
 """
 
 import argparse
@@ -95,7 +98,8 @@ def comparable(path):
 
 def cells(path):
     """``(where, value)`` for each CSV cell or JSON key and leaf of
-    ``path``, in file order, numbers as floats; None for other files."""
+    ``path``, in file order, CSV numbers as floats and JSON numbers as
+    parsed; None for other files."""
     if path.suffix == ".csv":
         rows = list(csv.reader(io.StringIO(path.read_text())))
         out = []
@@ -120,8 +124,6 @@ def cells(path):
         elif isinstance(node, list):
             for i, value in enumerate(node):
                 walk(f"{where}[{i}]", value)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            out.append((where, float(node)))
         else:
             out.append((where, node))
 
@@ -131,15 +133,18 @@ def cells(path):
 
 def largest_move(a, b):
     """What a DIFF line adds for files ``a`` and ``b``: the largest relative
-    difference over their numbers and where it sits, or why there is none."""
+    difference over their numbers and where it sits, or why there is none,
+    and for report.json the integers that differ."""
     left, right = cells(a), cells(b)
     if left is None:
         return ""
     if len(left) != len(right):
         return "  (layout differs)"
-    worst, where = 0.0, None
+    worst, where, counts = 0.0, None, []
     for (place, x), (_, y) in zip(left, right):
-        if isinstance(x, float) and isinstance(y, float):
+        if _is_number(x) and _is_number(y):
+            if isinstance(x, int) and isinstance(y, int) and x != y:
+                counts.append(f"{place} {x} -> {y}")
             if x != y and not (x != x and y != y):  # NaN on both sides
                 move = abs(x - y) / max(abs(x), abs(y))
                 if not move <= worst:
@@ -148,7 +153,13 @@ def largest_move(a, b):
             return f"  (text differs at {place})"
     if where is None:
         return "  (same numbers)"
+    if a.name == "report.json":
+        where += "; " + (", ".join(counts) or "solves same")
     return f"  (max rel diff {worst:.1e} at {where})"
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def compare(parent_dir, change_dir):
